@@ -301,6 +301,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"nckit: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("nckit: input is nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -295,7 +295,14 @@ def invariance_witness(pot: GaugePotential, u: Poly,
     f, fp, _ = _transformed_strength(pot, u, ctx)
     dens = action_density(f, ctx)
     dens_p = action_density(fp, ctx)
-    du = star(dens, u, ctx)
-    witness = ctx.reduce(star(u.conj(), du, ctx) - star(du, u.conj(), ctx))
+    del f, fp, _  # freed before the witness, the step that peaks in memory
+    # the witness is linear in dens: summing it over blocks of dens's terms
+    # keeps dens * U, the largest intermediate, from being held whole
+    udag = u.conj()
+    witness = Poly.zero()
+    terms = list(dens.items())
+    for k in range(0, len(terms), 64):
+        du = star(Poly(dict(terms[k:k + 64])), u, ctx)
+        witness = witness + star_commutator(udag, du, ctx)
     remainder = ctx.reduce(dens_p - dens - witness)
     return witness, remainder

@@ -318,6 +318,16 @@ def save_grid(path, field: GridField, theta: float) -> None:
         fh.write(data.tobytes())
 
 
+def _check_header(n: int, box: float, theta: float) -> None:
+    """Reject a grid header before any sample is read or allocated."""
+    if n <= 0:
+        raise ValueError(f"grid size must be positive, got {n}")
+    if not (math.isfinite(box) and box > 0):
+        raise ValueError(f"box length must be finite and positive, got {box!r}")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+
+
 def load_grid(path) -> tuple[GridField, float]:
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
@@ -326,6 +336,7 @@ def load_grid(path) -> tuple[GridField, float]:
         magic, n, box, theta = _HEADER.unpack(raw)
         if magic != MAGIC:
             raise ValueError(f"not a grid file (magic {magic!r})")
+        _check_header(n, box, theta)
         body = fh.read()
     expect = n * n * 16
     if len(body) != expect:
@@ -357,11 +368,20 @@ def load_grid_csv(path) -> tuple[GridField, float]:
             n, box, theta = int(n_txt), float(box_txt), float(theta_txt)
         except ValueError as exc:
             raise ValueError(f"bad grid csv header {head!r}") from exc
-        values = np.zeros((n, n), dtype=np.complex128)
-        for i in range(n):
-            cells = fh.readline().split(",")
-            if len(cells) != 2 * n:
-                raise ValueError(f"grid csv row {i} has {len(cells)} cells")
-            nums = [float(c) for c in cells]
-            values[i] = np.array(nums[0::2]) + 1j * np.array(nums[1::2])
+        _check_header(n, box, theta)
+        rows = fh.read().splitlines()
+    while rows and not rows[-1].strip():
+        rows.pop()
+    if len(rows) != n:
+        raise ValueError(f"grid csv has {len(rows)} rows, expected {n}")
+    # every row is checked before the n x n array exists, so its size is
+    # bounded by the file's
+    for i, row in enumerate(rows):
+        cells = row.count(",") + 1
+        if cells != 2 * n:
+            raise ValueError(f"grid csv row {i} has {cells} cells")
+    values = np.zeros((n, n), dtype=np.complex128)
+    for i, row in enumerate(rows):
+        nums = [float(c) for c in row.split(",")]
+        values[i] = np.array(nums[0::2]) + 1j * np.array(nums[1::2])
     return GridField(values, box), theta

@@ -133,14 +133,17 @@ class BasePoly:
             return cls.const(other)
         return None
 
-    def __add__(self, other: ScalarLike):
+    def _combine(self, other: ScalarLike, negate: bool):
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
         out = dict(self._terms)
         for exps, c in o._terms.items():
             acc = out.get(exps)
-            c = c if acc is None else acc + c
+            if acc is None:
+                c = -c if negate else c
+            else:
+                c = acc - c if negate else acc + c
             if c.is_zero():
                 out.pop(exps, None)
             else:
@@ -149,13 +152,13 @@ class BasePoly:
         object.__setattr__(res, "_terms", out)
         return res
 
+    def __add__(self, other: ScalarLike):
+        return self._combine(other, False)
+
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike):
-        o = self._coerce_operand(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._combine(other, True)
 
     def __rsub__(self, other: ScalarLike):
         return (-self) + other
@@ -289,6 +292,8 @@ class Poly(BasePoly):
         """Drop every term whose eps-exponent exceeds n."""
         if n < 0:
             return Poly()
+        if all(e[4] <= n for e in self._terms):
+            return self
         out = {e: c for e, c in self._terms.items() if e[4] <= n}
         res = Poly.__new__(Poly)
         object.__setattr__(res, "_terms", out)

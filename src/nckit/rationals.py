@@ -1,46 +1,67 @@
 """Exact complex rationals.
 
-Every coefficient in the symbolic layer is a Gaussian rational a + b*i with
-a, b drawn from stdlib fractions.Fraction.  Floats never enter; equality of
-two symbolic results is therefore structural, not approximate.
+Every coefficient in the symbolic layer is a Gaussian rational
+(re + im*i) / den held as three ints, normalized so that den > 0 and
+gcd(re, im, den) == 1.  Each value has exactly one such form, so equality is
+a comparison of three ints, and every operation is int arithmetic followed
+by a single gcd.  Floats never enter; equality of two symbolic results is
+therefore structural, not approximate.
+
+``CRat`` is the boundary type: it is built from ints and
+``fractions.Fraction``s, and ``.re`` / ``.im`` return ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 RatLike = Union[int, Fraction]
 CRatLike = Union["CRat", int, Fraction]
 
 
-def _as_fraction(v: RatLike) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
+def _split(v: RatLike) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction."""
     if isinstance(v, int):
-        return Fraction(v)
+        return int(v), 1
+    if isinstance(v, Fraction):
+        return v.numerator, v.denominator
     raise TypeError(f"expected int or Fraction, got {type(v).__name__}")
 
 
 class CRat:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
 
-    __slots__ = ("re", "im")
+    Immutable: the public parts are read-only properties, and the three
+    private ints are never reassigned after construction.
+    """
+
+    __slots__ = ("_re", "_im", "_den")
 
     def __init__(self, re: RatLike = 0, im: RatLike = 0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CRat is immutable")
+        rn, rd = _split(re)
+        im_n, im_d = _split(im)
+        den = rd // gcd(rd, im_d) * im_d  # lcm of two reduced denominators
+        self._re, self._im, self._den = rn * (den // rd), im_n * (den // im_d), den
 
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def from_ints(re: int, im: int, den: int) -> "CRat":
+        """(re + im*i) / den for ints with den != 0, normalized."""
+        if den < 0:
+            re, im, den = -re, -im, -den
+        elif not den:
+            raise ZeroDivisionError("CRat denominator is zero")
+        return _norm(re, im, den)
 
     @staticmethod
     def coerce(v: CRatLike) -> "CRat":
         if isinstance(v, CRat):
             return v
-        return CRat(_as_fraction(v))
+        num, den = _split(v)
+        return _make(num, 0, den)
 
     @staticmethod
     def _operand(v) -> "CRat | None":
@@ -51,40 +72,60 @@ class CRat:
         """
         if isinstance(v, CRat):
             return v
-        if isinstance(v, (int, Fraction)):
-            return CRat(v)
+        if isinstance(v, int):
+            return _make(int(v), 0, 1)
+        if isinstance(v, Fraction):
+            return _make(v.numerator, 0, v.denominator)
         return None
+
+    # -- parts -------------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._re, self._den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._im, self._den)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._re and not self._im
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self._im
 
     def is_imaginary(self) -> bool:
         """Purely imaginary (real part zero); zero counts."""
-        return not self.re
+        return not self._re
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._re or self._im)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: CRatLike) -> "CRat":
-        o = CRat._operand(other)
+        o = other if isinstance(other, CRat) else CRat._operand(other)
         if o is None:
             return NotImplemented
-        return CRat(self.re + o.re, self.im + o.im)
+        ad, bd = self._den, o._den
+        if ad == bd:
+            return _norm(self._re + o._re, self._im + o._im, ad)
+        return _norm(self._re * bd + o._re * ad, self._im * bd + o._im * ad,
+                     ad * bd)
 
     __radd__ = __add__
 
     def __sub__(self, other: CRatLike) -> "CRat":
-        o = CRat._operand(other)
+        o = other if isinstance(other, CRat) else CRat._operand(other)
         if o is None:
             return NotImplemented
-        return CRat(self.re - o.re, self.im - o.im)
+        ad, bd = self._den, o._den
+        if ad == bd:
+            return _norm(self._re - o._re, self._im - o._im, ad)
+        return _norm(self._re * bd - o._re * ad, self._im * bd - o._im * ad,
+                     ad * bd)
 
     def __rsub__(self, other: CRatLike) -> "CRat":
         o = CRat._operand(other)
@@ -93,14 +134,14 @@ class CRat:
         return o - self
 
     def __neg__(self) -> "CRat":
-        return CRat(-self.re, -self.im)
+        return _make(-self._re, -self._im, self._den)
 
     def __mul__(self, other: CRatLike) -> "CRat":
-        o = CRat._operand(other)
+        o = other if isinstance(other, CRat) else CRat._operand(other)
         if o is None:
             return NotImplemented
-        return CRat(self.re * o.re - self.im * o.im,
-                    self.re * o.im + self.im * o.re)
+        ar, ai, br, bi = self._re, self._im, o._re, o._im
+        return _norm(ar * br - ai * bi, ar * bi + ai * br, self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -108,11 +149,14 @@ class CRat:
         o = CRat._operand(other)
         if o is None:
             return NotImplemented
-        n = o.re * o.re + o.im * o.im
+        br, bi = o._re, o._im
+        n = br * br + bi * bi
         if not n:
             raise ZeroDivisionError("division by zero CRat")
-        return CRat((self.re * o.re + self.im * o.im) / n,
-                    (self.im * o.re - self.re * o.im) / n)
+        # (a / ad) / (b / bd) = a * conj(b) * bd / (ad * |b|^2)
+        ar, ai, bd = self._re, self._im, o._den
+        return _norm((ar * br + ai * bi) * bd, (ai * br - ar * bi) * bd,
+                     self._den * n)
 
     def __pow__(self, n: int) -> "CRat":
         if not isinstance(n, int) or n < 0:
@@ -127,42 +171,75 @@ class CRat:
         return out
 
     def conjugate(self) -> "CRat":
-        return CRat(self.re, -self.im)
+        return _make(self._re, -self._im, self._den)
 
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CRat(other)
-        if not isinstance(other, CRat):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, CRat):
+            return (self._re == other._re and self._im == other._im
+                    and self._den == other._den)
+        if isinstance(other, int):
+            return not self._im and self._den == 1 and self._re == other
+        if isinstance(other, Fraction):
+            return (not self._im and self._den == other.denominator
+                    and self._re == other.numerator)
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # a real value hashes like the equal int or Fraction
+        if not self._im:
+            return hash(self._re) if self._den == 1 else hash(self.re)
+        return hash((self._re, self._im, self._den))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self._re / self._den, self._im / self._den)
 
     def __repr__(self) -> str:
         return f"CRat({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
-        if self.is_real():
-            return str(self.re)
-        if self.is_imaginary():
-            if self.im == 1:
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return f"{self.im}*i"
-        sign = "+" if self.im >= 0 else "-"
-        im = abs(self.im)
+            return f"{im}*i"
+        sign = "+" if im >= 0 else "-"
+        im = abs(im)
         imtxt = "i" if im == 1 else f"{im}*i"
-        return f"({self.re}{sign}{imtxt})"
+        return f"({re}{sign}{imtxt})"
 
 
-ZERO = CRat(0)
+_new = object.__new__
+
+
+def _make(re: int, im: int, den: int) -> CRat:
+    """CRat from ints already in normal form."""
+    c = _new(CRat)
+    c._re = re
+    c._im = im
+    c._den = den
+    return c
+
+
+def _norm(re: int, im: int, den: int) -> CRat:
+    """CRat from ints with den > 0, divided through by their gcd."""
+    if den != 1:
+        g = gcd(re, im, den)
+        if g != 1:
+            re //= g
+            im //= g
+            den //= g
+    c = _new(CRat)  # _make inlined: every +, -, * and / ends here
+    c._re = re
+    c._im = im
+    c._den = den
+    return c
+
+
 ONE = CRat(1)
 I = CRat(0, 1)
-HALF_I = CRat(0, Fraction(1, 2))

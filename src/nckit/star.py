@@ -39,14 +39,8 @@ from .poly import Poly
 
 EntryLike = Union[Poly, CRat, int, Fraction]
 
-# (i/2)^n for the series prefactor; extended on demand.
-_IHALF: list[CRat] = [CRat(1)]
-
-
-def _ihalf(n: int) -> CRat:
-    while len(_IHALF) <= n:
-        _IHALF.append(_IHALF[-1] * CRat(0, Fraction(1, 2)))
-    return _IHALF[n]
+# i^n as (re, im), indexed by n mod 4, for the series prefactor (i/2)^n.
+_I_POW = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 _ORDERED_PAIRS = ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
@@ -133,14 +127,18 @@ class ThetaProfile:
             self._pow_cache[key] = hit
         return hit
 
-    def _contraction_product(self, m6: tuple[int, ...]) -> Poly:
-        """Product of theta entry powers over the six ordered pairs."""
+    def _contraction_product(self, m6: tuple[int, ...]
+                             ) -> tuple[tuple[int, CRat], ...]:
+        """Product of theta entry powers over the six ordered pairs, as
+        (t-exponent, coefficient) pairs: a theta keeps one per contraction
+        it has met, and a tuple is far smaller than a Poly."""
         hit = self._prod_cache.get(m6)
         if hit is None:
-            hit = Poly.one()
+            prod = Poly.one()
             for (i, j), m in zip(_ORDERED_PAIRS, m6):
                 if m:
-                    hit = hit * self._entry_power(i, j, m)
+                    prod = prod * self._entry_power(i, j, m)
+            hit = tuple((e[0], c) for e, c in prod.items())
             self._prod_cache[m6] = hit
         return hit
 
@@ -163,12 +161,19 @@ class StarContext:
         return p.truncate_eps(self.eps_cutoff)
 
 
-def star(f: Poly, g: Poly, ctx: StarContext) -> Poly:
-    """Exact star product of two polynomials (terminating series)."""
+def star(f: Poly, g: Poly, ctx: StarContext, *,
+         commutator: bool = False) -> Poly:
+    """Exact star product of two polynomials (terminating series).
+
+    commutator=True returns f*g - g*f instead.  Swapping f and g flips the
+    sign of the n-th series term (theta is antisymmetric), so the
+    commutator is twice the odd-n terms of f*g: one pass, no even terms.
+    """
     theta = ctx.theta
     cutoff = ctx.eps_cutoff
     if theta.is_zero():
-        return ctx.reduce(f * g)
+        return Poly.zero() if commutator else ctx.reduce(f * g)
+    scale = 2 if commutator else 1
 
     # Caps for each ordered pair: 0 when the entry vanishes identically.
     caps = [0 if theta.entry(i, j).is_zero() else 10 ** 9
@@ -194,6 +199,8 @@ def star(f: Poly, g: Poly, ctx: StarContext) -> Poly:
                             for m31 in range(min(a3, b1 - m21, c31) + 1):
                                 for m32 in range(min(a3 - m31, b2 - m12, c32) + 1):
                                     n = m12 + m13 + m21 + m23 + m31 + m32
+                                    if commutator and not n & 1:
+                                        continue
                                     # row sums differentiate f, column sums g
                                     r1, r2, r3 = m12 + m13, m21 + m23, m31 + m32
                                     s1, s2, s3 = m21 + m31, m12 + m32, m13 + m23
@@ -206,7 +213,10 @@ def star(f: Poly, g: Poly, ctx: StarContext) -> Poly:
                                     den = (math.factorial(m12) * math.factorial(m13)
                                            * math.factorial(m21) * math.factorial(m23)
                                            * math.factorial(m31) * math.factorial(m32))
-                                    coeff = base * _ihalf(n) * Fraction(num, den)
+                                    ir, ii = _I_POW[n & 3]
+                                    num *= scale
+                                    coeff = base * CRat.from_ints(
+                                        num * ir, num * ii, den << n)
                                     xk = (a1 - r1 + b1 - s1,
                                           a2 - r2 + b2 - s2,
                                           a3 - r3 + b3 - s3)
@@ -221,8 +231,8 @@ def star(f: Poly, g: Poly, ctx: StarContext) -> Poly:
                                         continue
                                     tp = theta._contraction_product(
                                         (m12, m21, m13, m31, m23, m32))
-                                    for et, ct in tp.items():
-                                        key = (t0 + et[0], *xk, e4)
+                                    for et, ct in tp:
+                                        key = (t0 + et, *xk, e4)
                                         c = coeff * ct
                                         acc = out.get(key)
                                         tot = c if acc is None else acc + c
@@ -236,7 +246,7 @@ def star(f: Poly, g: Poly, ctx: StarContext) -> Poly:
 
 
 def star_commutator(f: Poly, g: Poly, ctx: StarContext) -> Poly:
-    return star(f, g, ctx) - star(g, f, ctx)
+    return star(f, g, ctx, commutator=True)
 
 
 def dt_leibniz_defect(f: Poly, g: Poly, ctx: StarContext) -> Poly:

@@ -1,12 +1,13 @@
 """Command surface and config files: exit codes, reports, round trips."""
 
 import json
+import struct
 
 import pytest
 
 from nckit.cli import main
 from nckit.config import ConfigError, GridParams, load_config, load_theta
-from nckit.grid import band_limited_field, save_grid
+from nckit.grid import MAGIC, band_limited_field, save_grid
 from nckit.poly import Poly, t
 from nckit.star import ThetaProfile
 
@@ -114,6 +115,15 @@ def test_reduce_exit_codes(capsys):
     assert "column 4" in capsys.readouterr().err
     assert main(["reduce", "dt.dx1"]) == 2
     assert "pointwise" in capsys.readouterr().err
+
+
+def test_reduce_deep_nesting_is_bad_input(capsys):
+    assert main(["reduce", "(" * 3000 + "x1" + ")" * 3000]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nckit: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert main(["reduce", "+".join(["x1"] * 3000)]) == 2
+    capsys.readouterr()
 
 
 def test_reduce_json_and_order(tmp_path, capsys):
@@ -242,3 +252,19 @@ def test_grid_check_bad_file(tmp_path, capsys):
     path.write_bytes(b"not a grid file at all")
     assert main(["grid-check", str(path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n, box, theta", [
+    (32, 6.283185307179586, float("nan")),
+    (32, 6.283185307179586, float("inf")),
+    (32, float("inf"), 0.3),
+    (32, float("nan"), 0.3),
+    (0, 6.283185307179586, 0.3),
+])
+def test_grid_check_rejects_bad_header(tmp_path, capsys, n, box, theta):
+    path = tmp_path / "h.ncg"
+    path.write_bytes(struct.pack("<8sI4xdd", MAGIC, n, box, theta)
+                     + b"\0" * (16 * n * n))
+    assert main(["grid-check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nckit: ") and err.count("\n") == 1

@@ -231,6 +231,32 @@ def test_invariance_witness_remainder_vanishes():
         assert witness == ctx.reduce(want)
 
 
+def test_covariance_and_invariance_at_order_three():
+    # redraw trivial inputs, so every case runs the thetadot corrections
+    # on a nonzero potential and a nonconstant transformation
+    rng = random.Random(1507)
+    for _ in range(10):
+        theta = rand_theta(rng, max_deg=1, allow_zero_entries=False)
+        while theta.is_static():
+            theta = rand_theta(rng, max_deg=1, allow_zero_entries=False)
+        ctx = StarContext(theta, eps_cutoff=3)
+        spatial = rand_anti_hermitian_potential(rng, max_spatial=2)
+        while not any(spatial.spatial()):
+            spatial = rand_anti_hermitian_potential(rng, max_spatial=2)
+        pot = complete_time_component(
+            spatial, ctx, seed=rand_imag_poly(rng, max_terms=1, max_spatial=2))
+        lam = rand_imag_poly(rng, max_terms=2, max_spatial=2)
+        while lam.spatial_degree() == 0:
+            lam = rand_imag_poly(rng, max_terms=2, max_spatial=2)
+        u = star_exp(lam, 3, ctx)
+        assert u.eps_degree() == 3
+        dspat, dtilde = covariance_defect(pot, u, ctx)
+        assert all(p.is_zero() for p in dspat.values())
+        assert all(p.is_zero() for p in dtilde.values())
+        _, remainder = invariance_witness(pot, u, ctx)
+        assert remainder.is_zero()
+
+
 def test_gauge_identity_transformation():
     ctx = lin_ctx(cutoff=2)
     pot = complete_time_component(

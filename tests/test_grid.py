@@ -229,6 +229,31 @@ def test_csv_round_trip(tmp_path):
         load_grid_csv(bad)
 
 
+def test_binary_load_rejects_bad_header_values(tmp_path):
+    bad = tmp_path / "bad.ncg"
+    for n, box, theta in [(4, 1.0, math.nan), (4, 1.0, -math.inf),
+                          (4, math.inf, 0.5), (4, -1.0, 0.5), (0, 1.0, 0.5)]:
+        bad.write_bytes(struct.pack("<8sI4xdd", MAGIC, n, box, theta)
+                        + b"\0" * (16 * n * n))
+        with pytest.raises(ValueError):
+            load_grid(bad)
+
+
+def test_csv_load_checks_header_and_rows_before_allocating(tmp_path):
+    bad = tmp_path / "bad.csv"
+    for text in ["100000000,1.0,0.5\n0,0\n",
+                 "100000,1.0,0.5\n" + "0,0\n" * 100000,
+                 "0,1.0,0.5\n", "-3,1.0,0.5\n",
+                 "2,nan,0.5\n0,0,0,0\n0,0,0,0\n",
+                 "2,1.0,inf\n0,0,0,0\n0,0,0,0\n",
+                 "2,1.0,0.5\n0,0,0,0\n",
+                 "2,1.0,0.5\n0,0,0,0\n0,0,0,0\n0,0,0,0\n",
+                 "2,1.0,0.5\n0,0,0,0\n0,0\n"]:
+        bad.write_text(text)
+        with pytest.raises(ValueError):
+            load_grid_csv(bad)
+
+
 def test_phase_law_production_size():
     import time
     t0 = time.time()

@@ -20,7 +20,8 @@ from nckit.star import (
     star_conj_defect,
     star_exp,
 )
-from util import rand_poly, rand_imag_poly, rand_theta
+from util import (rand_exponents, rand_fraction, rand_imag_poly, rand_poly,
+                  rand_theta)
 
 I = CRat(0, 1)
 HALF = Fraction(1, 2)
@@ -150,6 +151,38 @@ def test_star_matches_reference_randomized():
         f = rand_poly(rng, max_terms=3, max_t=1, max_spatial=3)
         g = rand_poly(rng, max_terms=3, max_t=1, max_spatial=3)
         assert star(f, g, ctx) == star_reference(f, g, ctx)
+
+
+def test_star_matches_reference_time_dependent_theta():
+    # every theta entry has a nonzero thetadot; denominators reach 7, so the
+    # series prefactors (i/2)^n num/den meet coefficients they do not divide
+    rng = random.Random(1303)
+
+    def frac(nonzero=False):
+        while True:
+            v = rand_fraction(rng, -6, 6, max_den=7)
+            if v or not nonzero:
+                return v
+
+    def poly():
+        p = Poly.zero()
+        for _ in range(rng.randint(1, 3)):
+            c = CRat(frac(), frac())
+            exps = rand_exponents(rng, max_t=1, max_spatial=3, max_eps=1)
+            p = p + Poly.monomial(exps, c if c else CRat(frac(True)))
+        return p
+
+    for k in range(30):
+        th = ThetaProfile({pair: frac() + frac(True) * t
+                           for pair in ((1, 2), (1, 3), (2, 3))})
+        assert all(not th.theta_dot().entry(i, j).is_zero()
+                   for i, j in ((1, 2), (1, 3), (2, 3)))
+        ctx = StarContext(th, eps_cutoff=None if k % 2 else 1)
+        f, g = poly(), poly()
+        fg = star(f, g, ctx)
+        assert fg == star_reference(f, g, ctx)
+        # the one-pass commutator (odd series terms, doubled)
+        assert star_commutator(f, g, ctx) == fg - star(g, f, ctx)
 
 
 def test_star_associativity_randomized():
