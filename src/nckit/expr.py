@@ -28,11 +28,13 @@ pointwise power of a scalar.  Basis one-forms multiply with '*', so
 "x2*dx1*dx2" is a two-form with its coefficient already moved to the
 left.  Misusing grades (a pointwise product or a power of a form, Dmu of
 a form) raises GradingError; malformed input raises ParseError with the
-line and column.
+line and column; a product or power whose operands could give a result
+beyond MAX_DEGREE or MAX_TERMS raises SizeLimitError before it runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -55,6 +57,19 @@ class ParseError(Exception):
 
 class GradingError(Exception):
     """An operation was applied across incompatible form degrees."""
+
+
+# Size limits for one product or power, checked before it runs against what
+# its operands predict.  Degree: the sum of the operands' total degrees; for
+# p^n, n times the degree of p, or n when p is constant.  Terms: p*q for
+# operands of p and q terms; for p^n, the number of multisets of n of the
+# terms of p.
+MAX_DEGREE = 16
+MAX_TERMS = 1000
+
+
+class SizeLimitError(ValueError):
+    """A product or power would exceed MAX_DEGREE or MAX_TERMS."""
 
 
 # -- lexer ----------------------------------------------------------------
@@ -280,7 +295,38 @@ def _promote(v: Value) -> DifferentialForm:
     return v
 
 
+def _size(v: Value) -> tuple[int, int]:
+    """(total degree, term count) of a function or form."""
+    if isinstance(v, Poly):
+        return v.total_degree(), len(v)
+    parts = [f for _, f in v.items()]
+    return (max((f.total_degree() for f in parts), default=0),
+            sum(len(f) for f in parts))
+
+
+def _check_size(node: Node, degree: int, terms: int) -> None:
+    if degree > MAX_DEGREE:
+        what = f"degree {degree}, above the limit of {MAX_DEGREE}"
+    elif terms > MAX_TERMS:
+        what = f"{terms} terms, above the limit of {MAX_TERMS}"
+    else:
+        return
+    raise SizeLimitError(
+        f"line {node.line}, column {node.col}: result could reach {what}")
+
+
 def evaluate(node: Node, ctx: StarContext) -> Value:
+    if isinstance(node, Bin):
+        # Walk a left-deep chain such as a long flat sum in a loop, so its
+        # length is not bounded by the interpreter's recursion limit.
+        chain = []
+        while isinstance(node, Bin):
+            chain.append(node)
+            node = node.left
+        acc = evaluate(node, ctx)
+        for op in reversed(chain):
+            acc = _binary(op, acc, evaluate(op.right, ctx), ctx)
+        return acc
     if isinstance(node, Num):
         return Poly.const(Fraction(node.value))
     if isinstance(node, Sym):
@@ -304,7 +350,12 @@ def evaluate(node: Node, ctx: StarContext) -> Value:
             raise GradingError(
                 f"line {node.line}, column {node.col}: "
                 "power of a differential form")
-        return v ** node.exponent
+        n, k = node.exponent, len(v)
+        _check_size(node, n * max(1, v.total_degree()), 0)
+        # n is now at most MAX_DEGREE; p^n has at most as many terms as
+        # there are multisets of n of the k terms of p
+        _check_size(node, 0, math.comb(n + k - 1, n) if k else 1)
+        return v ** n
     if isinstance(node, Call):
         v = evaluate(node.arg, ctx)
         if node.fn == "d":
@@ -314,25 +365,26 @@ def evaluate(node: Node, ctx: StarContext) -> Value:
                 f"line {node.line}, column {node.col}: "
                 f"{node.fn} needs a scalar function; use d for forms")
         return v.partial(int(node.fn[1]))
-    if isinstance(node, Bin):
-        a = evaluate(node.left, ctx)
-        b = evaluate(node.right, ctx)
-        if node.op in ("+", "-"):
-            if isinstance(a, Poly) and isinstance(b, Poly):
-                return a + b if node.op == "+" else a - b
-            fa, fb = _promote(a), _promote(b)
-            return fa + fb if node.op == "+" else fa - fb
-        if node.op == "*":
-            if isinstance(a, Poly) and isinstance(b, Poly):
-                return star(a, b, ctx)
-            return form_mul(_promote(a), _promote(b), ctx)
-        # pointwise product
+    raise TypeError(f"not a syntax node: {node!r}")
+
+
+def _binary(node: Bin, a: Value, b: Value, ctx: StarContext) -> Value:
+    if node.op in ("+", "-"):
         if isinstance(a, Poly) and isinstance(b, Poly):
-            return a * b
+            return a + b if node.op == "+" else a - b
+        fa, fb = _promote(a), _promote(b)
+        return fa + fb if node.op == "+" else fa - fb
+    if node.op == "." and not (isinstance(a, Poly) and isinstance(b, Poly)):
         raise GradingError(
             f"line {node.line}, column {node.col}: "
             "pointwise product is only defined for scalar functions")
-    raise TypeError(f"not a syntax node: {node!r}")
+    (da, na), (db, nb) = _size(a), _size(b)
+    _check_size(node, da + db, na * nb)
+    if node.op == ".":
+        return a * b
+    if isinstance(a, Poly) and isinstance(b, Poly):
+        return star(a, b, ctx)
+    return form_mul(_promote(a), _promote(b), ctx)
 
 
 # -- rendering ---------------------------------------------------------------

@@ -20,11 +20,21 @@ Consequences implemented and tested here:
 * the integral trace property (integral of f*g equals integral of fg) is not
   expressible on polynomials and is verified numerically by the grid module.
 
-On monomials the series collapses to a finite sum over "contraction
-matrices": nonnegative integers m[i][j] counting how many derivative pairs
-hit the ordered index pair (i, j).  Only the six off-diagonal entries
-matter, and each is bounded by the spatial exponents, so the enumeration
-below is exact and fast.
+The derivatives act on the spatial exponents only, and theta depends on t
+alone, so x^a * x^b is one fixed expansion whatever (t, eps) cofactors the
+two monomials carry.  ``star`` therefore groups each operand by
+x-exponents, f = sum_a x^a F_a(t, eps), merges F_a G_b into one cofactor
+(dropping eps orders above the cutoff), and expands each distinct pair
+(a, b) once per call.  A one-term cofactor is folded into every
+contraction coefficient; a longer one multiplies the finished expansion.
+Nothing outlives the call except the theta entry powers and products that
+``ThetaProfile`` caches.
+
+The expansion of x^a * x^b is a finite sum over "contraction matrices":
+nonnegative integers m[i][j] counting how many derivative pairs hit the
+ordered index pair (i, j).  Only the six off-diagonal entries matter, and
+each is bounded by the spatial exponents, so the enumeration is exact and
+fast.
 """
 
 from __future__ import annotations
@@ -168,6 +178,9 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
     commutator=True returns f*g - g*f instead.  Swapping f and g flips the
     sign of the n-th series term (theta is antisymmetric), so the
     commutator is twice the odd-n terms of f*g: one pass, no even terms.
+
+    Each distinct pair of x-monomials of f and g is expanded once (see the
+    module docstring); nothing is kept after the call.
     """
     theta = ctx.theta
     cutoff = ctx.eps_cutoff
@@ -176,22 +189,49 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
     scale = 2 if commutator else 1
 
     # Caps for each ordered pair: 0 when the entry vanishes identically.
-    caps = [0 if theta.entry(i, j).is_zero() else 10 ** 9
-            for (i, j) in _ORDERED_PAIRS]
-    c12, c21, c13, c31, c23, c32 = caps
+    # theta^{ij} and theta^{ji} vanish together, and ThetaProfile stores
+    # only the nonzero upper entries.
+    c12, c13, c23 = (10 ** 9 if pair in theta._upper else 0
+                     for pair in ((1, 2), (1, 3), (2, 3)))
+    c21, c31, c32 = c12, c13, c23
 
     out: dict[tuple[int, ...], CRat] = {}
-    fterms = list(f.items())
-    gterms = list(g.items())
-    for ef, cf in fterms:
-        a1, a2, a3 = ef[1], ef[2], ef[3]
-        for eg, cg in gterms:
-            if cutoff is not None and ef[4] + eg[4] > cutoff:
-                continue
-            b1, b2, b3 = eg[1], eg[2], eg[3]
-            base = cf * cg
-            t0 = ef[0] + eg[0]
-            e4 = ef[4] + eg[4]
+    g_groups = _x_groups(g)
+    for (a1, a2, a3), f_one, f_cof in _x_groups(f):
+        for (b1, b2, b3), g_one, g_cof in g_groups:
+            # The cofactor F_a * G_b of x^a * x^b.  When it is one term
+            # (base t^t0 eps^e4), it is folded into every contraction
+            # coefficient, straight into out; when longer, x^a * x^b is
+            # expanded once into dest and then multiplied by it.
+            cof = None
+            if f_one is not None and g_one is not None:
+                e4 = f_one[1] + g_one[1]
+                if cutoff is not None and e4 > cutoff:
+                    continue
+                base, t0 = f_one[2] * g_one[2], f_one[0] + g_one[0]
+            else:
+                cof = {}
+                for tf, ef, cf in f_cof:
+                    for tg, eg, cg in g_cof:
+                        e4 = ef + eg
+                        if cutoff is not None and e4 > cutoff:
+                            continue
+                        key = (tf + tg, e4)
+                        c = cf * cg
+                        acc = cof.get(key)
+                        tot = c if acc is None else acc + c
+                        if tot.is_zero():
+                            cof.pop(key, None)
+                        else:
+                            cof[key] = tot
+                if not cof:
+                    continue
+                if len(cof) == 1:
+                    ((t0, e4), base), = cof.items()
+                    cof = None
+                else:
+                    base, t0, e4 = None, 0, 0
+            dest = out if cof is None else {}
             for m12 in range(min(a1, b2, c12) + 1):
                 for m13 in range(min(a1 - m12, b3, c13) + 1):
                     for m21 in range(min(a2, b1, c21) + 1):
@@ -215,34 +255,57 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
                                            * math.factorial(m31) * math.factorial(m32))
                                     ir, ii = _I_POW[n & 3]
                                     num *= scale
-                                    coeff = base * CRat.from_ints(
-                                        num * ir, num * ii, den << n)
+                                    coeff = CRat.from_ints(num * ir, num * ii, den << n)
+                                    if base is not None:
+                                        coeff = base * coeff
                                     xk = (a1 - r1 + b1 - s1,
                                           a2 - r2 + b2 - s2,
                                           a3 - r3 + b3 - s3)
                                     if n == 0:
                                         key = (t0, *xk, e4)
-                                        acc = out.get(key)
+                                        acc = dest.get(key)
                                         tot = coeff if acc is None else acc + coeff
                                         if tot.is_zero():
-                                            out.pop(key, None)
+                                            dest.pop(key, None)
                                         else:
-                                            out[key] = tot
+                                            dest[key] = tot
                                         continue
                                     tp = theta._contraction_product(
                                         (m12, m21, m13, m31, m23, m32))
                                     for et, ct in tp:
                                         key = (t0 + et, *xk, e4)
                                         c = coeff * ct
-                                        acc = out.get(key)
+                                        acc = dest.get(key)
                                         tot = c if acc is None else acc + c
                                         if tot.is_zero():
-                                            out.pop(key, None)
+                                            dest.pop(key, None)
                                         else:
-                                            out[key] = tot
+                                            dest[key] = tot
+            if cof is None:
+                continue
+            for ex, cx in dest.items():
+                for (tc, ec), cc in cof.items():
+                    key = (ex[0] + tc, ex[1], ex[2], ex[3], ec)
+                    c = cx * cc
+                    acc = out.get(key)
+                    tot = c if acc is None else acc + c
+                    if tot.is_zero():
+                        out.pop(key, None)
+                    else:
+                        out[key] = tot
     res = Poly.__new__(Poly)
     object.__setattr__(res, "_terms", out)
     return res
+
+
+def _x_groups(p: Poly) -> list:
+    """p grouped by x-exponents: [(x-exponents, the term when it is the
+    only one, [(t-exponent, eps-exponent, coefficient), ...])]."""
+    groups: dict = {}
+    for e, c in p.items():
+        groups.setdefault((e[1], e[2], e[3]), []).append((e[0], e[4], c))
+    return [(x, terms[0] if len(terms) == 1 else None, terms)
+            for x, terms in groups.items()]
 
 
 def star_commutator(f: Poly, g: Poly, ctx: StarContext) -> Poly:

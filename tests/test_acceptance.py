@@ -63,6 +63,7 @@ def test_criterion_01_star_associativity_and_commutators():
 
 
 def test_criterion_02_time_derivative_correction():
+    t0 = time.monotonic()
     rng = random.Random(2002)
     failures = 0
     for _ in range(200):
@@ -73,11 +74,12 @@ def test_criterion_02_time_derivative_correction():
             failures += 1
     ok = failures == 0
     _verdict(2, "time-derivative defect equals its closed form", ok,
-             "200 pairs, exact")
+             f"200 pairs, exact, {time.monotonic() - t0:.1f}s")
     assert ok
 
 
 def test_criterion_03_conjugation_antihomomorphism():
+    t0 = time.monotonic()
     rng = random.Random(2003)
     failures = 0
     for _ in range(200):
@@ -88,11 +90,12 @@ def test_criterion_03_conjugation_antihomomorphism():
             failures += 1
     ok = failures == 0
     _verdict(3, "conjugation reverses the star product", ok,
-             "200 pairs, exact")
+             f"200 pairs, exact, {time.monotonic() - t0:.1f}s")
     assert ok
 
 
 def test_criterion_04_calculus_consistency():
+    t0 = time.monotonic()
     rng = random.Random(2004)
     failures = 0
     for _ in range(100):
@@ -107,7 +110,7 @@ def test_criterion_04_calculus_consistency():
             failures += 1
     ok = failures == 0
     _verdict(4, "exterior derivative squares to zero + graded rule", ok,
-             "100 pairs, exact")
+             f"100 pairs, exact, {time.monotonic() - t0:.1f}s")
     assert ok
 
 
@@ -142,6 +145,7 @@ def test_criterion_05_gauge_covariance():
 
 
 def test_criterion_06_action_coefficients_as_identities():
+    t0 = time.monotonic()
     ctx = StarContext(ThetaProfile({(1, 2): t * t, (2, 3): t}))
     spec = PlaneWaveSpec(omega=3, k=(1, 2, 2), p=(1, 2, 0, 1))
     report = effective_action(spec, ctx)
@@ -156,11 +160,13 @@ def test_criterion_06_action_coefficients_as_identities():
     names = {diag["name"] for diag in report.diagnostics}
     ok = ok and structured and "mixed-strength-correction-sign" in names
     _verdict(6, "action coefficients equal the printed forms", ok,
-             "polynomial identity; cubic sign -1 documented in diagnostics")
+             "polynomial identity; cubic sign -1 documented in diagnostics, "
+             f"{time.monotonic() - t0:.1f}s")
     assert ok
 
 
 def test_criterion_07_polarisation_dichotomy():
+    t0 = time.monotonic()
     rng = random.Random(2007)
     failures = 0
     # twenty deformation-blind waves: spatial polarization aligned with k
@@ -199,11 +205,12 @@ def test_criterion_07_polarisation_dichotomy():
         done += 1
     ok = failures == 0
     _verdict(7, "deformation-blind waves lose the cubic term, generic keep it",
-             ok, "20 + 20 specs, exact")
+             ok, f"20 + 20 specs, exact, {time.monotonic() - t0:.1f}s")
     assert ok
 
 
 def test_criterion_08_null_waves_stay_solutions():
+    t0 = time.monotonic()
     rng = random.Random(2008)
     failures = 0
     quads = null_quadruples()[:10]
@@ -220,7 +227,8 @@ def test_criterion_08_null_waves_stay_solutions():
             failures += 1
     ok = failures == 0
     _verdict(8, "null plane waves solve the wave equation at every power",
-             ok, "10 null covectors, powers up to 6, exact")
+             ok, "10 null covectors, powers up to 6, exact, "
+                f"{time.monotonic() - t0:.1f}s")
     assert ok
 
 
@@ -249,6 +257,7 @@ def test_criterion_09_grid_oracle():
 
 
 def test_criterion_10_harmonic_spectrum():
+    t0 = time.monotonic()
     ctx = StarContext(ThetaProfile({(1, 2): t * t, (2, 3): t}))
     spec = PlaneWaveSpec(omega=3, k=(1, 2, 2), p=(1, 2, 0, 1), profile="cos")
     spectrum = harmonic_spectrum(spec, ctx)
@@ -256,5 +265,6 @@ def test_criterion_10_harmonic_spectrum():
     ok = spectrum == want and all(
         abs(float(spectrum[n]) - float(want[n])) <= 1e-12 for n in want)
     _verdict(10, "cubic self-interaction lands on harmonics 1 and 3", ok,
-             "exact rational spectrum {1: 1/4, 3: -1/4}")
+             "exact rational spectrum {1: 1/4, 3: -1/4}, "
+             f"{time.monotonic() - t0:.1f}s")
     assert ok

@@ -1,12 +1,15 @@
 """Command surface and config files: exit codes, reports, round trips."""
 
+import itertools
 import json
 import struct
+import time
 
 import pytest
 
 from nckit.cli import main
 from nckit.config import ConfigError, GridParams, load_config, load_theta
+from nckit.expr import MAX_DEGREE, MAX_TERMS
 from nckit.grid import MAGIC, band_limited_field, save_grid
 from nckit.poly import Poly, t
 from nckit.star import ThetaProfile
@@ -122,7 +125,36 @@ def test_reduce_deep_nesting_is_bad_input(capsys):
     err = capsys.readouterr().err
     assert err.startswith("nckit: ") and err.count("\n") == 1
     assert "Traceback" not in err
-    assert main(["reduce", "+".join(["x1"] * 3000)]) == 2
+
+
+def test_reduce_long_flat_sum(capsys):
+    # a flat chain is walked in a loop, whatever its length
+    for n in (1000, 3000):
+        assert main(["reduce", "+".join(["x1"] * n)]) == 0
+        assert capsys.readouterr().out == f"{n}*x1\n"
+
+
+def test_reduce_size_limit_exits_before_work(capsys):
+    start = time.perf_counter()
+    assert main(["reduce", "(x1+x2+x3+t)^200"]) == 2
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("nckit: line 1, column 13: ") and "degree 200" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    # the limits the README states, checked on the operands of each
+    # product or power: degree, term pairs, multisets of a power's terms
+    assert (MAX_DEGREE, MAX_TERMS) == (16, 1000)
+    cubic = "+".join(f"t^{a}.x1^{b}.x2^{c}.x3^{d}"
+                     for a, b, c, d in itertools.product(range(4), repeat=4)
+                     if a + b + c + d <= 3)  # 35 terms
+    for expr, what in (("x1^8*x2^9", "degree 17"),
+                       ("2^17", "degree 17"),
+                       (f"({cubic})*({cubic})", "1225 terms"),
+                       ("(t+x1+x2+x3+eps)^10", "1001 terms")):
+        assert main(["reduce", expr]) == 2, expr
+        assert what in capsys.readouterr().err
+    for expr in ("x1^8*x2^8", "2^16", f"({cubic})*(x1+x2+x3)", "0^0"):
+        assert main(["reduce", expr]) == 0, expr
     capsys.readouterr()
 
 

@@ -185,6 +185,53 @@ def test_star_matches_reference_time_dependent_theta():
         assert star_commutator(f, g, ctx) == fg - star(g, f, ctx)
 
 
+def test_star_grouped_operands_match_reference():
+    # Several terms share x-exponents, so each x-monomial carries a 2-3 term
+    # (t, eps) cofactor that star merges before expanding the monomial pair.
+    rng = random.Random(1311)
+    thetas = (
+        ThetaProfile({(1, 2): 1 + t, (2, 3): Fraction(-1, 2) + 2 * t}),
+        ThetaProfile({(1, 2): t, (1, 3): 2 - t, (2, 3): Fraction(1, 3) * t}),
+    )
+    assert thetas[0].entry(1, 3).is_zero()
+    spatial = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0),
+               (0, 1, 1), (1, 0, 2), (0, 2, 1)]
+
+    def cofactor():
+        c = Poly.zero()
+        while len(c) < 2:
+            c = c + Poly.monomial((rng.randint(0, 2), 0, 0, 0, rng.randint(0, 2)),
+                                  CRat(rand_fraction(rng), rand_fraction(rng)))
+        if rng.random() < 0.5:
+            c = c + Poly.monomial((rng.randint(0, 2), 0, 0, 0, rng.randint(0, 2)),
+                                  CRat(rand_fraction(rng) or 1))
+        return c
+
+    def grouped():
+        p = Poly.zero()
+        for xe in rng.sample(spatial, 2):
+            p = p + Poly.monomial((0, *xe, 0)) * cofactor()
+        return p
+
+    pairs = [
+        (x1 * (1 + t), x2 * (1 - t)),  # the t^1 key of the cofactor cancels
+        (x1 * (1 + eps), x2 * (1 - eps)),  # eps^1 cancels, eps^2 is cut at 1
+    ]
+    pairs += [(grouped(), grouped()) for _ in range(5)]
+    assert all(len(p) > len({e[1:4] for e, _ in p.items()}) for pq in pairs
+               for p in pq)
+    for cutoff in (None, 0, 1, 2):
+        for th in thetas:
+            ctx = StarContext(th, eps_cutoff=cutoff)
+            for f, g in pairs:
+                fg = star(f, g, ctx)
+                assert fg == star_reference(f, g, ctx)
+                assert star_commutator(f, g, ctx) == fg - star(g, f, ctx)
+    ctx = StarContext(thetas[0])
+    assert star(x1 * (1 + t), x2 * (1 - t), ctx) == (
+        (1 - t * t) * (x1 * x2 + CRat(0, HALF) * (1 + t)))
+
+
 def test_star_associativity_randomized():
     rng = random.Random(1302)
     for _ in range(80):
