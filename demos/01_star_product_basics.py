@@ -10,9 +10,10 @@ Run:  python3 demos/01_star_product_basics.py
 
 from fractions import Fraction
 
-from nckit import (CRat, Poly, StarContext, ThetaProfile, star,
-                   star_commutator, star_exp, value_to_expr)
+from nckit import (CRat, Poly, StarContext, ThetaProfile, star_commutator,
+                   star_exp, value_to_expr)
 from nckit.poly import t, x1, x2, x3
+from nckit.star import star
 
 
 def show(label, value):

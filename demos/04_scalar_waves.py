@@ -11,9 +11,9 @@ Run:  python3 demos/04_scalar_waves.py
 
 from nckit import (StarContext, ThetaProfile, kg_density,
                    kg_density_via_metric, kg_operator, linear_phase,
-                   null_quadruples, phase_subalgebra_defects, star,
-                   value_to_expr)
+                   null_quadruples, phase_subalgebra_defects, value_to_expr)
 from nckit.poly import t, x1, x2
+from nckit.star import star
 
 quads = null_quadruples()
 print(f"exact integer null covectors (w, k1, k2, k3): {len(quads)}")

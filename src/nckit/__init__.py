@@ -9,7 +9,7 @@ one numerical cross-check of the star product's integral properties.
 from .rationals import CRat
 from .poly import Poly, add, conj, mul, partial, truncate_eps
 from .star import (StarContext, ThetaProfile, dt_leibniz_correction,
-                   dt_leibniz_defect, spatial_derivation_defect, star,
+                   dt_leibniz_defect, spatial_derivation_defect,
                    star_commutator, star_conj_defect, star_exp)
 from .forms import (DifferentialForm, d, d_leibniz_defect, form_conj,
                     form_mul, left_mul)
@@ -43,7 +43,6 @@ __all__ = [
     "truncate_eps",
     "ThetaProfile",
     "StarContext",
-    "star",
     "star_commutator",
     "star_conj_defect",
     "star_exp",

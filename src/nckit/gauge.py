@@ -12,6 +12,9 @@ into the time-space field strength and its gauge transformation rule; the
 "improved" combination Ftilde_0i below is the one that transforms
 covariantly and enters the action density.
 
+Each thetadot^{ij} term(i, j) sum here is one ``star.theta_dot_sum`` call,
+and ``_with_tilde`` is the one place Ftilde_0i is built.
+
 Gauge transformations use unitaries U = star_exp(lam) truncated at a fixed
 order in the formal expansion parameter eps, so every covariance statement
 here holds modulo eps^{N+1}; with a StarContext whose eps_cutoff is N the
@@ -26,7 +29,7 @@ from typing import Mapping
 
 from .rationals import CRat
 from .poly import Poly
-from .star import StarContext, star, star_commutator
+from .star import StarContext, ThetaProfile, star, star_commutator, theta_dot_sum
 
 _HALF_I = CRat(0, Fraction(1, 2))
 _QUARTER_I = CRat(0, Fraction(1, 4))
@@ -72,15 +75,8 @@ def reality_defect(pot: GaugePotential, ctx: StarContext) -> list[Poly]:
 
 def _theta_dot_div(pot: GaugePotential, ctx: StarContext) -> Poly:
     """thetadot^{ij} d_i A_j summed over both spatial indices."""
-    dot = ctx.theta.theta_dot()
-    acc = Poly.zero()
-    for i in _SPATIAL:
-        for j in _SPATIAL:
-            ent = dot.entry(i, j)
-            if ent.is_zero():
-                continue
-            acc = acc + ent * pot.component(j).partial(i)
-    return acc
+    return theta_dot_sum(ctx.theta.theta_dot(),
+                         lambda i, j: pot.component(j).partial(i))
 
 
 def time_component_defect(pot: GaugePotential, ctx: StarContext) -> Poly:
@@ -139,6 +135,16 @@ def _spatial_strength(a: tuple[Poly, Poly, Poly],
     return out
 
 
+def _with_tilde(fs: FieldStrength, a: tuple[Poly, Poly, Poly],
+                dot: ThetaProfile, ctx: StarContext) -> FieldStrength:
+    """fs completed by Ftilde_0i = F_0i - (1/2) i thetadot^{kj} F_ij * A_k,
+    the one place the improved time components are built."""
+    tilde = {i: ctx.reduce(fs.time[i] - _HALF_I * theta_dot_sum(
+                 dot, lambda k, j: star(fs.spatial_entry(i, j), a[k - 1], ctx)))
+             for i in _SPATIAL}
+    return FieldStrength(fs.spatial, fs.time, tilde)
+
+
 def field_strength(pot: GaugePotential, ctx: StarContext) -> FieldStrength:
     """All field strength components of a completed potential.
 
@@ -151,34 +157,13 @@ def field_strength(pot: GaugePotential, ctx: StarContext) -> FieldStrength:
     a = pot.spatial()
     dot = ctx.theta.theta_dot()
     spatial = _spatial_strength(a, ctx)
-    fs = FieldStrength(spatial, {}, {})
-
-    time: dict[int, Poly] = {}
-    tilde: dict[int, Poly] = {}
+    time = {}
     for i in _SPATIAL:
         ai = a[i - 1]
-        f0i = ai.partial(0) - a0.partial(i) + star_commutator(a0, ai, ctx)
-        for m in _SPATIAL:
-            for n in _SPATIAL:
-                ent = dot.entry(m, n)
-                if ent.is_zero():
-                    continue
-                f0i = f0i - _HALF_I * ent * star(a[n - 1], ai.partial(m), ctx)
-        f0i = ctx.reduce(f0i)
-        time[i] = f0i
-
-        corr = Poly.zero()
-        for k in _SPATIAL:
-            for j in _SPATIAL:
-                ent = dot.entry(k, j)
-                if ent.is_zero():
-                    continue
-                fij = fs.spatial_entry(i, j)
-                if fij.is_zero():
-                    continue
-                corr = corr + ent * star(fij, a[k - 1], ctx)
-        tilde[i] = ctx.reduce(f0i - _HALF_I * corr)
-    return FieldStrength(spatial, time, tilde)
+        corr = theta_dot_sum(dot, lambda m, n: star(a[n - 1], ai.partial(m), ctx))
+        time[i] = ctx.reduce(ai.partial(0) - a0.partial(i)
+                             + star_commutator(a0, ai, ctx) - _HALF_I * corr)
+    return _with_tilde(FieldStrength(spatial, time, {}), a, dot, ctx)
 
 
 def gauge_transform_potential(pot: GaugePotential, u: Poly,
@@ -190,12 +175,9 @@ def gauge_transform_potential(pot: GaugePotential, u: Poly,
     reached through the field strength rule in ``covariance_defect``.
     """
     udag = u.conj()
-    out = []
-    for k in _SPATIAL:
-        ak = pot.component(k)
-        p = star(udag, star(ak, u, ctx), ctx) + star(udag, u.partial(k), ctx)
-        out.append(ctx.reduce(p))
-    return GaugePotential(*out)
+    return GaugePotential(*(
+        ctx.reduce(_sandwich(u, ak, ctx) + star(udag, u.partial(k), ctx))
+        for k, ak in zip(_SPATIAL, pot.spatial())))
 
 
 def _sandwich(u: Poly, f: Poly, ctx: StarContext) -> Poly:
@@ -204,51 +186,25 @@ def _sandwich(u: Poly, f: Poly, ctx: StarContext) -> Poly:
 
 def _transformed_strength(pot: GaugePotential, u: Poly,
                           ctx: StarContext) -> tuple[FieldStrength,
-                                                     FieldStrength,
-                                                     GaugePotential]:
-    """(F, F', A') where F' is built from A' spatially and from the
+                                                     FieldStrength]:
+    """(F, F') where F' is built from A' spatially and from the
     transformation rule in the time sector:
 
         F'_0i = U~ F_0i U + (1/2) i thetadot^{kj} U~ * F_ij * (d_k U)
         Ftilde'_0i = F'_0i - (1/2) i thetadot^{kj} F'_ij * A'_k
     """
     f = field_strength(pot, ctx)
-    ap = gauge_transform_potential(pot, u, ctx)
+    ap = gauge_transform_potential(pot, u, ctx).spatial()
     dot = ctx.theta.theta_dot()
+    spatial_p = _spatial_strength(ap, ctx)
     udag = u.conj()
-
-    spatial_p = _spatial_strength(ap.spatial(), ctx)
-    fp = FieldStrength(spatial_p, {}, {})
-
-    time_p: dict[int, Poly] = {}
-    tilde_p: dict[int, Poly] = {}
+    du = {k: u.partial(k) for k in _SPATIAL}
+    time_p = {}
     for i in _SPATIAL:
-        rule = _sandwich(u, f.time[i], ctx)
-        for k in _SPATIAL:
-            for j in _SPATIAL:
-                ent = dot.entry(k, j)
-                if ent.is_zero():
-                    continue
-                fij = f.spatial_entry(i, j)
-                if fij.is_zero():
-                    continue
-                rule = rule + _HALF_I * ent * star(
-                    udag, star(fij, u.partial(k), ctx), ctx)
-        rule = ctx.reduce(rule)
-        time_p[i] = rule
-
-        corr = Poly.zero()
-        for k in _SPATIAL:
-            for j in _SPATIAL:
-                ent = dot.entry(k, j)
-                if ent.is_zero():
-                    continue
-                fij = fp.spatial_entry(i, j)
-                if fij.is_zero():
-                    continue
-                corr = corr + ent * star(fij, ap.component(k), ctx)
-        tilde_p[i] = ctx.reduce(rule - _HALF_I * corr)
-    return f, FieldStrength(spatial_p, time_p, tilde_p), ap
+        corr = theta_dot_sum(dot, lambda k, j: star(
+            udag, star(f.spatial_entry(i, j), du[k], ctx), ctx))
+        time_p[i] = ctx.reduce(_sandwich(u, f.time[i], ctx) + _HALF_I * corr)
+    return f, _with_tilde(FieldStrength(spatial_p, time_p, {}), ap, dot, ctx)
 
 
 def covariance_defect(pot: GaugePotential, u: Poly,
@@ -259,7 +215,7 @@ def covariance_defect(pot: GaugePotential, u: Poly,
     Returns ({(i,j): F'_ij - U~ F_ij U}, {i: Ftilde'_0i - U~ Ftilde_0i U}).
     Both vanish modulo eps^{N+1}; with eps_cutoff = N they are exactly zero.
     """
-    f, fp, _ = _transformed_strength(pot, u, ctx)
+    f, fp = _transformed_strength(pot, u, ctx)
     spatial = {pair: ctx.reduce(fp.spatial[pair] - _sandwich(u, f.spatial[pair], ctx))
                for pair in _PAIRS}
     tilde = {i: ctx.reduce(fp.tilde[i] - _sandwich(u, f.tilde[i], ctx))
@@ -292,15 +248,16 @@ def invariance_witness(pot: GaugePotential, u: Poly,
     r vanishes modulo eps^{N+1}.  Since the witness is a star commutator,
     the density change integrates to zero by the trace property.
     """
-    f, fp, _ = _transformed_strength(pot, u, ctx)
+    f, fp = _transformed_strength(pot, u, ctx)
     dens = action_density(f, ctx)
     dens_p = action_density(fp, ctx)
-    del f, fp, _  # freed before the witness, the step that peaks in memory
+    del f, fp  # freed before the witness, the step that peaks in memory
     # the witness is linear in dens: summing it over blocks of dens's terms
-    # keeps dens * U, the largest intermediate, from being held whole
+    # keeps dens * U, the largest intermediate, from being held whole; the
+    # blocks follow the canonical term order, not the order star emitted
     udag = u.conj()
     witness = Poly.zero()
-    terms = list(dens.items())
+    terms = dens.sorted_terms()
     for k in range(0, len(terms), 64):
         du = star(Poly(dict(terms[k:k + 64])), u, ctx)
         witness = witness + star_commutator(udag, du, ctx)

@@ -494,16 +494,6 @@ def effective_action(spec: PlaneWaveSpec, ctx: StarContext) -> ActionReport:
     )
 
 
-def planewave_field_strength(spec: PlaneWaveSpec | None = None):
-    """Symbolic field strength of the generic plane wave ansatz.
-
-    Returns ({(i,j): F_ij}, {i: F_0i}, {i: Ftilde_0i}) in the PwPoly ring.
-    The spec argument is accepted for interface symmetry and ignored: the
-    strengths are generic in (w, k, p).
-    """
-    return _symbolic_strengths()
-
-
 # -- exact trigonometric series for the harmonic analysis ---------------------
 
 class TrigSeries:

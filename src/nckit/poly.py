@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .rationals import CRat, CRatLike
+from .rationals import CRat, CRatLike, binary_power
 
 ScalarLike = Union["BasePoly", CRat, int, Fraction]
 
@@ -88,9 +88,6 @@ class BasePoly:
 
     def coefficient(self, exps: Sequence[int]) -> CRat:
         return self._terms.get(tuple(exps), CRat(0))
-
-    def constant_term(self) -> CRat:
-        return self._terms.get((0,) * len(type(self).VARS), CRat(0))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -202,14 +199,7 @@ class BasePoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial power must be a nonnegative int")
-        out = type(self).one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, type(self).one())
 
     def conj(self):
         """Coefficientwise complex conjugation (variables are selfadjoint)."""
@@ -295,13 +285,6 @@ class Poly(BasePoly):
         if all(e[4] <= n for e in self._terms):
             return self
         out = {e: c for e, c in self._terms.items() if e[4] <= n}
-        res = Poly.__new__(Poly)
-        object.__setattr__(res, "_terms", out)
-        return res
-
-    def eps_component(self, n: int) -> "Poly":
-        """The eps^n slice, with the eps factor kept in place."""
-        out = {e: c for e, c in self._terms.items() if e[4] == n}
         res = Poly.__new__(Poly)
         object.__setattr__(res, "_terms", out)
         return res

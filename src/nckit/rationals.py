@@ -161,14 +161,7 @@ class CRat:
     def __pow__(self, n: int) -> "CRat":
         if not isinstance(n, int) or n < 0:
             raise ValueError("CRat power must be a nonnegative int")
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, ONE)
 
     def conjugate(self) -> "CRat":
         return _make(self._re, -self._im, self._den)
@@ -243,3 +236,17 @@ def _norm(re: int, im: int, den: int) -> CRat:
 
 ONE = CRat(1)
 I = CRat(0, 1)
+
+
+def binary_power(base, n: int, one):
+    """base**n for n >= 0 by repeated squaring; one is the unit of base's
+    ring.  Squares only while exponent bits remain, so n = 2^k costs k
+    squarings and one multiply by one."""
+    out = one
+    while True:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if not n:
+            return out
+        base = base * base

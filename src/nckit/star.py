@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .rationals import CRat
 from .poly import Poly
@@ -52,6 +52,7 @@ EntryLike = Union[Poly, CRat, int, Fraction]
 # i^n as (re, im), indexed by n mod 4, for the series prefactor (i/2)^n.
 _I_POW = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
+_HALF_I = CRat(0, Fraction(1, 2))
 
 _ORDERED_PAIRS = ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
 
@@ -182,6 +183,8 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
     Each distinct pair of x-monomials of f and g is expanded once (see the
     module docstring); nothing is kept after the call.
     """
+    if not f or not g:  # theta_dot_sum pairs terms such as F_ii = 0
+        return Poly.zero()
     theta = ctx.theta
     cutoff = ctx.eps_cutoff
     if theta.is_zero():
@@ -323,17 +326,27 @@ def dt_leibniz_defect(f: Poly, g: Poly, ctx: StarContext) -> Poly:
             - star(f, g.partial(0), ctx))
 
 
+def theta_dot_sum(dot: ThetaProfile,
+                  term: Callable[[int, int], Poly]) -> Poly:
+    """dot^{ij} term(i, j) summed over both spatial indices, for dot the
+    thetadot of a context (``ctx.theta.theta_dot()``).
+
+    dot is antisymmetric, so this is the sum over its nonzero upper
+    entries of dot^{ij} (term(i, j) - term(j, i)).  Every thetadot
+    contraction of the gauge sector and of ``dt_leibniz_correction`` is
+    this sum with its own term.
+    """
+    acc = Poly.zero()
+    for (i, j), ent in dot._upper.items():
+        acc = acc + ent * (term(i, j) - term(j, i))
+    return acc
+
+
 def dt_leibniz_correction(f: Poly, g: Poly, ctx: StarContext) -> Poly:
     """(1/2) i thetadot^{ij} (d_i f)*(d_j g), the closed form of the defect."""
-    dot = ctx.theta.theta_dot()
-    acc = Poly.zero()
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            ent = dot.entry(i, j)
-            if ent.is_zero():
-                continue
-            acc = acc + ent * star(f.partial(i), g.partial(j), ctx)
-    return ctx.reduce(CRat(0, Fraction(1, 2)) * acc)
+    return ctx.reduce(_HALF_I * theta_dot_sum(
+        ctx.theta.theta_dot(),
+        lambda i, j: star(f.partial(i), g.partial(j), ctx)))
 
 
 def star_conj_defect(f: Poly, g: Poly, ctx: StarContext) -> Poly:

@@ -14,13 +14,13 @@ from nckit.planewave import (
     PlaneWaveSpec,
     PwPoly,
     TrigSeries,
+    _symbolic_strengths,
     build_ansatz,
     coupling_scalar,
     cubic_profile_series,
     effective_action,
     harmonic_spectrum,
     is_theta_polarised,
-    planewave_field_strength,
     pw_partial,
     pw_substitute,
     reference_cubic_coefficients,
@@ -97,7 +97,7 @@ def test_pw_substitute_is_morphism():
 # -- closed form field strengths ----------------------------------------------
 
 def test_symbolic_field_strength_closed_forms():
-    spatial, time, tilde = planewave_field_strength()
+    spatial, time, tilde = _symbolic_strengths()
     s_c = s_coupling()
     quarter = Fraction(1, 4)
     for (i, j), fij in spatial.items():

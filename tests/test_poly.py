@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from nckit.rationals import CRat, I
-from nckit.poly import Poly, add, conj, mul, partial, truncate_eps, t, x1, x2, x3, eps
+from nckit.poly import (BasePoly, Poly, add, conj, mul, partial, truncate_eps,
+                        t, x1, x2, x3, eps)
 
 from util import rand_poly, rand_crat
 
@@ -71,6 +72,33 @@ def test_degree_helpers():
     assert p.spatial_degree() == 3
     assert p.eps_degree() == 2
     assert p.degree_in("t") == 2
+
+
+def test_power_squares_only_while_bits_remain(monkeypatch):
+    p = x1 + x2 + x3 + t
+    want = Poly.one()
+    for _ in range(16):
+        want = want * p
+    calls = []
+    plain_mul = BasePoly.__mul__
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return plain_mul(a, b)
+
+    monkeypatch.setattr(BasePoly, "__mul__", counting_mul)
+    got = p ** 16
+    monkeypatch.undo()
+    assert len(calls) <= 5
+    assert got == want
+
+
+def test_power_matches_repeated_multiplication():
+    p = x1 - I * t + Fraction(1, 2)
+    want = Poly.one()
+    for n in range(12):
+        assert p ** n == want
+        want = want * p
 
 
 def test_mixed_type_rejected():

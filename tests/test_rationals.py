@@ -142,6 +142,10 @@ def test_power_and_conjugate():
     c = CRat(Fraction(1, 2), Fraction(-1, 3))
     assert c ** 0 == 1
     assert c ** 4 == c * c * c * c
+    want = CRat(1)
+    for n in range(12):
+        assert c ** n == want
+        want = want * c
     assert c.conjugate() == CRat(Fraction(1, 2), Fraction(1, 3))
     assert (c * c.conjugate()).is_real()
     with pytest.raises(ValueError):

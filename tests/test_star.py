@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,17 @@ def star_reference(f: Poly, g: Poly, ctx: StarContext) -> Poly:
                     continue
                 total = total + th * df * dg
     return ctx.reduce(total)
+
+
+# -- package layout --------------------------------------------------------
+
+def test_nckit_star_is_the_submodule():
+    import nckit
+    import nckit.star as m
+    assert isinstance(m, types.ModuleType)
+    assert nckit.star is m
+    assert callable(m.star)
+    assert m.star is star
 
 
 # -- ThetaProfile ----------------------------------------------------------
