@@ -172,17 +172,11 @@ def _occupied_band(values: np.ndarray) -> int:
     """Largest signed mode index carrying more than roundoff weight."""
     n = values.shape[0]
     spec = np.abs(np.fft.fft2(values))
-    top = spec.max()
-    if top == 0.0:
-        return 0
     idx = np.abs(np.fft.fftfreq(n, d=1.0 / n).astype(int))
-    live = spec > 1e-12 * top
-    band = 0
-    for a1 in range(n):
-        for a2 in range(n):
-            if live[a1, a2]:
-                band = max(band, int(idx[a1]), int(idx[a2]))
-    return band
+    live = spec > 1e-12 * spec.max()
+    # no live mode (a zero, NaN or infinite spectrum) reads as band 0
+    return int(max(idx[live.any(axis=1)].max(initial=0),
+                   idx[live.any(axis=0)].max(initial=0)))
 
 
 def _cmd_grid_check(args) -> int:

@@ -28,8 +28,9 @@ pointwise power of a scalar.  Basis one-forms multiply with '*', so
 "x2*dx1*dx2" is a two-form with its coefficient already moved to the
 left.  Misusing grades (a pointwise product or a power of a form, Dmu of
 a form) raises GradingError; malformed input raises ParseError with the
-line and column; a product or power whose operands could give a result
-beyond MAX_DEGREE or MAX_TERMS raises SizeLimitError before it runs.
+line and column, as does parenthesis nesting deeper than MAX_NESTING; a
+product or power whose operands could give a result beyond MAX_DEGREE or
+MAX_TERMS raises SizeLimitError before it runs.
 """
 
 from __future__ import annotations
@@ -66,6 +67,11 @@ class GradingError(Exception):
 # terms of p.
 MAX_DEGREE = 16
 MAX_TERMS = 1000
+
+# Deepest parenthesis nesting, counted on the tokens before parsing (each
+# call's parentheses included): the parser spends about six interpreter
+# frames per level, so this keeps it well inside the recursion limit.
+MAX_NESTING = 100
 
 
 class SizeLimitError(ValueError):
@@ -283,8 +289,22 @@ class _Parser:
         raise ParseError(f"expected a value, found {what!r}", tok.line, tok.col)
 
 
+def _check_nesting(toks: list[_Tok]) -> None:
+    depth = 0
+    for tok in toks:
+        if tok.kind == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than the limit "
+                                 f"of {MAX_NESTING}", tok.line, tok.col)
+        elif tok.kind == ")":
+            depth -= 1
+
+
 def parse_expression(src: str) -> Node:
-    return _Parser(_tokenize(src)).parse()
+    toks = _tokenize(src)
+    _check_nesting(toks)
+    return _Parser(toks).parse()
 
 
 # -- evaluation --------------------------------------------------------------

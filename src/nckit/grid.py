@@ -10,9 +10,20 @@ momentum space implementation of the product from the plane wave law
     e^{i a.x} * e^{i b.x} = exp(-(i/2) theta (a1 b2 - a2 b1)) e^{i (a+b).x}.
 
 The algorithm splits the twist phase into the two rank-one factors,
-runs one FFT per input, and for each first-axis frequency of the left
+runs one FFT per input, and for each first-axis frequency a1 of the left
 factor combines the partially transformed slices; N^2 log N work per
-slice, N^3 log N overall, about a second at N = 256.
+slice, N^3 log N overall.  Every transform uses numpy's "forward"
+normalisation, which puts the 1/N^2 on the input FFTs and none on the
+inverse ones, so no array is rescaled.  Each slice is built in one
+reused buffer, and its row b1 lands on first-axis mode (a1 + b1) mod N,
+which is two contiguous slice adds: rows a1.. for b1 < N - a1 and rows
+..a1 for the wrapped rest.  About 0.3 s at N = 256 and 3 s at N = 512
+on one core of a shared 2-core VM.
+
+The series cross-check evaluates each polynomial of the derivative
+bookkeeping on the grid as V C V^T, with C its coefficient matrix and V
+the Vandermonde matrix of the grid axis: x1 varies only along rows and
+x2 only along columns, so no N^2-sized power table is built.
 
 Frequencies add modulo the grid, so a product of two fields is only
 faithful to the continuum when the inputs are band limited: keep all
@@ -123,19 +134,23 @@ def grid_star(f: GridField, g: GridField, theta: float) -> GridField:
     _compatible(f, g)
     n = f.n
     q = 2 * np.pi * np.fft.fftfreq(n, d=f.box_length / n)
-    fhat = np.fft.fft2(f.values) / (n * n)
-    ghat = np.fft.fft2(g.values) / (n * n)
+    fhat = np.fft.fft2(f.values, norm="forward")
+    ghat = np.fft.fft2(g.values, norm="forward")
 
-    # left factor of the twist: exp(+i theta/2 q_{a2} q_{b1}), hoisted
+    # left factor of the twist: exp(+i theta/2 q_{a2} q_{b1}), hoisted; row
+    # a1 conjugated is the right factor exp(-i theta/2 q_{a1} q_{b2})
     left = np.exp(0.5j * theta * np.outer(q, q))  # [b1, a2]
     out_modes = np.zeros((n, n), dtype=np.complex128)
-    rows = np.arange(n)
+    buf = np.empty((n, n), dtype=np.complex128)
     for a1 in range(n):
-        a_slice = n * np.fft.ifft(left * fhat[a1, :][None, :], axis=1)
-        right = np.exp(-0.5j * theta * q[a1] * q)  # over b2
-        b_slice = n * np.fft.ifft(ghat * right[None, :], axis=1)
-        out_modes[(a1 + rows) % n, :] += a_slice * b_slice
-    return f.with_values(n * np.fft.ifft(out_modes, axis=0))
+        np.multiply(left, fhat[a1, :], out=buf)
+        a_slice = np.fft.ifft(buf, axis=1, norm="forward")  # [b1, x2]
+        np.multiply(ghat, left[a1, :].conj(), out=buf)
+        a_slice *= np.fft.ifft(buf, axis=1, norm="forward")
+        # row b1 lands on first-axis mode (a1 + b1) mod n
+        out_modes[a1:] += a_slice[:n - a1]
+        out_modes[:a1] += a_slice[n - a1:]
+    return f.with_values(np.fft.ifft(out_modes, axis=0, norm="forward"))
 
 
 def phase_law_defect(n: int, box_length: float, theta: float,
@@ -250,17 +265,17 @@ def cross_validate_symbolic(poly_f: dict[tuple[int, int], float],
     g_field = GridField(g_vals, box_length)
     product = grid_star(f_field, g_field, theta)
 
-    # power tables turn each poly evaluation into one small matmul
+    # x1 varies along rows and x2 along columns, so a polynomial's values
+    # are V C V^T with V the axis Vandermonde matrix and C its coefficients
     deg = max((e1 + e2 for p in (poly_f, poly_g) for e1, e2 in p), default=0)
     top = deg + max_terms + 1
-    pow1 = np.stack([x1.ravel() ** e for e in range(top + 1)])
-    pow2 = np.stack([x2.ravel() ** e for e in range(top + 1)])
+    vander = x[:, None] ** np.arange(top + 1)
 
     def eval_fast(poly):
         coeffs = np.zeros((top + 1, top + 1))
         for (e1, e2), c in poly.items():
             coeffs[e1, e2] = c
-        return ((coeffs.T @ pow1) * pow2).sum(axis=0).reshape(n, n)
+        return vander @ coeffs @ vander.T
 
     # mixed derivatives of each factor, keyed by (#d1, #d2)
     derivs_f: dict[tuple[int, int], dict] = {(0, 0): dict(poly_f)}

@@ -115,7 +115,8 @@ class ThetaProfile:
         return ThetaProfile({k: v.partial(0) for k, v in self._upper.items()})
 
     def is_static(self) -> bool:
-        return self.theta_dot().is_zero()
+        # entries involve t only, so theta-dot vanishes iff no term has a t power
+        return all(p.degree_in("t") == 0 for p in self._upper.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ThetaProfile):

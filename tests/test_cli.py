@@ -5,11 +5,12 @@ import json
 import struct
 import time
 
+import numpy as np
 import pytest
 
-from nckit.cli import main
+from nckit.cli import _occupied_band, main
 from nckit.config import ConfigError, GridParams, load_config, load_theta
-from nckit.expr import MAX_DEGREE, MAX_TERMS
+from nckit.expr import MAX_DEGREE, MAX_NESTING, MAX_TERMS
 from nckit.grid import MAGIC, band_limited_field, save_grid
 from nckit.poly import Poly, t
 from nckit.star import ThetaProfile
@@ -125,6 +126,22 @@ def test_reduce_deep_nesting_is_bad_input(capsys):
     err = capsys.readouterr().err
     assert err.startswith("nckit: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_reduce_nesting_limit(capsys):
+    assert MAX_NESTING == 100
+    assert main(["reduce", "(" * 100 + "x1" + ")" * 100]) == 0
+    assert capsys.readouterr().out == "x1\n"
+    assert main(["reduce", "D1(" * 100 + "x1^2" + ")" * 100]) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert main(["reduce", "(" * 101 + "x1" + ")" * 101]) == 2
+    err = capsys.readouterr().err
+    assert err == ("nckit: line 1, column 101: parentheses nested deeper "
+                   "than the limit of 100\n")
+    # the depth counts open parentheses, not their total
+    wide = "+".join(["(" * 100 + "x1" + ")" * 100] * 3)
+    assert main(["reduce", wide]) == 0
+    assert capsys.readouterr().out == "3*x1\n"
 
 
 def test_reduce_long_flat_sum(capsys):
@@ -277,6 +294,45 @@ def test_grid_check_pass(tmp_path, capsys):
     assert doc["band_within_quarter"] is True
     assert doc["passed"] is True
     assert len(doc["checks"]) == 4
+
+
+def _occupied_band_loop(values):
+    n = values.shape[0]
+    spec = np.abs(np.fft.fft2(values))
+    idx = np.abs(np.fft.fftfreq(n, d=1.0 / n).astype(int))
+    live = spec > 1e-12 * spec.max()
+    band = 0
+    for a1 in range(n):
+        for a2 in range(n):
+            if live[a1, a2]:
+                band = max(band, int(idx[a1]), int(idx[a2]))
+    return band
+
+
+@pytest.mark.parametrize("n, modes, want", [
+    (16, [(0, 0)], 0),
+    (16, [(3, -1)], 3),
+    (16, [(0, -5), (1, 2)], 5),
+    (16, [(-7, 0), (2, 2)], 7),
+    (15, [(-7, 3), (0, 1)], 7),
+    (12, [(6, 0)], 6),
+    (12, [(-2, -4), (1, 0), (0, 0)], 4),
+])
+def test_occupied_band_matches_loop(n, modes, want):
+    rng = np.random.default_rng(n + len(modes))
+    spec = np.zeros((n, n), dtype=np.complex128)
+    for a1, a2 in modes:
+        spec[a1 % n, a2 % n] = rng.standard_normal() + 1j
+    values = np.fft.ifft2(spec)
+    assert _occupied_band(values) == _occupied_band_loop(values) == want
+
+
+def test_occupied_band_zero_and_nonfinite_fields():
+    zero = np.zeros((8, 8), dtype=np.complex128)
+    assert _occupied_band(zero) == _occupied_band_loop(zero) == 0
+    bad = zero.copy()
+    bad[1, 2] = np.nan
+    assert _occupied_band(bad) == _occupied_band_loop(bad) == 0
 
 
 def test_grid_check_bad_file(tmp_path, capsys):

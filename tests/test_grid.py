@@ -100,6 +100,23 @@ def test_grid_star_matches_mode_sum_reference():
     assert np.max(np.abs(got.values - want.values)) < 1e-12 * scale
 
 
+@pytest.mark.parametrize("n", [5, 9, 12])
+def test_grid_star_matches_reference_full_band(n):
+    # unfiltered random samples fill every mode, Nyquist included, so the
+    # product aliases and every row of the wrapped accumulation is used
+    rng = np.random.default_rng(1720 + n)
+    box = 2.5
+    f = GridField(rng.standard_normal((n, n))
+                  + 1j * rng.standard_normal((n, n)), box)
+    g = GridField(rng.standard_normal((n, n))
+                  + 1j * rng.standard_normal((n, n)), box)
+    for theta in (0.37, -1.1):
+        got = grid_star(f, g, theta)
+        want = star_modes_reference(f, g, theta)
+        scale = np.max(np.abs(want.values))
+        assert np.max(np.abs(got.values - want.values)) < 1e-12 * scale
+
+
 def test_grid_star_linearity():
     n, box, theta = 16, 2.0, 0.3
     f = band_limited_field(n, box, 3, seed=1703)
@@ -166,6 +183,14 @@ def test_cross_validation_poly_gaussian():
     assert cross_validate_symbolic({(1, 0): 1.0, (0, 1): 0.5},
                                    {(0, 2): 1.0, (0, 0): -0.25}) < 1e-9
     assert cross_validate_symbolic({(2, 1): 1.0}, {(2, 1): 1.0}) < 1e-9
+
+
+def test_cross_validation_asymmetric_pairs_to_roundoff():
+    # neither factor is symmetric under x1 <-> x2, so a transposed
+    # coefficient matrix in the series evaluator cannot pass
+    for pf, pg in [({(1, 0): 1.0, (0, 1): 0.5}, {(0, 2): 1.0, (0, 0): -0.25}),
+                   ({(2, 1): 1.0}, {(1, 1): 1.0, (0, 0): 0.5})]:
+        assert cross_validate_symbolic(pf, pg) < 1e-12
 
 
 def test_cross_validation_pure_window():

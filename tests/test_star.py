@@ -85,6 +85,11 @@ def test_theta_antisymmetry_and_dot():
     assert dot.entry(2, 3) == 2 * t
     assert not th.is_static()
     assert ThetaProfile.constant(t12=Fraction(3, 2)).is_static()
+    assert ThetaProfile.zero().is_static()
+    # the only t-dependence in one off-diagonal entry, behind a constant
+    one_entry = ThetaProfile({(1, 2): 3, (1, 3): Fraction(1, 2), (2, 3): t + 1})
+    assert not one_entry.is_static()
+    assert not one_entry.theta_dot().is_zero()
 
 
 def test_theta_rejects_bad_entries():
