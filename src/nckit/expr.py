@@ -9,8 +9,7 @@ Grammar (left associative; '*' and '.' share one precedence level):
 
     expr    := term (('+' | '-') term)*
     term    := unary (('*' | '.') unary)*
-    unary   := '-' unary | conjed
-    conjed  := '~' conjed | power
+    unary   := '-'* '~'* power
     power   := atom ('^' INT)*
     atom    := INT ('/' INT)?            exact rational
              | 'i'                        imaginary unit
@@ -69,7 +68,7 @@ MAX_DEGREE = 16
 MAX_TERMS = 1000
 
 # Deepest parenthesis nesting, counted on the tokens before parsing (each
-# call's parentheses included): the parser spends about six interpreter
+# call's parentheses included): the parser spends about five interpreter
 # frames per level, so this keeps it well inside the recursion limit.
 MAX_NESTING = 100
 
@@ -235,18 +234,16 @@ class _Parser:
         return node
 
     def unary(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "-":
-            self.next()
-            return Un("-", self.unary(), tok.line, tok.col)
-        return self.conjed()
-
-    def conjed(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.next()
-            return Un("~", self.conjed(), tok.line, tok.col)
-        return self.power()
+        # prefix signs are collected in a loop: a run of them costs no depth
+        signs = []
+        while self.peek().kind == "-":
+            signs.append(self.next())
+        while self.peek().kind == "~":
+            signs.append(self.next())
+        node = self.power()
+        for tok in reversed(signs):
+            node = Un(tok.kind, node, tok.line, tok.col)
+        return node
 
     def power(self) -> Node:
         node = self.atom()
@@ -358,12 +355,20 @@ def evaluate(node: Node, ctx: StarContext) -> Value:
         mu = 0 if name == "dt" else int(name[2])
         return DifferentialForm.basis(mu)
     if isinstance(node, Un):
-        v = evaluate(node.arg, ctx)
-        if node.op == "-":
-            return -v
-        if isinstance(v, Poly):
-            return v.conj()
-        return form_conj(v, ctx)
+        # a run of prefix signs is a chain of Un nodes, applied in a loop
+        chain = []
+        while isinstance(node, Un):
+            chain.append(node.op)
+            node = node.arg
+        v = evaluate(node, ctx)
+        for op in reversed(chain):
+            if op == "-":
+                v = -v
+            elif isinstance(v, Poly):
+                v = v.conj()
+            else:
+                v = form_conj(v, ctx)
+        return v
     if isinstance(node, Pow):
         v = evaluate(node.base, ctx)
         if isinstance(v, DifferentialForm):

@@ -12,7 +12,15 @@ commute with functions:
 The correction is forced by requiring d to satisfy the graded Leibniz rule
 even though the time derivative is not a derivation of the star product:
 the dt coefficient picked up while reordering exactly cancels the time
-non-Leibniz defect.  Consequences, all tested:
+non-Leibniz defect.  Every correction carries a dt and dt ^ dt = 0, so
+moving g to the left of a wedge monomial W picks up at most one correction
+per term, and none when W already holds dt:
+
+    W g = g W - (1/2) i sum_{dx^j in W} (-1)^{b(j)} thetadot^{ij} (d_i g) W_j
+
+where W_j is the monomial of W with dx^j taken out and dt put in, and b(j)
+counts the factors of W below dx^j, which that dt passes on its way to the
+front (``move_left``).  Consequences, all tested:
 
     d(d(w)) = 0
     d(a ^ b) = d(a) ^ b + (-1)^p a ^ d(b)       (p = degree of a)
@@ -30,11 +38,9 @@ from typing import Iterable, Mapping
 
 from .rationals import CRat
 from .poly import Poly
-from .star import StarContext, star
+from .star import StarContext, star, theta_dot_sum
 
 _HALF_I = CRat(0, Fraction(1, 2))
-
-_ALL_MASKS = range(16)
 
 
 def _degree(mask: int) -> int:
@@ -48,6 +54,16 @@ def _prepend_sign(mu: int, mask: int) -> int:
         return 0
     below = mask & (bit - 1)
     return -1 if _degree(below) & 1 else 1
+
+
+def _accumulate(out: dict[int, Poly], mask: int, p: Poly) -> None:
+    """out[mask] += p, dropping the entry when it cancels."""
+    acc = out.get(mask)
+    p = p if acc is None else acc + p
+    if p.is_zero():
+        out.pop(mask, None)
+    else:
+        out[mask] = p
 
 
 def _wedge_masks(m1: int, m2: int) -> tuple[int, int]:
@@ -165,12 +181,7 @@ class DifferentialForm:
             return NotImplemented
         out = dict(self._parts)
         for m, c in other._parts.items():
-            acc = out.get(m)
-            c = c if acc is None else acc + c
-            if c.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = c
+            _accumulate(out, m, c)
         return DifferentialForm._raw(out)
 
     def __sub__(self, other: "DifferentialForm") -> "DifferentialForm":
@@ -194,45 +205,20 @@ class DifferentialForm:
 def move_left(g: Poly, mask: int, ctx: StarContext) -> DifferentialForm:
     """Normal-order (monomial of mask) * g, i.e. move g to the far left.
 
-    Passing g through each basis factor, rightmost first, applies
-    dx^j g = g dx^j - (1/2) i thetadot^{ij} (d_i g) dt; passing through dt
-    is free.  The result is a sum of normal-ordered terms.
+    The closed form of the module docstring: g . W, plus for each dx^j in
+    W one term with dt in place of dx^j; nothing more when W holds dt.
     """
-    dot = ctx.theta.theta_dot()
-    # state: accumulated normal-ordered tail forms {tail_mask: coefficient}
-    state: dict[int, Poly] = {0: g}
-    factors = [mu for mu in range(3, -1, -1) if mask & (1 << mu)]
-    for mu in factors:
-        nxt: dict[int, Poly] = {}
-
-        def _acc(m: int, c: Poly):
-            if c.is_zero():
-                return
-            acc = nxt.get(m)
-            c = c if acc is None else acc + c
-            if c.is_zero():
-                nxt.pop(m, None)
-            else:
-                nxt[m] = c
-
-        for tail, f in state.items():
-            sgn = _prepend_sign(mu, tail)
-            if sgn:
-                _acc((1 << mu) | tail, f * sgn)
-            if mu:
-                corr = Poly.zero()
-                for i in (1, 2, 3):
-                    ent = dot.entry(i, mu)
-                    if ent.is_zero():
-                        continue
-                    corr = corr + ent * f.partial(i)
-                if corr:
-                    sgn0 = _prepend_sign(0, tail)
-                    if sgn0:
-                        _acc(1 | tail, corr * (_HALF_I * -sgn0))
-        state = nxt
-    return DifferentialForm._raw({m: ctx.reduce(c) for m, c in state.items()
-                                  if ctx.reduce(c)})
+    out = {mask: ctx.reduce(g)}
+    if not mask & 1:
+        zero = Poly.zero()
+        for j in (1, 2, 3):
+            bit = 1 << j
+            if mask & bit:
+                corr = theta_dot_sum(
+                    ctx, lambda i, k: g.partial(i) if k == j else zero)
+                sgn = -1 if _degree(mask & (bit - 1)) & 1 else 1
+                out[mask ^ bit | 1] = ctx.reduce(corr * (_HALF_I * -sgn))
+    return DifferentialForm._raw({m: c for m, c in out.items() if c})
 
 
 def left_mul(f: Poly, w: DifferentialForm, ctx: StarContext) -> DifferentialForm:
@@ -248,21 +234,16 @@ def left_mul(f: Poly, w: DifferentialForm, ctx: StarContext) -> DifferentialForm
 def form_mul(a: DifferentialForm, b: DifferentialForm,
              ctx: StarContext) -> DifferentialForm:
     """Product of forms; coefficients multiply by the star product."""
-    out = DifferentialForm.zero()
+    out: dict[int, Poly] = {}
     for ma, fa in a.items():
         for mb, fb in b.items():
             # (fa . Wa)(fb . Wb): normal-order Wa fb, then glue wedges.
-            moved = move_left(fb, ma, ctx)
-            for mm, g in moved.items():
+            for mm, g in move_left(fb, ma, ctx).items():
                 sgn, mk = _wedge_masks(mm, mb)
-                if not sgn:
-                    continue
-                c = star(fa, g, ctx)
-                if sgn < 0:
-                    c = -c
-                if c:
-                    out = out + DifferentialForm._raw({mk: c})
-    return out
+                if sgn:
+                    c = star(fa, g, ctx)
+                    _accumulate(out, mk, c if sgn > 0 else -c)
+    return DifferentialForm._raw(out)
 
 
 def d(w: DifferentialForm, ctx: StarContext) -> DifferentialForm:
@@ -274,16 +255,8 @@ def d(w: DifferentialForm, ctx: StarContext) -> DifferentialForm:
             if not sgn:
                 continue
             p = f.partial(mu)
-            if p.is_zero():
-                continue
-            m2 = mask | (1 << mu)
-            p = p * sgn
-            acc = out.get(m2)
-            p = p if acc is None else acc + p
-            if p.is_zero():
-                out.pop(m2, None)
-            else:
-                out[m2] = p
+            if p:
+                _accumulate(out, mask | (1 << mu), p * sgn)
     return DifferentialForm._raw({m: ctx.reduce(c) for m, c in out.items()
                                   if ctx.reduce(c)})
 
@@ -296,13 +269,13 @@ def form_conj(w: DifferentialForm, ctx: StarContext) -> DifferentialForm:
     back to the left.  The result satisfies
     conj(a b) = conj(b) conj(a) with no extra grading sign.
     """
-    out = DifferentialForm.zero()
+    out: dict[int, Poly] = {}
     for mask, f in w.items():
         p = _degree(mask)
         sgn = -1 if (p * (p - 1) // 2) & 1 else 1
-        part = move_left(f.conj(), mask, ctx)
-        out = out + (part * sgn)
-    return out
+        for m, c in move_left(f.conj(), mask, ctx).items():
+            _accumulate(out, m, c if sgn > 0 else -c)
+    return DifferentialForm._raw(out)
 
 
 def d_leibniz_defect(a: DifferentialForm, b: DifferentialForm,

@@ -29,7 +29,7 @@ from typing import Mapping
 
 from .rationals import CRat
 from .poly import Poly
-from .star import StarContext, ThetaProfile, star, star_commutator, theta_dot_sum
+from .star import StarContext, star, star_commutator, theta_dot_sum
 
 _HALF_I = CRat(0, Fraction(1, 2))
 _QUARTER_I = CRat(0, Fraction(1, 4))
@@ -75,8 +75,7 @@ def reality_defect(pot: GaugePotential, ctx: StarContext) -> list[Poly]:
 
 def _theta_dot_div(pot: GaugePotential, ctx: StarContext) -> Poly:
     """thetadot^{ij} d_i A_j summed over both spatial indices."""
-    return theta_dot_sum(ctx.theta.theta_dot(),
-                         lambda i, j: pot.component(j).partial(i))
+    return theta_dot_sum(ctx, lambda i, j: pot.component(j).partial(i))
 
 
 def time_component_defect(pot: GaugePotential, ctx: StarContext) -> Poly:
@@ -136,11 +135,11 @@ def _spatial_strength(a: tuple[Poly, Poly, Poly],
 
 
 def _with_tilde(fs: FieldStrength, a: tuple[Poly, Poly, Poly],
-                dot: ThetaProfile, ctx: StarContext) -> FieldStrength:
+                ctx: StarContext) -> FieldStrength:
     """fs completed by Ftilde_0i = F_0i - (1/2) i thetadot^{kj} F_ij * A_k,
     the one place the improved time components are built."""
     tilde = {i: ctx.reduce(fs.time[i] - _HALF_I * theta_dot_sum(
-                 dot, lambda k, j: star(fs.spatial_entry(i, j), a[k - 1], ctx)))
+                 ctx, lambda k, j: star(fs.spatial_entry(i, j), a[k - 1], ctx)))
              for i in _SPATIAL}
     return FieldStrength(fs.spatial, fs.time, tilde)
 
@@ -155,15 +154,14 @@ def field_strength(pot: GaugePotential, ctx: StarContext) -> FieldStrength:
     """
     a0 = pot.component(0)
     a = pot.spatial()
-    dot = ctx.theta.theta_dot()
     spatial = _spatial_strength(a, ctx)
     time = {}
     for i in _SPATIAL:
         ai = a[i - 1]
-        corr = theta_dot_sum(dot, lambda m, n: star(a[n - 1], ai.partial(m), ctx))
+        corr = theta_dot_sum(ctx, lambda m, n: star(a[n - 1], ai.partial(m), ctx))
         time[i] = ctx.reduce(ai.partial(0) - a0.partial(i)
                              + star_commutator(a0, ai, ctx) - _HALF_I * corr)
-    return _with_tilde(FieldStrength(spatial, time, {}), a, dot, ctx)
+    return _with_tilde(FieldStrength(spatial, time, {}), a, ctx)
 
 
 def gauge_transform_potential(pot: GaugePotential, u: Poly,
@@ -195,16 +193,15 @@ def _transformed_strength(pot: GaugePotential, u: Poly,
     """
     f = field_strength(pot, ctx)
     ap = gauge_transform_potential(pot, u, ctx).spatial()
-    dot = ctx.theta.theta_dot()
     spatial_p = _spatial_strength(ap, ctx)
     udag = u.conj()
     du = {k: u.partial(k) for k in _SPATIAL}
     time_p = {}
     for i in _SPATIAL:
-        corr = theta_dot_sum(dot, lambda k, j: star(
+        corr = theta_dot_sum(ctx, lambda k, j: star(
             udag, star(f.spatial_entry(i, j), du[k], ctx), ctx))
         time_p[i] = ctx.reduce(_sandwich(u, f.time[i], ctx) + _HALF_I * corr)
-    return f, _with_tilde(FieldStrength(spatial_p, time_p, {}), ap, dot, ctx)
+    return f, _with_tilde(FieldStrength(spatial_p, time_p, {}), ap, ctx)
 
 
 def covariance_defect(pot: GaugePotential, u: Poly,

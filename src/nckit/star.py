@@ -27,8 +27,12 @@ x-exponents, f = sum_a x^a F_a(t, eps), merges F_a G_b into one cofactor
 (dropping eps orders above the cutoff), and expands each distinct pair
 (a, b) once per call.  A one-term cofactor is folded into every
 contraction coefficient; a longer one multiplies the finished expansion.
-Nothing outlives the call except the theta entry powers and products that
-``ThetaProfile`` caches.
+Nothing outlives the call except what ``ThetaProfile`` keeps: its thetadot,
+and one product of theta entry powers per contraction 6-tuple m.  Those
+products are bounded: n = sum(m) never exceeds the smaller operand's
+spatial degree, and the expression language's MAX_DEGREE = 16 caps the
+degree sum of each product's operands, so there n <= 8 and a profile keeps
+at most C(14, 6) = 3,003 products, the 6-tuples with sum at most 8.
 
 The expansion of x^a * x^b is a finite sum over "contraction matrices":
 nonnegative integers m[i][j] counting how many derivative pairs hit the
@@ -64,9 +68,13 @@ class ThetaProfile:
     1 <= i < j <= 3.  Entries may be Poly (in t only), CRat, Fraction or
     int.  The lower triangle is filled by antisymmetry and the diagonal is
     zero.
+
+    The profile is immutable, so it keeps what derives from it: its
+    thetadot, built on first use, and the star expansion's contraction
+    products (at most 3,003 of them; see the module docstring).
     """
 
-    __slots__ = ("_upper", "_pow_cache", "_prod_cache")
+    __slots__ = ("_upper", "_dot", "_prod_cache")
 
     def __init__(self, entries: Mapping[tuple[int, int], EntryLike] | None = None):
         upper: dict[tuple[int, int], Poly] = {}
@@ -82,7 +90,7 @@ class ThetaProfile:
                 if p:
                     upper[(i, j)] = p
         object.__setattr__(self, "_upper", upper)
-        object.__setattr__(self, "_pow_cache", {})
+        object.__setattr__(self, "_dot", None)
         object.__setattr__(self, "_prod_cache", {})
 
     def __setattr__(self, name, value):
@@ -112,11 +120,13 @@ class ThetaProfile:
         return not self._upper
 
     def theta_dot(self) -> "ThetaProfile":
-        return ThetaProfile({k: v.partial(0) for k, v in self._upper.items()})
+        if self._dot is None:
+            object.__setattr__(self, "_dot", ThetaProfile(
+                {k: v.partial(0) for k, v in self._upper.items()}))
+        return self._dot
 
     def is_static(self) -> bool:
-        # entries involve t only, so theta-dot vanishes iff no term has a t power
-        return all(p.degree_in("t") == 0 for p in self._upper.values())
+        return self.theta_dot().is_zero()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ThetaProfile):
@@ -129,16 +139,6 @@ class ThetaProfile:
     def __repr__(self) -> str:
         return f"ThetaProfile({self._upper!r})"
 
-    # -- caches used by the star expansion ---------------------------------
-
-    def _entry_power(self, i: int, j: int, m: int) -> Poly:
-        key = (i, j, m)
-        hit = self._pow_cache.get(key)
-        if hit is None:
-            hit = self.entry(i, j) ** m
-            self._pow_cache[key] = hit
-        return hit
-
     def _contraction_product(self, m6: tuple[int, ...]
                              ) -> tuple[tuple[int, CRat], ...]:
         """Product of theta entry powers over the six ordered pairs, as
@@ -149,7 +149,7 @@ class ThetaProfile:
             prod = Poly.one()
             for (i, j), m in zip(_ORDERED_PAIRS, m6):
                 if m:
-                    prod = prod * self._entry_power(i, j, m)
+                    prod = prod * self.entry(i, j) ** m
             hit = tuple((e[0], c) for e, c in prod.items())
             self._prod_cache[m6] = hit
         return hit
@@ -327,18 +327,18 @@ def dt_leibniz_defect(f: Poly, g: Poly, ctx: StarContext) -> Poly:
             - star(f, g.partial(0), ctx))
 
 
-def theta_dot_sum(dot: ThetaProfile,
+def theta_dot_sum(ctx: StarContext,
                   term: Callable[[int, int], Poly]) -> Poly:
-    """dot^{ij} term(i, j) summed over both spatial indices, for dot the
-    thetadot of a context (``ctx.theta.theta_dot()``).
+    """thetadot^{ij} term(i, j) summed over both spatial indices, for the
+    thetadot of the context's profile.
 
-    dot is antisymmetric, so this is the sum over its nonzero upper
-    entries of dot^{ij} (term(i, j) - term(j, i)).  Every thetadot
-    contraction of the gauge sector and of ``dt_leibniz_correction`` is
-    this sum with its own term.
+    thetadot is antisymmetric, so this is the sum over its nonzero upper
+    entries of thetadot^{ij} (term(i, j) - term(j, i)).  Every thetadot
+    contraction of the gauge sector, of ``dt_leibniz_correction`` and of
+    ``forms.move_left`` is this sum with its own term.
     """
     acc = Poly.zero()
-    for (i, j), ent in dot._upper.items():
+    for (i, j), ent in ctx.theta.theta_dot()._upper.items():
         acc = acc + ent * (term(i, j) - term(j, i))
     return acc
 
@@ -346,8 +346,7 @@ def theta_dot_sum(dot: ThetaProfile,
 def dt_leibniz_correction(f: Poly, g: Poly, ctx: StarContext) -> Poly:
     """(1/2) i thetadot^{ij} (d_i f)*(d_j g), the closed form of the defect."""
     return ctx.reduce(_HALF_I * theta_dot_sum(
-        ctx.theta.theta_dot(),
-        lambda i, j: star(f.partial(i), g.partial(j), ctx)))
+        ctx, lambda i, j: star(f.partial(i), g.partial(j), ctx)))
 
 
 def star_conj_defect(f: Poly, g: Poly, ctx: StarContext) -> Poly:

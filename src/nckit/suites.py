@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import grid as gridmod
-from .expr import form_to_expr, poly_to_expr
+from .expr import poly_to_expr, value_to_expr
 from .forms import (DifferentialForm, d, d_leibniz_defect, form_conj,
                     form_mul, left_mul)
 from .gauge import (GaugePotential, complete_time_component,
@@ -195,8 +195,10 @@ def _ctx_for(rng: random.Random, theta: ThetaProfile | None) -> StarContext:
     return StarContext(theta if theta is not None else _rand_theta(rng))
 
 
-def _describe(ctx: StarContext, **polys: Poly):
-    parts = [f"{k} = {poly_to_expr(v)}" for k, v in polys.items()]
+def _describe(ctx: StarContext, **values) -> str:
+    """A counterexample as `name = expr; ...; t12 = ...`, every value and
+    theta entry rendered so that it re-parses (replay with `reduce`)."""
+    parts = [f"{k} = {value_to_expr(v)}" for k, v in values.items()]
     for key, text in theta_to_text(ctx.theta).items():
         parts.append(f"{key} = {text}")
     return "; ".join(parts)
@@ -279,20 +281,13 @@ def _suite_star(rng, cases, order, theta):
 
 # -- calculus suite --------------------------------------------------------------
 
-def _form_case(rng, ctx, **forms):
-    parts = [f"{k} = {form_to_expr(v)}" for k, v in forms.items()]
-    for key, text in theta_to_text(ctx.theta).items():
-        parts.append(f"{key} = {text}")
-    return "; ".join(parts)
-
-
 def _prop_d_squared(rng, cases, theta):
     rec = _Recorder("exterior-derivative-squared")
     for _ in range(cases):
         ctx = _ctx_for(rng, theta)
         w = _rand_form(rng)
         rec.record(d(d(w, ctx), ctx).is_zero(),
-                   lambda: _form_case(rng, ctx, w=w))
+                   lambda: _describe(ctx, w=w))
     return rec.done()
 
 
@@ -303,7 +298,7 @@ def _prop_graded_leibniz(rng, cases, theta):
         a = _rand_form(rng)
         b = _rand_form(rng)
         rec.record(d_leibniz_defect(a, b, ctx).is_zero(),
-                   lambda: _form_case(rng, ctx, a=a, b=b))
+                   lambda: _describe(ctx, a=a, b=b))
     return rec.done()
 
 
@@ -316,7 +311,7 @@ def _prop_form_conj(rng, cases, theta):
         invol = form_conj(form_conj(a, ctx), ctx) == a
         anti = (form_conj(form_mul(a, b, ctx), ctx)
                 == form_mul(form_conj(b, ctx), form_conj(a, ctx), ctx))
-        rec.record(invol and anti, lambda: _form_case(rng, ctx, a=a, b=b))
+        rec.record(invol and anti, lambda: _describe(ctx, a=a, b=b))
     return rec.done()
 
 
@@ -328,7 +323,7 @@ def _prop_left_module(rng, cases, theta):
         w = _rand_form(rng)
         ok = (left_mul(f, w, ctx)
               == form_mul(DifferentialForm.from_function(f), w, ctx))
-        rec.record(ok, lambda: _form_case(rng, ctx, w=w) + f"; f = {poly_to_expr(f)}")
+        rec.record(ok, lambda: _describe(ctx, w=w, f=f))
     return rec.done()
 
 
@@ -349,15 +344,6 @@ def _rand_potential(rng, ctx) -> GaugePotential:
     return complete_time_component(spatial, ctx)
 
 
-def _gauge_case(ctx, pot, lam=None):
-    bits = [f"a{i} = {poly_to_expr(pot.component(i))}" for i in (1, 2, 3)]
-    if lam is not None:
-        bits.append(f"lambda = {poly_to_expr(lam)}")
-    for key, text in theta_to_text(ctx.theta).items():
-        bits.append(f"{key} = {text}")
-    return "; ".join(bits)
-
-
 def _prop_reality_completion(rng, cases, order, theta):
     rec = _Recorder("time-component-reality")
     for _ in range(cases):
@@ -365,7 +351,7 @@ def _prop_reality_completion(rng, cases, order, theta):
                           eps_cutoff=order)
         pot = _rand_potential(rng, ctx)
         rec.record(time_component_defect(pot, ctx).is_zero(),
-                   lambda: _gauge_case(ctx, pot))
+                   lambda: _describe(ctx, a1=pot.a1, a2=pot.a2, a3=pot.a3))
     return rec.done()
 
 
@@ -380,7 +366,8 @@ def _prop_covariance(rng, cases, order, theta):
         spatial_defects, time_defects = covariance_defect(pot, u, ctx)
         ok = (all(v.is_zero() for v in spatial_defects.values())
               and all(v.is_zero() for v in time_defects.values()))
-        rec.record(ok, lambda: _gauge_case(ctx, pot, lam))
+        rec.record(ok, lambda: _describe(
+            ctx, a1=pot.a1, a2=pot.a2, a3=pot.a3, **{"lambda": lam}))
     return rec.done()
 
 
@@ -393,7 +380,8 @@ def _prop_action_invariance(rng, cases, order, theta):
         lam = _rand_imag_poly(rng, max_terms=2, max_t=1, max_spatial=2)
         u = star_exp(lam, order, ctx)
         witness, remainder = invariance_witness(pot, u, ctx)
-        rec.record(remainder.is_zero(), lambda: _gauge_case(ctx, pot, lam))
+        rec.record(remainder.is_zero(), lambda: _describe(
+            ctx, a1=pot.a1, a2=pot.a2, a3=pot.a3, **{"lambda": lam}))
     return rec.done()
 
 
@@ -409,7 +397,8 @@ def _prop_pure_gauge(rng, cases, order, theta):
         pure = complete_time_component(GaugePotential(*comps), ctx)
         fs = field_strength(pure, ctx)
         ok = all(v.is_zero() for v in fs.spatial.values())
-        rec.record(ok, lambda: _gauge_case(ctx, pure, lam))
+        rec.record(ok, lambda: _describe(
+            ctx, a1=pure.a1, a2=pure.a2, a3=pure.a3, **{"lambda": lam}))
     return rec.done()
 
 

@@ -151,6 +151,20 @@ def test_reduce_long_flat_sum(capsys):
         assert capsys.readouterr().out == f"{n}*x1\n"
 
 
+def test_reduce_long_prefix_sign_runs(capsys):
+    # runs of prefix signs are folded in a loop by the parser and the
+    # evaluator, so they cost no depth of their own
+    assert main(["reduce", "--", "----(" * 100 + "x1" + ")" * 100]) == 0
+    assert capsys.readouterr().out == "x1\n"
+    assert main(["reduce", "--", "-" * 3000 + "x1"]) == 0
+    assert capsys.readouterr().out == "x1\n"
+    assert main(["reduce", "--", "-" * 3001 + "~" * 3001 + "(i*x1*dx2)"]) == 0
+    assert capsys.readouterr().out == "i*x1*dx2\n"
+    # a sign after '~' is still an error, as the grammar says
+    assert main(["reduce", "~-x1"]) == 2
+    assert "column 2" in capsys.readouterr().err
+
+
 def test_reduce_size_limit_exits_before_work(capsys):
     start = time.perf_counter()
     assert main(["reduce", "(x1+x2+x3+t)^200"]) == 2

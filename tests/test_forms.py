@@ -17,7 +17,7 @@ from nckit.forms import (
     left_mul,
     move_left,
 )
-from util import rand_form, rand_poly, rand_theta
+from util import rand_form, rand_poly, rand_t_poly, rand_theta
 
 I = CRat(0, 1)
 HALF_I = CRat(0, Fraction(1, 2))
@@ -34,6 +34,37 @@ def fn(p) -> DifferentialForm:
 
 def lin_ctx() -> StarContext:
     return StarContext(ThetaProfile({(1, 2): t}))
+
+
+def move_left_reference(g: Poly, mask: int, ctx: StarContext) -> DifferentialForm:
+    """Independent oracle: pass g through the factors of the monomial one
+    at a time, rightmost first, applying
+    dx^j g = g dx^j - (1/2) i thetadot^{ij} (d_i g) dt and dt g = g dt to
+    every normal-ordered term so far, corrections of corrections included.
+    """
+    def prepend_sign(mu: int, tail: int) -> int:
+        # sign of normal-ordering e_mu ^ (monomial of tail); 0 if absorbed
+        if tail >> mu & 1:
+            return 0
+        return -1 if bin(tail & ((1 << mu) - 1)).count("1") & 1 else 1
+
+    dot = ctx.theta.theta_dot()
+    state: dict[int, Poly] = {0: g}
+    for mu in range(3, -1, -1):
+        if not mask >> mu & 1:
+            continue
+        nxt: dict[int, Poly] = {}
+        for tail, f in state.items():
+            terms = [((1 << mu) | tail, f * prepend_sign(mu, tail))]
+            if mu:
+                corr = Poly.zero()
+                for i in (1, 2, 3):
+                    corr = corr + dot.entry(i, mu) * f.partial(i)
+                terms.append((1 | tail, corr * (HALF_I * -prepend_sign(0, tail))))
+            for m, c in terms:
+                nxt[m] = nxt.get(m, Poly.zero()) + c
+        state = {m: c for m, c in nxt.items() if c}
+    return DifferentialForm({m: ctx.reduce(c) for m, c in state.items()})
 
 
 # -- container behaviour -----------------------------------------------------
@@ -84,11 +115,26 @@ def test_move_left_static_theta_commutes():
 
 def test_move_left_compound_monomial():
     # dx1^dx2 . x2: the dx2 passage is free for x2, the dx1 passage is not;
-    # the dt lands in front, dt^dx1... wait, the correction replaces dx1.
+    # its correction puts dt in place of dx1, giving dt^dx2.
     ctx = lin_ctx()
     got = move_left(x2, 0b0110, ctx)
     # dx1^dx2 x2 = (dx1 x2)^dx2 = x2 dx1^dx2 + (1/2)i dt^dx2
     assert got == DifferentialForm({0b0110: x2, 0b0101: Poly.const(HALF_I)})
+
+
+def test_move_left_matches_reference():
+    # every mask, every thetadot entry nonzero, eps carried by the operand
+    # and truncated at each cutoff
+    rng = random.Random(1408)
+    for cutoff in (None, 0, 1, 2):
+        for _ in range(6):
+            th = ThetaProfile({pair: rand_t_poly(rng) * t * t + rng.randint(1, 3) * t
+                               for pair in ((1, 2), (1, 3), (2, 3))})
+            assert len(th.theta_dot().upper_entries()) == 3
+            ctx = StarContext(th, eps_cutoff=cutoff)
+            g = rand_poly(rng, max_terms=4, max_t=2, max_spatial=3, max_eps=3)
+            for mask in range(16):
+                assert move_left(g, mask, ctx) == move_left_reference(g, mask, ctx)
 
 
 def test_move_left_absorbed_factor_keeps_correction():

@@ -92,6 +92,23 @@ def test_theta_antisymmetry_and_dot():
     assert not one_entry.theta_dot().is_zero()
 
 
+def test_theta_dot_is_kept_and_profile_stays_a_value():
+    th = ThetaProfile({(1, 2): t, (2, 3): t * t})
+    twin = ThetaProfile({(1, 2): t, (2, 3): t * t})
+    assert th == twin and hash(th) == hash(twin)
+    assert th.theta_dot() is th.theta_dot()
+    # filling thetadot in on one of two equal profiles changes neither
+    # equality nor hash
+    assert th == twin and hash(th) == hash(twin)
+    assert twin.theta_dot() == th.theta_dot()
+    assert th == twin and hash(th) == hash(twin)
+    assert {th: 1}[twin] == 1
+    with pytest.raises(AttributeError):
+        th._dot = None
+    with pytest.raises(AttributeError):
+        th.extra = 1
+
+
 def test_theta_rejects_bad_entries():
     with pytest.raises(ValueError):
         ThetaProfile({(2, 1): t})

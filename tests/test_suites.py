@@ -2,8 +2,13 @@
 
 import pytest
 
+import nckit.suites
+from nckit.expr import evaluate, parse_expression
+from nckit.forms import DifferentialForm, form_mul
+from nckit.gauge import (GaugePotential, complete_time_component,
+                         time_component_defect)
 from nckit.poly import t
-from nckit.star import ThetaProfile
+from nckit.star import StarContext, ThetaProfile, star, star_conj_defect
 from nckit.suites import (PropertyResult, SuiteReport, run_suite,
                           theta_to_text)
 
@@ -67,3 +72,66 @@ def test_table_rendering_with_failure():
 def test_theta_text_rendering():
     profile = ThetaProfile({(1, 2): t * t, (2, 3): t})
     assert theta_to_text(profile) == {"t12": "t^2", "t23": "t"}
+
+
+# -- counterexample replay ---------------------------------------------------------
+
+def _replay(text, order=None):
+    """Parse a printed counterexample `name = expr; ...; t12 = ...` back:
+    (names in printed order, {name: value}, the context it ran in)."""
+    items = [item.split(" = ", 1) for item in text.split("; ")]
+    flat = StarContext(ThetaProfile.zero())
+    theta = ThetaProfile({(int(k[1]), int(k[2])): evaluate(parse_expression(v), flat)
+                          for k, v in items if k[:1] == "t" and len(k) == 3})
+    ctx = StarContext(theta, eps_cutoff=order)
+    values = {k: evaluate(parse_expression(v), ctx) for k, v in items
+              if not (k[:1] == "t" and len(k) == 3)}
+    return [k for k, _ in items], values, ctx
+
+
+def _failing(report, name):
+    prop, = (p for p in report.properties if p.name == name)
+    assert prop.failures > 0 and prop.counterexamples
+    return prop.counterexamples
+
+
+def test_star_counterexamples_replay(monkeypatch):
+    def broken(f, g, ctx):  # conj(f*g) against conj(f)*conj(g): wrong order
+        return star(f, g, ctx).conj() - star(f.conj(), g.conj(), ctx)
+
+    monkeypatch.setattr(nckit.suites, "star_conj_defect", broken)
+    report = run_suite("star", seed=3, cases=6)
+    for text in _failing(report, "conjugation-reversal"):
+        names, v, ctx = _replay(text)
+        assert names[:2] == ["f", "g"]
+        assert not broken(v["f"], v["g"], ctx).is_zero()
+        assert star_conj_defect(v["f"], v["g"], ctx).is_zero()
+
+
+def test_calculus_counterexamples_replay(monkeypatch):
+    def broken(f, w, ctx):  # star-multiplies from the wrong side
+        return DifferentialForm({m: star(c, f, ctx) for m, c in w.items()})
+
+    monkeypatch.setattr(nckit.suites, "left_mul", broken)
+    report = run_suite("calculus", seed=3, cases=6)
+    for text in _failing(report, "left-module-consistency"):
+        names, v, ctx = _replay(text)
+        assert names[:2] == ["w", "f"]
+        f, w = v["f"], v["w"]
+        assert isinstance(w, DifferentialForm)
+        assert broken(f, w, ctx) != form_mul(DifferentialForm.from_function(f), w, ctx)
+
+
+def test_gauge_counterexamples_replay(monkeypatch):
+    def broken(pot, ctx):  # drops the thetadot term of the constraint
+        a0 = pot.component(0)
+        return ctx.reduce(a0 + a0.conj())
+
+    monkeypatch.setattr(nckit.suites, "time_component_defect", broken)
+    report = run_suite("gauge", seed=3, cases=3, order=2)
+    for text in _failing(report, "time-component-reality"):
+        names, v, ctx = _replay(text, order=2)
+        assert names[:3] == ["a1", "a2", "a3"]
+        pot = complete_time_component(GaugePotential(v["a1"], v["a2"], v["a3"]), ctx)
+        assert not broken(pot, ctx).is_zero()
+        assert time_component_defect(pot, ctx).is_zero()
