@@ -246,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_red = sub.add_parser("reduce", help="canonicalize an expression")
-    p_red.add_argument("expression")
+    p_red.add_argument("expression", nargs="?")
     p_red.add_argument("--theta", metavar="FILE",
                        help="config file with a [theta] section")
     p_red.add_argument("--order", type=int, default=None, metavar="N",
@@ -286,13 +286,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "reduce" and args.expression is None:
+        # argparse takes an expression that starts with '-' (-x1, -1/2*x1)
+        # for an unknown option; the first such word is the expression
+        if not extra:
+            parser.error("reduce: the following arguments are required: "
+                         "expression")
+        args.expression = extra.pop(0)
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.fn(args)
-    except (ParseError, GradingError, ConfigError) as exc:
-        print(f"nckit: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ParseError, GradingError, ConfigError, ValueError) as exc:
         print(f"nckit: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

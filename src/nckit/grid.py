@@ -42,7 +42,7 @@ from __future__ import annotations
 import cmath
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,15 +55,12 @@ class GridField:
     """Complex samples on the periodic square grid.
 
     values[i1, i2] is the sample at x = (i1, i2) * box_length / N.  The
-    time slice and the coordinate plane are bookkeeping for the caller;
-    they do not enter the arithmetic (theta is passed separately where
-    needed) and are not stored in the binary format.
+    time slice and the coordinate plane are the caller's: a field carries
+    neither, and theta is passed separately where needed.
     """
 
     values: np.ndarray
     box_length: float
-    t_slice: float = 0.0
-    plane: tuple[int, int] = (1, 2)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128)
@@ -95,7 +92,7 @@ class GridField:
         return float(np.sqrt((np.abs(self.values) ** 2).sum() * self.cell_area))
 
     def with_values(self, values: np.ndarray) -> "GridField":
-        return GridField(values, self.box_length, self.t_slice, self.plane)
+        return GridField(values, self.box_length)
 
 
 def _compatible(f: GridField, g: GridField) -> None:

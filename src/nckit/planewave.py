@@ -125,12 +125,7 @@ def _s_split(p: PwPoly) -> dict[int, PwPoly]:
     buckets: dict[int, dict] = {}
     for exps, c in p.items():
         buckets.setdefault(exps[_IDX_S], {})[exps] = c
-    out = {}
-    for n, terms in buckets.items():
-        q = PwPoly.__new__(PwPoly)
-        object.__setattr__(q, "_terms", terms)
-        out[n] = q
-    return out
+    return {n: PwPoly._raw(terms) for n, terms in buckets.items()}
 
 
 def _strip(p: PwPoly, var_indices: Sequence[int],
@@ -146,9 +141,7 @@ def _strip(p: PwPoly, var_indices: Sequence[int],
         for i in var_indices:
             e[i] = 0
         out[tuple(e)] = c
-    q = PwPoly.__new__(PwPoly)
-    object.__setattr__(q, "_terms", out)
-    return q
+    return PwPoly._raw(out)
 
 
 # -- the ansatz and its strengths, all inside PwPoly -------------------------
@@ -429,8 +422,7 @@ def effective_action(spec: PlaneWaveSpec, ctx: StarContext) -> ActionReport:
         for exps, c in s1.items():
             if exps[_IDX_D[pair]]:
                 sel[exps] = c
-        q = PwPoly.__new__(PwPoly)
-        object.__setattr__(q, "_terms", sel)
+        q = PwPoly._raw(sel)
         idxs = (_IDX_S, _IDX_D[pair], *_IDX_F)
         cubic[pair] = -_strip(q, idxs, (1, 1, 1, 2, 0)) if sel else PwPoly.zero()
 

@@ -20,6 +20,10 @@ from .rationals import CRat, CRatLike, binary_power
 
 ScalarLike = Union["BasePoly", CRat, int, Fraction]
 
+# raw construction, bypassing __init__'s checks and the immutability guard
+_new = object.__new__
+_set = object.__setattr__
+
 
 class BasePoly:
     """Shared engine; concrete classes fix the variable tuple via VARS."""
@@ -38,7 +42,15 @@ class BasePoly:
                 if len(exps) != nv:
                     raise ValueError(f"exponent tuple {exps} has wrong arity")
                 clean[tuple(exps)] = c
-        object.__setattr__(self, "_terms", clean)
+        _set(self, "_terms", clean)
+
+    @classmethod
+    def _raw(cls, terms: dict[tuple[int, ...], CRat]):
+        """Wrap a term dict that is already canonical (right arity, no
+        zero coefficients) without copying or checking it."""
+        res = _new(cls)
+        _set(res, "_terms", terms)
+        return res
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -145,9 +157,7 @@ class BasePoly:
                 out.pop(exps, None)
             else:
                 out[exps] = c
-        res = type(self).__new__(type(self))
-        object.__setattr__(res, "_terms", out)
-        return res
+        return type(self)._raw(out)
 
     def __add__(self, other: ScalarLike):
         return self._combine(other, False)
@@ -161,10 +171,7 @@ class BasePoly:
         return (-self) + other
 
     def __neg__(self):
-        res = type(self).__new__(type(self))
-        object.__setattr__(res, "_terms",
-                           {e: -c for e, c in self._terms.items()})
-        return res
+        return type(self)._raw({e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other: ScalarLike):
         cls = type(self)
@@ -172,10 +179,7 @@ class BasePoly:
             c0 = CRat.coerce(other)
             if c0.is_zero():
                 return cls()
-            res = cls.__new__(cls)
-            object.__setattr__(res, "_terms",
-                               {e: c * c0 for e, c in self._terms.items()})
-            return res
+            return cls._raw({e: c * c0 for e, c in self._terms.items()})
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
@@ -190,9 +194,7 @@ class BasePoly:
                     out.pop(key, None)
                 else:
                     out[key] = c
-        res = cls.__new__(cls)
-        object.__setattr__(res, "_terms", out)
-        return res
+        return cls._raw(out)
 
     __rmul__ = __mul__
 
@@ -203,10 +205,7 @@ class BasePoly:
 
     def conj(self):
         """Coefficientwise complex conjugation (variables are selfadjoint)."""
-        res = type(self).__new__(type(self))
-        object.__setattr__(res, "_terms",
-                           {e: c.conjugate() for e, c in self._terms.items()})
-        return res
+        return type(self)._raw({e: c.conjugate() for e, c in self._terms.items()})
 
     def partial(self, idx_or_name: int | str):
         """Derivative with respect to one variable, by index or name."""
@@ -228,9 +227,7 @@ class BasePoly:
                 out.pop(key, None)
             else:
                 out[key] = c2
-        res = cls.__new__(cls)
-        object.__setattr__(res, "_terms", out)
-        return res
+        return cls._raw(out)
 
     # -- comparison -------------------------------------------------------
 
@@ -284,10 +281,7 @@ class Poly(BasePoly):
             return Poly()
         if all(e[4] <= n for e in self._terms):
             return self
-        out = {e: c for e, c in self._terms.items() if e[4] <= n}
-        res = Poly.__new__(Poly)
-        object.__setattr__(res, "_terms", out)
-        return res
+        return Poly._raw({e: c for e, c in self._terms.items() if e[4] <= n})
 
     def is_imaginary_valued(self) -> bool:
         """conj(p) == -p, i.e. all coefficients purely imaginary."""

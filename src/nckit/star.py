@@ -297,9 +297,7 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
                         out.pop(key, None)
                     else:
                         out[key] = tot
-    res = Poly.__new__(Poly)
-    object.__setattr__(res, "_terms", out)
-    return res
+    return Poly._raw(out)
 
 
 def _x_groups(p: Poly) -> list:

@@ -1,9 +1,24 @@
 """Seeded verification suites behind the command surface.
 
-Each suite bundles the invariants of one sector into named properties.
-A property runs a number of randomized cases and collects the first few
-counterexamples, rendered back through the expression language so a
-failing case can be replayed with the `reduce` command.
+Each suite bundles the invariants of one sector into named properties,
+listed in `_SUITES` as (name, case function, cap on the number of cases
+or None).  One loop, `_run_property`, runs every property: it counts the
+failures and renders the first few counterexamples.
+
+A case function is `case(rng, theta, order, k) -> (ok, describe)`.  It
+draws its random inputs from `rng` in a fixed order (a seed's reports
+depend on that order), checks one instance, and returns whether the
+instance held together with a zero-argument `describe` that renders it
+as a counterexample; `describe` is called only for failures.  `theta` is
+the pinned profile, or None for a random one per case; `order` is the
+eps truncation of the gauge sector and `k` the index of the case.  Case
+functions call the library through this module's globals, so a test can
+patch a kernel here.  A new property is one case function plus one row
+of `_SUITES`.
+
+Counterexamples are rendered back through the expression language, and
+plane-wave ones through the config syntax, so a failing case replays
+with the `reduce` command or as a config file.
 """
 
 from __future__ import annotations
@@ -12,17 +27,18 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import grid as gridmod
 from .expr import poly_to_expr, value_to_expr
 from .forms import (DifferentialForm, d, d_leibniz_defect, form_conj,
                     form_mul, left_mul)
-from .gauge import (GaugePotential, complete_time_component,
+from .gauge import (GaugePotential, action_density, complete_time_component,
                     covariance_defect, field_strength, invariance_witness,
                     time_component_defect)
-from .planewave import (PlaneWaveSpec, build_ansatz, coupling_scalar,
-                        effective_action, harmonic_spectrum,
-                        is_theta_polarised)
+from .planewave import (PlaneWaveSpec, _derive_coeffs, _poly_profile,
+                        build_ansatz, effective_action, harmonic_spectrum,
+                        is_theta_polarised, pw_substitute)
 from .poly import Poly, t, x
 from .rationals import CRat
 from .scalar import (kg_density, kg_density_via_metric, kg_operator,
@@ -161,179 +177,93 @@ class SuiteReport:
 
 
 def theta_to_text(theta: ThetaProfile) -> dict[str, str]:
-    out = {}
-    for (i, j), p in theta.upper_entries().items():
-        out[f"t{i}{j}"] = poly_to_expr(p)
-    return out
+    return {f"t{i}{j}": poly_to_expr(p)
+            for (i, j), p in theta.upper_entries().items()}
 
 
-class _Recorder:
-    """Case loop helper: counts failures, keeps the first few renderings."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.cases = 0
-        self.failures = 0
-        self.examples: list[str] = []
-        self.t0 = time.perf_counter()
-
-    def record(self, ok: bool, describe) -> None:
-        self.cases += 1
-        if ok:
-            return
-        self.failures += 1
-        if len(self.examples) < _MAX_COUNTEREXAMPLES:
-            self.examples.append(describe())
-
-    def done(self) -> PropertyResult:
-        return PropertyResult(self.name, self.cases, self.failures,
-                              tuple(self.examples),
-                              time.perf_counter() - self.t0)
-
-
-def _ctx_for(rng: random.Random, theta: ThetaProfile | None) -> StarContext:
-    return StarContext(theta if theta is not None else _rand_theta(rng))
+def _ctx_for(rng: random.Random, theta: ThetaProfile | None, max_deg=2,
+             order: int | None = None) -> StarContext:
+    """The pinned profile, else a random one of t-degree <= max_deg."""
+    return StarContext(theta if theta is not None else _rand_theta(rng, max_deg),
+                       eps_cutoff=order)
 
 
 def _describe(ctx: StarContext, **values) -> str:
     """A counterexample as `name = expr; ...; t12 = ...`, every value and
     theta entry rendered so that it re-parses (replay with `reduce`)."""
     parts = [f"{k} = {value_to_expr(v)}" for k, v in values.items()]
-    for key, text in theta_to_text(ctx.theta).items():
-        parts.append(f"{key} = {text}")
+    parts += [f"{key} = {text}" for key, text in theta_to_text(ctx.theta).items()]
     return "; ".join(parts)
 
 
 # -- star suite ----------------------------------------------------------------
 
-def _prop_associativity(rng, cases, theta):
-    rec = _Recorder("star-associativity")
-    for _ in range(cases):
-        ctx = _ctx_for(rng, theta)
-        f = _rand_poly(rng)
-        g = _rand_poly(rng)
-        h = _rand_poly(rng)
-        ok = star(star(f, g, ctx), h, ctx) == star(f, star(g, h, ctx), ctx)
-        rec.record(ok, lambda: _describe(ctx, f=f, g=g, h=h))
-    return rec.done()
+_I = CRat(0, 1)
 
 
-def _prop_generator_commutators(rng, cases, theta):
-    rec = _Recorder("generator-commutators")
-    i_unit = Poly.const(CRat(0, 1))
-    for _ in range(cases):
-        ctx = _ctx_for(rng, theta)
-        ok = True
-        for i in (1, 2, 3):
-            if star_commutator(x[i], t, ctx) != Poly.zero():
-                ok = False
-            for j in (1, 2, 3):
-                want = i_unit * ctx.theta.entry(i, j)
-                if star_commutator(x[i], x[j], ctx) != want:
-                    ok = False
-        rec.record(ok, lambda: _describe(ctx))
-    return rec.done()
+def _case_associativity(rng, theta, order, k):
+    ctx = _ctx_for(rng, theta)
+    f, g, h = _rand_poly(rng), _rand_poly(rng), _rand_poly(rng)
+    return (star(star(f, g, ctx), h, ctx) == star(f, star(g, h, ctx), ctx),
+            lambda: _describe(ctx, f=f, g=g, h=h))
 
 
-def _prop_non_leibniz(rng, cases, theta):
-    rec = _Recorder("time-derivative-correction")
-    for _ in range(cases):
-        ctx = _ctx_for(rng, theta)
-        f = _rand_poly(rng)
-        g = _rand_poly(rng)
-        ok = dt_leibniz_defect(f, g, ctx) == dt_leibniz_correction(f, g, ctx)
-        rec.record(ok, lambda: _describe(ctx, f=f, g=g))
-    return rec.done()
+def _case_generator_commutators(rng, theta, order, k):
+    ctx = _ctx_for(rng, theta)
+    ok = all(star_commutator(x[i], t, ctx).is_zero()
+             and all(star_commutator(x[i], x[j], ctx) == ctx.theta.entry(i, j) * _I
+                     for j in (1, 2, 3))
+             for i in (1, 2, 3))
+    return ok, lambda: _describe(ctx)
 
 
-def _prop_conj_reversal(rng, cases, theta):
-    rec = _Recorder("conjugation-reversal")
-    for _ in range(cases):
-        ctx = _ctx_for(rng, theta)
-        f = _rand_poly(rng)
-        g = _rand_poly(rng)
-        rec.record(star_conj_defect(f, g, ctx).is_zero(),
-                   lambda: _describe(ctx, f=f, g=g))
-    return rec.done()
+def _case_time_derivative(rng, theta, order, k):
+    ctx, f, g = _ctx_for(rng, theta), _rand_poly(rng), _rand_poly(rng)
+    return (dt_leibniz_defect(f, g, ctx) == dt_leibniz_correction(f, g, ctx),
+            lambda: _describe(ctx, f=f, g=g))
 
 
-def _prop_spatial_derivations(rng, cases, theta):
-    rec = _Recorder("spatial-derivations")
-    for _ in range(cases):
-        ctx = _ctx_for(rng, theta)
-        f = _rand_poly(rng)
-        g = _rand_poly(rng)
-        i = rng.randint(1, 3)
-        rec.record(spatial_derivation_defect(f, g, i, ctx).is_zero(),
-                   lambda: _describe(ctx, f=f, g=g))
-    return rec.done()
+def _case_conj_reversal(rng, theta, order, k):
+    ctx, f, g = _ctx_for(rng, theta), _rand_poly(rng), _rand_poly(rng)
+    return (star_conj_defect(f, g, ctx).is_zero(),
+            lambda: _describe(ctx, f=f, g=g))
 
 
-def _suite_star(rng, cases, order, theta):
-    return (
-        _prop_associativity(rng, cases, theta),
-        _prop_generator_commutators(rng, cases, theta),
-        _prop_non_leibniz(rng, cases, theta),
-        _prop_conj_reversal(rng, cases, theta),
-        _prop_spatial_derivations(rng, cases, theta),
-    )
+def _case_spatial_derivations(rng, theta, order, k):
+    ctx, f, g = _ctx_for(rng, theta), _rand_poly(rng), _rand_poly(rng)
+    i = rng.randint(1, 3)
+    return (spatial_derivation_defect(f, g, i, ctx).is_zero(),
+            lambda: _describe(ctx, f=f, g=g))
 
 
 # -- calculus suite --------------------------------------------------------------
 
-def _prop_d_squared(rng, cases, theta):
-    rec = _Recorder("exterior-derivative-squared")
-    for _ in range(cases):
-        ctx = _ctx_for(rng, theta)
-        w = _rand_form(rng)
-        rec.record(d(d(w, ctx), ctx).is_zero(),
-                   lambda: _describe(ctx, w=w))
-    return rec.done()
+def _case_d_squared(rng, theta, order, k):
+    ctx, w = _ctx_for(rng, theta), _rand_form(rng)
+    return d(d(w, ctx), ctx).is_zero(), lambda: _describe(ctx, w=w)
 
 
-def _prop_graded_leibniz(rng, cases, theta):
-    rec = _Recorder("graded-leibniz")
-    for _ in range(cases):
-        ctx = _ctx_for(rng, theta)
-        a = _rand_form(rng)
-        b = _rand_form(rng)
-        rec.record(d_leibniz_defect(a, b, ctx).is_zero(),
-                   lambda: _describe(ctx, a=a, b=b))
-    return rec.done()
+def _case_graded_leibniz(rng, theta, order, k):
+    ctx, a, b = _ctx_for(rng, theta), _rand_form(rng), _rand_form(rng)
+    return (d_leibniz_defect(a, b, ctx).is_zero(),
+            lambda: _describe(ctx, a=a, b=b))
 
 
-def _prop_form_conj(rng, cases, theta):
-    rec = _Recorder("form-conjugation")
-    for _ in range(cases):
-        ctx = _ctx_for(rng, theta)
-        a = _rand_form(rng)
-        b = _rand_form(rng)
-        invol = form_conj(form_conj(a, ctx), ctx) == a
-        anti = (form_conj(form_mul(a, b, ctx), ctx)
-                == form_mul(form_conj(b, ctx), form_conj(a, ctx), ctx))
-        rec.record(invol and anti, lambda: _describe(ctx, a=a, b=b))
-    return rec.done()
+def _case_form_conj(rng, theta, order, k):
+    ctx, a, b = _ctx_for(rng, theta), _rand_form(rng), _rand_form(rng)
+    invol = form_conj(form_conj(a, ctx), ctx) == a
+    anti = (form_conj(form_mul(a, b, ctx), ctx)
+            == form_mul(form_conj(b, ctx), form_conj(a, ctx), ctx))
+    return invol and anti, lambda: _describe(ctx, a=a, b=b)
 
 
-def _prop_left_module(rng, cases, theta):
-    rec = _Recorder("left-module-consistency")
-    for _ in range(cases):
-        ctx = _ctx_for(rng, theta)
-        f = _rand_poly(rng, max_terms=2, max_t=1, max_spatial=2)
-        w = _rand_form(rng)
-        ok = (left_mul(f, w, ctx)
-              == form_mul(DifferentialForm.from_function(f), w, ctx))
-        rec.record(ok, lambda: _describe(ctx, w=w, f=f))
-    return rec.done()
-
-
-def _suite_calculus(rng, cases, order, theta):
-    return (
-        _prop_d_squared(rng, cases, theta),
-        _prop_graded_leibniz(rng, cases, theta),
-        _prop_form_conj(rng, cases, theta),
-        _prop_left_module(rng, cases, theta),
-    )
+def _case_left_module(rng, theta, order, k):
+    ctx = _ctx_for(rng, theta)
+    f = _rand_poly(rng, max_terms=2, max_t=1, max_spatial=2)
+    w = _rand_form(rng)
+    return (left_mul(f, w, ctx)
+            == form_mul(DifferentialForm.from_function(f), w, ctx),
+            lambda: _describe(ctx, w=w, f=f))
 
 
 # -- gauge suite -----------------------------------------------------------------
@@ -344,146 +274,98 @@ def _rand_potential(rng, ctx) -> GaugePotential:
     return complete_time_component(spatial, ctx)
 
 
-def _prop_reality_completion(rng, cases, order, theta):
-    rec = _Recorder("time-component-reality")
-    for _ in range(cases):
-        ctx = StarContext((theta if theta is not None else _rand_theta(rng)),
-                          eps_cutoff=order)
-        pot = _rand_potential(rng, ctx)
-        rec.record(time_component_defect(pot, ctx).is_zero(),
-                   lambda: _describe(ctx, a1=pot.a1, a2=pot.a2, a3=pot.a3))
-    return rec.done()
+def _rand_gauge(rng, ctx, order):
+    """A random imaginary gauge parameter lambda and u = exp_*(lambda)."""
+    lam = _rand_imag_poly(rng, max_terms=2, max_t=1, max_spatial=2)
+    return lam, star_exp(lam, order, ctx)
 
 
-def _prop_covariance(rng, cases, order, theta):
-    rec = _Recorder("field-strength-covariance")
-    for _ in range(cases):
-        ctx = StarContext((theta if theta is not None else _rand_theta(rng, max_deg=1)),
-                          eps_cutoff=order)
-        pot = _rand_potential(rng, ctx)
-        lam = _rand_imag_poly(rng, max_terms=2, max_t=1, max_spatial=2)
-        u = star_exp(lam, order, ctx)
-        spatial_defects, time_defects = covariance_defect(pot, u, ctx)
-        ok = (all(v.is_zero() for v in spatial_defects.values())
-              and all(v.is_zero() for v in time_defects.values()))
-        rec.record(ok, lambda: _describe(
-            ctx, a1=pot.a1, a2=pot.a2, a3=pot.a3, **{"lambda": lam}))
-    return rec.done()
+def _describe_gauge(ctx, pot, lam=None) -> str:
+    values = {"a1": pot.a1, "a2": pot.a2, "a3": pot.a3}
+    if lam is not None:
+        values["lambda"] = lam
+    return _describe(ctx, **values)
 
 
-def _prop_action_invariance(rng, cases, order, theta):
-    rec = _Recorder("action-invariance-witness")
-    for _ in range(cases):
-        ctx = StarContext((theta if theta is not None else _rand_theta(rng, max_deg=1)),
-                          eps_cutoff=order)
-        pot = _rand_potential(rng, ctx)
-        lam = _rand_imag_poly(rng, max_terms=2, max_t=1, max_spatial=2)
-        u = star_exp(lam, order, ctx)
-        witness, remainder = invariance_witness(pot, u, ctx)
-        rec.record(remainder.is_zero(), lambda: _describe(
-            ctx, a1=pot.a1, a2=pot.a2, a3=pot.a3, **{"lambda": lam}))
-    return rec.done()
+def _case_reality_completion(rng, theta, order, k):
+    ctx = _ctx_for(rng, theta, order=order)
+    pot = _rand_potential(rng, ctx)
+    return (time_component_defect(pot, ctx).is_zero(),
+            lambda: _describe_gauge(ctx, pot))
 
 
-def _prop_pure_gauge(rng, cases, order, theta):
-    rec = _Recorder("pure-gauge-flatness")
-    for _ in range(cases):
-        ctx = StarContext((theta if theta is not None else _rand_theta(rng, max_deg=1)),
-                          eps_cutoff=order)
-        lam = _rand_imag_poly(rng, max_terms=2, max_t=1, max_spatial=2)
-        u = star_exp(lam, order, ctx)
-        udag = u.conj()
-        comps = [star(udag, u.partial(k), ctx) for k in (1, 2, 3)]
-        pure = complete_time_component(GaugePotential(*comps), ctx)
-        fs = field_strength(pure, ctx)
-        ok = all(v.is_zero() for v in fs.spatial.values())
-        rec.record(ok, lambda: _describe(
-            ctx, a1=pure.a1, a2=pure.a2, a3=pure.a3, **{"lambda": lam}))
-    return rec.done()
+def _case_covariance(rng, theta, order, k):
+    ctx = _ctx_for(rng, theta, max_deg=1, order=order)
+    pot = _rand_potential(rng, ctx)
+    lam, u = _rand_gauge(rng, ctx, order)
+    spatial, timelike = covariance_defect(pot, u, ctx)
+    ok = all(v.is_zero() for v in (*spatial.values(), *timelike.values()))
+    return ok, lambda: _describe_gauge(ctx, pot, lam)
 
 
-def _suite_gauge(rng, cases, order, theta):
-    return (
-        _prop_reality_completion(rng, cases, order, theta),
-        _prop_covariance(rng, cases, order, theta),
-        _prop_action_invariance(rng, cases, order, theta),
-        _prop_pure_gauge(rng, cases, order, theta),
-    )
+def _case_action_invariance(rng, theta, order, k):
+    ctx = _ctx_for(rng, theta, max_deg=1, order=order)
+    pot = _rand_potential(rng, ctx)
+    lam, u = _rand_gauge(rng, ctx, order)
+    witness, remainder = invariance_witness(pot, u, ctx)
+    return remainder.is_zero(), lambda: _describe_gauge(ctx, pot, lam)
+
+
+def _case_pure_gauge(rng, theta, order, k):
+    ctx = _ctx_for(rng, theta, max_deg=1, order=order)
+    lam, u = _rand_gauge(rng, ctx, order)
+    udag = u.conj()
+    pure = complete_time_component(
+        GaugePotential(*(star(udag, u.partial(i), ctx) for i in (1, 2, 3))), ctx)
+    ok = all(v.is_zero() for v in field_strength(pure, ctx).spatial.values())
+    return ok, lambda: _describe_gauge(ctx, pure, lam)
 
 
 # -- scalar suite ------------------------------------------------------------------
 
-def _prop_null_solutions(rng, cases, theta):
-    rec = _Recorder("null-wave-solutions")
+def _rand_null_phase(rng) -> Poly:
+    """The phase u = w t + k.x of a random integer null direction."""
     quads = null_quadruples()
-    for _ in range(cases):
-        w, k1, k2, k3 = quads[rng.randrange(len(quads))]
-        n = rng.randint(1, 6)
-        u = linear_phase(w, (k1, k2, k3))
-        rec.record(kg_operator(u ** n).is_zero(),
-                   lambda: f"profile = u^{n}; u = {poly_to_expr(u)}")
-    return rec.done()
+    w, k1, k2, k3 = quads[rng.randrange(len(quads))]
+    return linear_phase(w, (k1, k2, k3))
 
 
-def _prop_star_power_collapse(rng, cases, theta):
-    rec = _Recorder("subalgebra-star-powers")
-    quads = null_quadruples()
-    for _ in range(cases):
-        ctx = _ctx_for(rng, theta)
-        w, k1, k2, k3 = quads[rng.randrange(len(quads))]
-        u = linear_phase(w, (k1, k2, k3))
-        n = rng.randint(2, 4)
-        acc = u
-        for _ in range(n - 1):
-            acc = star(acc, u, ctx)
-        rec.record(acc == u ** n,
-                   lambda: _describe(ctx, u=u))
-    return rec.done()
+def _case_null_solutions(rng, theta, order, k):
+    u = _rand_null_phase(rng)
+    n = rng.randint(1, 6)
+    return (kg_operator(u ** n).is_zero(),
+            lambda: f"profile = u^{n}; u = {poly_to_expr(u)}")
 
 
-def _prop_subalgebra_derivations(rng, cases, theta):
-    rec = _Recorder("subalgebra-defect-vector")
-    quads = null_quadruples()
-    for _ in range(cases):
-        ctx = _ctx_for(rng, theta)
-        w, k1, k2, k3 = quads[rng.randrange(len(quads))]
-        u = linear_phase(w, (k1, k2, k3))
-        f = u ** rng.randint(1, 3)
-        g = u ** rng.randint(1, 3)
-        defects = phase_subalgebra_defects(f, g, ctx)
-        rec.record(all(v.is_zero() for v in defects),
-                   lambda: _describe(ctx, f=f, g=g))
-    return rec.done()
+def _case_star_power_collapse(rng, theta, order, k):
+    ctx = _ctx_for(rng, theta)
+    u = _rand_null_phase(rng)
+    n = rng.randint(2, 4)
+    acc = u
+    for _ in range(n - 1):
+        acc = star(acc, u, ctx)
+    return acc == u ** n, lambda: _describe(ctx, u=u)
 
 
-def _prop_density_reality(rng, cases, theta):
-    rec = _Recorder("energy-density-reality")
-    for _ in range(cases):
-        ctx = _ctx_for(rng, theta)
-        phi = _rand_poly(rng, max_terms=3, max_t=1, max_spatial=3)
-        rec.record(kg_density(phi, ctx).is_real_valued(),
-                   lambda: _describe(ctx, phi=phi))
-    return rec.done()
+def _case_subalgebra_derivations(rng, theta, order, k):
+    ctx = _ctx_for(rng, theta)
+    u = _rand_null_phase(rng)
+    f, g = u ** rng.randint(1, 3), u ** rng.randint(1, 3)
+    return (all(v.is_zero() for v in phase_subalgebra_defects(f, g, ctx)),
+            lambda: _describe(ctx, f=f, g=g))
 
 
-def _prop_metric_route(rng, cases, theta):
-    rec = _Recorder("metric-pairing-route")
-    for _ in range(cases):
-        ctx = _ctx_for(rng, theta)
-        phi = _rand_poly(rng, max_terms=3, max_t=1, max_spatial=3)
-        rec.record(kg_density(phi, ctx) == kg_density_via_metric(phi, ctx),
-                   lambda: _describe(ctx, phi=phi))
-    return rec.done()
+def _case_density_reality(rng, theta, order, k):
+    ctx = _ctx_for(rng, theta)
+    phi = _rand_poly(rng, max_terms=3, max_t=1, max_spatial=3)
+    return kg_density(phi, ctx).is_real_valued(), lambda: _describe(ctx, phi=phi)
 
 
-def _suite_scalar(rng, cases, order, theta):
-    return (
-        _prop_null_solutions(rng, cases, theta),
-        _prop_star_power_collapse(rng, cases, theta),
-        _prop_subalgebra_derivations(rng, cases, theta),
-        _prop_density_reality(rng, cases, theta),
-        _prop_metric_route(rng, cases, theta),
-    )
+def _case_metric_route(rng, theta, order, k):
+    ctx = _ctx_for(rng, theta)
+    phi = _rand_poly(rng, max_terms=3, max_t=1, max_spatial=3)
+    return (kg_density(phi, ctx) == kg_density_via_metric(phi, ctx),
+            lambda: _describe(ctx, phi=phi))
 
 
 # -- plane wave suite ---------------------------------------------------------------
@@ -495,79 +377,61 @@ def _rand_wave_numbers(rng) -> tuple[Fraction, tuple, tuple]:
     return omega, k, p
 
 
-def _spec_text(spec: PlaneWaveSpec) -> str:
-    return (f"omega = {spec.omega}; k = {spec.k}; p = {spec.p}; "
-            f"profile = {spec.profile}")
+def _rand_spec(rng, theta, profile="cos") -> tuple[StarContext, PlaneWaveSpec]:
+    ctx = _ctx_for(rng, theta)
+    return ctx, PlaneWaveSpec(*_rand_wave_numbers(rng), profile)
 
 
-def _prop_quad_identity(rng, cases, theta):
-    rec = _Recorder("action-quadratic-identity")
-    for _ in range(min(cases, 10)):
-        ctx = _ctx_for(rng, theta)
-        omega, k, p = _rand_wave_numbers(rng)
-        spec = PlaneWaveSpec(omega, k, p)
-        report = effective_action(spec, ctx)
-        ok = (report.quad_matches_reference
-              and report.cubic_relative_sign in (None, -1))
-        rec.record(ok, lambda: _spec_text(spec))
-    return rec.done()
+def _spec_text(ctx: StarContext, spec: PlaneWaveSpec) -> str:
+    """A counterexample as the [planewave] keys, then the [theta] entries:
+    `omega = 3; k = 1 -2 0; p = 0 1 0 2; profile = cos; t12 = t`."""
+    profile = (spec.profile if isinstance(spec.profile, str)
+               else " ".join(map(str, spec.profile)))
+    parts = [f"omega = {spec.omega}", f"k = {' '.join(map(str, spec.k))}",
+             f"p = {' '.join(map(str, spec.p))}", f"profile = {profile}"]
+    parts += [f"{key} = {text}" for key, text in theta_to_text(ctx.theta).items()]
+    return "; ".join(parts)
 
 
-def _prop_polarisation(rng, cases, theta):
-    rec = _Recorder("polarisation-split")
-    for _ in range(cases):
-        ctx = _ctx_for(rng, theta)
-        omega, k, p = _rand_wave_numbers(rng)
-        spec = PlaneWaveSpec(omega, k, p)
-        report = effective_action(spec, ctx)
-        # the mixed term factorizes as (scalar prefactor) x (coupling);
-        # it vanishes exactly when either factor does
-        pref = (omega * sum(v * v for v in p[1:])
-                - p[0] * sum(a * b for a, b in zip(k, p[1:])))
-        if is_theta_polarised(spec, ctx) or pref == 0:
-            ok = report.cubic_contracted.is_zero()
-        else:
-            ok = not report.cubic_contracted.is_zero()
-        rec.record(ok, lambda: _spec_text(spec))
-    return rec.done()
+def _case_quad_identity(rng, theta, order, k):
+    ctx, spec = _rand_spec(rng, theta)
+    report = effective_action(spec, ctx)
+    return (report.quad_matches_reference
+            and report.cubic_relative_sign in (None, -1),
+            lambda: _spec_text(ctx, spec))
 
 
-def _prop_harmonics(rng, cases, theta):
-    rec = _Recorder("harmonic-spectrum")
-    want = {1: Fraction(1, 4), 3: Fraction(-1, 4)}
-    for _ in range(min(cases, 12)):
-        ctx = _ctx_for(rng, theta)
-        omega, k, p = _rand_wave_numbers(rng)
-        spec = PlaneWaveSpec(omega, k, p, "cos")
-        spectrum = harmonic_spectrum(spec, ctx)
-        report = effective_action(spec, ctx)
-        if report.cubic_contracted.is_zero():
-            ok = spectrum == {}
-        else:
-            ok = spectrum == want
-        rec.record(ok, lambda: _spec_text(spec))
-    return rec.done()
+def _case_polarisation(rng, theta, order, k):
+    ctx, spec = _rand_spec(rng, theta)
+    cubic_zero = effective_action(spec, ctx).cubic_contracted.is_zero()
+    # the mixed term factorizes as (scalar prefactor) x (coupling);
+    # it vanishes exactly when either factor does
+    p = spec.p
+    pref = (spec.omega * sum(v * v for v in p[1:])
+            - p[0] * sum(a * b for a, b in zip(spec.k, p[1:])))
+    vanishes = is_theta_polarised(spec, ctx) or pref == 0
+    return cubic_zero == vanishes, lambda: _spec_text(ctx, spec)
 
 
-def _prop_route_equality(rng, cases, theta):
-    rec = _Recorder("ansatz-route-equality")
-    from .gauge import action_density
-    for _ in range(min(cases, 6)):
-        ctx = _ctx_for(rng, theta)
-        omega, k, p = _rand_wave_numbers(rng)
-        spec = PlaneWaveSpec(omega, k, p, (Fraction(0), Fraction(0), Fraction(1)))
-        pot = build_ansatz(spec, ctx)
-        fs = field_strength(pot, ctx)
-        direct = action_density(fs, ctx)
-        report = effective_action(spec, ctx)
-        contracted = _contract_integrand(report, spec, ctx)
-        rec.record(direct == contracted, lambda: _spec_text(spec))
-    return rec.done()
+def _case_harmonics(rng, theta, order, k):
+    ctx, spec = _rand_spec(rng, theta)
+    spectrum = harmonic_spectrum(spec, ctx)
+    if effective_action(spec, ctx).cubic_contracted.is_zero():
+        want = {}
+    else:
+        want = {1: Fraction(1, 4), 3: Fraction(-1, 4)}
+    return spectrum == want, lambda: _spec_text(ctx, spec)
+
+
+def _case_route_equality(rng, theta, order, k):
+    ctx, spec = _rand_spec(rng, theta, (0, 0, 1))
+    direct = action_density(field_strength(build_ansatz(spec, ctx), ctx), ctx)
+    contracted = _contract_integrand(effective_action(spec, ctx), spec, ctx)
+    return direct == contracted, lambda: _spec_text(ctx, spec)
 
 
 def _contract_integrand(report, spec, ctx):
     """Evaluate the symbolic integrand on a concrete spec and profile."""
-    from .planewave import _derive_coeffs, _poly_profile, pw_substitute
     u = spec.phase()
     c0 = spec.profile_coefficients()
     c1 = _derive_coeffs(c0)
@@ -589,94 +453,101 @@ def _contract_integrand(report, spec, ctx):
     return pw_substitute(report.integrand, mapping)
 
 
-def _suite_planewave(rng, cases, order, theta):
-    return (
-        _prop_quad_identity(rng, cases, theta),
-        _prop_polarisation(rng, cases, theta),
-        _prop_harmonics(rng, cases, theta),
-        _prop_route_equality(rng, cases, theta),
-    )
-
-
 # -- grid suite ----------------------------------------------------------------------
 
-def _prop_phase_law(rng, cases, order):
-    rec = _Recorder("plane-wave-phase-law")
-    for _ in range(cases):
-        n = rng.choice((32, 64))
-        box = rng.choice((1.0, 2.0, 6.283185307179586))
-        theta_val = rng.uniform(-1.0, 1.0)
-        a = (rng.randint(-5, 5), rng.randint(-5, 5))
-        b = (rng.randint(-5, 5), rng.randint(-5, 5))
-        defect = gridmod.phase_law_defect(n, box, theta_val, a, b)
-        rec.record(defect < 1e-10,
-                   lambda: f"n={n} box={box} theta={theta_val} a={a} b={b} "
-                           f"defect={defect:.3e}")
-    return rec.done()
+_TWO_PI = 6.283185307179586
 
 
-def _prop_trace(rng, cases, order):
-    rec = _Recorder("trace-property")
-    for _ in range(cases):
-        n = 64
-        box = 6.283185307179586
-        f = gridmod.band_limited_field(n, box, n // 4 - 1, seed=rng.randrange(1 << 30))
-        g = gridmod.band_limited_field(n, box, n // 4 - 1, seed=rng.randrange(1 << 30))
-        theta_val = rng.uniform(-1.5, 1.5)
-        defect = gridmod.grid_trace_defect(f, g, theta_val)
-        rec.record(defect < 1e-10,
-                   lambda: f"n={n} theta={theta_val} defect={defect:.3e}")
-    return rec.done()
+def _case_phase_law(rng, theta, order, k):
+    n = rng.choice((32, 64))
+    box = rng.choice((1.0, 2.0, _TWO_PI))
+    theta_val = rng.uniform(-1.0, 1.0)
+    a = (rng.randint(-5, 5), rng.randint(-5, 5))
+    b = (rng.randint(-5, 5), rng.randint(-5, 5))
+    defect = gridmod.phase_law_defect(n, box, theta_val, a, b)
+    return defect < 1e-10, lambda: (f"n={n} box={box} theta={theta_val} "
+                                    f"a={a} b={b} defect={defect:.3e}")
 
 
-def _prop_cyclicity(rng, cases, order):
-    rec = _Recorder("trace-cyclicity")
-    for _ in range(cases):
-        n = 64
-        box = 6.283185307179586
-        f = gridmod.band_limited_field(n, box, n // 4 - 1, seed=rng.randrange(1 << 30))
-        g = gridmod.band_limited_field(n, box, n // 4 - 1, seed=rng.randrange(1 << 30))
-        theta_val = rng.uniform(-1.5, 1.5)
-        defect = gridmod.grid_cyclicity_defect(f, g, theta_val)
-        rec.record(defect < 1e-10,
-                   lambda: f"n={n} theta={theta_val} defect={defect:.3e}")
-    return rec.done()
+def _case_trace(defect_name, rng, theta, order, k):
+    """The named `grid` defect (trace or cyclicity) of two band-limited
+    fields on a 64-point grid."""
+    n = 64
+    f = gridmod.band_limited_field(n, _TWO_PI, n // 4 - 1, seed=rng.randrange(1 << 30))
+    g = gridmod.band_limited_field(n, _TWO_PI, n // 4 - 1, seed=rng.randrange(1 << 30))
+    theta_val = rng.uniform(-1.5, 1.5)
+    defect = getattr(gridmod, defect_name)(f, g, theta_val)
+    return defect < 1e-10, lambda: f"n={n} theta={theta_val} defect={defect:.3e}"
 
 
-def _prop_series_cross_check(rng, cases, order):
-    rec = _Recorder("series-cross-validation")
-    pool = (
-        ({(0, 0): 1.0}, {(0, 0): 1.0}),
-        ({(1, 0): 1.0, (0, 1): 0.5}, {(0, 2): 1.0, (0, 0): -0.25}),
-        ({(2, 1): 1.0}, {(1, 1): 1.0, (0, 0): 0.5}),
-    )
-    for idx in range(min(cases, len(pool))):
-        pf, pg = pool[idx]
-        defect = gridmod.cross_validate_symbolic(pf, pg)
-        rec.record(defect < 1e-6,
-                   lambda: f"case {idx} defect={defect:.3e}")
-    return rec.done()
+_SERIES_POOL = (
+    ({(0, 0): 1.0}, {(0, 0): 1.0}),
+    ({(1, 0): 1.0, (0, 1): 0.5}, {(0, 2): 1.0, (0, 0): -0.25}),
+    ({(2, 1): 1.0}, {(1, 1): 1.0, (0, 0): 0.5}),
+)
 
 
-def _suite_grid(rng, cases, order, theta):
-    return (
-        _prop_phase_law(rng, cases, order),
-        _prop_trace(rng, min(cases, 20), order),
-        _prop_cyclicity(rng, min(cases, 20), order),
-        _prop_series_cross_check(rng, cases, order),
-    )
+def _case_series_cross_check(rng, theta, order, k):
+    defect = gridmod.cross_validate_symbolic(*_SERIES_POOL[k])
+    return defect < 1e-6, lambda: f"case {k} defect={defect:.3e}"
 
 
 # -- entry point ---------------------------------------------------------------------
 
 _SUITES = {
-    "star": _suite_star,
-    "calculus": _suite_calculus,
-    "gauge": _suite_gauge,
-    "scalar": _suite_scalar,
-    "planewave": _suite_planewave,
-    "grid": _suite_grid,
+    "star": (
+        ("star-associativity", _case_associativity, None),
+        ("generator-commutators", _case_generator_commutators, None),
+        ("time-derivative-correction", _case_time_derivative, None),
+        ("conjugation-reversal", _case_conj_reversal, None),
+        ("spatial-derivations", _case_spatial_derivations, None),
+    ),
+    "calculus": (
+        ("exterior-derivative-squared", _case_d_squared, None),
+        ("graded-leibniz", _case_graded_leibniz, None),
+        ("form-conjugation", _case_form_conj, None),
+        ("left-module-consistency", _case_left_module, None),
+    ),
+    "gauge": (
+        ("time-component-reality", _case_reality_completion, None),
+        ("field-strength-covariance", _case_covariance, None),
+        ("action-invariance-witness", _case_action_invariance, None),
+        ("pure-gauge-flatness", _case_pure_gauge, None),
+    ),
+    "scalar": (
+        ("null-wave-solutions", _case_null_solutions, None),
+        ("subalgebra-star-powers", _case_star_power_collapse, None),
+        ("subalgebra-defect-vector", _case_subalgebra_derivations, None),
+        ("energy-density-reality", _case_density_reality, None),
+        ("metric-pairing-route", _case_metric_route, None),
+    ),
+    "planewave": (
+        ("action-quadratic-identity", _case_quad_identity, 10),
+        ("polarisation-split", _case_polarisation, None),
+        ("harmonic-spectrum", _case_harmonics, 12),
+        ("ansatz-route-equality", _case_route_equality, 6),
+    ),
+    "grid": (
+        ("plane-wave-phase-law", _case_phase_law, None),
+        ("trace-property", partial(_case_trace, "grid_trace_defect"), 20),
+        ("trace-cyclicity", partial(_case_trace, "grid_cyclicity_defect"), 20),
+        ("series-cross-validation", _case_series_cross_check, len(_SERIES_POOL)),
+    ),
 }
+
+
+def _run_property(name, case, cap, rng, cases, order, theta) -> PropertyResult:
+    t0 = time.perf_counter()
+    n = max(0, cases if cap is None else min(cases, cap))
+    failures, examples = 0, []
+    for k in range(n):
+        ok, describe = case(rng, theta, order, k)
+        if not ok:
+            failures += 1
+            if len(examples) < _MAX_COUNTEREXAMPLES:
+                examples.append(describe())
+    return PropertyResult(name, n, failures, tuple(examples),
+                          time.perf_counter() - t0)
 
 
 def run_suite(name: str, seed: int = 0, cases: int = 50, order: int = 2,
@@ -692,7 +563,8 @@ def run_suite(name: str, seed: int = 0, cases: int = 50, order: int = 2,
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     rng = random.Random(seed)
     t0 = time.perf_counter()
-    results = _SUITES[name](rng, cases, order, theta)
+    results = tuple(_run_property(prop, case, cap, rng, cases, order, theta)
+                    for prop, case, cap in _SUITES[name])
     elapsed = time.perf_counter() - t0
     return SuiteReport(
         suite=name,
@@ -700,6 +572,6 @@ def run_suite(name: str, seed: int = 0, cases: int = 50, order: int = 2,
         cases=cases,
         order=order,
         theta_text=None if theta is None else theta_to_text(theta),
-        properties=tuple(results),
+        properties=results,
         elapsed=elapsed,
     )

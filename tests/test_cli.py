@@ -165,6 +165,25 @@ def test_reduce_long_prefix_sign_runs(capsys):
     assert "column 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["-x1"], "-x1"),
+    (["-x1*x2"], "-x1.x2"),
+    (["-1/2*x1", "--order", "1"], "-1/2*x1"),
+    (["--order", "1", "-1/2*x1"], "-1/2*x1"),
+    (["--", "-x1"], "-x1"),
+])
+def test_reduce_expression_with_leading_minus(argv, want, capsys):
+    assert main(["reduce", *argv]) == 0
+    assert capsys.readouterr().out == want + "\n"
+
+
+def test_reduce_usage_errors_still_exit_2(capsys):
+    for argv in (["reduce"], ["reduce", "-x1", "-x2"], ["reduce", "x1", "--bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 def test_reduce_size_limit_exits_before_work(capsys):
     start = time.perf_counter()
     assert main(["reduce", "(x1+x2+x3+t)^200"]) == 2

@@ -1,8 +1,12 @@
 """Verification suite engine: all six suites, reporting, determinism."""
 
+import hashlib
+import json
+
 import pytest
 
 import nckit.suites
+from nckit.config import load_config
 from nckit.expr import evaluate, parse_expression
 from nckit.forms import DifferentialForm, form_mul
 from nckit.gauge import (GaugePotential, complete_time_component,
@@ -57,6 +61,29 @@ def test_deterministic_given_seed():
         for prop in doc["properties"]:
             prop.pop("elapsed")
     assert a == b
+
+
+# sha256 of each suite's seed-0 JSON report with every `elapsed` removed;
+# a change to a generator, a draw order, a case cap or the report shape
+# moves it
+PINNED_REPORTS = {
+    ("star", 8): "87515fb4cdbef61f1599f8258163dca18d042919c2e71e156da4d49a6d3168c1",
+    ("calculus", 8): "54304ee8f6e884ca3776c0436cbe2a7680cec81b3b1708d9870854be8d7e040c",
+    ("gauge", 2): "d2f7572a42f380c355aa51d5631f44514747c1028cdc0ff914de88d03fa859c9",
+    ("scalar", 8): "9d14e640ea2466fe4e2bde148eb4a59d86946d628be88d20fe302e89f2581fd7",
+    ("planewave", 8): "8b86c51a745eab177ad832d974d6e0522d8ab317363ed426ab69f3ee5227a2fc",
+    ("grid", 8): "ac97d10078ea9b4f230008fe26a23edef96657fbed3200f88a09c4b9adcafeec",
+}
+
+
+@pytest.mark.parametrize("name, cases", sorted(PINNED_REPORTS))
+def test_reports_are_pinned(name, cases):
+    doc = run_suite(name, seed=0, cases=cases).to_json_dict()
+    doc.pop("elapsed")
+    for prop in doc["properties"]:
+        prop.pop("elapsed")
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[name, cases]
 
 
 def test_table_rendering_with_failure():
@@ -135,3 +162,23 @@ def test_gauge_counterexamples_replay(monkeypatch):
         pot = complete_time_component(GaugePotential(v["a1"], v["a2"], v["a3"]), ctx)
         assert not broken(pot, ctx).is_zero()
         assert time_component_defect(pot, ctx).is_zero()
+
+
+def test_planewave_counterexamples_replay(monkeypatch, tmp_path):
+    real = nckit.suites.is_theta_polarised
+    drawn = []
+
+    def broken(spec, ctx):  # answers the opposite
+        drawn.append((spec, ctx.theta))
+        return not real(spec, ctx)
+
+    monkeypatch.setattr(nckit.suites, "is_theta_polarised", broken)
+    report = run_suite("planewave", seed=3, cases=6)
+    for text in _failing(report, "polarisation-split"):
+        items = text.split("; ")
+        assert [item.split(" = ")[0] for item in items[:4]] == ["omega", "k", "p", "profile"]
+        path = tmp_path / "case.ini"
+        path.write_text("\n".join(["[planewave]", *items[:4], "[theta]", *items[4:]]),
+                        encoding="utf-8")
+        cfg = load_config(str(path))
+        assert (cfg.planewave, cfg.theta) in drawn
