@@ -1,11 +1,13 @@
 """Exact complex rationals.
 
-Every coefficient in the symbolic layer is a Gaussian rational
+Every coefficient stored in the symbolic layer is a Gaussian rational
 (re + im*i) / den held as three ints, normalized so that den > 0 and
 gcd(re, im, den) == 1.  Each value has exactly one such form, so equality is
-a comparison of three ints, and every operation is int arithmetic followed
-by a single gcd.  Floats never enter; equality of two symbolic results is
-therefore structural, not approximate.
+a comparison of three ints, and every ``CRat`` operation is int arithmetic
+followed by a single gcd.  The star kernel sums its intermediate terms as
+bare ints over a shared denominator instead and builds each output
+coefficient once, through ``_norm``.  Floats never enter; equality of two
+symbolic results is therefore structural, not approximate.
 
 ``CRat`` is the boundary type: it is built from ints and
 ``fractions.Fraction``s, and ``.re`` / ``.im`` return ``Fraction``s.

@@ -39,6 +39,18 @@ nonnegative integers m[i][j] counting how many derivative pairs hit the
 ordered index pair (i, j).  Only the six off-diagonal entries matter, and
 each is bounded by the spatial exponents, so the enumeration is exact and
 fast.
+
+No coefficient passes through ``CRat`` inside the kernel.  Every term of
+one call is a pair of ints (re, im) over one denominator shared by the
+whole call: the lcm of f's coefficient denominators, times g's, times
+n_max! (2 D)^n_max, where n_max is the smaller operand's spatial degree
+(no contraction goes deeper) and D is the lcm of theta's coefficient
+denominators.  The contraction coefficient (i/2)^n / m! of order n,
+times a theta product over D^n, divides into it.  So every sum, in the
+cofactors, the expansions and the output, is a plain int addition with
+no gcd, in the fraction-free manner of Bareiss (Math. Comp. 1968).  Each
+output term is normalised once at the end, by ``rationals._norm``, and a
+term whose sum cancelled to zero is dropped there.
 """
 
 from __future__ import annotations
@@ -48,13 +60,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
-from .rationals import CRat
+from .rationals import CRat, _norm
 from .poly import Poly
 
 EntryLike = Union[Poly, CRat, int, Fraction]
-
-# i^n as (re, im), indexed by n mod 4, for the series prefactor (i/2)^n.
-_I_POW = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 _HALF_I = CRat(0, Fraction(1, 2))
 
@@ -69,12 +78,15 @@ class ThetaProfile:
     int.  The lower triangle is filled by antisymmetry and the diagonal is
     zero.
 
-    The profile is immutable, so it keeps what derives from it: its
-    thetadot, built on first use, and the star expansion's contraction
-    products (at most 3,003 of them; see the module docstring).
+    The profile is immutable, so it keeps what derives from it: the lcm
+    of its entries' coefficient denominators, its thetadot, built on first
+    use, and the star expansion's contraction products.  Each product is
+    kept as (t-exponent, numerator) int pairs over that lcm to the power
+    n, the contraction order; there are at most 3,003 of them (see the
+    module docstring).
     """
 
-    __slots__ = ("_upper", "_dot", "_prod_cache")
+    __slots__ = ("_upper", "_den", "_dot", "_prod_cache")
 
     def __init__(self, entries: Mapping[tuple[int, int], EntryLike] | None = None):
         upper: dict[tuple[int, int], Poly] = {}
@@ -90,6 +102,9 @@ class ThetaProfile:
                 if p:
                     upper[(i, j)] = p
         object.__setattr__(self, "_upper", upper)
+        # lcm of the entries' coefficient denominators
+        object.__setattr__(self, "_den", math.lcm(
+            *(c._den for p in upper.values() for _, c in p.items())))
         object.__setattr__(self, "_dot", None)
         object.__setattr__(self, "_prod_cache", {})
 
@@ -140,17 +155,21 @@ class ThetaProfile:
         return f"ThetaProfile({self._upper!r})"
 
     def _contraction_product(self, m6: tuple[int, ...]
-                             ) -> tuple[tuple[int, CRat], ...]:
+                             ) -> tuple[tuple[int, int], ...]:
         """Product of theta entry powers over the six ordered pairs, as
-        (t-exponent, coefficient) pairs: a theta keeps one per contraction
-        it has met, and a tuple is far smaller than a Poly."""
+        (t-exponent, numerator) int pairs over the denominator
+        self._den ** sum(m6); theta is real, so one numerator suffices.
+        A theta keeps one per contraction it has met, and a tuple is far
+        smaller than a Poly."""
         hit = self._prod_cache.get(m6)
         if hit is None:
             prod = Poly.one()
             for (i, j), m in zip(_ORDERED_PAIRS, m6):
                 if m:
                     prod = prod * self.entry(i, j) ** m
-            hit = tuple((e[0], c) for e, c in prod.items())
+            scale = self._den ** sum(m6)
+            hit = tuple((e[0], c._re * (scale // c._den))
+                        for e, c in prod.items())
             self._prod_cache[m6] = hit
         return hit
 
@@ -181,8 +200,9 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
     sign of the n-th series term (theta is antisymmetric), so the
     commutator is twice the odd-n terms of f*g: one pass, no even terms.
 
-    Each distinct pair of x-monomials of f and g is expanded once (see the
-    module docstring); nothing is kept after the call.
+    Each distinct pair of x-monomials of f and g is expanded once, and
+    coefficients are summed as unnormalised ints (see the module
+    docstring); nothing is kept after the call.
     """
     if not f or not g:  # theta_dot_sum pairs terms such as F_ii = 0
         return Poly.zero()
@@ -199,9 +219,26 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
                      for pair in ((1, 2), (1, 3), (2, 3)))
     c21, c31, c32 = c12, c13, c23
 
-    out: dict[tuple[int, ...], CRat] = {}
-    g_groups = _x_groups(g)
-    for (a1, a2, a3), f_one, f_cof in _x_groups(f):
+    # Coefficients are int pairs (re, im) over den, the call's shared
+    # denominator (see the module docstring).  A contraction term of order
+    # n and matrix m is num (i/2)^n / m! times a theta product over
+    # theta._den^n, so over den its numerator is num * weight[n] / m!
+    # times the rest, an int.
+    f_groups, f_den, f_deg = _x_groups(f)
+    g_groups, g_den, g_deg = _x_groups(g)
+    n_max = min(f_deg, g_deg)
+    fact = [1]
+    for k in range(1, n_max + 1):
+        fact.append(fact[-1] * k)
+    # weight[n] = n_max! (2 theta._den)^(n_max - n), built from n = n_max
+    weight = [fact[n_max]]
+    for _ in range(n_max):
+        weight.append(weight[-1] * 2 * theta._den)
+    weight.reverse()
+    den = f_den * g_den * weight[0]
+    products = theta._prod_cache
+    out: dict[tuple[int, ...], tuple[int, int]] = {}
+    for (a1, a2, a3), f_one, f_cof in f_groups:
         for (b1, b2, b3), g_one, g_cof in g_groups:
             # The cofactor F_a * G_b of x^a * x^b.  When it is one term
             # (base t^t0 eps^e4), it is folded into every contraction
@@ -209,32 +246,36 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
             # expanded once into dest and then multiplied by it.
             cof = None
             if f_one is not None and g_one is not None:
-                e4 = f_one[1] + g_one[1]
+                tf, ef, fr, fi = f_one
+                tg, eg, gr, gi = g_one
+                e4 = ef + eg
                 if cutoff is not None and e4 > cutoff:
                     continue
-                base, t0 = f_one[2] * g_one[2], f_one[0] + g_one[0]
+                t0 = tf + tg
+                br, bi = fr * gr - fi * gi, fr * gi + fi * gr
             else:
                 cof = {}
-                for tf, ef, cf in f_cof:
-                    for tg, eg, cg in g_cof:
+                for tf, ef, fr, fi in f_cof:
+                    for tg, eg, gr, gi in g_cof:
                         e4 = ef + eg
                         if cutoff is not None and e4 > cutoff:
                             continue
                         key = (tf + tg, e4)
-                        c = cf * cg
+                        cr, ci = fr * gr - fi * gi, fr * gi + fi * gr
                         acc = cof.get(key)
-                        tot = c if acc is None else acc + c
-                        if tot.is_zero():
-                            cof.pop(key, None)
-                        else:
-                            cof[key] = tot
+                        cof[key] = ((cr, ci) if acc is None
+                                    else (acc[0] + cr, acc[1] + ci))
+                cof = [(k, v) for k, v in cof.items() if v[0] or v[1]]
                 if not cof:
                     continue
                 if len(cof) == 1:
-                    ((t0, e4), base), = cof.items()
+                    ((t0, e4), (br, bi)), = cof
                     cof = None
                 else:
-                    base, t0, e4 = None, 0, 0
+                    t0, e4, br, bi = 0, 0, 1, 0
+            # scale * base * i^n, indexed by n mod 4
+            br, bi = br * scale, bi * scale
+            rot = ((br, bi), (-bi, br), (-br, -bi), (bi, -br))
             dest = out if cof is None else {}
             for m12 in range(min(a1, b2, c12) + 1):
                 for m13 in range(min(a1 - m12, b3, c13) + 1):
@@ -251,63 +292,76 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
                                     num = (math.perm(a1, r1) * math.perm(a2, r2)
                                            * math.perm(a3, r3)
                                            * math.perm(b1, s1) * math.perm(b2, s2)
-                                           * math.perm(b3, s3))
-                                    if not num:
-                                        continue
-                                    den = (math.factorial(m12) * math.factorial(m13)
-                                           * math.factorial(m21) * math.factorial(m23)
-                                           * math.factorial(m31) * math.factorial(m32))
-                                    ir, ii = _I_POW[n & 3]
-                                    num *= scale
-                                    coeff = CRat.from_ints(num * ir, num * ii, den << n)
-                                    if base is not None:
-                                        coeff = base * coeff
+                                           * math.perm(b3, s3) * weight[n] // (
+                                        fact[m12] * fact[m13] * fact[m21]
+                                        * fact[m23] * fact[m31] * fact[m32]))
+                                    pr, pi = rot[n & 3]
+                                    pr *= num
+                                    pi *= num
                                     xk = (a1 - r1 + b1 - s1,
                                           a2 - r2 + b2 - s2,
                                           a3 - r3 + b3 - s3)
-                                    if n == 0:
+                                    if not n:  # no theta factor
                                         key = (t0, *xk, e4)
                                         acc = dest.get(key)
-                                        tot = coeff if acc is None else acc + coeff
-                                        if tot.is_zero():
-                                            dest.pop(key, None)
-                                        else:
-                                            dest[key] = tot
+                                        dest[key] = ((pr, pi) if acc is None
+                                                     else (acc[0] + pr, acc[1] + pi))
                                         continue
-                                    tp = theta._contraction_product(
-                                        (m12, m21, m13, m31, m23, m32))
-                                    for et, ct in tp:
+                                    m6 = (m12, m21, m13, m31, m23, m32)
+                                    tp = products.get(m6)
+                                    if tp is None:
+                                        tp = theta._contraction_product(m6)
+                                    for et, tn in tp:
                                         key = (t0 + et, *xk, e4)
-                                        c = coeff * ct
                                         acc = dest.get(key)
-                                        tot = c if acc is None else acc + c
-                                        if tot.is_zero():
-                                            dest.pop(key, None)
+                                        if acc is None:
+                                            dest[key] = (pr * tn, pi * tn)
                                         else:
-                                            dest[key] = tot
+                                            dest[key] = (acc[0] + pr * tn,
+                                                         acc[1] + pi * tn)
             if cof is None:
                 continue
-            for ex, cx in dest.items():
-                for (tc, ec), cc in cof.items():
+            for ex, (xr, xi) in dest.items():
+                for (tc, ec), (kr, ki) in cof:
                     key = (ex[0] + tc, ex[1], ex[2], ex[3], ec)
-                    c = cx * cc
+                    cr, ci = xr * kr - xi * ki, xr * ki + xi * kr
                     acc = out.get(key)
-                    tot = c if acc is None else acc + c
-                    if tot.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = tot
-    return Poly._raw(out)
+                    out[key] = ((cr, ci) if acc is None
+                                else (acc[0] + cr, acc[1] + ci))
+    terms = {}
+    for key, (r, i) in out.items():
+        if r or i:
+            terms[key] = _norm(r, i, den)
+    return Poly._raw(terms)
 
 
-def _x_groups(p: Poly) -> list:
-    """p grouped by x-exponents: [(x-exponents, the term when it is the
-    only one, [(t-exponent, eps-exponent, coefficient), ...])]."""
+def _x_groups(p: Poly) -> tuple[list, int, int]:
+    """p grouped by x-exponents, the lcm L of its denominators and its
+    largest x-degree: ([[x-exponents, the term when it is the only one,
+    [(t-exponent, eps-exponent, re, im), ...]], ...], L, degree), each
+    coefficient as the ints (re + im*i) / L."""
+    if len(p) == 1:
+        (e, c), = p.items()
+        term = (e[0], e[4], c._re, c._im)
+        return [((e[1], e[2], e[3]), term, [term])], c._den, e[1] + e[2] + e[3]
+    lcm = 1
+    for _, c in p.items():
+        if lcm % c._den:
+            lcm = math.lcm(lcm, c._den)
     groups: dict = {}
+    deg = 0
     for e, c in p.items():
-        groups.setdefault((e[1], e[2], e[3]), []).append((e[0], e[4], c))
-    return [(x, terms[0] if len(terms) == 1 else None, terms)
-            for x, terms in groups.items()]
+        s = lcm // c._den
+        term = (e[0], e[4], c._re * s, c._im * s)
+        x = (e[1], e[2], e[3])
+        group = groups.get(x)
+        if group is None:
+            groups[x] = [x, term, [term]]
+            deg = max(deg, e[1] + e[2] + e[3])
+        else:
+            group[1] = None
+            group[2].append(term)
+    return list(groups.values()), lcm, deg
 
 
 def star_commutator(f: Poly, g: Poly, ctx: StarContext) -> Poly:

@@ -190,8 +190,10 @@ def _ctx_for(rng: random.Random, theta: ThetaProfile | None, max_deg=2,
 
 def _describe(ctx: StarContext, **values) -> str:
     """A counterexample as `name = expr; ...; t12 = ...`, every value and
-    theta entry rendered so that it re-parses (replay with `reduce`)."""
-    parts = [f"{k} = {value_to_expr(v)}" for k, v in values.items()]
+    theta entry rendered so that it re-parses (replay with `reduce`); an
+    int value, such as a drawn index or power, renders as itself."""
+    parts = [f"{k} = {v if isinstance(v, int) else value_to_expr(v)}"
+             for k, v in values.items()]
     parts += [f"{key} = {text}" for key, text in theta_to_text(ctx.theta).items()]
     return "; ".join(parts)
 
@@ -233,7 +235,7 @@ def _case_spatial_derivations(rng, theta, order, k):
     ctx, f, g = _ctx_for(rng, theta), _rand_poly(rng), _rand_poly(rng)
     i = rng.randint(1, 3)
     return (spatial_derivation_defect(f, g, i, ctx).is_zero(),
-            lambda: _describe(ctx, f=f, g=g))
+            lambda: _describe(ctx, f=f, g=g, index=i))
 
 
 # -- calculus suite --------------------------------------------------------------
@@ -344,7 +346,7 @@ def _case_star_power_collapse(rng, theta, order, k):
     acc = u
     for _ in range(n - 1):
         acc = star(acc, u, ctx)
-    return acc == u ** n, lambda: _describe(ctx, u=u)
+    return acc == u ** n, lambda: _describe(ctx, u=u, power=n)
 
 
 def _case_subalgebra_derivations(rng, theta, order, k):

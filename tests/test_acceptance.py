@@ -3,7 +3,8 @@
 Each criterion prints a single verdict line (visible with ``pytest -v -s``
 or in the captured output of a failure).  Tolerances and budgets are
 pinned here and nowhere else; exact criteria use structural equality of
-rational polynomials, never floats.
+rational polynomials, never floats.  A stronger gauge test without a
+verdict line sits beside criterion 05.
 """
 
 import random
@@ -26,7 +27,7 @@ from nckit.star import (StarContext, ThetaProfile, dt_leibniz_correction,
                         dt_leibniz_defect, star, star_commutator,
                         star_conj_defect, star_exp)
 
-from util import rand_form, rand_imag_poly, rand_poly, rand_theta
+from util import rand_form, rand_fraction, rand_imag_poly, rand_poly, rand_theta
 
 
 def _verdict(num: int, title: str, ok: bool, note: str = "") -> None:
@@ -142,6 +143,35 @@ def test_criterion_05_gauge_covariance():
              f"50 cases, {elapsed:.1f}s of {budget:.0f}s")
     assert failures == 0
     assert elapsed <= budget
+
+
+def test_gauge_covariance_with_thetadot_in_every_entry():
+    # A stronger companion to criterion 05, which stays pinned: many of its
+    # draws have a static theta or a potential too small to reach the
+    # thetadot terms of Ftilde_0i.  Here every theta entry has a nonzero
+    # thetadot and every potential component has spatial degree 2.
+    rng = random.Random(2015)
+
+    def imag_poly(min_spatial):
+        while True:
+            p = rand_imag_poly(rng, max_terms=2, max_t=1, max_spatial=2)
+            if p.spatial_degree() >= min_spatial:
+                return p
+
+    for _ in range(8):
+        theta = ThetaProfile({pair: rand_fraction(rng) + (rand_fraction(rng) or 1) * t
+                              for pair in ((1, 2), (1, 3), (2, 3))})
+        assert all(theta.theta_dot().entry(i, j)
+                   for i, j in ((1, 2), (1, 3), (2, 3)))
+        ctx = StarContext(theta, eps_cutoff=2)
+        pot = complete_time_component(
+            GaugePotential(imag_poly(2), imag_poly(2), imag_poly(2)), ctx)
+        u = star_exp(imag_poly(1), 2, ctx)
+        spatial_defects, time_defects = covariance_defect(pot, u, ctx)
+        assert all(v.is_zero() for v in spatial_defects.values())
+        assert all(v.is_zero() for v in time_defects.values())
+        _, remainder = invariance_witness(pot, u, ctx)
+        assert remainder.is_zero()
 
 
 def test_criterion_06_action_coefficients_as_identities():

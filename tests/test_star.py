@@ -266,6 +266,56 @@ def test_star_grouped_operands_match_reference():
         (1 - t * t) * (x1 * x2 + CRat(0, HALF) * (1 + t)))
 
 
+def _assert_canonical(p: Poly):
+    """Every stored coefficient is nonzero and in normal form."""
+    for _, c in p.items():
+        assert c._den > 0 and math.gcd(c._re, c._im, c._den) == 1
+        assert not c.is_zero()
+
+
+def test_star_shared_denominator_matches_reference():
+    # theta entries over 2, 3 and 5, operand coefficients over 3, 4, 5, 6,
+    # 7 and 9, and x-groups with 2-3 term cofactors, so the call's shared
+    # denominator meets every factor and the longer cofactors multiply a
+    # finished expansion
+    thetas = (
+        ThetaProfile({(1, 2): HALF, (1, 3): Fraction(2, 3),
+                      (2, 3): Fraction(3, 5) * t}),
+        ThetaProfile({(1, 2): Fraction(1, 2) - Fraction(2, 3) * t,
+                      (2, 3): Fraction(3, 5) * t}),
+    )
+    f = (x1 * x2 * (Fraction(1, 3) + Fraction(2, 7) * t)
+         + x3 * (I * Fraction(1, 5) + eps * HALF)
+         + x1 * x3 * x3 * (1 - I * Fraction(4, 9) * eps - t * eps))
+    g = (x2 * x3 * (Fraction(3, 4) - I * Fraction(1, 6) * t)
+         + x1 * x1 * (1 + eps * t * Fraction(1, 9))
+         + x2 * Fraction(5, 6))
+    pairs = [(f, g), (g, f), (f, x1 * x2 * x3 * I), (x2 * x2 * t, g)]
+    for th in thetas:
+        for cutoff in (None, 0, 1):
+            ctx = StarContext(th, eps_cutoff=cutoff)
+            for a, b in pairs:
+                ab = star(a, b, ctx)
+                assert ab == star_reference(a, b, ctx)
+                com = star_commutator(a, b, ctx)
+                assert com == star_reference(a, b, ctx) - star_reference(b, a, ctx)
+                _assert_canonical(ab)
+                _assert_canonical(com)
+            # every term cancels: the cross pairs of f*f against each other
+            assert len(star_commutator(f, f, ctx)) == 0
+            # the x1 x2 terms of two monomial pairs cancel, the rest stays
+            s = star(x1 + x2, x1 - x2, ctx)
+            assert s == star_reference(x1 + x2, x1 - x2, ctx)
+            assert s.coefficient((0, 1, 1, 0, 0)).is_zero()
+            assert s.coefficient((0, 2, 0, 0, 0)) == 1
+            _assert_canonical(s)
+            # the t^1 key of the cofactor and the eps^1 key cancel exactly
+            q = star(x1 * (1 + t) * (1 + eps), x2 * (1 - t) * (1 - eps), ctx)
+            assert q == star_reference(x1 * (1 + t) * (1 + eps),
+                                       x2 * (1 - t) * (1 - eps), ctx)
+            _assert_canonical(q)
+
+
 def test_star_associativity_randomized():
     rng = random.Random(1302)
     for _ in range(80):

@@ -12,7 +12,8 @@ from nckit.forms import DifferentialForm, form_mul
 from nckit.gauge import (GaugePotential, complete_time_component,
                          time_component_defect)
 from nckit.poly import t
-from nckit.star import StarContext, ThetaProfile, star, star_conj_defect
+from nckit.star import (StarContext, ThetaProfile, spatial_derivation_defect,
+                        star, star_conj_defect)
 from nckit.suites import (PropertyResult, SuiteReport, run_suite,
                           theta_to_text)
 
@@ -162,6 +163,54 @@ def test_gauge_counterexamples_replay(monkeypatch):
         pot = complete_time_component(GaugePotential(v["a1"], v["a2"], v["a3"]), ctx)
         assert not broken(pot, ctx).is_zero()
         assert time_component_defect(pot, ctx).is_zero()
+
+
+def test_spatial_derivation_counterexamples_print_the_index(monkeypatch):
+    drawn = []
+
+    def broken(f, g, i, ctx):  # differentiates g by the next index
+        bad = (star(f, g, ctx).partial(i) - star(f.partial(i), g, ctx)
+               - star(f, g.partial(i % 3 + 1), ctx))
+        drawn.append((i, not bad.is_zero()))
+        return bad
+
+    monkeypatch.setattr(nckit.suites, "spatial_derivation_defect", broken)
+    report = run_suite("star", seed=3, cases=6)
+    failing = [i for i, bad in drawn if bad]
+    texts = _failing(report, "spatial-derivations")
+    for text, i in zip(texts, failing):
+        names, v, ctx = _replay(text)
+        assert names[:3] == ["f", "g", "index"]
+        assert v["index"] == i
+        assert not broken(v["f"], v["g"], i, ctx).is_zero()
+        assert spatial_derivation_defect(v["f"], v["g"], i, ctx).is_zero()
+
+
+def test_star_power_counterexamples_print_the_power(monkeypatch):
+    calls = []
+
+    def broken(f, g, ctx):  # doubles every product
+        calls.append(g)
+        return star(f, g, ctx) * 2
+
+    monkeypatch.setattr(nckit.suites, "star", broken)
+    report = run_suite("scalar", seed=3, cases=6)
+    # one case is power - 1 products by the same drawn u
+    drawn = []
+    for k, u in enumerate(calls):
+        if k and u is calls[k - 1]:
+            drawn[-1] += 1
+        else:
+            drawn.append(2)
+    texts = _failing(report, "subalgebra-star-powers")
+    for text, n in zip(texts, drawn):
+        names, v, ctx = _replay(text)
+        assert names[:2] == ["u", "power"]
+        assert v["power"] == n
+        u, acc = v["u"], v["u"]
+        for _ in range(n - 1):
+            acc = star(acc, u, ctx)
+        assert acc == u ** n
 
 
 def test_planewave_counterexamples_replay(monkeypatch, tmp_path):
