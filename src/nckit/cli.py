@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .expr import (GradingError, ParseError, poly_to_expr,
 from .grid import (band_limited_field, cross_validate_symbolic,
                    grid_cyclicity_defect, grid_trace_defect, load_grid,
                    phase_law_defect)
-from .planewave import effective_action, harmonic_spectrum, is_theta_polarised
+from .planewave import effective_action, harmonic_spectrum
 from .star import StarContext, ThetaProfile
 from .suites import SUITE_NAMES, run_suite, theta_to_text
 
@@ -81,10 +80,6 @@ def _cmd_verify(args) -> int:
 
 # -- planewave --------------------------------------------------------------
 
-def _frac_str(v: Fraction) -> str:
-    return str(Fraction(v))
-
-
 def _cmd_planewave(args) -> int:
     cfg = load_config(args.specfile)
     if cfg.planewave is None:
@@ -99,70 +94,60 @@ def _cmd_planewave(args) -> int:
     ctx = StarContext(theta)
 
     report = effective_action(spec, ctx)
-    polarised = is_theta_polarised(spec, ctx)
     try:
         spectrum = harmonic_spectrum(spec, ctx)
-        spectrum_note = None
+        harmonics = {str(n): str(c) for n, c in sorted(spectrum.items())}
     except ValueError as exc:
-        spectrum = None
-        spectrum_note = str(exc)
+        harmonics, spectrum_note = None, str(exc)
     passed = report.quad_matches_reference and (
         report.cubic_relative_sign in (None, -1))
+    doc = {
+        "schema": "nckit-report/1",
+        "kind": "planewave",
+        "spec": {
+            "omega": str(spec.omega),
+            "k": [str(v) for v in spec.k],
+            "p": [str(v) for v in spec.p],
+            "profile": (spec.profile if isinstance(spec.profile, str)
+                        else [str(c) for c in spec.profile]),
+        },
+        "theta": theta_to_text(theta),
+        "null": spec.is_null(),
+        "quad_matches_reference": report.quad_matches_reference,
+        "cubic_relative_sign": report.cubic_relative_sign,
+        "quad_value": str(report.quad_value),
+        "cubic_contracted": poly_to_expr(report.cubic_contracted),
+        "polarised": report.polarised,
+        "harmonics": harmonics,
+        "diagnostics": [dict(d) for d in report.diagnostics],
+        "passed": passed,
+    }
 
-    profile_txt = (spec.profile if isinstance(spec.profile, str)
-                   else " ".join(str(c) for c in spec.profile))
+    wave, sign = doc["spec"], doc["cubic_relative_sign"]
     rows = [
-        ("omega", _frac_str(spec.omega)),
-        ("k", " ".join(map(_frac_str, spec.k))),
-        ("p", " ".join(map(_frac_str, spec.p))),
-        ("profile", profile_txt),
-        ("null wave", "yes" if spec.is_null() else "no"),
-        ("quadratic identity", "pass" if report.quad_matches_reference
+        ("omega", wave["omega"]),
+        ("k", " ".join(wave["k"])),
+        ("p", " ".join(wave["p"])),
+        ("profile", (wave["profile"] if isinstance(wave["profile"], str)
+                     else " ".join(wave["profile"]))),
+        ("null wave", "yes" if doc["null"] else "no"),
+        ("quadratic identity", "pass" if doc["quad_matches_reference"]
                                else "FAIL"),
-        ("cubic sign", "n/a" if report.cubic_relative_sign is None
-                       else str(report.cubic_relative_sign)),
-        ("quad value", _frac_str(report.quad_value)),
-        ("cubic contracted", poly_to_expr(report.cubic_contracted)),
-        ("polarised", "yes" if polarised else "no"),
+        ("cubic sign", "n/a" if sign is None else str(sign)),
+        ("quad value", doc["quad_value"]),
+        ("cubic contracted", doc["cubic_contracted"]),
+        ("polarised", "yes" if doc["polarised"] else "no"),
+        ("harmonics", f"unavailable ({spectrum_note})" if harmonics is None
+         else ", ".join(f"{n}: {c}" for n, c in harmonics.items()) or "none"),
     ]
-    if spectrum is None:
-        rows.append(("harmonics", f"unavailable ({spectrum_note})"))
-    elif spectrum:
-        rows.append(("harmonics", ", ".join(
-            f"{n}: {_frac_str(c)}" for n, c in sorted(spectrum.items()))))
-    else:
-        rows.append(("harmonics", "none"))
-    for diag in report.diagnostics:
-        rows.append(("diagnostic", f"{diag['name']}: {diag['detail']}"))
+    rows += [("diagnostic", f"{d['name']}: {d['detail']}")
+             for d in doc["diagnostics"]]
     width = max(len(k) for k, _ in rows)
     for key, val in rows:
         print(f"{key:<{width}}  {val}")
     print(f"result: {'pass' if passed else 'FAIL'}")
-
     if args.json:
-        _write_json(args.json, {
-            "schema": "nckit-report/1",
-            "kind": "planewave",
-            "spec": {
-                "omega": _frac_str(spec.omega),
-                "k": [_frac_str(v) for v in spec.k],
-                "p": [_frac_str(v) for v in spec.p],
-                "profile": (spec.profile if isinstance(spec.profile, str)
-                            else [_frac_str(c) for c in spec.profile]),
-            },
-            "theta": theta_to_text(theta),
-            "null": spec.is_null(),
-            "quad_matches_reference": report.quad_matches_reference,
-            "cubic_relative_sign": report.cubic_relative_sign,
-            "quad_value": _frac_str(report.quad_value),
-            "cubic_contracted": poly_to_expr(report.cubic_contracted),
-            "polarised": polarised,
-            "harmonics": (None if spectrum is None else
-                          {str(n): _frac_str(c)
-                           for n, c in sorted(spectrum.items())}),
-            "diagnostics": [dict(d) for d in report.diagnostics],
-            "passed": passed,
-        })
+        _write_json(args.json, doc)
     return 0 if passed else 1
 
 
@@ -237,6 +222,17 @@ def _cmd_grid_check(args) -> int:
 
 # -- argument plumbing ----------------------------------------------------------
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than low (a usage error otherwise)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nckit",
@@ -249,7 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_red.add_argument("expression", nargs="?")
     p_red.add_argument("--theta", metavar="FILE",
                        help="config file with a [theta] section")
-    p_red.add_argument("--order", type=int, default=None, metavar="N",
+    p_red.add_argument("--order", type=_int_at_least(0), default=None,
+                       metavar="N",
                        help="eps truncation order")
     p_red.add_argument("--json", metavar="PATH",
                        help="also write a JSON report here")
@@ -260,8 +257,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--theta", metavar="FILE",
                        help="pin the deformation profile for every case")
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--cases", type=int, default=50)
-    p_ver.add_argument("--order", type=int, default=2, metavar="N",
+    p_ver.add_argument("--cases", type=_int_at_least(1), default=50)
+    p_ver.add_argument("--order", type=_int_at_least(0), default=2, metavar="N",
                        help="eps truncation order for the gauge sector")
     p_ver.add_argument("--json", metavar="PATH")
     p_ver.set_defaults(fn=_cmd_verify)

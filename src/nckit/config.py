@@ -58,14 +58,19 @@ def _theta_entry(key: str, text: str) -> Poly:
     return value
 
 
+def _check_keys(section, known) -> None:
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in [{section.name}]")
+
+
+_THETA_SLOTS = {"t12": (1, 2), "t13": (1, 3), "t23": (2, 3)}
+
+
 def _parse_theta(section) -> ThetaProfile:
-    entries = {}
-    slots = {"t12": (1, 2), "t13": (1, 3), "t23": (2, 3)}
-    for key, text in section.items():
-        if key not in slots:
-            raise ConfigError(f"unknown key {key!r} in [theta]")
-        entries[slots[key]] = _theta_entry(key, text)
-    return ThetaProfile(entries)
+    _check_keys(section, _THETA_SLOTS)
+    return ThetaProfile({_THETA_SLOTS[key]: _theta_entry(key, text)
+                         for key, text in section.items()})
 
 
 def _fraction(text: str, where: str) -> Fraction:
@@ -83,10 +88,7 @@ def _fraction_list(text: str, count: int, where: str) -> tuple[Fraction, ...]:
 
 
 def _parse_planewave(section) -> PlaneWaveSpec:
-    known = {"omega", "k", "p", "profile"}
-    for key in section:
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r} in [planewave]")
+    _check_keys(section, ("omega", "k", "p", "profile"))
     for key in ("omega", "k", "p"):
         if key not in section:
             raise ConfigError(f"[planewave] is missing {key!r}")
@@ -114,26 +116,18 @@ class GridParams:
     seed: int = 0
 
 
+_GRID_TYPES = {"n": int, "box_length": float, "theta": float,
+               "max_mode": int, "seed": int}
+
+
 def _parse_grid(section) -> GridParams:
-    known = {"n", "box_length", "theta", "max_mode", "seed"}
-    for key in section:
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r} in [grid]")
+    _check_keys(section, _GRID_TYPES)
     try:
-        kwargs = {}
-        if "n" in section:
-            kwargs["n"] = int(section["n"])
-        if "box_length" in section:
-            kwargs["box_length"] = float(section["box_length"])
-        if "theta" in section:
-            kwargs["theta"] = float(section["theta"])
-        if "max_mode" in section:
-            kwargs["max_mode"] = int(section["max_mode"])
-        if "seed" in section:
-            kwargs["seed"] = int(section["seed"])
+        params = GridParams(**{key: kind(section[key])
+                               for key, kind in _GRID_TYPES.items()
+                               if key in section})
     except ValueError as exc:
         raise ConfigError(f"[grid]: {exc}") from None
-    params = GridParams(**kwargs)
     if params.n < 4 or params.n & (params.n - 1):
         raise ConfigError("[grid] n must be a power of two, at least 4")
     if not params.box_length > 0:

@@ -414,76 +414,48 @@ def _binary(node: Bin, a: Value, b: Value, ctx: StarContext) -> Value:
 
 # -- rendering ---------------------------------------------------------------
 
-def _coeff_text(c: CRat) -> tuple[bool, str]:
-    """Split a sign off and print the magnitude in re-parseable form."""
+def _term_text(exps, c: CRat, wedge: str = "") -> tuple[bool, str]:
+    """(negative, text) for one term c * monomial * wedge, the sign split
+    off c and the magnitude printed in re-parseable form."""
     neg = c.re < 0 or (c.re == 0 and c.im < 0)
-    if neg:
-        c = -c
-    return neg, str(c)
+    coeff = str(-c if neg else c)
+    mono = ".".join(f"{v}^{e}" if e > 1 else v
+                    for v, e in zip(Poly.VARS, exps) if e)
+    factors = (mono, wedge) if coeff == "1" else (coeff, mono, wedge)
+    return neg, "*".join(f for f in factors if f) or "1"
 
 
-def _mono_text(exps, names) -> str:
-    return ".".join(f"{v}^{e}" if e > 1 else v
-                    for v, e in zip(names, exps) if e)
+def _join_terms(terms) -> str:
+    """Join (negative, text) terms with signs; "0" when there are none."""
+    out = ""
+    for neg, text in terms:
+        if out:
+            out += f" - {text}" if neg else f" + {text}"
+        else:
+            out = f"-{text}" if neg else text
+    return out or "0"
 
 
 def poly_to_expr(p: Poly) -> str:
-    if p.is_zero():
-        return "0"
-    chunks: list[str] = []
-    for exps, c in p.sorted_terms():
-        neg, coeff = _coeff_text(c)
-        mono = _mono_text(exps, Poly.VARS)
-        if not mono:
-            body = coeff
-        elif coeff == "1":
-            body = mono
-        else:
-            body = f"{coeff}*{mono}"
-        if not chunks:
-            chunks.append(f"-{body}" if neg else body)
-        else:
-            chunks.append(f" - {body}" if neg else f" + {body}")
-    return "".join(chunks)
+    return _join_terms(_term_text(e, c) for e, c in p.sorted_terms())
 
 
 _BASIS_NAMES = ("dt", "dx1", "dx2", "dx3")
 
 
-def _wedge_text(mask: int) -> str:
-    return "*".join(_BASIS_NAMES[mu] for mu in range(4) if mask >> mu & 1)
+def _form_terms(w: DifferentialForm):
+    for mask, f in sorted(w.items(),
+                          key=lambda kv: (bin(kv[0]).count("1"), kv[0])):
+        terms = f.sorted_terms()
+        wedge = "*".join(_BASIS_NAMES[mu] for mu in range(4) if mask >> mu & 1)
+        if not mask or len(terms) == 1:
+            yield from (_term_text(e, c, wedge) for e, c in terms)
+        else:
+            yield False, f"({poly_to_expr(f)})*{wedge}"
 
 
 def form_to_expr(w: DifferentialForm) -> str:
-    if w.is_zero():
-        return "0"
-    parts = sorted(w.items(), key=lambda kv: (bin(kv[0]).count("1"), kv[0]))
-    chunks: list[str] = []
-    for mask, f in parts:
-        if mask == 0:
-            body = poly_to_expr(f)
-            neg = False
-        else:
-            wedge = _wedge_text(mask)
-            terms = f.sorted_terms()
-            if len(terms) == 1:
-                exps, c = terms[0]
-                neg, coeff = _coeff_text(c)
-                mono = _mono_text(exps, Poly.VARS)
-                if not mono and coeff == "1":
-                    body = wedge
-                else:
-                    scalar = mono if coeff == "1" else (
-                        f"{coeff}*{mono}" if mono else coeff)
-                    body = f"{scalar}*{wedge}"
-            else:
-                neg = False
-                body = f"({poly_to_expr(f)})*{wedge}"
-        if not chunks:
-            chunks.append(f"-{body}" if neg else body)
-        else:
-            chunks.append(f" - {body}" if neg else f" + {body}")
-    return "".join(chunks)
+    return _join_terms(_form_terms(w))
 
 
 def value_to_expr(v: Value) -> str:

@@ -47,15 +47,6 @@ def _degree(mask: int) -> int:
     return bin(mask).count("1")
 
 
-def _prepend_sign(mu: int, mask: int) -> int:
-    """Sign from normal-ordering e_mu ^ (monomial of mask); 0 if absorbed."""
-    bit = 1 << mu
-    if mask & bit:
-        return 0
-    below = mask & (bit - 1)
-    return -1 if _degree(below) & 1 else 1
-
-
 def _accumulate(out: dict[int, Poly], mask: int, p: Poly) -> None:
     """out[mask] += p, dropping the entry when it cancels."""
     acc = out.get(mask)
@@ -251,14 +242,11 @@ def d(w: DifferentialForm, ctx: StarContext) -> DifferentialForm:
     out: dict[int, Poly] = {}
     for mask, f in w.items():
         for mu in range(4):
-            sgn = _prepend_sign(mu, mask)
-            if not sgn:
-                continue
-            p = f.partial(mu)
-            if p:
-                _accumulate(out, mask | (1 << mu), p * sgn)
-    return DifferentialForm._raw({m: ctx.reduce(c) for m, c in out.items()
-                                  if ctx.reduce(c)})
+            sgn, mk = _wedge_masks(1 << mu, mask)
+            if sgn and (p := f.partial(mu)):
+                _accumulate(out, mk, p * sgn)
+    return DifferentialForm._raw({m: r for m, c in out.items()
+                                  if (r := ctx.reduce(c))})
 
 
 def form_conj(w: DifferentialForm, ctx: StarContext) -> DifferentialForm:

@@ -163,6 +163,12 @@ def phase_law_defect(n: int, box_length: float, theta: float,
     return float(np.max(np.abs(got.values - want)))
 
 
+def _normalised_gap(f: GridField, g: GridField, a: complex, b: complex) -> float:
+    """|a - b| / (||f|| ||g||), and 0 when either field vanishes."""
+    denom = f.l2_norm() * g.l2_norm()
+    return abs(a - b) / denom if denom else 0.0
+
+
 def grid_trace_defect(f: GridField, g: GridField, theta: float) -> float:
     """|integral(f*g) - integral(fg)| / (||f|| ||g||).
 
@@ -171,21 +177,14 @@ def grid_trace_defect(f: GridField, g: GridField, theta: float) -> float:
     _compatible(f, g)
     s = grid_star(f, g, theta)
     plain = complex((f.values * g.values).sum() * f.cell_area)
-    denom = f.l2_norm() * g.l2_norm()
-    if denom == 0:
-        return 0.0
-    return abs(s.integral() - plain) / denom
+    return _normalised_gap(f, g, s.integral(), plain)
 
 
 def grid_cyclicity_defect(f: GridField, g: GridField, theta: float) -> float:
     """|integral(f*g) - integral(g*f)| / (||f|| ||g||)."""
     _compatible(f, g)
-    a = grid_star(f, g, theta).integral()
-    b = grid_star(g, f, theta).integral()
-    denom = f.l2_norm() * g.l2_norm()
-    if denom == 0:
-        return 0.0
-    return abs(a - b) / denom
+    return _normalised_gap(f, g, grid_star(f, g, theta).integral(),
+                           grid_star(g, f, theta).integral())
 
 
 # -- independent series evaluator for poly x Gaussian inputs -------------------

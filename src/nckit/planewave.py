@@ -73,34 +73,15 @@ _IDX_F = tuple(PwPoly.VARS.index(n) for n in ("f0", "f1", "f2"))
 _IDX_D = {pair: PwPoly.VARS.index(f"d{pair[0]}{pair[1]}") for pair in _DPAIRS}
 
 
-def _d_entry(i: int, j: int) -> PwPoly:
-    """Signed formal thetadot^{ij}."""
-    if i == j:
-        return PwPoly.zero()
-    if i < j:
-        return _D[(i, j)]
-    return -_D[(j, i)]
-
-
 def pw_partial(p: PwPoly, mu: int) -> PwPoly:
     """Spacetime derivative d_mu via the chain rule on the profile symbols."""
     if not 0 <= mu <= 3:
         raise ValueError("derivative index must be 0..3")
+    if any(exps[_IDX_F[2]] for exps, _ in p.items()):
+        raise ValueError(
+            "profile derivative beyond second order not representable")
     factor = _W if mu == 0 else _K[mu]
-    out = PwPoly.zero()
-    for exps, c in p.items():
-        for slot in range(3):
-            n = exps[_IDX_F[slot]]
-            if not n:
-                continue
-            if slot == 2:
-                raise ValueError(
-                    "profile derivative beyond second order not representable")
-            e = list(exps)
-            e[_IDX_F[slot]] -= 1
-            e[_IDX_F[slot + 1]] += 1
-            out = out + factor * PwPoly.monomial(tuple(e), c * n)
-    return out
+    return factor * (p.partial(_IDX_F[0]) * _F[1] + p.partial(_IDX_F[1]) * _F[2])
 
 
 def pw_substitute(p: PwPoly, mapping: Mapping[str, Poly]) -> Poly:
@@ -146,12 +127,18 @@ def _strip(p: PwPoly, var_indices: Sequence[int],
 
 # -- the ansatz and its strengths, all inside PwPoly -------------------------
 
+def _d_sum(term) -> PwPoly:
+    """sum_{j,k} thetadot^{jk} term(j, k) over the formal antisymmetric
+    thetadot, i.e. sum_{j<k} d_jk (term(j, k) - term(k, j))."""
+    acc = PwPoly.zero()
+    for j, k in _DPAIRS:
+        acc = acc + _D[(j, k)] * (term(j, k) - term(k, j))
+    return acc
+
+
 def _s_coupling() -> PwPoly:
     """S = thetadot^{jk} k_j p_k, the scalar coupling the wave to the twist."""
-    acc = PwPoly.zero()
-    for j, kk in _DPAIRS:
-        acc = acc + _D[(j, kk)] * (_K[j] * _P[kk] - _K[kk] * _P[j])
-    return acc
+    return _d_sum(lambda j, k: _K[j] * _P[k])
 
 
 def _symbolic_potential() -> tuple[PwPoly, list[PwPoly]]:
@@ -186,23 +173,12 @@ def _symbolic_strengths() -> tuple[dict, dict, dict]:
     time = {}
     tilde = {}
     for i in _SPATIAL:
-        f0i = pw_partial(a_sp[i - 1], 0) - pw_partial(a0, i)
-        for m in _SPATIAL:
-            for n in _SPATIAL:
-                ent = _d_entry(m, n)
-                if ent.is_zero():
-                    continue
-                f0i = f0i - _HALF_I * _S_MARK * ent * a_sp[n - 1] \
-                    * pw_partial(a_sp[i - 1], m)
-        time[i] = f0i
-        corr = PwPoly.zero()
-        for kk in _SPATIAL:
-            for j in _SPATIAL:
-                ent = _d_entry(kk, j)
-                if ent.is_zero():
-                    continue
-                corr = corr + ent * spatial_entry(i, j) * a_sp[kk - 1]
-        tilde[i] = f0i - _HALF_I * _S_MARK * corr
+        time[i] = f0i = (
+            pw_partial(a_sp[i - 1], 0) - pw_partial(a0, i)
+            - _HALF_I * _S_MARK * _d_sum(
+                lambda m, n: a_sp[n - 1] * pw_partial(a_sp[i - 1], m)))
+        tilde[i] = f0i - _HALF_I * _S_MARK * _d_sum(
+            lambda k, j: spatial_entry(i, j) * a_sp[k - 1])
     return spatial, time, tilde
 
 
@@ -223,15 +199,18 @@ def _symbolic_density() -> PwPoly:
     return acc
 
 
+def _dot(a, b) -> PwPoly:
+    """Spatial contraction sum_i a_i b_i of two symbol triples."""
+    return sum((a[i] * b[i] for i in _SPATIAL), PwPoly.zero())
+
+
 def reference_quad_coefficient() -> PwPoly:
     """The quadratic coefficient of f'^2 in the reference closed form
     (action orientation):
 
     w^2 |p|^2 - 2 w p_0 (k.p) + p_0^2 |k|^2 - |k|^2 |p|^2 + (k.p)^2
     """
-    p_sq = sum((_P[i] * _P[i] for i in _SPATIAL), PwPoly.zero())
-    k_sq = sum((_K[i] * _K[i] for i in _SPATIAL), PwPoly.zero())
-    kp = sum((_K[i] * _P[i] for i in _SPATIAL), PwPoly.zero())
+    p_sq, k_sq, kp = _dot(_P, _P), _dot(_K, _K), _dot(_K, _P)
     return (_W * _W * p_sq - 2 * _W * _P[0] * kp + _P[0] * _P[0] * k_sq
             - k_sq * p_sq + kp * kp)
 
@@ -241,9 +220,7 @@ def reference_cubic_coefficients() -> dict[tuple[int, int], PwPoly]:
 
     -2 (w |p|^2 - p_0 (k.p)) (k_j p_k - k_k p_j)
     """
-    p_sq = sum((_P[i] * _P[i] for i in _SPATIAL), PwPoly.zero())
-    kp = sum((_K[i] * _P[i] for i in _SPATIAL), PwPoly.zero())
-    scalar = _W * p_sq - _P[0] * kp
+    scalar = _W * _dot(_P, _P) - _P[0] * _dot(_K, _P)
     return {(j, kk): -2 * scalar * (_K[j] * _P[kk] - _K[kk] * _P[j])
             for j, kk in _DPAIRS}
 

@@ -2,13 +2,15 @@
 
 import itertools
 import json
+import pathlib
+import shlex
 import struct
 import time
 
 import numpy as np
 import pytest
 
-from nckit.cli import _occupied_band, main
+from nckit.cli import _build_parser, _occupied_band, main
 from nckit.config import ConfigError, GridParams, load_config, load_theta
 from nckit.expr import MAX_DEGREE, MAX_NESTING, MAX_TERMS
 from nckit.grid import MAGIC, band_limited_field, save_grid
@@ -239,6 +241,48 @@ def test_verify_unknown_suite_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "star", "--cases", "-3"],
+    ["verify", "star", "--cases", "0"],
+    ["verify", "gauge", "--order", "-1"],
+    ["reduce", "x1*x2", "--order", "-1"],
+    ["reduce", "--order", "-2", "x1"],
+])
+def test_counts_and_orders_that_check_nothing_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at least" in err
+
+
+def test_smallest_counts_and_orders_still_run(capsys):
+    assert main(["verify", "star", "--cases", "1"]) == 0
+    assert main(["reduce", "x1*x2", "--order", "0"]) == 0
+    assert capsys.readouterr().out.endswith("x1.x2\n")
+    with pytest.raises(SystemExit):
+        main(["reduce", "x1", "--order", "x"])
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+
+
+def _readme_command_lines():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("nckit ")]
+
+
+def test_readme_command_examples_parse():
+    lines = _readme_command_lines()
+    commands = set()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        args = _build_parser().parse_args(argv)
+        commands.add(args.command)
+    assert commands == {"reduce", "verify", "planewave", "grid-check"}, lines
+
+
 def test_verify_pinned_theta(tmp_path, capsys):
     prof = write(tmp_path / "p.ini", "[theta]\nt12 = t\n")
     assert main(["verify", "calculus", "--cases", "4",
@@ -277,6 +321,41 @@ def test_planewave_report(tmp_path, capsys):
     assert doc["passed"] is True
     names = {d["name"] for d in doc["diagnostics"]}
     assert "action-quadratic-orientation" in names
+
+
+_PINNED_TAIL = """\
+diagnostic          action-quadratic-orientation: reported coefficients follow the action orientation, the negative of the literal density integrand; the integrand field carries the unflipped value
+diagnostic          mixed-strength-correction-sign: the derived cubic coefficient is the negative of the listed reference; the discrepancy is an overall transposition of the contraction in the reference's mixed correction term, and the derivation is kept
+result: pass
+"""
+
+
+def _pinned_report(profile, harmonics):
+    return f"""\
+omega               3
+k                   1 2 2
+p                   1 2 0 1
+profile             {profile}
+null wave           yes
+quadratic identity  pass
+cubic sign          -1
+quad value          1
+cubic contracted    -176*t + 44
+polarised           no
+harmonics           {harmonics}
+""" + _PINNED_TAIL
+
+
+@pytest.mark.parametrize("profile, harmonics", [
+    ("cos", "1: 1/4, 3: -1/4"),
+    ("0 0 1", "unavailable (harmonic analysis requires the cosine profile "
+              "(or a constant))"),
+])
+def test_planewave_stdout_is_pinned(profile, harmonics, tmp_path, capsys):
+    spec = write(tmp_path / "w.ini",
+                 WAVE_INI.replace("profile = cos", f"profile = {profile}"))
+    assert main(["planewave", spec]) == 0
+    assert capsys.readouterr().out == _pinned_report(profile, harmonics)
 
 
 def test_planewave_zero_polarization(tmp_path, capsys):

@@ -83,6 +83,48 @@ def test_pw_partial_chain_rule():
         pw_partial(F0, 4)
 
 
+def pw_partial_reference(p: PwPoly, mu: int) -> PwPoly:
+    """The chain rule written term by term: f_n -> factor * f_{n+1}."""
+    if not 0 <= mu <= 3:
+        raise ValueError("derivative index must be 0..3")
+    idx_f = tuple(PwPoly.VARS.index(n) for n in ("f0", "f1", "f2"))
+    factor = W if mu == 0 else K[mu]
+    out = PwPoly.zero()
+    for exps, c in p.items():
+        for slot in range(3):
+            n = exps[idx_f[slot]]
+            if not n:
+                continue
+            if slot == 2:
+                raise ValueError(
+                    "profile derivative beyond second order not representable")
+            e = list(exps)
+            e[idx_f[slot]] -= 1
+            e[idx_f[slot + 1]] += 1
+            out = out + factor * PwPoly.monomial(tuple(e), c * n)
+    return out
+
+
+def test_pw_partial_matches_reference_on_the_density_build(monkeypatch):
+    import nckit.planewave as pw
+
+    seen = []
+
+    def recording(p, mu):
+        seen.append((p, mu))
+        return pw_partial(p, mu)
+
+    monkeypatch.setattr(pw, "pw_partial", recording)
+    _symbolic_strengths()
+    assert len(seen) >= 20
+    for p, mu in seen:
+        assert pw_partial(p, mu) == pw_partial_reference(p, mu), (p, mu)
+    for p in (F2, F0 * F2 + W, S_MARK * F1 * F2 * F2):
+        for fn in (pw_partial, pw_partial_reference):
+            with pytest.raises(ValueError, match="beyond second order"):
+                fn(p, 1)
+
+
 def test_pw_substitute_is_morphism():
     from nckit.poly import x1, x2
     mapping = {"f0": x1 * x2, "k1": Poly.const(2), "w": t}
