@@ -46,7 +46,7 @@ print(f"  contracted cubic: "
 
 # For a cosine profile the cubic interaction integrates against cos and
 # cos(3 phase) only, with universal rational weights.
-spectrum = harmonic_spectrum(spec, ctx)
+spectrum = harmonic_spectrum(spec, report)
 print()
 print("harmonic spectrum of the cubic term (cos profile):")
 for n in sorted(spectrum):

@@ -95,7 +95,7 @@ def _cmd_planewave(args) -> int:
 
     report = effective_action(spec, ctx)
     try:
-        spectrum = harmonic_spectrum(spec, ctx)
+        spectrum = harmonic_spectrum(spec, report)
         harmonics = {str(n): str(c) for n, c in sorted(spectrum.items())}
     except ValueError as exc:
         harmonics, spectrum_note = None, str(exc)

@@ -223,17 +223,20 @@ def covariance_defect(pot: GaugePotential, u: Poly,
 def action_density(fs: FieldStrength, ctx: StarContext) -> Poly:
     """sum_{i<j} F_ij * conj(F_ij) - sum_i Ftilde_0i * conj(Ftilde_0i).
 
-    Real valued.  Under a gauge transformation it shifts by a star
+    Real valued: conjugation reverses the star product, so each F * conj(F)
+    is self-conjugate.  Each is one ``star(F, conj(F), hermitian=True)``
+    call, which expands only half of the x-group pairs and keeps the real
+    part.  Under a gauge transformation the density shifts by a star
     commutator only (see ``invariance_witness``), so its integral is
     invariant by the trace property.
     """
     acc = Poly.zero()
     for pair in _PAIRS:
         fij = fs.spatial[pair]
-        acc = acc + star(fij, fij.conj(), ctx)
+        acc = acc + star(fij, fij.conj(), ctx, hermitian=True)
     for i in _SPATIAL:
         fti = fs.tilde[i]
-        acc = acc - star(fti, fti.conj(), ctx)
+        acc = acc - star(fti, fti.conj(), ctx, hermitian=True)
     return ctx.reduce(acc)
 
 

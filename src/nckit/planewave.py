@@ -594,16 +594,17 @@ def cubic_profile_series() -> TrigSeries:
 
 
 def harmonic_spectrum(spec: PlaneWaveSpec,
-                      ctx: StarContext) -> dict[int, Fraction]:
+                      report: ActionReport) -> dict[int, Fraction]:
     """Harmonics injected by the first twist correction of the action.
 
-    Returns the cosine spectrum of f f'^2 for the cosine profile: empty
-    when the correction term is absent (polarised wave, vanishing
-    projection scalar, or constant profile), {1: 1/4, 3: -1/4} otherwise.
-    The appearance of the third harmonic is the deformation's observable:
-    the wave pumps energy at triple frequency.
+    report is ``effective_action(spec, ctx)``, passed in so a caller that
+    holds it does not build it twice.  Returns the cosine spectrum of
+    f f'^2 for the cosine profile: empty when the correction term is
+    absent (polarised wave, vanishing projection scalar, or constant
+    profile), {1: 1/4, 3: -1/4} otherwise.  The appearance of the third
+    harmonic is the deformation's observable: the wave pumps energy at
+    triple frequency.
     """
-    report = effective_action(spec, ctx)
     if report.cubic_contracted.is_zero():
         return {}
     if isinstance(spec.profile, tuple):

@@ -82,6 +82,7 @@ def kg_operator(phi: Poly) -> Poly:
 def kg_density(phi: Poly, ctx: StarContext) -> Poly:
     """Kinetic density (d_0 phi)*conj(d_0 phi) - sum_i (d_i phi)*conj(d_i phi)."""
     d0 = phi.partial(0)
+    # the full products, not hermitian=True: the suite's reality check tests them
     acc = star(d0, d0.conj(), ctx)
     for i in (1, 2, 3):
         di = phi.partial(i)

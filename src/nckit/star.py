@@ -34,6 +34,18 @@ spatial degree, and the expression language's MAX_DEGREE = 16 caps the
 degree sum of each product's operands, so there n <= 8 and a profile keeps
 at most C(14, 6) = 3,003 products, the 6-tuples with sum at most 8.
 
+A product f * conj(f), the shape of every action density, needs only
+about half of its group pairs.  Its pair (b, a) is x^b F_b * x^a conj(F_a),
+the conjugate of pair (a, b) since conjugation reverses the product, so
+
+    f * conj(f) = Re[ sum_{a <= b} w_ab (x^a F_a * x^b conj(F_b)) ],
+    w_aa = 1,  w_ab = 2 for a < b,
+
+where Re takes the real part of each coefficient (t, x and eps are real).
+``star(f, conj(f), ctx, hermitian=True)`` builds conj(f)'s groups from
+f's by negating the imaginary ints, expands only the pairs b >= a with
+the weight in the ints, and keeps the real part of each output term.
+
 The expansion of x^a * x^b is a finite sum over "contraction matrices":
 nonnegative integers m[i][j] counting how many derivative pairs hit the
 ordered index pair (i, j).  Only the six off-diagonal entries matter, and
@@ -193,12 +205,19 @@ class StarContext:
 
 
 def star(f: Poly, g: Poly, ctx: StarContext, *,
-         commutator: bool = False) -> Poly:
+         commutator: bool = False, hermitian: bool = False) -> Poly:
     """Exact star product of two polynomials (terminating series).
 
     commutator=True returns f*g - g*f instead.  Swapping f and g flips the
     sign of the n-th series term (theta is antisymmetric), so the
     commutator is twice the odd-n terms of f*g: one pass, no even terms.
+
+    hermitian=True returns the same f*g for g = conj(f), from about half
+    the group pairs (see the module docstring): only the pairs b >= a of
+    f's x-groups, the off-diagonal ones weighted 2, and only the real part
+    of each output term.  It raises ValueError unless g == conj(f), and
+    together with commutator=True; a zero operand returns zero first, the
+    exact product and commutator whatever the other operand is.
 
     Each distinct pair of x-monomials of f and g is expanded once, and
     coefficients are summed as unnormalised ints (see the module
@@ -206,6 +225,9 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
     """
     if not f or not g:  # theta_dot_sum pairs terms such as F_ii = 0
         return Poly.zero()
+    if hermitian and (commutator or g != f.conj()):
+        raise ValueError(
+            "star: hermitian=True needs g == conj(f) and commutator=False")
     theta = ctx.theta
     cutoff = ctx.eps_cutoff
     if theta.is_zero():
@@ -224,8 +246,18 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
     # n and matrix m is num (i/2)^n / m! times a theta product over
     # theta._den^n, so over den its numerator is num * weight[n] / m!
     # times the rest, an int.
-    f_groups, f_den, f_deg = _x_groups(f)
-    g_groups, g_den, g_deg = _x_groups(g)
+    if hermitian:
+        # group a of f meets group a of conj(f) at weight 1 and the
+        # groups b > a at weight 2 (see the module docstring)
+        f_groups, f_den, f_deg = _x_groups(f)
+        g_den, g_deg = f_den, f_deg
+        once = [_conj_group(group, 1) for group in f_groups]
+        twice = [_conj_group(group, 2) for group in f_groups[1:]]
+        for a, group in enumerate(f_groups):
+            group[3] = [once[a], *twice[a:]]
+    else:
+        g_groups, g_den, g_deg = _x_groups(g)
+        f_groups, f_den, f_deg = _x_groups(f, g_groups)
     n_max = min(f_deg, g_deg)
     fact = [1]
     for k in range(1, n_max + 1):
@@ -238,8 +270,8 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
     den = f_den * g_den * weight[0]
     products = theta._prod_cache
     out: dict[tuple[int, ...], tuple[int, int]] = {}
-    for (a1, a2, a3), f_one, f_cof in f_groups:
-        for (b1, b2, b3), g_one, g_cof in g_groups:
+    for (a1, a2, a3), f_one, f_cof, row in f_groups:
+        for (b1, b2, b3), g_one, g_cof, _ in row:
             # The cofactor F_a * G_b of x^a * x^b.  When it is one term
             # (base t^t0 eps^e4), it is folded into every contraction
             # coefficient, straight into out; when longer, x^a * x^b is
@@ -329,21 +361,29 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
                     out[key] = ((cr, ci) if acc is None
                                 else (acc[0] + cr, acc[1] + ci))
     terms = {}
-    for key, (r, i) in out.items():
-        if r or i:
-            terms[key] = _norm(r, i, den)
+    if hermitian:  # the imaginary parts of the weighted pairs cancel
+        for key, (r, _) in out.items():
+            if r:
+                terms[key] = _norm(r, 0, den)
+    else:
+        for key, (r, i) in out.items():
+            if r or i:
+                terms[key] = _norm(r, i, den)
     return Poly._raw(terms)
 
 
-def _x_groups(p: Poly) -> tuple[list, int, int]:
+def _x_groups(p: Poly, row: list | None = None) -> tuple[list, int, int]:
     """p grouped by x-exponents, the lcm L of its denominators and its
     largest x-degree: ([[x-exponents, the term when it is the only one,
-    [(t-exponent, eps-exponent, re, im), ...]], ...], L, degree), each
-    coefficient as the ints (re + im*i) / L."""
+    [(t-exponent, eps-exponent, re, im), ...], row], ...], L, degree),
+    each coefficient as the ints (re + im*i) / L.  row is the list of the
+    other operand's groups that each group of the left operand meets in
+    ``star``."""
     if len(p) == 1:
         (e, c), = p.items()
         term = (e[0], e[4], c._re, c._im)
-        return [((e[1], e[2], e[3]), term, [term])], c._den, e[1] + e[2] + e[3]
+        return ([[(e[1], e[2], e[3]), term, [term], row]], c._den,
+                e[1] + e[2] + e[3])
     lcm = 1
     for _, c in p.items():
         if lcm % c._den:
@@ -356,12 +396,20 @@ def _x_groups(p: Poly) -> tuple[list, int, int]:
         x = (e[1], e[2], e[3])
         group = groups.get(x)
         if group is None:
-            groups[x] = [x, term, [term]]
+            groups[x] = [x, term, [term], row]
             deg = max(deg, e[1] + e[2] + e[3])
         else:
             group[1] = None
             group[2].append(term)
     return list(groups.values()), lcm, deg
+
+
+def _conj_group(group: list, w: int) -> tuple:
+    """An x-group of ``_x_groups`` conjugated and times w: the imaginary
+    ints negated, every int multiplied by w."""
+    x, _, cof, _ = group
+    cof = [(te, ee, w * re, -w * im) for te, ee, re, im in cof]
+    return (x, cof[0] if len(cof) == 1 else None, cof, None)
 
 
 def star_commutator(f: Poly, g: Poly, ctx: StarContext) -> Poly:

@@ -417,8 +417,9 @@ def _case_polarisation(rng, theta, order, k):
 
 def _case_harmonics(rng, theta, order, k):
     ctx, spec = _rand_spec(rng, theta)
-    spectrum = harmonic_spectrum(spec, ctx)
-    if effective_action(spec, ctx).cubic_contracted.is_zero():
+    report = effective_action(spec, ctx)
+    spectrum = harmonic_spectrum(spec, report)
+    if report.cubic_contracted.is_zero():
         want = {}
     else:
         want = {1: Fraction(1, 4), 3: Fraction(-1, 4)}

@@ -290,7 +290,7 @@ def test_criterion_10_harmonic_spectrum():
     t0 = time.monotonic()
     ctx = StarContext(ThetaProfile({(1, 2): t * t, (2, 3): t}))
     spec = PlaneWaveSpec(omega=3, k=(1, 2, 2), p=(1, 2, 0, 1), profile="cos")
-    spectrum = harmonic_spectrum(spec, ctx)
+    spectrum = harmonic_spectrum(spec, effective_action(spec, ctx))
     want = {1: Fraction(1, 4), 3: Fraction(-1, 4)}
     ok = spectrum == want and all(
         abs(float(spectrum[n]) - float(want[n])) <= 1e-12 for n in want)

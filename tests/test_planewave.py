@@ -313,14 +313,14 @@ def test_harmonic_spectrum():
     ctx = StarContext(ThetaProfile({(1, 2): t}))
     gen = PlaneWaveSpec(omega=3, k=(1, 2, 2), p=(0, 1, 3, 5))
     pol = PlaneWaveSpec(omega=3, k=(1, 2, 2), p=(0, 1, 2, 5))
-    assert harmonic_spectrum(gen, ctx) == {1: Fraction(1, 4),
-                                           3: Fraction(-1, 4)}
-    assert harmonic_spectrum(pol, ctx) == {}
+    assert harmonic_spectrum(gen, effective_action(gen, ctx)) == {
+        1: Fraction(1, 4), 3: Fraction(-1, 4)}
+    assert harmonic_spectrum(pol, effective_action(pol, ctx)) == {}
     # constant profile: no derivative, no correction term
     const = PlaneWaveSpec(omega=3, k=(1, 2, 2), p=(0, 1, 3, 5), profile=(2,))
-    assert harmonic_spectrum(const, ctx) == {}
+    assert harmonic_spectrum(const, effective_action(const, ctx)) == {}
     # nontrivial polynomial profile has no periodic spectrum
     quad = PlaneWaveSpec(omega=3, k=(1, 2, 2), p=(0, 1, 3, 5),
                          profile=(0, 0, 1))
     with pytest.raises(ValueError):
-        harmonic_spectrum(quad, ctx)
+        harmonic_spectrum(quad, effective_action(quad, ctx))

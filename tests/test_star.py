@@ -316,6 +316,64 @@ def test_star_shared_denominator_matches_reference():
             _assert_canonical(q)
 
 
+def test_star_hermitian_matches_full_product():
+    # f * conj(f) from the x-group pairs b >= a only, weighted 2 off the
+    # diagonal and cut to real parts, is the full product: on time-dependent
+    # and constant theta, every eps cutoff, one, two and many x-groups,
+    # cofactors of 1-3 (t, eps) terms, complex coefficients over up to 7
+    rng = random.Random(1321)
+
+    def frac(nonzero=False):
+        while True:
+            v = rand_fraction(rng, -6, 6, max_den=7)
+            if v or not nonzero:
+                return v
+
+    def cofactor():
+        c = Poly.zero()
+        for _ in range(rng.randint(1, 3)):
+            c = c + Poly.monomial((rng.randint(0, 2), 0, 0, 0, rng.randint(0, 2)),
+                                  CRat(frac(), frac(True)))
+        return c
+
+    spatial = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0),
+               (0, 1, 1), (1, 0, 2), (0, 2, 1), (1, 1, 1), (0, 0, 0)]
+
+    def operand(groups):
+        while True:
+            p = Poly.zero()
+            for xe in rng.sample(spatial, groups):
+                p = p + Poly.monomial((0, *xe, 0)) * cofactor()
+            if len({e[1:4] for e, _ in p.items()}) == groups:
+                return p
+
+    operands = [operand(n) for n in (1, 1, 2, 2, 2, 5, 5, 7)]
+    assert any(len(p) > len({e[1:4] for e, _ in p.items()}) for p in operands)
+    thetas = [ThetaProfile({pair: frac() + frac(True) * t
+                            for pair in ((1, 2), (1, 3), (2, 3))})
+              for _ in range(2)]
+    assert all(not th.theta_dot().entry(i, j).is_zero() for th in thetas
+               for i, j in ((1, 2), (1, 3), (2, 3)))
+    thetas.append(ThetaProfile({(1, 2): Fraction(1, 2), (1, 3): Fraction(-2, 3),
+                                (2, 3): Fraction(3, 7)}))
+    for cutoff in (None, 0, 1, 2):
+        for th in thetas:
+            ctx = StarContext(th, eps_cutoff=cutoff)
+            for f in operands:
+                full = star(f, f.conj(), ctx)
+                half = star(f, f.conj(), ctx, hermitian=True)
+                assert half == full
+                _assert_canonical(half)
+
+    f = operands[-1]
+    ctx = StarContext(thetas[0], eps_cutoff=1)
+    for g in (f, f.conj() + x1, f.conj() * 2):
+        with pytest.raises(ValueError):
+            star(f, g, ctx, hermitian=True)
+    with pytest.raises(ValueError):
+        star(f, f.conj(), ctx, commutator=True, hermitian=True)
+
+
 def test_star_associativity_randomized():
     rng = random.Random(1302)
     for _ in range(80):
