@@ -45,6 +45,7 @@ where Re takes the real part of each coefficient (t, x and eps are real).
 ``star(f, conj(f), ctx, hermitian=True)`` builds conj(f)'s groups from
 f's by negating the imaginary ints, expands only the pairs b >= a with
 the weight in the ints, and keeps the real part of each output term.
+An f of one x-group has no pair to save, so it takes the ordinary route.
 
 The expansion of x^a * x^b is a finite sum over "contraction matrices":
 nonnegative integers m[i][j] counting how many derivative pairs hit the
@@ -225,7 +226,7 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
     """
     if not f or not g:  # theta_dot_sum pairs terms such as F_ii = 0
         return Poly.zero()
-    if hermitian and (commutator or g != f.conj()):
+    if hermitian and (commutator or not _is_conj(f, g)):
         raise ValueError(
             "star: hermitian=True needs g == conj(f) and commutator=False")
     theta = ctx.theta
@@ -246,18 +247,19 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
     # n and matrix m is num (i/2)^n / m! times a theta product over
     # theta._den^n, so over den its numerator is num * weight[n] / m!
     # times the rest, an int.
-    if hermitian:
+    f_groups, f_den, f_deg = _x_groups(f)
+    if hermitian and len(f_groups) > 1:
         # group a of f meets group a of conj(f) at weight 1 and the
         # groups b > a at weight 2 (see the module docstring)
-        f_groups, f_den, f_deg = _x_groups(f)
         g_den, g_deg = f_den, f_deg
         once = [_conj_group(group, 1) for group in f_groups]
         twice = [_conj_group(group, 2) for group in f_groups[1:]]
         for a, group in enumerate(f_groups):
             group[3] = [once[a], *twice[a:]]
-    else:
+    else:  # each group meets all of g's; one x-group has no pair to save
         g_groups, g_den, g_deg = _x_groups(g)
-        f_groups, f_den, f_deg = _x_groups(f, g_groups)
+        for group in f_groups:
+            group[3] = g_groups
     n_max = min(f_deg, g_deg)
     fact = [1]
     for k in range(1, n_max + 1):
@@ -372,17 +374,17 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
     return Poly._raw(terms)
 
 
-def _x_groups(p: Poly, row: list | None = None) -> tuple[list, int, int]:
+def _x_groups(p: Poly) -> tuple[list, int, int]:
     """p grouped by x-exponents, the lcm L of its denominators and its
     largest x-degree: ([[x-exponents, the term when it is the only one,
     [(t-exponent, eps-exponent, re, im), ...], row], ...], L, degree),
-    each coefficient as the ints (re + im*i) / L.  row is the list of the
-    other operand's groups that each group of the left operand meets in
-    ``star``."""
+    each coefficient as the ints (re + im*i) / L.  row is None here;
+    ``star`` sets it to the list of the other operand's groups that a
+    group of the left operand meets."""
     if len(p) == 1:
         (e, c), = p.items()
         term = (e[0], e[4], c._re, c._im)
-        return ([[(e[1], e[2], e[3]), term, [term], row]], c._den,
+        return ([[(e[1], e[2], e[3]), term, [term], None]], c._den,
                 e[1] + e[2] + e[3])
     lcm = 1
     for _, c in p.items():
@@ -396,12 +398,26 @@ def _x_groups(p: Poly, row: list | None = None) -> tuple[list, int, int]:
         x = (e[1], e[2], e[3])
         group = groups.get(x)
         if group is None:
-            groups[x] = [x, term, [term], row]
+            groups[x] = [x, term, [term], None]
             deg = max(deg, e[1] + e[2] + e[3])
         else:
             group[1] = None
             group[2].append(term)
     return list(groups.values()), lcm, deg
+
+
+def _is_conj(f: Poly, g: Poly) -> bool:
+    """g == conj(f), compared on the coefficient ints without building
+    conj(f)."""
+    g_terms = g._terms
+    if len(f._terms) != len(g_terms):
+        return False
+    for e, c in f._terms.items():
+        d = g_terms.get(e)
+        if (d is None or d._re != c._re or d._im != -c._im
+                or d._den != c._den):
+            return False
+    return True
 
 
 def _conj_group(group: list, w: int) -> tuple:

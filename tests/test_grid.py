@@ -10,6 +10,8 @@ import pytest
 from nckit.grid import (
     MAGIC,
     GridField,
+    _cyclic_window,
+    _live_rows,
     band_limited_field,
     cross_validate_symbolic,
     grid_cyclicity_defect,
@@ -45,6 +47,56 @@ def star_modes_reference(f, g, theta):
                         fhat[a1, a2] * ghat[b1, b2] * twist)
     vals = np.fft.ifft2(hhat) * n * n
     return f.with_values(vals)
+
+
+def star_dense_reference(f, g, theta):
+    """The kernel before live-row selection: every row of both spectra."""
+    n = f.n
+    q = 2 * np.pi * np.fft.fftfreq(n, d=f.box_length / n)
+    fhat = np.fft.fft2(f.values, norm="forward")
+    ghat = np.fft.fft2(g.values, norm="forward")
+
+    # left factor of the twist: exp(+i theta/2 q_{a2} q_{b1}), hoisted; row
+    # a1 conjugated is the right factor exp(-i theta/2 q_{a1} q_{b2})
+    left = np.exp(0.5j * theta * np.outer(q, q))  # [b1, a2]
+    out_modes = np.zeros((n, n), dtype=np.complex128)
+    buf = np.empty((n, n), dtype=np.complex128)
+    for a1 in range(n):
+        np.multiply(left, fhat[a1, :], out=buf)
+        a_slice = np.fft.ifft(buf, axis=1, norm="forward")  # [b1, x2]
+        np.multiply(ghat, left[a1, :].conj(), out=buf)
+        a_slice *= np.fft.ifft(buf, axis=1, norm="forward")
+        # row b1 lands on first-axis mode (a1 + b1) mod n
+        out_modes[a1:] += a_slice[:n - a1]
+        out_modes[:a1] += a_slice[n - a1:]
+    return f.with_values(np.fft.ifft(out_modes, axis=0, norm="forward"))
+
+
+def rows_field(n, rows, seed):
+    """Random field whose spectrum is nonzero on the given rows only."""
+    rng = np.random.default_rng(seed)
+    spec = np.zeros((n, n), dtype=np.complex128)
+    spec[rows, :] = (rng.standard_normal((len(rows), n))
+                     + 1j * rng.standard_normal((len(rows), n)))
+    return GridField(np.fft.ifft2(spec) * n * n, 2.0)
+
+
+def random_field(n, seed):
+    rng = np.random.default_rng(seed)
+    return GridField(rng.standard_normal((n, n))
+                     + 1j * rng.standard_normal((n, n)), 2.5)
+
+
+def spectrum(field):
+    return np.fft.fft2(field.values, norm="forward")
+
+
+def assert_matches_dense(f, g):
+    for theta in (0.37, -1.1):
+        got = grid_star(f, g, theta).values
+        want = star_dense_reference(f, g, theta).values
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
 def test_grid_field_validation():
@@ -115,6 +167,110 @@ def test_grid_star_matches_reference_full_band(n):
         want = star_modes_reference(f, g, theta)
         scale = np.max(np.abs(want.values))
         assert np.max(np.abs(got.values - want.values)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [5, 9, 12, 64])
+def test_grid_star_full_band_is_the_dense_kernel_bit_for_bit(n):
+    # nothing is below roundoff, so every row is live and the window is
+    # the whole grid starting at row 0: the same arithmetic as the dense
+    # kernel
+    f, g = random_field(n, 1730 + n), random_field(n, 1740 + n)
+    assert len(_live_rows(spectrum(f))) == n
+    assert _cyclic_window(_live_rows(spectrum(g)), n) == (0, n)
+    for theta in (0.37, -1.1):
+        got = grid_star(f, g, theta).values
+        assert np.array_equal(got, star_dense_reference(f, g, theta).values)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_grid_star_band_limited_matches_dense(n):
+    f = band_limited_field(n, 2 * np.pi, n // 4 - 1, seed=1750 + n)
+    g = band_limited_field(n, 2 * np.pi, n // 4 - 1, seed=1760 + n)
+    assert_matches_dense(f, g)
+    assert_matches_dense(g, f)
+
+
+def test_grid_star_plane_waves_match_dense():
+    for n, box, a, b in [(32, 2 * np.pi, (3, -2), (5, 7)),
+                         (64, 1.0, (-31, 4), (30, -9)),
+                         (27, 5.0, (13, 1), (-13, 0))]:
+        assert_matches_dense(plane_wave(n, box, *a), plane_wave(n, box, *b))
+
+
+def test_grid_star_odd_sizes_match_dense():
+    for n in (15, 27):
+        f = band_limited_field(n, 3.0, n // 4, seed=1770 + n)
+        g = band_limited_field(n, 3.0, n // 4, seed=1780 + n)
+        assert_matches_dense(f, g)
+
+
+def test_grid_star_window_wrapping_across_row_zero():
+    for n, rows, window in [(16, [14, 15, 0, 1], (14, 4)),
+                            (15, [13, 14, 0, 1, 2], (13, 5))]:
+        g = rows_field(n, rows, seed=1790 + n)
+        assert _cyclic_window(_live_rows(spectrum(g)), n) == window
+        f = band_limited_field(n, 2.0, 3, seed=1795 + n)
+        assert_matches_dense(f, g)
+        assert_matches_dense(g, f)
+
+
+def test_grid_star_window_spanning_a_gap():
+    # two separated bands: the window covers the gap between them, which
+    # holds only dead rows
+    n = 16
+    g = rows_field(n, [2, 3, 10, 11], seed=1800)
+    assert _cyclic_window(_live_rows(spectrum(g)), n) == (2, 10)
+    f = rows_field(n, [0, 5, 6, 13], seed=1801)
+    assert_matches_dense(f, g)
+    assert_matches_dense(g, f)
+
+
+def test_grid_star_zero_operand():
+    n = 12
+    f = band_limited_field(n, 2.0, 2, seed=1810)
+    zero = f.with_values(np.zeros((n, n)))
+    assert len(_live_rows(spectrum(zero))) == 0
+    assert _cyclic_window(_live_rows(spectrum(zero)), n) == (0, 0)
+    for lhs, rhs in ((zero, f), (f, zero), (zero, zero)):
+        assert not np.any(grid_star(lhs, rhs, 0.7).values)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+def test_live_rows_keep_exactly_the_true_support(n):
+    # a silent fall back to every row would keep the roundoff rows too
+    band = n // 4 - 1
+    f = band_limited_field(n, 2 * np.pi, band, seed=1820 + n)
+    rows = _live_rows(spectrum(f))
+    assert len(rows) == 2 * band + 1
+    assert set(rows) == set(np.arange(-band, band + 1) % n)
+    wave = plane_wave(n, 2 * np.pi, 5, -3)
+    assert list(_live_rows(spectrum(wave))) == [5]
+
+
+def test_live_rows_dropped_mass_within_budget():
+    for hat in (spectrum(band_limited_field(128, 1.0, 31, seed=1830)),
+                spectrum(plane_wave(64, 1.0, -7, 2)),
+                spectrum(rows_field(16, [2, 3, 10, 11], seed=1831))):
+        n = hat.shape[0]
+        norms = np.sum(np.abs(hat) ** 2, axis=1)
+        budget = (2.0 ** -53 * math.log2(n * n)) ** 2 * norms.sum()
+        dead = np.setdiff1d(np.arange(n), _live_rows(hat))
+        assert len(dead) > 0
+        assert norms[dead].sum() <= budget
+
+
+def test_live_rows_budget_boundary():
+    # one row of squared norm 1 and two faint ones, at 1/2 and 2 times the
+    # budget: only the one below it is dropped
+    n = 8
+    unit = (2.0 ** -53 * math.log2(n * n)) ** 2
+    hat = np.zeros((n, n), dtype=np.complex128)
+    hat[0, 0] = 1.0
+    hat[3, 1] = math.sqrt(0.5 * unit)
+    hat[6, 2] = 1j * math.sqrt(2.0 * unit)
+    assert list(_live_rows(hat)) == [0, 6]
+    hat[6, 2] = 0.0
+    assert list(_live_rows(hat)) == [0]
 
 
 def test_grid_star_linearity():

@@ -365,13 +365,13 @@ def test_star_hermitian_matches_full_product():
                 assert half == full
                 _assert_canonical(half)
 
-    f = operands[-1]
     ctx = StarContext(thetas[0], eps_cutoff=1)
-    for g in (f, f.conj() + x1, f.conj() * 2):
+    for f in (operands[0], operands[-1]):  # one x-group and seven
+        for g in (f, f.conj() + x1, f.conj() * 2):
+            with pytest.raises(ValueError):
+                star(f, g, ctx, hermitian=True)
         with pytest.raises(ValueError):
-            star(f, g, ctx, hermitian=True)
-    with pytest.raises(ValueError):
-        star(f, f.conj(), ctx, commutator=True, hermitian=True)
+            star(f, f.conj(), ctx, commutator=True, hermitian=True)
 
 
 def test_star_associativity_randomized():
