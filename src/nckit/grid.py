@@ -27,10 +27,12 @@ row 0.  On one core of a shared 2-core VM, band limited products take
 about 0.1 s at N = 256 and 0.7 s at N = 512, full band ones about 0.4 s
 and 3 s.
 
-The series cross-check evaluates each polynomial of the derivative
-bookkeeping on the grid as V C V^T, with C its coefficient matrix and V
-the Vandermonde matrix of the grid axis: x1 varies only along rows and
-x2 only along columns, so no N^2-sized power table is built.
+The series cross-check holds each polynomial of its derivative
+bookkeeping as a coefficient matrix C.  Differentiating q times the
+Gaussian window is one fixed matrix S acting on C (S C along x1, C S^T
+along x2), and the grid values are V C V^T with V the Vandermonde matrix
+of the grid axis: x1 varies only along rows and x2 only along columns,
+so no N^2-sized power table is built.
 
 Frequencies add modulo the grid, so a product of two fields is only
 faithful to the continuum when the inputs are band limited: keep all
@@ -135,12 +137,14 @@ def _live_rows(hat: np.ndarray) -> np.ndarray:
     The rows are sorted by squared 2-norm and the smallest are dropped
     while their summed squared norm stays <= (u log2(N^2))^2 ||hat||^2,
     u = 2^-53 (see ``grid_star`` for why that is below roundoff).  A zero
-    spectrum has no live row.
+    spectrum has no live row and a non-finite one keeps them all.
     """
     flat = hat.view(np.float64)  # each row's re and im parts interleaved
     norms = np.einsum("ij,ij->i", flat, flat)
     order = np.argsort(norms)
     budget = (2.0 ** -53 * math.log2(hat.size)) ** 2 * norms.sum()
+    if not math.isfinite(budget):
+        return np.arange(hat.shape[0])
     dropped = np.searchsorted(np.cumsum(norms[order]), budget, side="right")
     return np.sort(order[dropped:])
 
@@ -249,38 +253,6 @@ def grid_cyclicity_defect(f: GridField, g: GridField, theta: float) -> float:
 
 # -- independent series evaluator for poly x Gaussian inputs -------------------
 
-def _poly_eval(poly: dict[tuple[int, int], float],
-               x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x1)
-    for (e1, e2), c in poly.items():
-        out = out + c * x1 ** e1 * x2 ** e2
-    return out
-
-
-def _poly_shift_derivative(poly: dict[tuple[int, int], float], axis: int,
-                           center: float, sigma: float) -> dict:
-    """d/dx_axis of q(x) w(x) stays in the family: q -> dq - q (x-c)/s^2."""
-    out: dict[tuple[int, int], float] = {}
-
-    def add(key, v):
-        out[key] = out.get(key, 0.0) + v
-        if out[key] == 0.0:
-            del out[key]
-
-    inv = 1.0 / (sigma * sigma)
-    for (e1, e2), c in poly.items():
-        e = (e1, e2)
-        if e[axis]:
-            k = list(e)
-            k[axis] -= 1
-            add(tuple(k), c * e[axis])
-        k = list(e)
-        k[axis] += 1
-        add(tuple(k), -c * inv)
-        add(e, c * center * inv)
-    return out
-
-
 def cross_validate_symbolic(poly_f: dict[tuple[int, int], float],
                             poly_g: dict[tuple[int, int], float],
                             n: int = 128,
@@ -299,6 +271,13 @@ def cross_validate_symbolic(poly_f: dict[tuple[int, int], float],
     series_tol relative to the leading one.  Returns the relative
     sup-norm disagreement.
 
+    A polynomial q is its coefficient matrix C, C[e1, e2] the coefficient
+    of x1^e1 x2^e2.  d/dx1 (q w) = (dq/dx1 - q (x1 - c) / sigma^2) w maps
+    C to S C with S = diag(1, 2, ..) above the diagonal, c / sigma^2 on
+    it and -1 / sigma^2 below it; d/dx2 maps C to C S^T.  Each derivative
+    raises a degree by at most one, so matrices of size deg + max_terms
+    + 1 hold every derivative the series takes.
+
     The series only converges while theta stays small against sigma
     squared; derivatives of the window grow like Hermite functions, so
     terms scale roughly like (2 theta / sigma^2)^order.  The defaults
@@ -310,43 +289,29 @@ def cross_validate_symbolic(poly_f: dict[tuple[int, int], float],
     if 2.0 * theta >= sigma * sigma:
         raise ValueError("series diverges: need theta << sigma^2 / 2")
     center = box_length / 2.0
+    inv = 1.0 / (sigma * sigma)
     x = np.arange(n) * (box_length / n)
-    x1, x2 = np.meshgrid(x, x, indexing="ij")
-    window = np.exp(-((x1 - center) ** 2 + (x2 - center) ** 2)
-                    / (2.0 * sigma * sigma))
+    w = np.exp(-0.5 * inv * (x - center) ** 2)
+    window = np.outer(w, w)
 
-    f_vals = _poly_eval(poly_f, x1, x2) * window
-    g_vals = _poly_eval(poly_g, x1, x2) * window
-    f_field = GridField(f_vals, box_length)
-    g_field = GridField(g_vals, box_length)
-    product = grid_star(f_field, g_field, theta)
-
-    # x1 varies along rows and x2 along columns, so a polynomial's values
-    # are V C V^T with V the axis Vandermonde matrix and C its coefficients
     deg = max((e1 + e2 for p in (poly_f, poly_g) for e1, e2 in p), default=0)
-    top = deg + max_terms + 1
-    vander = x[:, None] ** np.arange(top + 1)
+    size = deg + max_terms + 1
+    cf, cg = np.zeros((2, size, size))
+    for c, poly in ((cf, poly_f), (cg, poly_g)):
+        for (e1, e2), v in poly.items():
+            c[e1, e2] = v
+    # x1 varies along rows and x2 along columns, so a polynomial's values
+    # are V C V^T with V the axis Vandermonde matrix
+    vander = x[:, None] ** np.arange(size)
 
-    def eval_fast(poly):
-        coeffs = np.zeros((top + 1, top + 1))
-        for (e1, e2), c in poly.items():
-            coeffs[e1, e2] = c
-        return vander @ coeffs @ vander.T
+    def values(c):
+        return vander @ c @ vander.T
 
-    # mixed derivatives of each factor, keyed by (#d1, #d2)
-    derivs_f: dict[tuple[int, int], dict] = {(0, 0): dict(poly_f)}
-    derivs_g: dict[tuple[int, int], dict] = {(0, 0): dict(poly_g)}
-
-    def deriv(table, d1, d2):
-        key = (d1, d2)
-        if key not in table:
-            if d1:
-                prev = deriv(table, d1 - 1, d2)
-                table[key] = _poly_shift_derivative(prev, 0, center, sigma)
-            else:
-                prev = deriv(table, d1, d2 - 1)
-                table[key] = _poly_shift_derivative(prev, 1, center, sigma)
-        return table[key]
+    product = grid_star(GridField(values(cf) * window, box_length),
+                        GridField(values(cg) * window, box_length), theta)
+    shift = (np.diag(np.arange(1.0, size), k=1) + center * inv * np.eye(size)
+             - inv * np.eye(size, k=-1))
+    powers = [np.linalg.matrix_power(shift, k) for k in range(max_terms + 1)]
 
     series = np.zeros((n, n), dtype=np.complex128)
     win2 = window * window
@@ -354,13 +319,11 @@ def cross_validate_symbolic(poly_f: dict[tuple[int, int], float],
     quiet = 0
     for order in range(max_terms + 1):
         coeff = (0.5j * theta) ** order / math.factorial(order)
-        term = np.zeros((n, n))
-        for m in range(order + 1):
-            sign = -1.0 if (order - m) % 2 else 1.0
-            binom = math.comb(order, m)
-            left = eval_fast(deriv(derivs_f, m, order - m))
-            right = eval_fast(deriv(derivs_g, order - m, m))
-            term = term + (sign * binom) * left * right
+        # f differentiated m times in x1 and order - m in x2, g the reverse
+        term = sum((-1) ** (order - m) * math.comb(order, m)
+                   * values(powers[m] @ cf @ powers[order - m].T)
+                   * values(powers[order - m] @ cg @ powers[m].T)
+                   for m in range(order + 1))
         full = coeff * (term * win2)
         series = series + full
         mag = float(np.max(np.abs(full)))
@@ -371,9 +334,7 @@ def cross_validate_symbolic(poly_f: dict[tuple[int, int], float],
         quiet = quiet + 1 if (order and mag < series_tol * scale) else 0
         if quiet >= 2:
             break
-    denom = float(np.max(np.abs(series)))
-    if denom == 0.0:
-        denom = 1.0
+    denom = float(np.max(np.abs(series))) or 1.0
     return float(np.max(np.abs(product.values - series)) / denom)
 
 
@@ -399,6 +360,12 @@ def _check_header(n: int, box: float, theta: float) -> None:
         raise ValueError(f"theta must be finite, got {theta!r}")
 
 
+def _check_samples(values: np.ndarray) -> None:
+    """Reject a grid with a NaN or infinite sample."""
+    if not np.isfinite(values).all():
+        raise ValueError("grid samples must be finite")
+
+
 def load_grid(path) -> tuple[GridField, float]:
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
@@ -414,6 +381,7 @@ def load_grid(path) -> tuple[GridField, float]:
         raise ValueError(
             f"grid file body has {len(body)} bytes, expected {expect}")
     values = np.frombuffer(body, dtype="<c16").reshape(n, n)
+    _check_samples(values)
     return GridField(values.copy(), box), theta
 
 
@@ -452,7 +420,8 @@ def load_grid_csv(path) -> tuple[GridField, float]:
         if cells != 2 * n:
             raise ValueError(f"grid csv row {i} has {cells} cells")
     values = np.zeros((n, n), dtype=np.complex128)
+    parts = values.view(np.float64)  # each row's re and im interleaved
     for i, row in enumerate(rows):
-        nums = [float(c) for c in row.split(",")]
-        values[i] = np.array(nums[0::2]) + 1j * np.array(nums[1::2])
+        parts[i] = [float(c) for c in row.split(",")]
+    _check_samples(values)
     return GridField(values, box), theta

@@ -468,3 +468,18 @@ def test_grid_check_rejects_bad_header(tmp_path, capsys, n, box, theta):
     assert main(["grid-check", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("nckit: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_grid_check_rejects_non_finite_samples(tmp_path, capsys, bad):
+    # an inf sample once read as a zero product and passed the cyclicity check
+    field = band_limited_field(32, 6.283185307179586, 7, seed=2)
+    values = field.values.copy()
+    values[3, 4] = bad
+    path = tmp_path / "f.ncg"
+    save_grid(path, field.with_values(values), 0.3)
+    assert main(["grid-check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nckit: ") and err.count("\n") == 1
+    assert "finite" in err
+

@@ -42,7 +42,7 @@ def star_modes_reference(f, g, theta):
                     if not ghat[b1, b2]:
                         continue
                     twist = cmath.exp(-0.5j * theta
-                                      * (q[a1] * q[b2] - q[a2] * q[b1]))
+                                    * (q[a1] * q[b2] - q[a2] * q[b1]))
                     hhat[(a1 + b1) % n, (a2 + b2) % n] += (
                         fhat[a1, a2] * ghat[b1, b2] * twist)
     vals = np.fft.ifft2(hhat) * n * n
@@ -247,6 +247,27 @@ def test_live_rows_keep_exactly_the_true_support(n):
     assert list(_live_rows(spectrum(wave))) == [5]
 
 
+@pytest.mark.parametrize("bad",
+                         [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+def test_grid_star_propagates_non_finite_samples_like_dense(bad):
+    # a NaN budget once dropped every row and returned an all-zero product
+    n = 16
+    for seed in range(4):
+        f = band_limited_field(n, 2.5, 3, seed=1840 + seed)
+        g = random_field(n, seed=1850 + seed)
+        values = f.values.copy()
+        values[seed, 2 * seed + 1] = bad
+        spoilt = f.with_values(values)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert len(_live_rows(spectrum(spoilt))) == n
+            pairs = ((spoilt, f), (f, spoilt), (spoilt, g), (g, spoilt))
+            for lhs, rhs in pairs:
+                got = grid_star(lhs, rhs, 0.37).values
+                want = star_dense_reference(lhs, rhs, 0.37).values
+                assert np.isnan(want).any()
+                assert np.array_equal(np.isnan(got), np.isnan(want))
+
+
 def test_live_rows_dropped_mass_within_budget():
     for hat in (spectrum(band_limited_field(128, 1.0, 31, seed=1830)),
                 spectrum(plane_wave(64, 1.0, -7, 2)),
@@ -335,9 +356,127 @@ def test_star_noncommutative_pointwise():
     assert abs(fg.integral() - gf.integral()) < 1e-12
 
 
+def _poly_eval(poly: dict[tuple[int, int], float],
+               x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(x1)
+    for (e1, e2), c in poly.items():
+        out = out + c * x1 ** e1 * x2 ** e2
+    return out
+
+
+def _poly_shift_derivative(poly: dict[tuple[int, int], float], axis: int,
+                           center: float, sigma: float) -> dict:
+    """d/dx_axis of q(x) w(x) stays in the family: q -> dq - q (x-c)/s^2."""
+    out: dict[tuple[int, int], float] = {}
+
+    def add(key, v):
+        out[key] = out.get(key, 0.0) + v
+        if out[key] == 0.0:
+            del out[key]
+
+    inv = 1.0 / (sigma * sigma)
+    for (e1, e2), c in poly.items():
+        e = (e1, e2)
+        if e[axis]:
+            k = list(e)
+            k[axis] -= 1
+            add(tuple(k), c * e[axis])
+        k = list(e)
+        k[axis] += 1
+        add(tuple(k), -c * inv)
+        add(e, c * center * inv)
+    return out
+
+
+def series_defect_reference(poly_f: dict[tuple[int, int], float],
+                            poly_g: dict[tuple[int, int], float],
+                            n: int = 128,
+                            box_length: float = 2.0 * math.pi,
+                            theta: float = 0.02,
+                            sigma: float | None = None,
+                            max_terms: int = 24,
+                            series_tol: float = 1e-12) -> float:
+    """The series cross-check before it moved to coefficient matrices.
+
+    Derivatives are a memoised recursion over exponent dicts and every
+    polynomial is evaluated term by term on an N x N meshgrid; kept as
+    the reference for ``cross_validate_symbolic``.
+    """
+    if sigma is None:
+        sigma = box_length / 16.0
+    if 2.0 * theta >= sigma * sigma:
+        raise ValueError("series diverges: need theta << sigma^2 / 2")
+    center = box_length / 2.0
+    x = np.arange(n) * (box_length / n)
+    x1, x2 = np.meshgrid(x, x, indexing="ij")
+    window = np.exp(-((x1 - center) ** 2 + (x2 - center) ** 2)
+                    / (2.0 * sigma * sigma))
+
+    f_vals = _poly_eval(poly_f, x1, x2) * window
+    g_vals = _poly_eval(poly_g, x1, x2) * window
+    f_field = GridField(f_vals, box_length)
+    g_field = GridField(g_vals, box_length)
+    product = grid_star(f_field, g_field, theta)
+
+    # x1 varies along rows and x2 along columns, so a polynomial's values
+    # are V C V^T with V the axis Vandermonde matrix and C its coefficients
+    deg = max((e1 + e2 for p in (poly_f, poly_g) for e1, e2 in p), default=0)
+    top = deg + max_terms + 1
+    vander = x[:, None] ** np.arange(top + 1)
+
+    def eval_fast(poly):
+        coeffs = np.zeros((top + 1, top + 1))
+        for (e1, e2), c in poly.items():
+            coeffs[e1, e2] = c
+        return vander @ coeffs @ vander.T
+
+    # mixed derivatives of each factor, keyed by (#d1, #d2)
+    derivs_f: dict[tuple[int, int], dict] = {(0, 0): dict(poly_f)}
+    derivs_g: dict[tuple[int, int], dict] = {(0, 0): dict(poly_g)}
+
+    def deriv(table, d1, d2):
+        key = (d1, d2)
+        if key not in table:
+            if d1:
+                prev = deriv(table, d1 - 1, d2)
+                table[key] = _poly_shift_derivative(prev, 0, center, sigma)
+            else:
+                prev = deriv(table, d1, d2 - 1)
+                table[key] = _poly_shift_derivative(prev, 1, center, sigma)
+        return table[key]
+
+    series = np.zeros((n, n), dtype=np.complex128)
+    win2 = window * window
+    scale = None
+    quiet = 0
+    for order in range(max_terms + 1):
+        coeff = (0.5j * theta) ** order / math.factorial(order)
+        term = np.zeros((n, n))
+        for m in range(order + 1):
+            sign = -1.0 if (order - m) % 2 else 1.0
+            binom = math.comb(order, m)
+            left = eval_fast(deriv(derivs_f, m, order - m))
+            right = eval_fast(deriv(derivs_g, order - m, m))
+            term = term + (sign * binom) * left * right
+        full = coeff * (term * win2)
+        series = series + full
+        mag = float(np.max(np.abs(full)))
+        if scale is None:
+            scale = mag if mag > 0 else 1.0
+        # equal arguments kill every odd order, so one quiet term
+        # proves nothing; stop only after two in a row
+        quiet = quiet + 1 if (order and mag < series_tol * scale) else 0
+        if quiet >= 2:
+            break
+    denom = float(np.max(np.abs(series)))
+    if denom == 0.0:
+        denom = 1.0
+    return float(np.max(np.abs(product.values - series)) / denom)
+
+
 def test_cross_validation_poly_gaussian():
     assert cross_validate_symbolic({(1, 0): 1.0, (0, 1): 0.5},
-                                   {(0, 2): 1.0, (0, 0): -0.25}) < 1e-9
+                                 {(0, 2): 1.0, (0, 0): -0.25}) < 1e-9
     assert cross_validate_symbolic({(2, 1): 1.0}, {(2, 1): 1.0}) < 1e-9
 
 
@@ -349,6 +488,24 @@ def test_cross_validation_asymmetric_pairs_to_roundoff():
         assert cross_validate_symbolic(pf, pg) < 1e-12
 
 
+@pytest.mark.parametrize("max_terms", [0, 1, 4, 24])
+def test_cross_validation_matches_dict_reference(max_terms):
+    # series_tol=0 runs every order up to max_terms, so a derivative chain
+    # cut short by a too small matrix, or a wrong sign in the shift map,
+    # changes the defect at orders the default tolerance never reaches
+    pairs = [({(0, 0): 1.0}, {(0, 0): 1.0}),
+             ({(1, 0): 1.0, (0, 1): 0.5}, {(0, 2): 1.0, (0, 0): -0.25}),
+             ({(2, 1): 1.0}, {(1, 1): 1.0, (0, 0): 0.5}),
+             ({(3, 0): 1.0, (1, 2): -0.5, (0, 1): 2.0},
+              {(0, 3): 0.7, (2, 0): 1.0, (1, 1): 0.25})]
+    for pf, pg in pairs:
+        got = cross_validate_symbolic(pf, pg, n=64, max_terms=max_terms,
+                                      series_tol=0.0)
+        want = series_defect_reference(pf, pg, n=64, max_terms=max_terms,
+                                       series_tol=0.0)
+        assert abs(got - want) <= 1e-9 * abs(want) + 1e-14
+
+
 def test_cross_validation_pure_window():
     # equal Gaussians: every odd order cancels, the even tail must not
     # be mistaken for convergence
@@ -358,7 +515,7 @@ def test_cross_validation_pure_window():
 def test_cross_validation_divergence_guard():
     with pytest.raises(ValueError):
         cross_validate_symbolic({(0, 0): 1.0}, {(0, 0): 1.0},
-                                theta=0.5, sigma=0.3)
+                              theta=0.5, sigma=0.3)
 
 
 def test_binary_round_trip(tmp_path):
@@ -433,6 +590,20 @@ def test_csv_load_checks_header_and_rows_before_allocating(tmp_path):
         bad.write_text(text)
         with pytest.raises(ValueError):
             load_grid_csv(bad)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_loaders_reject_non_finite_samples(tmp_path, bad):
+    f = band_limited_field(4, 1.0, 1, seed=6)
+    values = f.values.copy()
+    values[2, 1] = complex(0.5, float(bad))
+    spoilt = f.with_values(values)
+    save_grid_csv(tmp_path / "f.csv", spoilt, 0.25)
+    save_grid(tmp_path / "f.ncg", spoilt, 0.25)
+    with pytest.raises(ValueError, match="finite"):
+        load_grid_csv(tmp_path / "f.csv")
+    with pytest.raises(ValueError, match="finite"):
+        load_grid(tmp_path / "f.ncg")
 
 
 def test_phase_law_production_size():
