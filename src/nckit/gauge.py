@@ -225,10 +225,10 @@ def action_density(fs: FieldStrength, ctx: StarContext) -> Poly:
 
     Real valued: conjugation reverses the star product, so each F * conj(F)
     is self-conjugate.  Each is one ``star(F, conj(F), hermitian=True)``
-    call, which expands only half of the x-group pairs and keeps the real
-    part.  Under a gauge transformation the density shifts by a star
-    commutator only (see ``invariance_witness``), so its integral is
-    invariant by the trace property.
+    call, which forms only the real part of each series term.  Under a
+    gauge transformation the density shifts by a star commutator only
+    (see ``invariance_witness``), so its integral is invariant by the
+    trace property.
     """
     acc = Poly.zero()
     for pair in _PAIRS:

@@ -131,20 +131,21 @@ def band_limited_field(n: int, box_length: float, max_mode: int,
     return GridField(np.fft.ifft2(spec) * n * n, box_length)
 
 
-def _live_rows(hat: np.ndarray) -> np.ndarray:
+def _live_rows(hat: np.ndarray) -> np.ndarray | None:
     """Ascending indices of the rows of a 2-d spectrum that carry content.
 
     The rows are sorted by squared 2-norm and the smallest are dropped
     while their summed squared norm stays <= (u log2(N^2))^2 ||hat||^2,
     u = 2^-53 (see ``grid_star`` for why that is below roundoff).  A zero
-    spectrum has no live row and a non-finite one keeps them all.
+    spectrum has no live row; a non-finite one gives None, because its
+    product with anything, zero included, is non-finite everywhere.
     """
     flat = hat.view(np.float64)  # each row's re and im parts interleaved
     norms = np.einsum("ij,ij->i", flat, flat)
     order = np.argsort(norms)
     budget = (2.0 ** -53 * math.log2(hat.size)) ** 2 * norms.sum()
     if not math.isfinite(budget):
-        return np.arange(hat.shape[0])
+        return None
     dropped = np.searchsorted(np.cumsum(norms[order]), budget, side="right")
     return np.sort(order[dropped:])
 
@@ -182,8 +183,10 @@ def grid_star(f: GridField, g: GridField, theta: float) -> GridField:
     q = 2 * np.pi * np.fft.fftfreq(n, d=f.box_length / n)
     fhat = np.fft.fft2(f.values, norm="forward")
     ghat = np.fft.fft2(g.values, norm="forward")
-    f_rows = _live_rows(fhat)
-    start, size = _cyclic_window(_live_rows(ghat), n)
+    f_rows, g_rows = _live_rows(fhat), _live_rows(ghat)
+    if f_rows is None or g_rows is None:  # 0 * nan is nan: keep every row
+        f_rows = g_rows = np.arange(n)
+    start, size = _cyclic_window(g_rows, n)
     # window row j is g row b1 = (start + j) mod n, gathered once; a full
     # window starts at row 0 and is ghat itself (copying it made full band
     # products 3-4% slower at N = 256)
@@ -286,8 +289,8 @@ def cross_validate_symbolic(poly_f: dict[tuple[int, int], float],
     """
     if sigma is None:
         sigma = box_length / 16.0
-    if 2.0 * theta >= sigma * sigma:
-        raise ValueError("series diverges: need theta << sigma^2 / 2")
+    if 2.0 * abs(theta) >= sigma * sigma:
+        raise ValueError("series diverges: need |theta| << sigma^2 / 2")
     center = box_length / 2.0
     inv = 1.0 / (sigma * sigma)
     x = np.arange(n) * (box_length / n)

@@ -85,20 +85,44 @@ def pw_partial(p: PwPoly, mu: int) -> PwPoly:
 
 
 def pw_substitute(p: PwPoly, mapping: Mapping[str, Poly]) -> Poly:
-    """Ring morphism into the spacetime polynomials: var -> mapping[var]."""
-    out = Poly.zero()
-    cache: dict[tuple[int, ...], Poly] = {}
+    """Ring morphism into the spacetime polynomials: var -> mapping[var].
+
+    A variable whose image is a constant is folded into each term's
+    coefficient first.  The terms are then grouped by what remains of
+    their exponents, each power of an image is built once, and every
+    group's product is added into one term dict."""
+    consts = {name: img.coefficient((0,) * len(Poly.VARS))
+              for name, img in mapping.items() if img.total_degree() == 0}
+    groups: dict[tuple[tuple[str, int], ...], CRat] = {}
     for exps, c in p.items():
-        if exps not in cache:
-            m = Poly.one()
-            for name, e in zip(PwPoly.VARS, exps):
-                if e:
-                    if name not in mapping:
-                        raise KeyError(f"no substitution given for {name}")
-                    m = m * mapping[name] ** e
-            cache[exps] = m
-        out = out + cache[exps] * c
-    return out
+        rest = []
+        for name, e in zip(PwPoly.VARS, exps):
+            if not e:
+                continue
+            if name in consts:
+                c = c * consts[name] ** e
+            elif name in mapping:
+                rest.append((name, e))
+            else:
+                raise KeyError(f"no substitution given for {name}")
+        key = tuple(rest)
+        acc = groups.get(key)
+        groups[key] = c if acc is None else acc + c
+    powers: dict[tuple[str, int], Poly] = {}
+    out: dict[tuple[int, ...], CRat] = {}
+    for rest, c in groups.items():
+        if not c:
+            continue
+        m = Poly.one()
+        for name, e in rest:
+            power = powers.get((name, e))
+            if power is None:
+                power = powers[(name, e)] = mapping[name] ** e
+            m = m * power
+        for exps, cm in m.items():
+            acc = out.get(exps)
+            out[exps] = cm * c if acc is None else acc + cm * c
+    return Poly._raw({exps: c for exps, c in out.items() if c})
 
 
 def _s_split(p: PwPoly) -> dict[int, PwPoly]:

@@ -20,50 +20,51 @@ Consequences implemented and tested here:
 * the integral trace property (integral of f*g equals integral of fg) is not
   expressible on polynomials and is verified numerically by the grid module.
 
-The derivatives act on the spatial exponents only, and theta depends on t
-alone, so x^a * x^b is one fixed expansion whatever (t, eps) cofactors the
-two monomials carry.  ``star`` therefore groups each operand by
-x-exponents, f = sum_a x^a F_a(t, eps), merges F_a G_b into one cofactor
-(dropping eps orders above the cutoff), and expands each distinct pair
-(a, b) once per call.  A one-term cofactor is folded into every
-contraction coefficient; a longer one multiplies the finished expansion.
-Nothing outlives the call except what ``ThetaProfile`` keeps: its thetadot,
-and one product of theta entry powers per contraction 6-tuple m.  Those
-products are bounded: n = sum(m) never exceeds the smaller operand's
-spatial degree, and the expression language's MAX_DEGREE = 16 caps the
-degree sum of each product's operands, so there n <= 8 and a profile keeps
-at most C(14, 6) = 3,003 products, the 6-tuples with sum at most 8.
+``star`` sums the series in operator-split form.  With
+D_i = sum_j theta^{ij} d_j, which commute with each other and with the d_j
+because theta depends on t alone, the index sequences holding each index i
+r_i times give one term n!/r! times:
 
-A product f * conj(f), the shape of every action density, needs only
-about half of its group pairs.  Its pair (b, a) is x^b F_b * x^a conj(F_a),
-the conjugate of pair (a, b) since conjugation reverses the product, so
+    f * g = sum_r (i/2)^|r| / r! (d^r f) (D^r g),
 
-    f * conj(f) = Re[ sum_{a <= b} w_ab (x^a F_a * x^b conj(F_b)) ],
-    w_aa = 1,  w_ab = 2 for a < b,
+over multi-indices r = (r_1, r_2, r_3) with |r| <= n_max, the smaller
+operand's spatial degree.  The r are visited depth first in non-decreasing
+index order, so each node's d^r f and D^r g come from its parent's by one
+d_i and one D_i, and D^r g is built once per call for every term of f.
 
-where Re takes the real part of each coefficient (t, x and eps are real).
-``star(f, conj(f), ctx, hermitian=True)`` builds conj(f)'s groups from
-f's by negating the imaginary ints, expands only the pairs b >= a with
-the weight in the ints, and keeps the real part of each output term.
-An f of one x-group has no pair to save, so it takes the ordinary route.
+Orientation.  theta is antisymmetric, so D'_j = sum_i theta^{ij} d_i is -D_j
+and f * g = sum_s (-i/2)^|s| / s! (D^s f) (d^s g) as well.  D spreads a term
+over several t-exponents, so it goes on the operand with fewer terms.
 
-The expansion of x^a * x^b is a finite sum over "contraction matrices":
-nonnegative integers m[i][j] counting how many derivative pairs hit the
-ordered index pair (i, j).  Only the six off-diagonal entries matter, and
-each is bounded by the spatial exponents, so the enumeration is exact and
-fast.
+Exact ints.  Every term of one call is an int over one shared denominator,
+f_den g_den n_max! (2 D)^n_max: f_den and g_den are the lcm of each
+operand's coefficient denominators and D that of theta's.  D^r g holds ints
+over g_den D^|r|, and the node weight n_max!/r! (2 D)^(n_max - |r|) is an
+int, since r! divides |r|! (multinomial coefficients are ints), which
+divides n_max!.  So every sum is a gcd-free int addition, in the manner of
+Bareiss (Math. Comp. 1968), and each output term is normalised once, by
+``rationals._norm``, which drops a sum that cancelled.  d_i and D_i are
+real, so the real and imaginary parts are kept apart and a node's product
+is four real products routed by i^|r|; an empty part, common among the
+mostly real or imaginary gauge coefficients, costs nothing.  A term's
+exponents (t, x1, x2, x3) are packed into one int, t lowest, in fields wide
+enough for the call, so a product of monomials is one int addition.
 
-No coefficient passes through ``CRat`` inside the kernel.  Every term of
-one call is a pair of ints (re, im) over one denominator shared by the
-whole call: the lcm of f's coefficient denominators, times g's, times
-n_max! (2 D)^n_max, where n_max is the smaller operand's spatial degree
-(no contraction goes deeper) and D is the lcm of theta's coefficient
-denominators.  The contraction coefficient (i/2)^n / m! of order n,
-times a theta product over D^n, divides into it.  So every sum, in the
-cofactors, the expansions and the output, is a plain int addition with
-no gcd, in the fraction-free manner of Bareiss (Math. Comp. 1968).  Each
-output term is normalised once at the end, by ``rationals._norm``, and a
-term whose sum cancelled to zero is dropped there.
+Eps pruning.  Under an eps cutoff N, a term of eps order e meets only terms
+of order <= N - e.  d and D keep eps orders, so each side's lowest order can
+only rise down the tree, and a node drops, for its whole subtree, every term
+whose order cannot meet the other side's lowest.
+
+Commutator.  Swapping f and g flips the sign of the odd |r| terms, so
+f*g - g*f is twice the odd nodes.
+
+Hermitian mode.  f * conj(f), the shape of every action density, is real,
+since conjugation reverses the product.  ``star(f, conj(f), ctx,
+hermitian=True)`` forms at each node only the two real products that land
+in the real part.
+
+Nothing outlives the call except what ``ThetaProfile`` keeps: its thetadot
+and the row table of D.
 """
 
 from __future__ import annotations
@@ -80,8 +81,6 @@ EntryLike = Union[Poly, CRat, int, Fraction]
 
 _HALF_I = CRat(0, Fraction(1, 2))
 
-_ORDERED_PAIRS = ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
-
 
 class ThetaProfile:
     """Antisymmetric 3x3 deformation matrix with entries polynomial in t.
@@ -91,15 +90,16 @@ class ThetaProfile:
     int.  The lower triangle is filled by antisymmetry and the diagonal is
     zero.
 
-    The profile is immutable, so it keeps what derives from it: the lcm
-    of its entries' coefficient denominators, its thetadot, built on first
-    use, and the star expansion's contraction products.  Each product is
-    kept as (t-exponent, numerator) int pairs over that lcm to the power
-    n, the contraction order; there are at most 3,003 of them (see the
-    module docstring).
+    The profile is immutable, so it keeps what derives from it: the lcm D
+    of its entries' coefficient denominators and, each built on first use,
+    its thetadot and the row table of the star kernel's operator
+    D_i = theta^{ij} d_j.  Row i lists, for each j with theta^{ij} != 0,
+    the pair (j, ((t-exponent, numerator), ...)) of theta^{ij} over D;
+    theta is real, so one numerator suffices.  The table has at most six
+    entries, whatever the profile meets.
     """
 
-    __slots__ = ("_upper", "_den", "_dot", "_prod_cache")
+    __slots__ = ("_upper", "_den", "_dot", "_table")
 
     def __init__(self, entries: Mapping[tuple[int, int], EntryLike] | None = None):
         upper: dict[tuple[int, int], Poly] = {}
@@ -119,7 +119,7 @@ class ThetaProfile:
         object.__setattr__(self, "_den", math.lcm(
             *(c._den for p in upper.values() for _, c in p.items())))
         object.__setattr__(self, "_dot", None)
-        object.__setattr__(self, "_prod_cache", {})
+        object.__setattr__(self, "_table", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ThetaProfile is immutable")
@@ -156,6 +156,23 @@ class ThetaProfile:
     def is_static(self) -> bool:
         return self.theta_dot().is_zero()
 
+    def _star_table(self) -> tuple[int, tuple]:
+        """(largest t-exponent, rows) for the star kernel, built on first
+        use; rows[i], i = 1..3, is the row of D_i (see the class docstring).
+        """
+        if self._table is None:
+            rows = (None, [], [], [])
+            t_deg = 0
+            for (i, j), p in self._upper.items():
+                nums = []
+                for e, c in p.items():
+                    nums.append((e[0], c._re * (self._den // c._den)))
+                    t_deg = max(t_deg, e[0])
+                rows[i].append((j, tuple(nums)))  # theta^{ji} = -theta^{ij}
+                rows[j].append((i, tuple((te, -n) for te, n in nums)))
+            object.__setattr__(self, "_table", (t_deg, rows))
+        return self._table
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ThetaProfile):
             return NotImplemented
@@ -166,25 +183,6 @@ class ThetaProfile:
 
     def __repr__(self) -> str:
         return f"ThetaProfile({self._upper!r})"
-
-    def _contraction_product(self, m6: tuple[int, ...]
-                             ) -> tuple[tuple[int, int], ...]:
-        """Product of theta entry powers over the six ordered pairs, as
-        (t-exponent, numerator) int pairs over the denominator
-        self._den ** sum(m6); theta is real, so one numerator suffices.
-        A theta keeps one per contraction it has met, and a tuple is far
-        smaller than a Poly."""
-        hit = self._prod_cache.get(m6)
-        if hit is None:
-            prod = Poly.one()
-            for (i, j), m in zip(_ORDERED_PAIRS, m6):
-                if m:
-                    prod = prod * self.entry(i, j) ** m
-            scale = self._den ** sum(m6)
-            hit = tuple((e[0], c._re * (scale // c._den))
-                        for e, c in prod.items())
-            self._prod_cache[m6] = hit
-        return hit
 
 
 @dataclass(frozen=True)
@@ -209,201 +207,209 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
          commutator: bool = False, hermitian: bool = False) -> Poly:
     """Exact star product of two polynomials (terminating series).
 
-    commutator=True returns f*g - g*f instead.  Swapping f and g flips the
-    sign of the n-th series term (theta is antisymmetric), so the
-    commutator is twice the odd-n terms of f*g: one pass, no even terms.
+    commutator=True returns f*g - g*f instead: twice the odd-order terms
+    of f*g, in one pass.
 
-    hermitian=True returns the same f*g for g = conj(f), from about half
-    the group pairs (see the module docstring): only the pairs b >= a of
-    f's x-groups, the off-diagonal ones weighted 2, and only the real part
-    of each output term.  It raises ValueError unless g == conj(f), and
-    together with commutator=True; a zero operand returns zero first, the
-    exact product and commutator whatever the other operand is.
+    hermitian=True returns the same f*g for g = conj(f), forming only the
+    real part of each node's product (see the module docstring).  It
+    raises ValueError unless g == conj(f), and together with
+    commutator=True; a zero operand returns zero first, the exact product
+    and commutator whatever the other operand is.
 
-    Each distinct pair of x-monomials of f and g is expanded once, and
-    coefficients are summed as unnormalised ints (see the module
-    docstring); nothing is kept after the call.
+    The series is summed in operator-split form over one shared int
+    denominator (see the module docstring); nothing is kept after the call.
     """
     if not f or not g:  # theta_dot_sum pairs terms such as F_ii = 0
         return Poly.zero()
     if hermitian and (commutator or not _is_conj(f, g)):
         raise ValueError(
             "star: hermitian=True needs g == conj(f) and commutator=False")
+    # d acts on p and D on q, the operand with fewer terms; with D on f the
+    # series runs in -i/2 (see the module docstring)
+    flip = len(f) < len(g)
+    p, q = (g, f) if flip else (f, g)
+    p_den, p_deg, p_tops = _scan(p)
+    q_den, q_deg, q_tops = _scan(q)
+    n_max = min(p_deg, q_deg)
     theta = ctx.theta
-    cutoff = ctx.eps_cutoff
-    if theta.is_zero():
+    if not n_max or theta.is_zero():  # the series is its order-0 term, fg
         return Poly.zero() if commutator else ctx.reduce(f * g)
-    scale = 2 if commutator else 1
-
-    # Caps for each ordered pair: 0 when the entry vanishes identically.
-    # theta^{ij} and theta^{ji} vanish together, and ThetaProfile stores
-    # only the nonzero upper entries.
-    c12, c13, c23 = (10 ** 9 if pair in theta._upper else 0
-                     for pair in ((1, 2), (1, 3), (2, 3)))
-    c21, c31, c32 = c12, c13, c23
-
-    # Coefficients are int pairs (re, im) over den, the call's shared
-    # denominator (see the module docstring).  A contraction term of order
-    # n and matrix m is num (i/2)^n / m! times a theta product over
-    # theta._den^n, so over den its numerator is num * weight[n] / m!
-    # times the rest, an int.
-    f_groups, f_den, f_deg = _x_groups(f)
-    if hermitian and len(f_groups) > 1:
-        # group a of f meets group a of conj(f) at weight 1 and the
-        # groups b > a at weight 2 (see the module docstring)
-        g_den, g_deg = f_den, f_deg
-        once = [_conj_group(group, 1) for group in f_groups]
-        twice = [_conj_group(group, 2) for group in f_groups[1:]]
-        for a, group in enumerate(f_groups):
-            group[3] = [once[a], *twice[a:]]
-    else:  # each group meets all of g's; one x-group has no pair to save
-        g_groups, g_den, g_deg = _x_groups(g)
-        for group in f_groups:
-            group[3] = g_groups
-    n_max = min(f_deg, g_deg)
-    fact = [1]
-    for k in range(1, n_max + 1):
-        fact.append(fact[-1] * k)
-    # weight[n] = n_max! (2 theta._den)^(n_max - n), built from n = n_max
-    weight = [fact[n_max]]
-    for _ in range(n_max):
-        weight.append(weight[-1] * 2 * theta._den)
-    weight.reverse()
-    den = f_den * g_den * weight[0]
-    products = theta._prod_cache
-    out: dict[tuple[int, ...], tuple[int, int]] = {}
-    for (a1, a2, a3), f_one, f_cof, row in f_groups:
-        for (b1, b2, b3), g_one, g_cof, _ in row:
-            # The cofactor F_a * G_b of x^a * x^b.  When it is one term
-            # (base t^t0 eps^e4), it is folded into every contraction
-            # coefficient, straight into out; when longer, x^a * x^b is
-            # expanded once into dest and then multiplied by it.
-            cof = None
-            if f_one is not None and g_one is not None:
-                tf, ef, fr, fi = f_one
-                tg, eg, gr, gi = g_one
-                e4 = ef + eg
-                if cutoff is not None and e4 > cutoff:
-                    continue
-                t0 = tf + tg
-                br, bi = fr * gr - fi * gi, fr * gi + fi * gr
-            else:
-                cof = {}
-                for tf, ef, fr, fi in f_cof:
-                    for tg, eg, gr, gi in g_cof:
-                        e4 = ef + eg
-                        if cutoff is not None and e4 > cutoff:
-                            continue
-                        key = (tf + tg, e4)
-                        cr, ci = fr * gr - fi * gi, fr * gi + fi * gr
-                        acc = cof.get(key)
-                        cof[key] = ((cr, ci) if acc is None
-                                    else (acc[0] + cr, acc[1] + ci))
-                cof = [(k, v) for k, v in cof.items() if v[0] or v[1]]
-                if not cof:
-                    continue
-                if len(cof) == 1:
-                    ((t0, e4), (br, bi)), = cof
-                    cof = None
-                else:
-                    t0, e4, br, bi = 0, 0, 1, 0
-            # scale * base * i^n, indexed by n mod 4
-            br, bi = br * scale, bi * scale
-            rot = ((br, bi), (-bi, br), (-br, -bi), (bi, -br))
-            dest = out if cof is None else {}
-            for m12 in range(min(a1, b2, c12) + 1):
-                for m13 in range(min(a1 - m12, b3, c13) + 1):
-                    for m21 in range(min(a2, b1, c21) + 1):
-                        for m23 in range(min(a2 - m21, b3 - m13, c23) + 1):
-                            for m31 in range(min(a3, b1 - m21, c31) + 1):
-                                for m32 in range(min(a3 - m31, b2 - m12, c32) + 1):
-                                    n = m12 + m13 + m21 + m23 + m31 + m32
-                                    if commutator and not n & 1:
-                                        continue
-                                    # row sums differentiate f, column sums g
-                                    r1, r2, r3 = m12 + m13, m21 + m23, m31 + m32
-                                    s1, s2, s3 = m21 + m31, m12 + m32, m13 + m23
-                                    num = (math.perm(a1, r1) * math.perm(a2, r2)
-                                           * math.perm(a3, r3)
-                                           * math.perm(b1, s1) * math.perm(b2, s2)
-                                           * math.perm(b3, s3) * weight[n] // (
-                                        fact[m12] * fact[m13] * fact[m21]
-                                        * fact[m23] * fact[m31] * fact[m32]))
-                                    pr, pi = rot[n & 3]
-                                    pr *= num
-                                    pi *= num
-                                    xk = (a1 - r1 + b1 - s1,
-                                          a2 - r2 + b2 - s2,
-                                          a3 - r3 + b3 - s3)
-                                    if not n:  # no theta factor
-                                        key = (t0, *xk, e4)
-                                        acc = dest.get(key)
-                                        dest[key] = ((pr, pi) if acc is None
-                                                     else (acc[0] + pr, acc[1] + pi))
-                                        continue
-                                    m6 = (m12, m21, m13, m31, m23, m32)
-                                    tp = products.get(m6)
-                                    if tp is None:
-                                        tp = theta._contraction_product(m6)
-                                    for et, tn in tp:
-                                        key = (t0 + et, *xk, e4)
-                                        acc = dest.get(key)
-                                        if acc is None:
-                                            dest[key] = (pr * tn, pi * tn)
-                                        else:
-                                            dest[key] = (acc[0] + pr * tn,
-                                                         acc[1] + pi * tn)
-            if cof is None:
+    cutoff = ctx.eps_cutoff
+    t_deg, rows = theta._star_table()
+    # every t and x exponent a node or the output holds fits in width bits
+    width = max(p_tops[0] + q_tops[0] + n_max * t_deg,
+                p_deg + q_deg).bit_length()
+    mask = (1 << width) - 1
+    # the weight of node r is n_max!/r! (2 D)^(n_max - |r|)
+    two_d = 2 * theta._den
+    top = math.factorial(n_max)
+    scale = 2 * top if commutator else top
+    out: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+    # nodes: (last index, its run length, r!, |r|, d^r p, D^r q)
+    stack = [(1, 0, 1, 0, _sides(p, p_den, width, cutoff),
+              _sides(q, q_den, width, cutoff))]
+    while stack:
+        last, run, rfact, n, ps, qs = stack.pop()
+        if cutoff is not None:
+            ps, qs = _prune(ps, qs, cutoff)
+            if not ps:
                 continue
-            for ex, (xr, xi) in dest.items():
-                for (tc, ec), (kr, ki) in cof:
-                    key = (ex[0] + tc, ex[1], ex[2], ex[3], ec)
-                    cr, ci = xr * kr - xi * ki, xr * ki + xi * kr
-                    acc = out.get(key)
-                    out[key] = ((cr, ci) if acc is None
-                                else (acc[0] + cr, acc[1] + ci))
+        if not commutator or n & 1:
+            w = scale * two_d ** (n_max - n) // rfact
+            _node_product(out, ps, qs, w, (-n if flip else n) & 3, cutoff,
+                          hermitian)
+        if n == n_max:
+            continue
+        for i in range(last, 4):
+            # d^r p holds x_i only while r_i stays below p's top exponent
+            if p_tops[i] <= (run if i == last else 0):
+                continue
+            dp = _partial(ps, i * width, mask)
+            if dp:
+                dq = _theta_apply(qs, rows[i], width, mask)
+                if dq:
+                    k = run + 1 if i == last else 1
+                    stack.append((i, k, rfact * k, n + 1, dp, dq))
+    den = p_den * q_den * top * two_d ** n_max
     terms = {}
-    if hermitian:  # the imaginary parts of the weighted pairs cancel
-        for key, (r, _) in out.items():
-            if r:
-                terms[key] = _norm(r, 0, den)
-    else:
-        for key, (r, i) in out.items():
+    for e, (re, im) in out.items():
+        for k in re.keys() | im.keys():
+            r, i = re.get(k, 0), im.get(k, 0)
             if r or i:
-                terms[key] = _norm(r, i, den)
+                terms[(k & mask, k >> width & mask, k >> 2 * width & mask,
+                       k >> 3 * width, e)] = _norm(r, i, den)
     return Poly._raw(terms)
 
 
-def _x_groups(p: Poly) -> tuple[list, int, int]:
-    """p grouped by x-exponents, the lcm L of its denominators and its
-    largest x-degree: ([[x-exponents, the term when it is the only one,
-    [(t-exponent, eps-exponent, re, im), ...], row], ...], L, degree),
-    each coefficient as the ints (re + im*i) / L.  row is None here;
-    ``star`` sets it to the list of the other operand's groups that a
-    group of the left operand meets."""
-    if len(p) == 1:
-        (e, c), = p.items()
-        term = (e[0], e[4], c._re, c._im)
-        return ([[(e[1], e[2], e[3]), term, [term], None]], c._den,
-                e[1] + e[2] + e[3])
+def _scan(p: Poly) -> tuple[int, int, list[int]]:
+    """The lcm of p's coefficient denominators, its spatial degree and its
+    largest exponent of each variable (t, x1, x2, x3, eps)."""
     lcm = 1
-    for _, c in p.items():
+    deg = 0
+    for e, c in p._terms.items():
         if lcm % c._den:
             lcm = math.lcm(lcm, c._den)
-    groups: dict = {}
-    deg = 0
+        if e[1] + e[2] + e[3] > deg:
+            deg = e[1] + e[2] + e[3]
+    return lcm, deg, list(map(max, zip(*p._terms)))
+
+
+def _sides(p: Poly, den: int, width: int, cutoff: int | None) -> dict:
+    """p as {eps order: (re, im)}, re and im each a {packed exponents: int}
+    dict of the nonzero real or imaginary numerators over den.  Terms above
+    the eps cutoff are left out."""
+    sides: dict = {}
     for e, c in p.items():
-        s = lcm // c._den
-        term = (e[0], e[4], c._re * s, c._im * s)
-        x = (e[1], e[2], e[3])
-        group = groups.get(x)
-        if group is None:
-            groups[x] = [x, term, [term], None]
-            deg = max(deg, e[1] + e[2] + e[3])
-        else:
-            group[1] = None
-            group[2].append(term)
-    return list(groups.values()), lcm, deg
+        if cutoff is not None and e[4] > cutoff:
+            continue
+        part = sides.get(e[4])
+        if part is None:
+            part = sides[e[4]] = ({}, {})
+        k = e[0] | e[1] << width | e[2] << 2 * width | e[3] << 3 * width
+        s = den // c._den
+        if c._re:
+            part[0][k] = c._re * s
+        if c._im:
+            part[1][k] = c._im * s
+    return sides
+
+
+def _prune(ps: dict, qs: dict, cutoff: int) -> tuple[dict, dict]:
+    """Each side without the eps orders that cannot meet the other side's
+    lowest order under the cutoff; two empty sides when none can."""
+    if not ps or not qs:
+        return {}, {}
+    lo_p, lo_q = min(ps), min(qs)
+    if lo_p + lo_q > cutoff:
+        return {}, {}
+    if max(ps) + lo_q > cutoff:
+        ps = {e: part for e, part in ps.items() if e + lo_q <= cutoff}
+    if max(qs) + lo_p > cutoff:
+        qs = {e: part for e, part in qs.items() if e + lo_p <= cutoff}
+    return ps, qs
+
+
+def _partial(side: dict, shift: int, mask: int) -> dict:
+    """d_i of a side, x_i's exponent in the field at shift."""
+    one = 1 << shift
+    out = {}
+    for e, (re, im) in side.items():
+        re = {k - one: c * (k >> shift & mask)
+              for k, c in re.items() if k >> shift & mask}
+        im = {k - one: c * (k >> shift & mask)
+              for k, c in im.items() if k >> shift & mask}
+        if re or im:
+            out[e] = (re, im)
+    return out
+
+
+def _theta_apply(side: dict, row: tuple, width: int, mask: int) -> dict:
+    """D_i of a side for row i of theta's table: every numerator gains one
+    factor D in its denominator.  A sum that cancels stays as a zero entry,
+    which costs less than filtering each dict; the output drops it."""
+    out = {}
+    for e, parts in side.items():
+        new: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        for part, d in zip(parts, new):
+            get = d.get
+            for j, entry in row:
+                shift = j * width
+                one = 1 << shift
+                for k, c in part.items():
+                    m = k >> shift & mask
+                    if m:
+                        base = k - one
+                        c *= m
+                        for te, num in entry:
+                            key = base + te
+                            d[key] = get(key, 0) + c * num
+        if new[0] or new[1]:
+            out[e] = new
+    return out
+
+
+def _node_product(out: dict, ps: dict, qs: dict, w: int, rot: int,
+                  cutoff: int | None, real_only: bool) -> None:
+    """Add w i^rot (d^r p)(D^r q) into out, {eps order: (re, im)}.
+
+    With P = Pr + i Pi and Q = Qr + i Qi, Re PQ = Pr Qr - Pi Qi and
+    Im PQ = Pr Qi + Pi Qr.  An even rot keeps each in its own accumulator,
+    an odd one swaps them; rot 1 and 2 negate Im PQ, rot 2 and 3 negate
+    Re PQ.  real_only forms only what lands in the real accumulator."""
+    odd = rot & 1
+    w_re = w if rot < 2 else -w
+    w_im = -w if rot == 1 or rot == 2 else w
+    for ep, (pr, pi) in ps.items():
+        for eq, (qr, qi) in qs.items():
+            e = ep + eq
+            if cutoff is not None and e > cutoff:
+                continue
+            acc = out.get(e)
+            if acc is None:
+                acc = out[e] = ({}, {})
+            to_re, to_im = (acc[1], acc[0]) if odd else acc
+            if not (real_only and odd):
+                if pr and qr:
+                    _mac(to_re, pr, qr, w_re)
+                if pi and qi:
+                    _mac(to_re, pi, qi, -w_re)
+            if not (real_only and not odd):
+                if pr and qi:
+                    _mac(to_im, pr, qi, w_im)
+                if pi and qr:
+                    _mac(to_im, pi, qr, w_im)
+
+
+def _mac(dest: dict, a: dict, b: dict, w: int) -> None:
+    """dest += w a b for packed-exponent dicts a and b."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = dest.get
+    for ka, ca in a.items():
+        ca *= w
+        for kb, cb in b.items():
+            k = ka + kb
+            dest[k] = get(k, 0) + ca * cb
 
 
 def _is_conj(f: Poly, g: Poly) -> bool:
@@ -418,14 +424,6 @@ def _is_conj(f: Poly, g: Poly) -> bool:
                 or d._den != c._den):
             return False
     return True
-
-
-def _conj_group(group: list, w: int) -> tuple:
-    """An x-group of ``_x_groups`` conjugated and times w: the imaginary
-    ints negated, every int multiplied by w."""
-    x, _, cof, _ = group
-    cof = [(te, ee, w * re, -w * im) for te, ee, re, im in cof]
-    return (x, cof[0] if len(cof) == 1 else None, cof, None)
 
 
 def star_commutator(f: Poly, g: Poly, ctx: StarContext) -> Poly:

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from nckit.cli import SERIES_TOL
 from nckit.grid import (
     MAGIC,
     GridField,
@@ -259,13 +260,31 @@ def test_grid_star_propagates_non_finite_samples_like_dense(bad):
         values[seed, 2 * seed + 1] = bad
         spoilt = f.with_values(values)
         with np.errstate(invalid="ignore", over="ignore"):
-            assert len(_live_rows(spectrum(spoilt))) == n
+            assert _live_rows(spectrum(spoilt)) is None
             pairs = ((spoilt, f), (f, spoilt), (spoilt, g), (g, spoilt))
             for lhs, rhs in pairs:
                 got = grid_star(lhs, rhs, 0.37).values
                 want = star_dense_reference(lhs, rhs, 0.37).values
                 assert np.isnan(want).any()
                 assert np.array_equal(np.isnan(got), np.isnan(want))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_grid_star_zero_times_non_finite_is_non_finite_like_dense(bad):
+    # the zero spectrum has no live row, so the product once skipped the
+    # non-finite operand and came out all zero
+    n = 8
+    f = band_limited_field(n, 2.0, 2, seed=1860)
+    zero = f.with_values(np.zeros((n, n)))
+    values = f.values.copy()
+    values[3, 5] = bad
+    spoilt = f.with_values(values)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lhs, rhs in ((zero, spoilt), (spoilt, zero)):
+            got = grid_star(lhs, rhs, 0.7).values
+            want = star_dense_reference(lhs, rhs, 0.7).values
+            assert np.isnan(want).all()
+            assert np.array_equal(np.isnan(got), np.isnan(want))
 
 
 def test_live_rows_dropped_mass_within_budget():
@@ -513,9 +532,14 @@ def test_cross_validation_pure_window():
 
 
 def test_cross_validation_divergence_guard():
-    with pytest.raises(ValueError):
-        cross_validate_symbolic({(0, 0): 1.0}, {(0, 0): 1.0},
-                              theta=0.5, sigma=0.3)
+    # the series terms grow with |theta|, so the guard holds for either sign
+    for theta in (0.5, -0.5):
+        with pytest.raises(ValueError):
+            cross_validate_symbolic({(0, 0): 1.0}, {(0, 0): 1.0},
+                                    theta=theta, sigma=0.3)
+    assert cross_validate_symbolic({(1, 0): 1.0, (0, 1): 0.5},
+                                   {(0, 2): 1.0, (0, 0): -0.25},
+                                   theta=-0.02) < SERIES_TOL
 
 
 def test_binary_round_trip(tmp_path):

@@ -136,6 +136,32 @@ def test_pw_substitute_is_morphism():
         pw_substitute(P[0], mapping)
 
 
+def test_pw_substitute_folds_constants_and_groups_terms():
+    # constant images (zero, negative, one) fold into the coefficients, so
+    # 2 w f0 and 3 p0 f0 meet on f0 and cancel; the rest is checked against
+    # substitution term by term
+    from nckit.poly import x1, x2
+    mapping = {"w": Poly.const(Fraction(-3, 2)), "k1": Poly.zero(),
+               "k2": x1 + t, "p0": Poly.one(), "f0": x1 * x2 - I,
+               "d12": t * t}
+    p = (2 * W * F0 + 3 * P[0] * F0 + K[1] * K[2] * F0
+         + W * W * K[2] ** 3 * F0 ** 2 + P[0] * D[(1, 2)] * K[2] ** 3
+         - I * D[(1, 2)] ** 2 * F0 + Fraction(5, 7))
+    want = Poly.zero()
+    for exps, c in p.items():
+        term = Poly.const(c)
+        for name, e in zip(PwPoly.VARS, exps):
+            if e:
+                term = term * mapping[name] ** e
+        want = want + term
+    got = pw_substitute(p, mapping)
+    assert got == want
+    assert got.coefficient((0, 1, 1, 0, 0)).is_zero()  # the f0 terms cancel
+    assert pw_substitute(2 * W * F0 + 3 * P[0] * F0, mapping).is_zero()
+    with pytest.raises(KeyError):
+        pw_substitute(p + S_MARK, mapping)
+
+
 # -- closed form field strengths ----------------------------------------------
 
 def test_symbolic_field_strength_closed_forms():

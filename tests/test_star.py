@@ -9,10 +9,11 @@ from fractions import Fraction
 import pytest
 
 from nckit.poly import Poly, t, x1, x2, x3, eps
-from nckit.rationals import CRat
+from nckit.rationals import CRat, _norm
 from nckit.star import (
     StarContext,
     ThetaProfile,
+    _is_conj,
     dt_leibniz_correction,
     dt_leibniz_defect,
     spatial_derivation_defect,
@@ -58,6 +59,220 @@ def star_reference(f: Poly, g: Poly, ctx: StarContext) -> Poly:
                     continue
                 total = total + th * df * dg
     return ctx.reduce(total)
+
+
+_ORDERED_PAIRS = ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
+
+
+def _contraction_product(theta: ThetaProfile, m6: tuple[int, ...]
+                         ) -> tuple[tuple[int, int], ...]:
+    """Product of theta entry powers over the six ordered pairs, as
+    (t-exponent, numerator) int pairs over the denominator
+    theta._den ** sum(m6); theta is real, so one numerator suffices."""
+    prod = Poly.one()
+    for (i, j), m in zip(_ORDERED_PAIRS, m6):
+        if m:
+            prod = prod * theta.entry(i, j) ** m
+    scale = theta._den ** sum(m6)
+    return tuple((e[0], c._re * (scale // c._den)) for e, c in prod.items())
+
+
+def star_pair_reference(f: Poly, g: Poly, ctx: StarContext, *,
+                        commutator: bool = False,
+                        hermitian: bool = False) -> Poly:
+    """The star kernel as it was before the operator-split form: every
+    pair of x-groups expanded over its contraction matrices.  Copied from
+    the library with one change, a per-call table of theta products in
+    place of the profile's cache."""
+    if not f or not g:  # theta_dot_sum pairs terms such as F_ii = 0
+        return Poly.zero()
+    if hermitian and (commutator or not _is_conj(f, g)):
+        raise ValueError(
+            "star: hermitian=True needs g == conj(f) and commutator=False")
+    theta = ctx.theta
+    cutoff = ctx.eps_cutoff
+    if theta.is_zero():
+        return Poly.zero() if commutator else ctx.reduce(f * g)
+    scale = 2 if commutator else 1
+
+    # Caps for each ordered pair: 0 when the entry vanishes identically.
+    # theta^{ij} and theta^{ji} vanish together, and ThetaProfile stores
+    # only the nonzero upper entries.
+    c12, c13, c23 = (10 ** 9 if pair in theta._upper else 0
+                     for pair in ((1, 2), (1, 3), (2, 3)))
+    c21, c31, c32 = c12, c13, c23
+
+    # Coefficients are int pairs (re, im) over den, the call's shared
+    # denominator f_den g_den n_max! (2 theta._den)^n_max.  A contraction
+    # term of order n and matrix m is num (i/2)^n / m! times a theta
+    # product over theta._den^n, so over den its numerator is
+    # num * weight[n] / m! times the rest, an int.
+    f_groups, f_den, f_deg = _x_groups(f)
+    if hermitian and len(f_groups) > 1:
+        # group a of f meets group a of conj(f) at weight 1 and the
+        # groups b > a at weight 2: pair (b, a) is the conjugate of (a, b)
+        g_den, g_deg = f_den, f_deg
+        once = [_conj_group(group, 1) for group in f_groups]
+        twice = [_conj_group(group, 2) for group in f_groups[1:]]
+        for a, group in enumerate(f_groups):
+            group[3] = [once[a], *twice[a:]]
+    else:  # each group meets all of g's; one x-group has no pair to save
+        g_groups, g_den, g_deg = _x_groups(g)
+        for group in f_groups:
+            group[3] = g_groups
+    n_max = min(f_deg, g_deg)
+    fact = [1]
+    for k in range(1, n_max + 1):
+        fact.append(fact[-1] * k)
+    # weight[n] = n_max! (2 theta._den)^(n_max - n), built from n = n_max
+    weight = [fact[n_max]]
+    for _ in range(n_max):
+        weight.append(weight[-1] * 2 * theta._den)
+    weight.reverse()
+    den = f_den * g_den * weight[0]
+    products = {}
+    out: dict[tuple[int, ...], tuple[int, int]] = {}
+    for (a1, a2, a3), f_one, f_cof, row in f_groups:
+        for (b1, b2, b3), g_one, g_cof, _ in row:
+            # The cofactor F_a * G_b of x^a * x^b.  When it is one term
+            # (base t^t0 eps^e4), it is folded into every contraction
+            # coefficient, straight into out; when longer, x^a * x^b is
+            # expanded once into dest and then multiplied by it.
+            cof = None
+            if f_one is not None and g_one is not None:
+                tf, ef, fr, fi = f_one
+                tg, eg, gr, gi = g_one
+                e4 = ef + eg
+                if cutoff is not None and e4 > cutoff:
+                    continue
+                t0 = tf + tg
+                br, bi = fr * gr - fi * gi, fr * gi + fi * gr
+            else:
+                cof = {}
+                for tf, ef, fr, fi in f_cof:
+                    for tg, eg, gr, gi in g_cof:
+                        e4 = ef + eg
+                        if cutoff is not None and e4 > cutoff:
+                            continue
+                        key = (tf + tg, e4)
+                        cr, ci = fr * gr - fi * gi, fr * gi + fi * gr
+                        acc = cof.get(key)
+                        cof[key] = ((cr, ci) if acc is None
+                                    else (acc[0] + cr, acc[1] + ci))
+                cof = [(k, v) for k, v in cof.items() if v[0] or v[1]]
+                if not cof:
+                    continue
+                if len(cof) == 1:
+                    ((t0, e4), (br, bi)), = cof
+                    cof = None
+                else:
+                    t0, e4, br, bi = 0, 0, 1, 0
+            # scale * base * i^n, indexed by n mod 4
+            br, bi = br * scale, bi * scale
+            rot = ((br, bi), (-bi, br), (-br, -bi), (bi, -br))
+            dest = out if cof is None else {}
+            for m12 in range(min(a1, b2, c12) + 1):
+                for m13 in range(min(a1 - m12, b3, c13) + 1):
+                    for m21 in range(min(a2, b1, c21) + 1):
+                        for m23 in range(min(a2 - m21, b3 - m13, c23) + 1):
+                            for m31 in range(min(a3, b1 - m21, c31) + 1):
+                                for m32 in range(min(a3 - m31, b2 - m12, c32) + 1):
+                                    n = m12 + m13 + m21 + m23 + m31 + m32
+                                    if commutator and not n & 1:
+                                        continue
+                                    # row sums differentiate f, column sums g
+                                    r1, r2, r3 = m12 + m13, m21 + m23, m31 + m32
+                                    s1, s2, s3 = m21 + m31, m12 + m32, m13 + m23
+                                    num = (math.perm(a1, r1) * math.perm(a2, r2)
+                                           * math.perm(a3, r3)
+                                           * math.perm(b1, s1) * math.perm(b2, s2)
+                                           * math.perm(b3, s3) * weight[n] // (
+                                        fact[m12] * fact[m13] * fact[m21]
+                                        * fact[m23] * fact[m31] * fact[m32]))
+                                    pr, pi = rot[n & 3]
+                                    pr *= num
+                                    pi *= num
+                                    xk = (a1 - r1 + b1 - s1,
+                                          a2 - r2 + b2 - s2,
+                                          a3 - r3 + b3 - s3)
+                                    if not n:  # no theta factor
+                                        key = (t0, *xk, e4)
+                                        acc = dest.get(key)
+                                        dest[key] = ((pr, pi) if acc is None
+                                                     else (acc[0] + pr, acc[1] + pi))
+                                        continue
+                                    m6 = (m12, m21, m13, m31, m23, m32)
+                                    tp = products.get(m6)
+                                    if tp is None:
+                                        tp = products[m6] = _contraction_product(
+                                            theta, m6)
+                                    for et, tn in tp:
+                                        key = (t0 + et, *xk, e4)
+                                        acc = dest.get(key)
+                                        if acc is None:
+                                            dest[key] = (pr * tn, pi * tn)
+                                        else:
+                                            dest[key] = (acc[0] + pr * tn,
+                                                         acc[1] + pi * tn)
+            if cof is None:
+                continue
+            for ex, (xr, xi) in dest.items():
+                for (tc, ec), (kr, ki) in cof:
+                    key = (ex[0] + tc, ex[1], ex[2], ex[3], ec)
+                    cr, ci = xr * kr - xi * ki, xr * ki + xi * kr
+                    acc = out.get(key)
+                    out[key] = ((cr, ci) if acc is None
+                                else (acc[0] + cr, acc[1] + ci))
+    terms = {}
+    if hermitian:  # the imaginary parts of the weighted pairs cancel
+        for key, (r, _) in out.items():
+            if r:
+                terms[key] = _norm(r, 0, den)
+    else:
+        for key, (r, i) in out.items():
+            if r or i:
+                terms[key] = _norm(r, i, den)
+    return Poly._raw(terms)
+
+
+def _x_groups(p: Poly) -> tuple[list, int, int]:
+    """p grouped by x-exponents, the lcm L of its denominators and its
+    largest x-degree: ([[x-exponents, the term when it is the only one,
+    [(t-exponent, eps-exponent, re, im), ...], row], ...], L, degree),
+    each coefficient as the ints (re + im*i) / L.  row is None here;
+    ``star`` sets it to the list of the other operand's groups that a
+    group of the left operand meets."""
+    if len(p) == 1:
+        (e, c), = p.items()
+        term = (e[0], e[4], c._re, c._im)
+        return ([[(e[1], e[2], e[3]), term, [term], None]], c._den,
+                e[1] + e[2] + e[3])
+    lcm = 1
+    for _, c in p.items():
+        if lcm % c._den:
+            lcm = math.lcm(lcm, c._den)
+    groups: dict = {}
+    deg = 0
+    for e, c in p.items():
+        s = lcm // c._den
+        term = (e[0], e[4], c._re * s, c._im * s)
+        x = (e[1], e[2], e[3])
+        group = groups.get(x)
+        if group is None:
+            groups[x] = [x, term, [term], None]
+            deg = max(deg, e[1] + e[2] + e[3])
+        else:
+            group[1] = None
+            group[2].append(term)
+    return list(groups.values()), lcm, deg
+
+
+def _conj_group(group: list, w: int) -> tuple:
+    """An x-group of ``_x_groups`` conjugated and times w: the imaginary
+    ints negated, every int multiplied by w."""
+    x, _, cof, _ = group
+    cof = [(te, ee, w * re, -w * im) for te, ee, re, im in cof]
+    return (x, cof[0] if len(cof) == 1 else None, cof, None)
 
 
 # -- package layout --------------------------------------------------------
@@ -317,10 +532,10 @@ def test_star_shared_denominator_matches_reference():
 
 
 def test_star_hermitian_matches_full_product():
-    # f * conj(f) from the x-group pairs b >= a only, weighted 2 off the
-    # diagonal and cut to real parts, is the full product: on time-dependent
-    # and constant theta, every eps cutoff, one, two and many x-groups,
-    # cofactors of 1-3 (t, eps) terms, complex coefficients over up to 7
+    # f * conj(f) from the real part of each series term only is the full
+    # product: on time-dependent and constant theta, every eps cutoff, one,
+    # two and many x-groups, cofactors of 1-3 (t, eps) terms, complex
+    # coefficients over up to 7
     rng = random.Random(1321)
 
     def frac(nonzero=False):
@@ -372,6 +587,59 @@ def test_star_hermitian_matches_full_product():
                 star(f, g, ctx, hermitian=True)
         with pytest.raises(ValueError):
             star(f, f.conj(), ctx, commutator=True, hermitian=True)
+
+
+def _large_operand(rng: random.Random, terms: int, degree: int) -> Poly:
+    """At least `terms` terms over x-monomials of spatial degree <= degree
+    (the first exactly degree), each x-monomial with a (t, eps) cofactor of
+    1-3 terms and complex coefficients over up to 7."""
+    p = Poly.zero()
+    total = degree
+    while len(p) < terms:
+        cuts = sorted(rng.randint(0, total) for _ in range(2))
+        xe = (cuts[0], cuts[1] - cuts[0], total - cuts[1])
+        for _ in range(rng.randint(1, 3)):
+            c = CRat(rand_fraction(rng, -6, 6, 7), rand_fraction(rng, -6, 6, 7))
+            p = p + Poly.monomial((rng.randint(0, 2), *xe, rng.randint(0, 2)),
+                                  c if c else CRat(1))
+        total = rng.randint(0, degree)
+    return p
+
+
+def test_star_matches_pair_reference_on_large_operands():
+    # the literal series cannot reach 40-150 term operands of spatial
+    # degree 5-9; the pair kernel can, and shares no code with the
+    # operator-split one
+    rng = random.Random(1331)
+    thetas = (
+        ThetaProfile({(1, 2): Fraction(1, 2) - t, (1, 3): 2 * t * t,
+                      (2, 3): Fraction(-2, 3) + Fraction(1, 5) * t}),
+        ThetaProfile({(1, 2): Fraction(3, 2), (2, 3): t}),  # theta^13 = 0
+    )
+    small = _large_operand(rng, 40, 9)
+    large = _large_operand(rng, 150, 5)
+    mid = _large_operand(rng, 60, 7)
+    # mid with x1 and x2 swapped: as many terms, another polynomial
+    twin = Poly({(e[0], e[2], e[1], e[3], e[4]): c for e, c in mid.items()})
+    assert 40 <= len(small) < 50 and 150 <= len(large) < 160
+    assert len(twin) == len(mid) and twin != mid
+    assert [p.spatial_degree() for p in (small, large, mid)] == [9, 5, 7]
+    # several terms share each x-monomial: the cofactors have 1-3 terms
+    assert all(len(p) > len({e[1:4] for e, _ in p.items()}) + 10
+               for p in (small, large, mid))
+    for k, cutoff in enumerate((None, 0, 1, 2)):
+        ctx = StarContext(thetas[k % 2], eps_cutoff=cutoff)
+        for f, g in ((small, large), (large, small), (mid, twin)):
+            got = star(f, g, ctx)
+            assert got == star_pair_reference(f, g, ctx)
+            _assert_canonical(got)
+        com = star_commutator(small, mid, ctx)
+        assert com == star_pair_reference(small, mid, ctx, commutator=True)
+        _assert_canonical(com)
+        ctx = StarContext(thetas[(k + 1) % 2], eps_cutoff=cutoff)
+        half = star(mid, mid.conj(), ctx, hermitian=True)
+        assert half == star_pair_reference(mid, mid.conj(), ctx)
+        _assert_canonical(half)
 
 
 def test_star_associativity_randomized():
