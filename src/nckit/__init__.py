@@ -21,9 +21,8 @@ from .gauge import (FieldStrength, GaugePotential, action_density,
 from .scalar import (MINKOWSKI, kg_density, kg_density_via_metric,
                      kg_operator, linear_phase, metric_pairing,
                      null_quadruples, phase_subalgebra_defects)
-from .planewave import (ActionReport, PlaneWaveSpec, PwPoly, TrigSeries,
-                        build_ansatz, coupling_scalar, cubic_profile_series,
-                        effective_action, harmonic_spectrum,
+from .planewave import (ActionReport, PlaneWaveSpec, PwPoly, build_ansatz,
+                        coupling_scalar, effective_action, harmonic_spectrum,
                         is_theta_polarised)
 from .grid import (GridField, band_limited_field, cross_validate_symbolic,
                    grid_cyclicity_defect, grid_star, grid_trace_defect,
@@ -76,13 +75,11 @@ __all__ = [
     "PwPoly",
     "PlaneWaveSpec",
     "ActionReport",
-    "TrigSeries",
     "build_ansatz",
     "coupling_scalar",
     "is_theta_polarised",
     "effective_action",
     "harmonic_spectrum",
-    "cubic_profile_series",
     "GridField",
     "plane_wave",
     "band_limited_field",

@@ -171,6 +171,9 @@ def _cmd_grid_check(args) -> int:
         print(f"nckit: {exc}", file=sys.stderr)
         return 2
     n, box = field.n, field.box_length
+    if n < 4:
+        raise ValueError(f"{args.gridfile}: grid size n = {n} is below the "
+                         "minimum of 4 for grid-check")
     band = _occupied_band(field.values)
     in_quarter = band <= n // 4
 

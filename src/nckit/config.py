@@ -1,6 +1,6 @@
 """Plain-text configuration files.
 
-One INI-style file can carry up to three sections:
+One INI-style file can carry up to two sections:
 
     [theta]            deformation profile, entries as polynomials in t
     t12 = t^2
@@ -12,21 +12,13 @@ One INI-style file can carry up to three sections:
     p = 1 2 0 1
     profile = cos      (or ascending coefficients in u: "0 0 1")
 
-    [grid]             numerical oracle parameters
-    n = 128
-    box_length = 6.283185307179586
-    theta = 0.4
-    max_mode = 31
-    seed = 7
-
-Every section is optional; unknown keys are rejected so typos fail loudly
-instead of silently falling back to defaults.
+Every section is optional; unknown sections and keys are rejected so typos
+fail loudly instead of silently falling back to defaults.
 """
 
 from __future__ import annotations
 
 import configparser
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,6 +92,9 @@ def _parse_planewave(section) -> PlaneWaveSpec:
         profile = "cos"
     else:
         parts = profile_text.split()
+        if not parts:
+            raise ConfigError("[planewave] profile: expected 'cos' or at "
+                              "least one coefficient")
         profile = tuple(_fraction(v, "[planewave] profile") for v in parts)
     try:
         return PlaneWaveSpec(omega, k, p, profile)
@@ -108,38 +103,9 @@ def _parse_planewave(section) -> PlaneWaveSpec:
 
 
 @dataclass(frozen=True)
-class GridParams:
-    n: int = 128
-    box_length: float = 2.0 * math.pi
-    theta: float = 0.4
-    max_mode: int | None = None
-    seed: int = 0
-
-
-_GRID_TYPES = {"n": int, "box_length": float, "theta": float,
-               "max_mode": int, "seed": int}
-
-
-def _parse_grid(section) -> GridParams:
-    _check_keys(section, _GRID_TYPES)
-    try:
-        params = GridParams(**{key: kind(section[key])
-                               for key, kind in _GRID_TYPES.items()
-                               if key in section})
-    except ValueError as exc:
-        raise ConfigError(f"[grid]: {exc}") from None
-    if params.n < 4 or params.n & (params.n - 1):
-        raise ConfigError("[grid] n must be a power of two, at least 4")
-    if not params.box_length > 0:
-        raise ConfigError("[grid] box_length must be positive")
-    return params
-
-
-@dataclass(frozen=True)
 class Config:
     theta: ThetaProfile | None = None
     planewave: PlaneWaveSpec | None = None
-    grid: GridParams | None = None
 
 
 def load_config(path) -> Config:
@@ -152,13 +118,12 @@ def load_config(path) -> Config:
     except (configparser.Error, OSError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     for name in cp.sections():
-        if name not in ("theta", "planewave", "grid"):
+        if name not in ("theta", "planewave"):
             raise ConfigError(f"unknown section [{name}]")
     theta = _parse_theta(cp["theta"]) if cp.has_section("theta") else None
     wave = (_parse_planewave(cp["planewave"])
             if cp.has_section("planewave") else None)
-    grid = _parse_grid(cp["grid"]) if cp.has_section("grid") else None
-    return Config(theta, wave, grid)
+    return Config(theta, wave)
 
 
 def load_theta(path) -> ThetaProfile:

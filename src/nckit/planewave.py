@@ -487,134 +487,12 @@ def effective_action(spec: PlaneWaveSpec, ctx: StarContext) -> ActionReport:
     )
 
 
-# -- exact trigonometric series for the harmonic analysis ---------------------
+# -- harmonic content of the cubic term --------------------------------------
 
-class TrigSeries:
-    """Finite series sum_n (a_n cos(n u) + b_n sin(n u)) with Fraction
-    coefficients, supporting exact products and u-derivatives."""
-
-    __slots__ = ("cos", "sin")
-
-    def __init__(self, cos: Mapping[int, RatLike] | None = None,
-                 sin: Mapping[int, RatLike] | None = None):
-        c: dict[int, Fraction] = {}
-        s: dict[int, Fraction] = {}
-        for src, dst, odd in ((cos, c, False), (sin, s, True)):
-            if not src:
-                continue
-            for n, v in src.items():
-                if n < 0:
-                    raise ValueError("harmonic index must be >= 0")
-                v = Fraction(v)
-                if v and not (odd and n == 0):
-                    dst[n] = dst.get(n, Fraction(0)) + v
-        object.__setattr__(self, "cos", {n: v for n, v in c.items() if v})
-        object.__setattr__(self, "sin", {n: v for n, v in s.items() if v})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TrigSeries is immutable")
-
-    @classmethod
-    def cosine(cls, n: int = 1) -> "TrigSeries":
-        return cls(cos={n: 1})
-
-    @classmethod
-    def sine(cls, n: int = 1) -> "TrigSeries":
-        return cls(sin={n: 1})
-
-    @classmethod
-    def const(cls, v: RatLike) -> "TrigSeries":
-        return cls(cos={0: v})
-
-    def is_zero(self) -> bool:
-        return not self.cos and not self.sin
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TrigSeries):
-            return NotImplemented
-        return self.cos == other.cos and self.sin == other.sin
-
-    def __repr__(self) -> str:
-        return f"TrigSeries(cos={self.cos!r}, sin={self.sin!r})"
-
-    def __add__(self, other: "TrigSeries") -> "TrigSeries":
-        if not isinstance(other, TrigSeries):
-            return NotImplemented
-        c = dict(self.cos)
-        s = dict(self.sin)
-        for n, v in other.cos.items():
-            c[n] = c.get(n, Fraction(0)) + v
-        for n, v in other.sin.items():
-            s[n] = s.get(n, Fraction(0)) + v
-        return TrigSeries(c, s)
-
-    def __neg__(self) -> "TrigSeries":
-        return TrigSeries({n: -v for n, v in self.cos.items()},
-                          {n: -v for n, v in self.sin.items()})
-
-    def __sub__(self, other: "TrigSeries") -> "TrigSeries":
-        if not isinstance(other, TrigSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "TrigSeries":
-        if isinstance(other, (int, Fraction)):
-            return TrigSeries({n: v * other for n, v in self.cos.items()},
-                              {n: v * other for n, v in self.sin.items()})
-        if not isinstance(other, TrigSeries):
-            return NotImplemented
-        c: dict[int, Fraction] = {}
-        s: dict[int, Fraction] = {}
-
-        def addc(n, v):
-            if n < 0:
-                n = -n
-            c[n] = c.get(n, Fraction(0)) + v
-
-        def adds(n, v):
-            if n == 0:
-                return
-            if n < 0:
-                n, v = -n, -v
-            s[n] = s.get(n, Fraction(0)) + v
-
-        half = Fraction(1, 2)
-        for n, a in self.cos.items():
-            for m, b in other.cos.items():
-                addc(n - m, a * b * half)
-                addc(n + m, a * b * half)
-            for m, b in other.sin.items():
-                adds(n + m, a * b * half)
-                adds(m - n, a * b * half)
-        for n, a in self.sin.items():
-            for m, b in other.cos.items():
-                adds(n + m, a * b * half)
-                adds(n - m, a * b * half)
-            for m, b in other.sin.items():
-                addc(n - m, a * b * half)
-                addc(n + m, -a * b * half)
-        return TrigSeries(c, s)
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "TrigSeries":
-        c = {n: v * n for n, v in self.sin.items()}
-        s = {n: -v * n for n, v in self.cos.items()}
-        return TrigSeries(c, s)
-
-    def value(self, u: float) -> float:
-        """Floating point evaluation, for cross-checks against quadrature."""
-        import math
-
-        return (sum(float(v) * math.cos(n * u) for n, v in self.cos.items())
-                + sum(float(v) * math.sin(n * u) for n, v in self.sin.items()))
-
-
-def cubic_profile_series() -> TrigSeries:
-    """f f'^2 for f = cos: (1/4) cos u - (1/4) cos 3u."""
-    f = TrigSeries.cosine()
-    fp = f.derivative()
-    return f * fp * fp
+# f f'^2 for f = cos u as a cosine series:
+#   cos u sin^2 u = cos u - cos^3 u  and  cos^3 u = (3 cos u + cos 3u)/4,
+# so cos u sin^2 u = (1/4) cos u - (1/4) cos 3u.
+_COSINE_CUBIC_HARMONICS = {1: _QUARTER, 3: -_QUARTER}
 
 
 def harmonic_spectrum(spec: PlaneWaveSpec,
@@ -625,18 +503,15 @@ def harmonic_spectrum(spec: PlaneWaveSpec,
     holds it does not build it twice.  Returns the cosine spectrum of
     f f'^2 for the cosine profile: empty when the correction term is
     absent (polarised wave, vanishing projection scalar, or constant
-    profile), {1: 1/4, 3: -1/4} otherwise.  The appearance of the third
-    harmonic is the deformation's observable: the wave pumps energy at
-    triple frequency.
+    profile), otherwise a copy of ``_COSINE_CUBIC_HARMONICS``,
+    {1: 1/4, 3: -1/4}.  The appearance of the third harmonic is the
+    deformation's observable: the wave pumps energy at triple frequency.
     """
     if report.cubic_contracted.is_zero():
         return {}
     if isinstance(spec.profile, tuple):
-        if len(spec.profile) <= 1:
+        if not any(spec.profile[1:]):
             return {}
         raise ValueError(
             "harmonic analysis requires the cosine profile (or a constant)")
-    series = cubic_profile_series()
-    if series.sin:
-        raise AssertionError("f f'^2 must be even in the cosine profile")
-    return dict(series.cos)
+    return dict(_COSINE_CUBIC_HARMONICS)

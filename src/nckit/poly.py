@@ -263,8 +263,6 @@ class Poly(BasePoly):
     VARS = ("t", "x1", "x2", "x3", "eps")
     __slots__ = ()
 
-    T, X1, X2, X3, EPS = range(5)
-
     def eps_degree(self) -> int:
         if not self._terms:
             return 0

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from nckit.cli import _build_parser, _occupied_band, main
-from nckit.config import ConfigError, GridParams, load_config, load_theta
+from nckit.config import ConfigError, load_config, load_theta
 from nckit.expr import MAX_DEGREE, MAX_NESTING, MAX_TERMS
-from nckit.grid import MAGIC, band_limited_field, save_grid
+from nckit.grid import MAGIC, GridField, band_limited_field, save_grid
 from nckit.poly import Poly, t
 from nckit.star import ThetaProfile
 
@@ -78,20 +78,28 @@ def test_planewave_config_errors(tmp_path):
         "[planewave]\nomega = 3\nk = 1 2 2\n",                 # missing p
         "[planewave]\nomega = x\nk = 1 2 2\np = 1 2 0 1\n",    # bad omega
         "[planewave]\nomega = 3\nk = 1 2 2\np = 1 2 0 1\nq = 1\n",
+        "[planewave]\nomega = 3\nk = 1 2 2\np = 1 2 0 1\nprofile =\n",
     )
     for body in bodies:
         p = write(tmp_path / "pw.ini", body)
         with pytest.raises(ConfigError):
             load_config(p)
+    empty = write(tmp_path / "empty.ini", bodies[-1])
+    with pytest.raises(ConfigError, match="expected 'cos' or at least one"):
+        load_config(empty)
+    p = write(tmp_path / "zero.ini",
+              "[planewave]\nomega = 3\nk = 1 2 2\np = 1 2 0 1\nprofile = 0\n")
+    assert load_config(p).planewave.profile == (0,)
 
 
-def test_grid_config(tmp_path):
-    p = write(tmp_path / "g.ini", "[grid]\nn = 64\ntheta = 0.25\nseed = 3\n")
-    grid = load_config(p).grid
-    assert grid == GridParams(n=64, theta=0.25, seed=3)
-    p2 = write(tmp_path / "g2.ini", "[grid]\nn = 63\n")
-    with pytest.raises(ConfigError, match="power of two"):
-        load_config(p2)
+def test_grid_section_is_unknown(tmp_path, capsys):
+    # no command reads grid parameters from a config file
+    p = write(tmp_path / "g.ini",
+              WAVE_INI + "\n[grid]\nn = 64\ntheta = 0.25\nseed = 3\n")
+    with pytest.raises(ConfigError, match=r"unknown section \[grid\]"):
+        load_config(p)
+    assert main(["planewave", p]) == 2
+    assert capsys.readouterr().err == "nckit: unknown section [grid]\n"
 
 
 # -- reduce ------------------------------------------------------------------------
@@ -348,6 +356,8 @@ harmonics           {harmonics}
 
 @pytest.mark.parametrize("profile, harmonics", [
     ("cos", "1: 1/4, 3: -1/4"),
+    ("2", "none"),
+    ("2 0", "none"),
     ("0 0 1", "unavailable (harmonic analysis requires the cosine profile "
               "(or a constant))"),
 ])
@@ -445,6 +455,22 @@ def test_occupied_band_zero_and_nonfinite_fields():
     bad = zero.copy()
     bad[1, 2] = np.nan
     assert _occupied_band(bad) == _occupied_band_loop(bad) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_grid_check_minimum_size(n, tmp_path, capsys):
+    path = tmp_path / "small.ncg"
+    save_grid(path, GridField(np.ones((n, n), dtype=np.complex128),
+                              6.283185307179586), 0.3)
+    if n >= 4:
+        assert main(["grid-check", str(path)]) == 0
+        assert "result: pass" in capsys.readouterr().out
+        return
+    assert main(["grid-check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"nckit: {path}: grid size n = {n} is below the "
+                            "minimum of 4 for grid-check\n")
 
 
 def test_grid_check_bad_file(tmp_path, capsys):

@@ -10,14 +10,13 @@ from nckit.rationals import CRat
 from nckit.star import StarContext, ThetaProfile
 from nckit.gauge import action_density, field_strength
 from nckit.planewave import (
+    _COSINE_CUBIC_HARMONICS,
     ActionReport,
     PlaneWaveSpec,
     PwPoly,
-    TrigSeries,
     _symbolic_strengths,
     build_ansatz,
     coupling_scalar,
-    cubic_profile_series,
     effective_action,
     harmonic_spectrum,
     is_theta_polarised,
@@ -295,56 +294,46 @@ def test_polarisation_condition():
     assert not effective_action(gen, ctx).cubic_contracted.is_zero()
 
 
-# -- trig series ----------------------------------------------------------------
+# -- harmonic content ------------------------------------------------------------
 
-def test_trig_series_products():
-    sin = TrigSeries.sine()
-    cos = TrigSeries.cosine()
-    assert sin * sin == TrigSeries(cos={0: Fraction(1, 2),
-                                        2: Fraction(-1, 2)})
-    assert cos * cos == TrigSeries(cos={0: Fraction(1, 2),
-                                        2: Fraction(1, 2)})
-    assert sin * cos == TrigSeries(sin={2: Fraction(1, 2)})
-    c3 = TrigSeries.cosine(3)
-    assert cos * c3 == TrigSeries(cos={2: Fraction(1, 2), 4: Fraction(1, 2)})
-    assert cos.derivative() == -sin
-    assert sin.derivative() == cos
-    assert (sin - sin).is_zero()
+def test_cosine_cubic_harmonics_identity():
+    # c stands for cos u: cos(n u) = T_n(c) with T_1(c) = c and
+    # T_3(c) = 4c^3 - 3c, and cos u sin^2 u = c (1 - c^2)
+    c = Poly.variable("x1")
+    chebyshev = {1: c, 3: 4 * c * c * c - 3 * c}
+    series = Poly.zero()
+    for n, w in _COSINE_CUBIC_HARMONICS.items():
+        series = series + Poly.const(w) * chebyshev[n]
+    assert series == c * (Poly.const(1) - c * c)
 
 
-def test_cubic_profile_series_pinned():
-    series = cubic_profile_series()
-    assert series == TrigSeries(cos={1: Fraction(1, 4), 3: Fraction(-1, 4)})
-
-
-def test_cubic_profile_series_against_quadrature():
+def test_cosine_cubic_harmonics_against_quadrature():
     # numerical Fourier coefficients of cos(u) sin(u)^2 on a uniform grid
     n = 4096
     u = np.arange(n) * (2 * np.pi / n)
     g = np.cos(u) * np.sin(u) ** 2
     coeffs = np.fft.rfft(g) / n
-    assert abs(2 * coeffs[1].real - 0.25) < 1e-12
-    assert abs(2 * coeffs[3].real + 0.25) < 1e-12
-    for m in (0, 2, 4, 5, 6, 7):
-        ref = coeffs[m].real * (1 if m == 0 else 2)
-        assert abs(ref) < 1e-12
+    for m in range(8):
+        weight = coeffs[m].real * (1 if m == 0 else 2)
+        exact = float(_COSINE_CUBIC_HARMONICS.get(m, 0))
+        assert abs(weight - exact) < 1e-12
     assert np.max(np.abs(coeffs.imag)) < 1e-12
-    # the exact series evaluates to the same samples
-    series = cubic_profile_series()
-    vals = np.array([series.value(x) for x in u[:64]])
-    assert np.max(np.abs(vals - g[:64])) < 1e-12
 
 
 def test_harmonic_spectrum():
     ctx = StarContext(ThetaProfile({(1, 2): t}))
     gen = PlaneWaveSpec(omega=3, k=(1, 2, 2), p=(0, 1, 3, 5))
     pol = PlaneWaveSpec(omega=3, k=(1, 2, 2), p=(0, 1, 2, 5))
-    assert harmonic_spectrum(gen, effective_action(gen, ctx)) == {
-        1: Fraction(1, 4), 3: Fraction(-1, 4)}
+    spectrum = harmonic_spectrum(gen, effective_action(gen, ctx))
+    assert spectrum == {1: Fraction(1, 4), 3: Fraction(-1, 4)}
+    spectrum[5] = Fraction(1)  # the caller gets a copy of the constant
+    assert _COSINE_CUBIC_HARMONICS == {1: Fraction(1, 4), 3: Fraction(-1, 4)}
     assert harmonic_spectrum(pol, effective_action(pol, ctx)) == {}
     # constant profile: no derivative, no correction term
-    const = PlaneWaveSpec(omega=3, k=(1, 2, 2), p=(0, 1, 3, 5), profile=(2,))
-    assert harmonic_spectrum(const, effective_action(const, ctx)) == {}
+    for profile in ((2,), (2, 0), (2, 0, 0)):
+        const = PlaneWaveSpec(omega=3, k=(1, 2, 2), p=(0, 1, 3, 5),
+                              profile=profile)
+        assert harmonic_spectrum(const, effective_action(const, ctx)) == {}
     # nontrivial polynomial profile has no periodic spectrum
     quad = PlaneWaveSpec(omega=3, k=(1, 2, 2), p=(0, 1, 3, 5),
                          profile=(0, 0, 1))
