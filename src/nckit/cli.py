@@ -40,16 +40,10 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _theta_from_flag(path: str | None) -> ThetaProfile:
-    if path is None:
-        return ThetaProfile.zero()
-    return load_theta(path)
-
-
 # -- reduce -----------------------------------------------------------------
 
 def _cmd_reduce(args) -> int:
-    theta = _theta_from_flag(args.theta)
+    theta = load_theta(args.theta) if args.theta else ThetaProfile.zero()
     ctx = StarContext(theta, eps_cutoff=args.order)
     result = reduce_expression(args.expression, ctx)
     print(result)
@@ -298,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.fn(args)
-    except (ParseError, GradingError, ConfigError, ValueError) as exc:
+    except (ParseError, GradingError, ConfigError, ValueError, OSError) as exc:
         print(f"nckit: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

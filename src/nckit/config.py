@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import ParseError, evaluate, parse_expression
+from .expr import GradingError, ParseError, SizeLimitError, evaluate, parse_expression
 from .planewave import PlaneWaveSpec
 from .poly import Poly
 from .star import StarContext, ThetaProfile
@@ -39,7 +39,7 @@ _FLAT = StarContext(ThetaProfile.zero())
 def _theta_entry(key: str, text: str) -> Poly:
     try:
         value = evaluate(parse_expression(text), _FLAT)
-    except ParseError as exc:
+    except (ParseError, GradingError, SizeLimitError) as exc:
         raise ConfigError(f"[theta] {key}: {exc}") from None
     if not isinstance(value, Poly):
         raise ConfigError(f"[theta] {key} must be a scalar polynomial")

@@ -363,10 +363,18 @@ def _check_header(n: int, box: float, theta: float) -> None:
         raise ValueError(f"theta must be finite, got {theta!r}")
 
 
-def _check_samples(values: np.ndarray) -> None:
-    """Reject a grid with a NaN or infinite sample."""
+def _check_samples(values: np.ndarray, box: float, theta: float) -> None:
+    """Reject a NaN or infinite sample, and a grid whose cell area, squared norm
+    or largest twist phase leaves the float range (its defects would be void)."""
     if not np.isfinite(values).all():
         raise ValueError("grid samples must be finite")
+    n, cell = len(values), np.float64(box) / len(values)
+    with np.errstate(over="ignore", under="ignore"):
+        area, phase = cell * cell, abs(theta) * (np.pi / cell) ** 2
+        norm2 = (n * np.abs(values).max(initial=0.0)) ** 2 * area  # a bound
+    if not (area > 0 and np.isfinite(norm2) and np.isfinite(phase)):
+        raise ValueError(f"grid of n = {n}, box length {box!r}, theta "
+                         f"{theta!r} overflows its norm or twist phase")
 
 
 def load_grid(path) -> tuple[GridField, float]:
@@ -384,7 +392,7 @@ def load_grid(path) -> tuple[GridField, float]:
         raise ValueError(
             f"grid file body has {len(body)} bytes, expected {expect}")
     values = np.frombuffer(body, dtype="<c16").reshape(n, n)
-    _check_samples(values)
+    _check_samples(values, box, theta)
     return GridField(values.copy(), box), theta
 
 
@@ -426,5 +434,5 @@ def load_grid_csv(path) -> tuple[GridField, float]:
     parts = values.view(np.float64)  # each row's re and im interleaved
     for i, row in enumerate(rows):
         parts[i] = [float(c) for c in row.split(",")]
-    _check_samples(values)
+    _check_samples(values, box, theta)
     return GridField(values, box), theta

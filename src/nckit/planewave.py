@@ -37,11 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Mapping, Sequence, Union
 
 from .rationals import CRat, RatLike
-from .poly import BasePoly, Poly
+from .poly import FIELD_BITS, BasePoly, Poly, _MASK
 from .star import StarContext
 from .scalar import linear_phase
 
@@ -69,6 +70,7 @@ _S_MARK = PwPoly.variable("s")
 _F = (PwPoly.variable("f0"), PwPoly.variable("f1"), PwPoly.variable("f2"))
 
 _IDX_S = PwPoly.VARS.index("s")
+_SHIFT_S = FIELD_BITS * _IDX_S
 _IDX_F = tuple(PwPoly.VARS.index(n) for n in ("f0", "f1", "f2"))
 _IDX_D = {pair: PwPoly.VARS.index(f"d{pair[0]}{pair[1]}") for pair in _DPAIRS}
 
@@ -77,7 +79,7 @@ def pw_partial(p: PwPoly, mu: int) -> PwPoly:
     """Spacetime derivative d_mu via the chain rule on the profile symbols."""
     if not 0 <= mu <= 3:
         raise ValueError("derivative index must be 0..3")
-    if any(exps[_IDX_F[2]] for exps, _ in p.items()):
+    if p.degree_in("f2"):
         raise ValueError(
             "profile derivative beyond second order not representable")
     factor = _W if mu == 0 else _K[mu]
@@ -87,66 +89,64 @@ def pw_partial(p: PwPoly, mu: int) -> PwPoly:
 def pw_substitute(p: PwPoly, mapping: Mapping[str, Poly]) -> Poly:
     """Ring morphism into the spacetime polynomials: var -> mapping[var].
 
-    A variable whose image is a constant is folded into each term's
-    coefficient first.  The terms are then grouped by what remains of
-    their exponents, each power of an image is built once, and every
-    group's product is added into one term dict."""
-    consts = {name: img.coefficient((0,) * len(Poly.VARS))
-              for name, img in mapping.items() if img.total_degree() == 0}
-    groups: dict[tuple[tuple[str, int], ...], CRat] = {}
-    for exps, c in p.items():
-        rest = []
-        for name, e in zip(PwPoly.VARS, exps):
-            if not e:
-                continue
-            if name in consts:
-                c = c * consts[name] ** e
-            elif name in mapping:
-                rest.append((name, e))
+    Reads p's packed keys.  A variable whose image is a constant is folded
+    into each term's coefficient first.  The terms are then grouped by
+    what remains of their keys, each power of an image is built once, and
+    every group's product is added up."""
+    used = reduce(or_, p._nums, 0)
+    consts, images = {}, {}
+    for j, name in enumerate(PwPoly.VARS):
+        shift = FIELD_BITS * j
+        if name in mapping:
+            img = mapping[name]
+            if img.total_degree():
+                images[shift] = img
             else:
-                raise KeyError(f"no substitution given for {name}")
-        key = tuple(rest)
-        acc = groups.get(key)
-        groups[key] = c if acc is None else acc + c
-    powers: dict[tuple[str, int], Poly] = {}
-    out: dict[tuple[int, ...], CRat] = {}
-    for rest, c in groups.items():
-        if not c:
-            continue
-        m = Poly.one()
-        for name, e in rest:
-            power = powers.get((name, e))
-            if power is None:
-                power = powers[(name, e)] = mapping[name] ** e
-            m = m * power
-        for exps, cm in m.items():
-            acc = out.get(exps)
-            out[exps] = cm * c if acc is None else acc + cm * c
-    return Poly._raw({exps: c for exps, c in out.items() if c})
+                consts[shift] = img.coefficient((0,) * len(Poly.VARS))
+        elif used >> shift & _MASK:
+            raise KeyError(f"no substitution given for {name}")
+    rest = ~sum(_MASK << shift for shift in consts)
+    groups: dict[int, CRat] = {}
+    for k, (r, i) in p._nums.items():
+        c = CRat.from_ints(r, i, p._den)
+        for shift, v in consts.items():
+            if k >> shift & _MASK:
+                c = c * v ** (k >> shift & _MASK)
+        groups[k & rest] = groups.get(k & rest, 0) + c
+    powers: dict[tuple[int, int], Poly] = {}
+    out = Poly.zero()
+    for rk, c in groups.items():
+        m = Poly.const(c)
+        for shift, img in images.items():
+            e = rk >> shift & _MASK
+            if e and m:
+                power = powers.get((shift, e))
+                if power is None:
+                    power = powers[(shift, e)] = img ** e
+                m = m * power
+        out = out + m
+    return out
 
 
 def _s_split(p: PwPoly) -> dict[int, PwPoly]:
     """Split by the power of the grading marker s."""
     buckets: dict[int, dict] = {}
-    for exps, c in p.items():
-        buckets.setdefault(exps[_IDX_S], {})[exps] = c
-    return {n: PwPoly._raw(terms) for n, terms in buckets.items()}
+    for k, v in p._nums.items():
+        buckets.setdefault(k >> _SHIFT_S & _MASK, {})[k] = v
+    return {n: PwPoly._make(nums, p._den) for n, nums in buckets.items()}
 
 
 def _strip(p: PwPoly, var_indices: Sequence[int],
            expected: Sequence[int]) -> PwPoly:
     """Remove the given variable powers after checking they match exactly."""
-    out: dict[tuple[int, ...], CRat] = {}
-    for exps, c in p.items():
-        got = tuple(exps[i] for i in var_indices)
-        if got != tuple(expected):
+    fields = sum(_MASK << FIELD_BITS * j for j in var_indices)
+    want = sum(e << FIELD_BITS * j for j, e in zip(var_indices, expected))
+    for k in p._nums:
+        if k & fields != want:
+            got = tuple(k >> FIELD_BITS * j & _MASK for j in var_indices)
             raise ValueError(
                 f"unexpected structure: exponents {got} where {expected} required")
-        e = list(exps)
-        for i in var_indices:
-            e[i] = 0
-        out[tuple(e)] = c
-    return PwPoly._raw(out)
+    return PwPoly._raw({k - want: v for k, v in p._nums.items()}, p._den)
 
 
 # -- the ansatz and its strengths, all inside PwPoly -------------------------
@@ -160,11 +160,6 @@ def _d_sum(term) -> PwPoly:
     return acc
 
 
-def _s_coupling() -> PwPoly:
-    """S = thetadot^{jk} k_j p_k, the scalar coupling the wave to the twist."""
-    return _d_sum(lambda j, k: _K[j] * _P[k])
-
-
 def _symbolic_potential() -> tuple[PwPoly, list[PwPoly]]:
     """(A_0, [A_1, A_2, A_3]) for the generic plane wave ansatz.
 
@@ -173,7 +168,9 @@ def _symbolic_potential() -> tuple[PwPoly, list[PwPoly]]:
     """
     i_ = CRat(0, 1)
     a_sp = [_P[i] * _F[0] * i_ for i in _SPATIAL]
-    a0 = _P[0] * _F[0] * i_ - _QUARTER * _S_MARK * _s_coupling() * _F[1]
+    # S = thetadot^{jk} k_j p_k, the scalar coupling the wave to the twist
+    s = _d_sum(lambda j, k: _K[j] * _P[k])
+    a0 = _P[0] * _F[0] * i_ - _QUARTER * _S_MARK * s * _F[1]
     return a0, a_sp
 
 
@@ -376,30 +373,21 @@ class ActionReport:
     diagnostics: tuple[dict, ...]
 
 
-def _spec_numbers(spec: PlaneWaveSpec) -> dict[str, Fraction]:
-    vals = {"w": spec.omega}
-    for i in _SPATIAL:
-        vals[f"k{i}"] = spec.k[i - 1]
-    for mu in range(4):
-        vals[f"p{mu}"] = spec.p[mu]
-    return vals
-
-
-def _eval_wkp(p: PwPoly, vals: Mapping[str, Fraction]) -> Fraction:
-    """Evaluate a PwPoly that only involves w, k, p variables."""
+def _eval_wkp(p: PwPoly, vals: Sequence[Fraction]) -> Fraction:
+    """Evaluate a PwPoly that only involves w, k, p variables at vals, the
+    values of w, k1..k3 and p0..p3 (the first eight variables, in order)."""
     total = Fraction(0)
-    for exps, c in p.items():
-        if not c.is_real():
+    for k, (r, i) in p._nums.items():
+        if i:
             raise ValueError("expected a real coefficient")
-        acc = c.re
-        for name, e in zip(PwPoly.VARS, exps):
-            if not e:
-                continue
-            if name not in vals:
-                raise ValueError(f"cannot evaluate symbol {name} numerically")
-            acc *= vals[name] ** e
-        total += acc
-    return total
+        if k >> FIELD_BITS * len(vals):
+            name = PwPoly.VARS[(k.bit_length() - 1) // FIELD_BITS]
+            raise ValueError(f"cannot evaluate symbol {name} numerically")
+        for e, v in zip(k.to_bytes(len(vals), "little"), vals):
+            if e:
+                r *= v ** e
+        total += r
+    return total / p._den
 
 
 def effective_action(spec: PlaneWaveSpec, ctx: StarContext) -> ActionReport:
@@ -419,19 +407,14 @@ def effective_action(spec: PlaneWaveSpec, ctx: StarContext) -> ActionReport:
     cubic: dict[tuple[int, int], PwPoly] = {}
     s1 = parts.get(1, PwPoly.zero())
     for pair in _DPAIRS:
-        sel: dict[tuple[int, ...], CRat] = {}
-        for exps, c in s1.items():
-            if exps[_IDX_D[pair]]:
-                sel[exps] = c
-        q = PwPoly._raw(sel)
+        shift = FIELD_BITS * _IDX_D[pair]
+        q = PwPoly._make({k: v for k, v in s1._nums.items()
+                          if k >> shift & _MASK}, s1._den)
         idxs = (_IDX_S, _IDX_D[pair], *_IDX_F)
-        cubic[pair] = -_strip(q, idxs, (1, 1, 1, 2, 0)) if sel else PwPoly.zero()
+        cubic[pair] = -_strip(q, idxs, (1, 1, 1, 2, 0)) if q else PwPoly.zero()
 
-    residual = PwPoly.zero()
-    for n, part in parts.items():
-        if n >= 2:
-            residual = residual + part
-    residual = -residual
+    residual = -sum((part for n, part in parts.items() if n >= 2),
+                    PwPoly.zero())
 
     ref_quad = reference_quad_coefficient()
     ref_cubic = reference_cubic_coefficients()
@@ -460,7 +443,7 @@ def effective_action(spec: PlaneWaveSpec, ctx: StarContext) -> ActionReport:
                       "beyond an overall sign",
         })
 
-    vals = _spec_numbers(spec)
+    vals = (spec.omega, *spec.k, *spec.p)
     quad_value = _eval_wkp(quad, vals)
     dot = ctx.theta.theta_dot()
     contracted = Poly.zero()

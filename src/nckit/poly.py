@@ -5,52 +5,87 @@ the fixed variables (t, x1, x2, x3, eps).  t is time, x1..x3 are the spatial
 coordinates, and eps is the formal expansion parameter used by the gauge
 sector; derivatives never act on eps.
 
-Terms live in a dict keyed by exponent tuples; zero coefficients are never
-stored, so ``==`` on two Polys is structural equality of canonical forms.
-``sorted_terms`` orders terms by graded lexicographic order (total degree
-first, then exponents with t most significant) for deterministic rendering.
+A polynomial is one int ``_den`` > 0 and a dict ``_nums`` from packed
+exponents to int pairs (re, im), each term (re + im*i) / _den times its
+monomial.  Variable j's exponent is byte j of the key, t lowest (Monagan
+and Pearce's packed exponent vectors, CASC 2007), so a product of
+monomials is one int addition.  Exponents stay below ``EXP_LIMIT`` = 128,
+so a sum of two never carries into the next byte: constructors and ``*``
+(hence ``**``) raise ValueError rather than reach it.  No zero pair is
+stored and gcd(_den, every re, every im) = 1, by one running gcd per
+result, so ``==`` is structural equality.  ``items``, ``coefficient`` and
+``sorted_terms`` (by total degree, then exponents with t most
+significant) build ``CRat`` coefficients and exponent tuples on demand.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .rationals import CRat, CRatLike, binary_power
+from .rationals import CRat, CRatLike, _norm, binary_power
 
 ScalarLike = Union["BasePoly", CRat, int, Fraction]
 
-# raw construction, bypassing __init__'s checks and the immutability guard
-_new = object.__new__
-_set = object.__setattr__
+FIELD_BITS = 8  # one byte per exponent
+EXP_LIMIT = 1 << FIELD_BITS - 1
+_MASK = (1 << FIELD_BITS) - 1
+_GUARD = int("80" * 64, 16)  # the top bit of each of 64 fields
+# Poly's eps field: keys below (n + 1) << EPS_SHIFT have eps order <= n
+EPS_SHIFT = 4 * FIELD_BITS
 
 
 class BasePoly:
     """Shared engine; concrete classes fix the variable tuple via VARS."""
 
     VARS: tuple[str, ...] = ()
-    __slots__ = ("_terms",)
+    __slots__ = ("_den", "_nums")
 
-    def __init__(self, terms: Mapping[tuple[int, ...], CRatLike] | None = None):
-        nv = len(type(self).VARS)
-        clean: dict[tuple[int, ...], CRat] = {}
-        if terms:
-            for exps, c in terms.items():
-                c = CRat.coerce(c)
-                if c.is_zero():
-                    continue
-                if len(exps) != nv:
-                    raise ValueError(f"exponent tuple {exps} has wrong arity")
-                clean[tuple(exps)] = c
-        _set(self, "_terms", clean)
+    def __init__(self, terms: Mapping[Sequence[int], CRatLike] | None = None):
+        coeffs = {self._pack(exps): c for exps, c in
+                  ((e, CRat.coerce(c)) for e, c in (terms or {}).items()) if c}
+        # the lcm of reduced denominators leaves no common factor
+        den = lcm(*(c._den for c in coeffs.values()))
+        _set_den(self, den)
+        _set_nums(self, {k: (c._re * (den // c._den), c._im * (den // c._den))
+                         for k, c in coeffs.items()})
 
     @classmethod
-    def _raw(cls, terms: dict[tuple[int, ...], CRat]):
-        """Wrap a term dict that is already canonical (right arity, no
-        zero coefficients) without copying or checking it."""
-        res = _new(cls)
-        _set(res, "_terms", terms)
+    def _raw(cls, nums: dict[int, tuple[int, int]], den: int):
+        """Wrap storage that is already canonical, without copying it."""
+        res = object.__new__(cls)
+        _set_den(res, den)
+        _set_nums(res, nums)
         return res
+
+    @classmethod
+    def _make(cls, nums: dict[int, tuple[int, int]], den: int):
+        """Wrap {key: (re, im)} over den > 0 with no zero pair, divided through
+        by the gcd of den and every numerator (usually 1 at the first term)."""
+        g = den
+        for r, i in nums.values():
+            if g == 1:
+                break
+            g = gcd(g, r, i)
+        if g != 1:
+            den //= g
+            nums = {k: (r // g, i // g) for k, (r, i) in nums.items()}
+        return cls._raw(nums, den)
+
+    @classmethod
+    def _pack(cls, exps: Sequence[int]) -> int:
+        if len(exps) != len(cls.VARS) or not all(0 <= e < EXP_LIMIT
+                                                 for e in exps):
+            raise ValueError(f"exponent tuple {tuple(exps)} needs "
+                             f"{len(cls.VARS)} entries in 0..{EXP_LIMIT - 1}")
+        return int.from_bytes(bytes(exps), "little")
+
+    @classmethod
+    def _unpack(cls, key: int) -> tuple[int, ...]:
+        return tuple(key.to_bytes(len(cls.VARS), "little"))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -59,18 +94,16 @@ class BasePoly:
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls._raw({}, 1)
 
     @classmethod
     def one(cls):
-        return cls.const(1)
+        return cls._raw({0: (1, 0)}, 1)
 
     @classmethod
     def const(cls, c: CRatLike):
         c = CRat.coerce(c)
-        if c.is_zero():
-            return cls()
-        return cls({(0,) * len(cls.VARS): c})
+        return cls._raw({0: (c._re, c._im)}, c._den) if c else cls.zero()
 
     @classmethod
     def variable(cls, name: str):
@@ -78,125 +111,156 @@ class BasePoly:
             idx = cls.VARS.index(name)
         except ValueError:
             raise ValueError(f"unknown variable {name!r}; have {cls.VARS}") from None
-        exps = [0] * len(cls.VARS)
-        exps[idx] = 1
-        return cls({tuple(exps): CRat(1)})
+        return cls._raw({1 << FIELD_BITS * idx: (1, 0)}, 1)
 
     @classmethod
     def monomial(cls, exps: Sequence[int], c: CRatLike = 1):
-        return cls({tuple(exps): CRat.coerce(c)})
+        return cls({tuple(exps): c})
 
     # -- term access ----------------------------------------------------
 
     def items(self) -> Iterator[tuple[tuple[int, ...], CRat]]:
-        return iter(self._terms.items())
+        den, n = self._den, len(self.VARS)
+        return ((tuple(k.to_bytes(n, "little")), _norm(r, i, den))
+                for k, (r, i) in self._nums.items())
 
     def terms_dict(self) -> dict[tuple[int, ...], CRat]:
-        return dict(self._terms)
+        return dict(self.items())
+
+    # the exponent-tuple view that perfbench's tracer reads
+    _terms = property(terms_dict)
+
+    def _sorted_keys(self) -> list[int]:
+        """The keys in the order of ``sorted_terms``."""
+        return sorted(self._nums, reverse=True,
+                      key=lambda k: (sum(e := self._unpack(k)), e))
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], CRat]]:
-        return sorted(self._terms.items(),
-                      key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        return sorted(self.items(), key=lambda kv: (sum(kv[0]), kv[0]),
+                      reverse=True)
 
     def coefficient(self, exps: Sequence[int]) -> CRat:
-        return self._terms.get(tuple(exps), CRat(0))
+        pair = self._nums.get(self._pack(exps))
+        return CRat(0) if pair is None else _norm(*pair, self._den)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._nums)
 
     def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(sum(e) for e in self._terms)
+        return max(map(sum, map(self._unpack, self._nums)), default=0)
 
     def degree_in(self, name: str) -> int:
-        idx = type(self).VARS.index(name)
-        if not self._terms:
-            return 0
-        return max(e[idx] for e in self._terms)
+        shift = FIELD_BITS * type(self).VARS.index(name)
+        return max((k >> shift & _MASK for k in self._nums), default=0)
 
     def uses_only(self, names: Iterable[str]) -> bool:
-        allowed = {type(self).VARS.index(n) for n in names}
-        for exps in self._terms:
-            for idx, e in enumerate(exps):
-                if e and idx not in allowed:
-                    return False
-        return True
+        allowed = sum(_MASK << FIELD_BITS * type(self).VARS.index(n)
+                      for n in names)
+        return not reduce(or_, self._nums, 0) & ~allowed
 
     # -- ring operations --------------------------------------------------
 
     def _coerce_operand(self, other: ScalarLike):
-        cls = type(self)
-        if isinstance(other, BasePoly):
-            if type(other) is not cls:
-                raise TypeError(
-                    f"cannot mix {cls.__name__} with {type(other).__name__}")
-            return other
         if isinstance(other, (int, Fraction, CRat)):
-            return cls.const(other)
-        return None
+            return type(self).const(other)
+        if isinstance(other, BasePoly) and type(other) is not type(self):
+            raise TypeError(f"cannot mix {type(self).__name__} with "
+                            f"{type(other).__name__}")
+        return other if isinstance(other, BasePoly) else None
 
-    def _combine(self, other: ScalarLike, negate: bool):
-        o = self._coerce_operand(other)
+    def __add__(self, other: ScalarLike, negate: bool = False):
+        o = other if type(other) is type(self) else self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        out = dict(self._terms)
-        for exps, c in o._terms.items():
-            acc = out.get(exps)
+        if not o._nums:
+            return self
+        nums = self._nums
+        if not nums:
+            return -o if negate else o
+        den = lcm(self._den, o._den)
+        sa, sb = den // self._den, -(den // o._den) if negate else den // o._den
+        out = (dict(nums) if sa == 1 else
+               {k: (r * sa, i * sa) for k, (r, i) in nums.items()})
+        # without a shared key the result is canonical as it stands: the
+        # scale factors den // self._den and den // o._den are coprime
+        merged = False
+        for k, (r, i) in o._nums.items():
+            acc = out.get(k)
             if acc is None:
-                c = -c if negate else c
+                out[k] = (r * sb, i * sb)
             else:
-                c = acc - c if negate else acc + c
-            if c.is_zero():
-                out.pop(exps, None)
-            else:
-                out[exps] = c
-        return type(self)._raw(out)
-
-    def __add__(self, other: ScalarLike):
-        return self._combine(other, False)
+                merged = True
+                r, i = acc[0] + r * sb, acc[1] + i * sb
+                if r or i:
+                    out[k] = (r, i)
+                else:
+                    del out[k]
+        return (type(self)._make if merged else type(self)._raw)(out, den)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike):
-        return self._combine(other, True)
+        return self.__add__(other, True)
 
     def __rsub__(self, other: ScalarLike):
         return (-self) + other
 
     def __neg__(self):
-        return type(self)._raw({e: -c for e, c in self._terms.items()})
+        return type(self)._raw(
+            {k: (-r, -i) for k, (r, i) in self._nums.items()}, self._den)
 
     def __mul__(self, other: ScalarLike):
         cls = type(self)
+        if type(other) is int and other:  # gcd(den, other) is the common factor
+            g = gcd(self._den, other)
+            m = other // g
+            return cls._raw({k: (r * m, i * m) for k, (r, i) in self._nums.items()},
+                            self._den // g)
         if isinstance(other, (int, Fraction, CRat)):
-            c0 = CRat.coerce(other)
-            if c0.is_zero():
-                return cls()
-            return cls._raw({e: c * c0 for e, c in self._terms.items()})
+            c = CRat.coerce(other)
+            if not c:
+                return cls.zero()
+            cr, ci = c._re, c._im
+            return cls._make({k: (r * cr - i * ci, r * ci + i * cr)
+                              for k, (r, i) in self._nums.items()},
+                             self._den * c._den)
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        out: dict[tuple[int, ...], CRat] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in o._terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                c = ca * cb
-                acc = out.get(key)
-                c = c if acc is None else acc + c
-                if c.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = c
-        return cls._raw(out)
+        return self._times(o, None)
 
     __rmul__ = __mul__
+
+    def _times(self, o: "BasePoly", bound: int | None):
+        """self * o; with a bound, the term pairs whose key sum reaches it
+        are never formed."""
+        out: dict[int, tuple[int, int]] = {}
+        get = out.get
+        # under a bound, ascending keys stop each row at its first miss
+        right = o._nums.items() if bound is None else sorted(o._nums.items())
+        bound = bound or 1 << FIELD_BITS * len(self.VARS)  # or above any sum
+        for ka, (ar, ai) in self._nums.items():
+            top = bound - ka
+            for kb, (br, bi) in right:
+                if kb >= top:
+                    break
+                k = ka + kb
+                acc = get(k)
+                if acc is None:
+                    out[k] = (ar * br - ai * bi, ar * bi + ai * br)
+                else:
+                    out[k] = (acc[0] + ar * br - ai * bi,
+                              acc[1] + ar * bi + ai * br)
+        if reduce(or_, out, 0) & _GUARD:
+            raise ValueError(f"an exponent reaches the limit {EXP_LIMIT}")
+        return type(self)._make({k: v for k, v in out.items() if v[0] or v[1]},
+                                self._den * o._den)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -205,7 +269,8 @@ class BasePoly:
 
     def conj(self):
         """Coefficientwise complex conjugation (variables are selfadjoint)."""
-        return type(self)._raw({e: c.conjugate() for e, c in self._terms.items()})
+        return type(self)._raw(
+            {k: (r, -i) for k, (r, i) in self._nums.items()}, self._den)
 
     def partial(self, idx_or_name: int | str):
         """Derivative with respect to one variable, by index or name."""
@@ -214,20 +279,11 @@ class BasePoly:
                if isinstance(idx_or_name, str) else idx_or_name)
         if not 0 <= idx < len(cls.VARS):
             raise ValueError(f"variable index {idx} out of range")
-        out: dict[tuple[int, ...], CRat] = {}
-        for exps, c in self._terms.items():
-            e = exps[idx]
-            if not e:
-                continue
-            key = exps[:idx] + (e - 1,) + exps[idx + 1:]
-            c2 = c * e
-            acc = out.get(key)
-            c2 = c2 if acc is None else acc + c2
-            if c2.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = c2
-        return cls._raw(out)
+        shift = FIELD_BITS * idx
+        one = 1 << shift
+        out = {k - one: (r * e, i * e) for k, (r, i) in self._nums.items()
+               if (e := k >> shift & _MASK)}
+        return cls._make(out, self._den) if out else cls.zero()
 
     # -- comparison -------------------------------------------------------
 
@@ -236,13 +292,13 @@ class BasePoly:
             other = type(self).const(other)
         if type(other) is not type(self):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._nums.items())))
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._nums:
             return f"{type(self).__name__}(0)"
         bits = []
         for exps, c in self.sorted_terms():
@@ -250,6 +306,11 @@ class BasePoly:
                             for v, e in zip(type(self).VARS, exps) if e)
             bits.append(f"{c}*{mono}" if mono else str(c))
         return f"{type(self).__name__}({' + '.join(bits)})"
+
+
+# the slot setters, bypassing the immutability guard
+_set_den = BasePoly._den.__set__
+_set_nums = BasePoly._nums.__set__
 
 
 class Poly(BasePoly):
@@ -264,29 +325,28 @@ class Poly(BasePoly):
     __slots__ = ()
 
     def eps_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(e[4] for e in self._terms)
+        return max(self._nums, default=0) >> EPS_SHIFT
 
     def spatial_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(e[1] + e[2] + e[3] for e in self._terms)
+        return max((sum(k.to_bytes(5, "little")[1:4]) for k in self._nums),
+                   default=0)
 
     def truncate_eps(self, n: int) -> "Poly":
         """Drop every term whose eps-exponent exceeds n."""
         if n < 0:
-            return Poly()
-        if all(e[4] <= n for e in self._terms):
+            return Poly.zero()
+        bound = (n + 1) << EPS_SHIFT
+        if not self._nums or max(self._nums) < bound:
             return self
-        return Poly._raw({e: c for e, c in self._terms.items() if e[4] <= n})
+        return Poly._make({k: v for k, v in self._nums.items() if k < bound},
+                          self._den)
 
     def is_imaginary_valued(self) -> bool:
         """conj(p) == -p, i.e. all coefficients purely imaginary."""
-        return all(c.is_imaginary() for c in self._terms.values())
+        return not any(r for r, _ in self._nums.values())
 
     def is_real_valued(self) -> bool:
-        return all(c.is_real() for c in self._terms.values())
+        return not any(i for _, i in self._nums.values())
 
 
 # Ready-made generators for the public carrier.

@@ -1,13 +1,14 @@
 """Exact complex rationals.
 
-Every coefficient stored in the symbolic layer is a Gaussian rational
+``CRat`` is the scalar type of the symbolic layer: a Gaussian rational
 (re + im*i) / den held as three ints, normalized so that den > 0 and
 gcd(re, im, den) == 1.  Each value has exactly one such form, so equality is
 a comparison of three ints, and every ``CRat`` operation is int arithmetic
-followed by a single gcd.  The star kernel sums its intermediate terms as
-bare ints over a shared denominator instead and builds each output
-coefficient once, through ``_norm``.  Floats never enter; equality of two
-symbolic results is therefore structural, not approximate.
+followed by a single gcd.  Polynomials do not store ``CRat``s: a ``Poly``
+holds int pairs (re, im) over one denominator for all its terms (see
+``nckit.poly``) and builds a ``CRat`` per term, through ``_norm``, only
+when a caller asks for one.  Floats never enter; equality of two symbolic
+results is therefore structural, not approximate.
 
 ``CRat`` is the boundary type: it is built from ints and
 ``fractions.Fraction``s, and ``.re`` / ``.im`` return ``Fraction``s.
@@ -63,7 +64,7 @@ class CRat:
         if isinstance(v, CRat):
             return v
         num, den = _split(v)
-        return _make(num, 0, den)
+        return _norm(num, 0, den)
 
     @staticmethod
     def _operand(v) -> "CRat | None":
@@ -72,13 +73,7 @@ class CRat:
         Binary operators must answer NotImplemented in the None case so that
         the reflected method of the other operand (e.g. a polynomial) runs.
         """
-        if isinstance(v, CRat):
-            return v
-        if isinstance(v, int):
-            return _make(int(v), 0, 1)
-        if isinstance(v, Fraction):
-            return _make(v.numerator, 0, v.denominator)
-        return None
+        return CRat.coerce(v) if isinstance(v, (CRat, int, Fraction)) else None
 
     # -- parts -------------------------------------------------------------
 
@@ -120,23 +115,15 @@ class CRat:
     __radd__ = __add__
 
     def __sub__(self, other: CRatLike) -> "CRat":
-        o = other if isinstance(other, CRat) else CRat._operand(other)
-        if o is None:
-            return NotImplemented
-        ad, bd = self._den, o._den
-        if ad == bd:
-            return _norm(self._re - o._re, self._im - o._im, ad)
-        return _norm(self._re * bd - o._re * ad, self._im * bd - o._im * ad,
-                     ad * bd)
+        o = CRat._operand(other)
+        return NotImplemented if o is None else self + -o
 
     def __rsub__(self, other: CRatLike) -> "CRat":
         o = CRat._operand(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return NotImplemented if o is None else o - self
 
     def __neg__(self) -> "CRat":
-        return _make(-self._re, -self._im, self._den)
+        return _norm(-self._re, -self._im, self._den)
 
     def __mul__(self, other: CRatLike) -> "CRat":
         o = other if isinstance(other, CRat) else CRat._operand(other)
@@ -166,7 +153,7 @@ class CRat:
         return binary_power(self, n, ONE)
 
     def conjugate(self) -> "CRat":
-        return _make(self._re, -self._im, self._den)
+        return _norm(self._re, -self._im, self._den)
 
     # -- comparison / hashing ----------------------------------------------
 
@@ -212,15 +199,6 @@ class CRat:
 _new = object.__new__
 
 
-def _make(re: int, im: int, den: int) -> CRat:
-    """CRat from ints already in normal form."""
-    c = _new(CRat)
-    c._re = re
-    c._im = im
-    c._den = den
-    return c
-
-
 def _norm(re: int, im: int, den: int) -> CRat:
     """CRat from ints with den > 0, divided through by their gcd."""
     if den != 1:
@@ -229,7 +207,7 @@ def _norm(re: int, im: int, den: int) -> CRat:
             re //= g
             im //= g
             den //= g
-    c = _new(CRat)  # _make inlined: every +, -, * and / ends here
+    c = _new(CRat)
     c._re = re
     c._im = im
     c._den = den

@@ -36,19 +36,19 @@ Orientation.  theta is antisymmetric, so D'_j = sum_i theta^{ij} d_i is -D_j
 and f * g = sum_s (-i/2)^|s| / s! (D^s f) (d^s g) as well.  D spreads a term
 over several t-exponents, so it goes on the operand with fewer terms.
 
-Exact ints.  Every term of one call is an int over one shared denominator,
-f_den g_den n_max! (2 D)^n_max: f_den and g_den are the lcm of each
-operand's coefficient denominators and D that of theta's.  D^r g holds ints
-over g_den D^|r|, and the node weight n_max!/r! (2 D)^(n_max - |r|) is an
-int, since r! divides |r|! (multinomial coefficients are ints), which
-divides n_max!.  So every sum is a gcd-free int addition, in the manner of
-Bareiss (Math. Comp. 1968), and each output term is normalised once, by
-``rationals._norm``, which drops a sum that cancelled.  d_i and D_i are
-real, so the real and imaginary parts are kept apart and a node's product
-is four real products routed by i^|r|; an empty part, common among the
-mostly real or imaginary gauge coefficients, costs nothing.  A term's
-exponents (t, x1, x2, x3) are packed into one int, t lowest, in fields wide
-enough for the call, so a product of monomials is one int addition.
+Exact ints.  The kernel works on ``Poly``'s own storage: int numerators
+over one denominator per operand, keyed by packed exponents (see
+``nckit.poly``).  Every term of one call is an int over f_den g_den n_max!
+(2 D)^n_max, D the lcm of theta's coefficient denominators: D^r g holds
+ints over g_den D^|r|, and the node weight n_max!/r! (2 D)^(n_max - |r|)
+is an int, since r! divides |r|!, which divides n_max!.  So every sum is a
+gcd-free int addition, in the manner of Bareiss (Math. Comp. 1968), and
+one running gcd normalises the result.  d_i and D_i are real, so real and
+imaginary parts are kept apart and a node's product is four real products
+routed by i^|r|; an empty part costs nothing.  Terms are grouped by eps
+order, the eps byte cleared from their keys.  ValueError is raised before
+t's byte could carry (t grows by theta's degree per order) and when the
+result reaches the exponent limit.
 
 Eps pruning.  Under an eps cutoff N, a term of eps order e meets only terms
 of order <= N - e.  d and D keep eps orders, so each side's lowest order can
@@ -72,10 +72,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Callable, Mapping, Union
 
-from .rationals import CRat, _norm
-from .poly import Poly
+from .rationals import CRat
+from .poly import EPS_SHIFT, EXP_LIMIT, FIELD_BITS, Poly, _GUARD, _MASK
+
+_LOW = (1 << EPS_SHIFT) - 1  # the fields of t, x1, x2 and x3
 
 EntryLike = Union[Poly, CRat, int, Fraction]
 
@@ -117,7 +121,7 @@ class ThetaProfile:
         object.__setattr__(self, "_upper", upper)
         # lcm of the entries' coefficient denominators
         object.__setattr__(self, "_den", math.lcm(
-            *(c._den for p in upper.values() for _, c in p.items())))
+            *(p._den for p in upper.values())))
         object.__setattr__(self, "_dot", None)
         object.__setattr__(self, "_table", None)
 
@@ -164,11 +168,11 @@ class ThetaProfile:
             rows = (None, [], [], [])
             t_deg = 0
             for (i, j), p in self._upper.items():
-                nums = []
-                for e, c in p.items():
-                    nums.append((e[0], c._re * (self._den // c._den)))
-                    t_deg = max(t_deg, e[0])
-                rows[i].append((j, tuple(nums)))  # theta^{ji} = -theta^{ij}
+                # a key of an entry in t alone is its t-exponent
+                s = self._den // p._den
+                nums = tuple((te, re * s) for te, (re, _) in p._nums.items())
+                t_deg = max(t_deg, *p._nums)
+                rows[i].append((j, nums))  # theta^{ji} = -theta^{ij}
                 rows[j].append((i, tuple((te, -n) for te, n in nums)))
             object.__setattr__(self, "_table", (t_deg, rows))
         return self._table
@@ -221,33 +225,32 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
     """
     if not f or not g:  # theta_dot_sum pairs terms such as F_ii = 0
         return Poly.zero()
-    if hermitian and (commutator or not _is_conj(f, g)):
+    if hermitian and (commutator or g != f.conj()):
         raise ValueError(
             "star: hermitian=True needs g == conj(f) and commutator=False")
     # d acts on p and D on q, the operand with fewer terms; with D on f the
     # series runs in -i/2 (see the module docstring)
     flip = len(f) < len(g)
     p, q = (g, f) if flip else (f, g)
-    p_den, p_deg, p_tops = _scan(p)
-    q_den, q_deg, q_tops = _scan(q)
-    n_max = min(p_deg, q_deg)
-    theta = ctx.theta
+    # no contraction goes deeper than either spatial degree
+    n_max = min(q.spatial_degree(), p.spatial_degree())
+    theta, cutoff = ctx.theta, ctx.eps_cutoff
     if not n_max or theta.is_zero():  # the series is its order-0 term, fg
-        return Poly.zero() if commutator else ctx.reduce(f * g)
-    cutoff = ctx.eps_cutoff
+        if commutator:
+            return Poly.zero()
+        return p._times(q, None if cutoff is None else (cutoff + 1) << EPS_SHIFT)
     t_deg, rows = theta._star_table()
-    # every t and x exponent a node or the output holds fits in width bits
-    width = max(p_tops[0] + q_tops[0] + n_max * t_deg,
-                p_deg + q_deg).bit_length()
-    mask = (1 << width) - 1
+    # each byte of the OR of a polynomial's keys bounds that exponent
+    p_tops = reduce(or_, p._nums).to_bytes(5, "little")
+    if p_tops[0] + (reduce(or_, q._nums) & _MASK) + n_max * t_deg >= 2 * EXP_LIMIT:
+        raise ValueError(f"star: a t-exponent could reach the limit {EXP_LIMIT}")
     # the weight of node r is n_max!/r! (2 D)^(n_max - |r|)
     two_d = 2 * theta._den
     top = math.factorial(n_max)
     scale = 2 * top if commutator else top
     out: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     # nodes: (last index, its run length, r!, |r|, d^r p, D^r q)
-    stack = [(1, 0, 1, 0, _sides(p, p_den, width, cutoff),
-              _sides(q, q_den, width, cutoff))]
+    stack = [(1, 0, 1, 0, _by_eps(p, cutoff), _by_eps(q, cutoff))]
     while stack:
         last, run, rfact, n, ps, qs = stack.pop()
         if cutoff is not None:
@@ -264,53 +267,45 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
             # d^r p holds x_i only while r_i stays below p's top exponent
             if p_tops[i] <= (run if i == last else 0):
                 continue
-            dp = _partial(ps, i * width, mask)
+            dp = _partial(ps, FIELD_BITS * i)
             if dp:
-                dq = _theta_apply(qs, rows[i], width, mask)
+                dq = _theta_apply(qs, rows[i])
                 if dq:
                     k = run + 1 if i == last else 1
                     stack.append((i, k, rfact * k, n + 1, dp, dq))
-    den = p_den * q_den * top * two_d ** n_max
-    terms = {}
+    nums = {}
     for e, (re, im) in out.items():
-        for k in re.keys() | im.keys():
-            r, i = re.get(k, 0), im.get(k, 0)
+        high = e << EPS_SHIFT
+        get = im.get
+        for k, r in re.items():
+            i = get(k, 0)
             if r or i:
-                terms[(k & mask, k >> width & mask, k >> 2 * width & mask,
-                       k >> 3 * width, e)] = _norm(r, i, den)
-    return Poly._raw(terms)
+                nums[k | high] = (r, i)
+        for k, i in im.items():
+            if i and k not in re:
+                nums[k | high] = (0, i)
+    if reduce(or_, nums, 0) & _GUARD:
+        raise ValueError(f"star: an exponent reaches the limit {EXP_LIMIT}")
+    return Poly._make(nums, p._den * q._den * top * two_d ** n_max)
 
 
-def _scan(p: Poly) -> tuple[int, int, list[int]]:
-    """The lcm of p's coefficient denominators, its spatial degree and its
-    largest exponent of each variable (t, x1, x2, x3, eps)."""
-    lcm = 1
-    deg = 0
-    for e, c in p._terms.items():
-        if lcm % c._den:
-            lcm = math.lcm(lcm, c._den)
-        if e[1] + e[2] + e[3] > deg:
-            deg = e[1] + e[2] + e[3]
-    return lcm, deg, list(map(max, zip(*p._terms)))
-
-
-def _sides(p: Poly, den: int, width: int, cutoff: int | None) -> dict:
-    """p as {eps order: (re, im)}, re and im each a {packed exponents: int}
-    dict of the nonzero real or imaginary numerators over den.  Terms above
-    the eps cutoff are left out."""
+def _by_eps(p: Poly, cutoff: int | None) -> dict:
+    """p's numerators as the kernel holds them, {eps order: (re, im)}, re and
+    im {key without its eps byte: int} dicts of the nonzero real or imaginary
+    numerators over p's denominator; terms above the eps cutoff left out."""
     sides: dict = {}
-    for e, c in p.items():
-        if cutoff is not None and e[4] > cutoff:
+    for k, (r, i) in p._nums.items():
+        e = k >> EPS_SHIFT
+        if cutoff is not None and e > cutoff:
             continue
-        part = sides.get(e[4])
+        part = sides.get(e)
         if part is None:
-            part = sides[e[4]] = ({}, {})
-        k = e[0] | e[1] << width | e[2] << 2 * width | e[3] << 3 * width
-        s = den // c._den
-        if c._re:
-            part[0][k] = c._re * s
-        if c._im:
-            part[1][k] = c._im * s
+            part = sides[e] = ({}, {})
+        k &= _LOW
+        if r:
+            part[0][k] = r
+        if i:
+            part[1][k] = i
     return sides
 
 
@@ -329,21 +324,19 @@ def _prune(ps: dict, qs: dict, cutoff: int) -> tuple[dict, dict]:
     return ps, qs
 
 
-def _partial(side: dict, shift: int, mask: int) -> dict:
+def _partial(side: dict, shift: int) -> dict:
     """d_i of a side, x_i's exponent in the field at shift."""
     one = 1 << shift
     out = {}
     for e, (re, im) in side.items():
-        re = {k - one: c * (k >> shift & mask)
-              for k, c in re.items() if k >> shift & mask}
-        im = {k - one: c * (k >> shift & mask)
-              for k, c in im.items() if k >> shift & mask}
+        re = {k - one: c * m for k, c in re.items() if (m := k >> shift & _MASK)}
+        im = {k - one: c * m for k, c in im.items() if (m := k >> shift & _MASK)}
         if re or im:
             out[e] = (re, im)
     return out
 
 
-def _theta_apply(side: dict, row: tuple, width: int, mask: int) -> dict:
+def _theta_apply(side: dict, row: tuple) -> dict:
     """D_i of a side for row i of theta's table: every numerator gains one
     factor D in its denominator.  A sum that cancels stays as a zero entry,
     which costs less than filtering each dict; the output drops it."""
@@ -353,10 +346,10 @@ def _theta_apply(side: dict, row: tuple, width: int, mask: int) -> dict:
         for part, d in zip(parts, new):
             get = d.get
             for j, entry in row:
-                shift = j * width
+                shift = FIELD_BITS * j
                 one = 1 << shift
                 for k, c in part.items():
-                    m = k >> shift & mask
+                    m = k >> shift & _MASK
                     if m:
                         base = k - one
                         c *= m
@@ -410,20 +403,6 @@ def _mac(dest: dict, a: dict, b: dict, w: int) -> None:
         for kb, cb in b.items():
             k = ka + kb
             dest[k] = get(k, 0) + ca * cb
-
-
-def _is_conj(f: Poly, g: Poly) -> bool:
-    """g == conj(f), compared on the coefficient ints without building
-    conj(f)."""
-    g_terms = g._terms
-    if len(f._terms) != len(g_terms):
-        return False
-    for e, c in f._terms.items():
-        d = g_terms.get(e)
-        if (d is None or d._re != c._re or d._im != -c._im
-                or d._den != c._den):
-            return False
-    return True
 
 
 def star_commutator(f: Poly, g: Poly, ctx: StarContext) -> Poly:

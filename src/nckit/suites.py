@@ -58,10 +58,6 @@ def _rand_fraction(rng: random.Random, lo=-4, hi=4, max_den=3) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 
 
-def _rand_crat(rng: random.Random) -> CRat:
-    return CRat(_rand_fraction(rng), _rand_fraction(rng))
-
-
 def _rand_poly(rng: random.Random, max_terms=4, max_t=2, max_spatial=4) -> Poly:
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
@@ -69,7 +65,8 @@ def _rand_poly(rng: random.Random, max_terms=4, max_t=2, max_spatial=4) -> Poly:
         e1 = rng.randint(0, budget)
         e2 = rng.randint(0, budget - e1)
         e3 = budget - e1 - e2 if rng.random() < 0.5 else rng.randint(0, budget - e1 - e2)
-        terms[(rng.randint(0, max_t), e1, e2, e3, 0)] = _rand_crat(rng)
+        terms[(rng.randint(0, max_t), e1, e2, e3, 0)] = CRat(
+            _rand_fraction(rng), _rand_fraction(rng))
     return Poly(terms)
 
 

@@ -47,6 +47,16 @@ def test_theta_config_rejects_bad_entries(tmp_path):
             load_theta(p)
 
 
+def test_theta_size_limit_names_section_and_key(tmp_path, capsys):
+    p = write(tmp_path / "big.ini", "[theta]\nt12 = t^100000\n")
+    with pytest.raises(ConfigError, match=r"^\[theta\] t12: .*degree 100000"):
+        load_theta(p)
+    assert main(["reduce", "x1*x2", "--theta", p]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nckit: [theta] t12: line 1, column 2: ")
+    assert err.count("\n") == 1
+
+
 def test_missing_file_and_sections(tmp_path):
     with pytest.raises(ConfigError, match="no such config"):
         load_config(tmp_path / "absent.ini")
@@ -385,8 +395,8 @@ def test_planewave_theta_override(tmp_path, capsys):
     flat = write(tmp_path / "flat.ini", "[theta]\n")
     assert main(["planewave", spec, "--theta", flat]) == 0
     text = capsys.readouterr().out
-    assert "polarised          yes" in text.replace("  ", " ") or \
-        "polarised" in text  # flat profile cannot couple
+    # a flat profile cannot couple; rows are padded to "quadratic identity"
+    assert f"{'polarised':<18}  yes" in text.splitlines()
     doc_path = tmp_path / "o.json"
     assert main(["planewave", spec, "--theta", flat,
                  "--json", str(doc_path)]) == 0
@@ -398,6 +408,30 @@ def test_planewave_config_error(tmp_path, capsys):
     bare = write(tmp_path / "bare.ini", "[theta]\nt12 = t\n")
     assert main(["planewave", bare]) == 2
     assert "planewave" in capsys.readouterr().err
+
+
+# -- --json targets that cannot be written ----------------------------------------
+
+def _json_argv(cmd, tmp_path):
+    if cmd == "reduce":
+        return ["reduce", "x1*x2"]
+    if cmd == "verify":
+        return ["verify", "star", "--cases", "1"]
+    if cmd == "planewave":
+        return ["planewave", write(tmp_path / "w.ini", WAVE_INI)]
+    path = tmp_path / "f.ncg"
+    save_grid(path, band_limited_field(16, 6.283185307179586, 3, seed=1), 0.3)
+    return ["grid-check", str(path)]
+
+
+@pytest.mark.parametrize("cmd", ["reduce", "verify", "planewave", "grid-check"])
+def test_unwritable_json_path_is_a_usage_error(tmp_path, capsys, cmd):
+    argv = _json_argv(cmd, tmp_path)
+    for target in (tmp_path / "absent" / "o.json", tmp_path):
+        assert main([*argv, "--json", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nckit: ") and err.count("\n") == 1, err
+        assert str(target) in err
 
 
 # -- grid-check -------------------------------------------------------------------
@@ -478,6 +512,18 @@ def test_grid_check_bad_file(tmp_path, capsys):
     path.write_bytes(b"not a grid file at all")
     assert main(["grid-check", str(path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("box, scale", [(6.283185307179586, 1e200),
+                                        (1e300, 1.0), (1e-300, 1.0)])
+def test_grid_check_rejects_overflowing_scales(tmp_path, capsys, box, scale):
+    # the squared norm, the cell area or the twist phase leaves the float
+    # range; the normalised defects would then read 0 and pass
+    field = band_limited_field(8, 6.283185307179586, 1, seed=1)
+    path = tmp_path / "f.ncg"
+    save_grid(path, GridField(field.values * scale, box), 0.3)
+    assert main(["grid-check", str(path)]) == 2
+    assert "overflows its norm or twist phase" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n, box, theta", [

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from nckit.rationals import CRat, I
-from nckit.poly import (BasePoly, Poly, add, conj, mul, partial, truncate_eps,
-                        t, x1, x2, x3, eps)
+from nckit.planewave import PwPoly
+from nckit.poly import (EPS_SHIFT, EXP_LIMIT, BasePoly, Poly, add, conj, mul,
+                        partial, truncate_eps, t, x1, x2, x3, eps)
 
-from util import rand_poly, rand_crat
+from util import assert_canonical, rand_poly, rand_crat
 
 
 def test_add_collects_terms():
@@ -163,3 +164,133 @@ def test_crat_field_axioms_random():
         if not b.is_zero():
             assert (a / b) * b == a
     assert I * I == CRat(-1)
+
+
+# -- packed storage against the CRat-per-term engine ----------------------------
+#
+# The three functions below are BasePoly's ring operations as they were when
+# every term held its own CRat, copied verbatim onto exponent-tuple dicts
+# ({exps: CRat}, what ``terms_dict`` returns).  The packed storage must give
+# the same dicts.
+
+def ref_combine(terms, o_terms, negate):
+    out = dict(terms)
+    for exps, c in o_terms.items():
+        acc = out.get(exps)
+        if acc is None:
+            c = -c if negate else c
+        else:
+            c = acc - c if negate else acc + c
+        if c.is_zero():
+            out.pop(exps, None)
+        else:
+            out[exps] = c
+    return out
+
+
+def ref_mul(terms, o_terms):
+    out = {}
+    for ea, ca in terms.items():
+        for eb, cb in o_terms.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            c = ca * cb
+            acc = out.get(key)
+            c = c if acc is None else acc + c
+            if c.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = c
+    return out
+
+
+def ref_scale(terms, other):
+    c0 = CRat.coerce(other)
+    if c0.is_zero():
+        return {}
+    return {e: c * c0 for e, c in terms.items()}
+
+
+def _rand_operand(rng, cls, max_terms=5, max_exp=3):
+    """A random cls polynomial whose coefficients have mixed denominators
+    (up to 12), built through the public constructor."""
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        exps = tuple(rng.randint(0, max_exp) if rng.random() < 0.4 else 0
+                     for _ in cls.VARS)
+        den = rng.choice([1, 2, 3, 4, 6, 12])
+        terms[exps] = CRat(Fraction(rng.randint(-5, 5), den),
+                           Fraction(rng.randint(-5, 5), den)
+                           if rng.random() < 0.5 else 0)
+    return cls(terms)
+
+
+@pytest.mark.parametrize("cls", [Poly, PwPoly])
+def test_packed_ops_match_crat_reference(cls):
+    rng = random.Random(1206 + len(cls.VARS))
+    scalars = [0, 1, -3, 6, Fraction(-2, 3), Fraction(5, 12),
+               CRat(Fraction(1, 2), Fraction(-3, 4)), CRat(0, 2)]
+    for _ in range(150):
+        a, b = _rand_operand(rng, cls), _rand_operand(rng, cls)
+        for p in (a, b):
+            assert_canonical(p)
+        ta, tb = a.terms_dict(), b.terms_dict()
+        # b - a again, through a scalar product and a sum
+        shifted = b + a * Fraction(-1)
+        for got, want in ((a + b, ref_combine(ta, tb, False)),
+                          (a - b, ref_combine(ta, tb, True)),
+                          (shifted, ref_combine(tb, ta, True)),
+                          (a * b, ref_mul(ta, tb)),
+                          (-a, ref_scale(ta, -1))):
+            assert_canonical(got)
+            assert got.terms_dict() == want
+        assert (a - a).is_zero() and (a + -a) == cls.zero()
+        for c in scalars:
+            got = a * c
+            assert_canonical(got)
+            assert got.terms_dict() == ref_scale(ta, c)
+            assert got == c * a
+        conj = a.conj()
+        assert_canonical(conj)
+        assert conj.terms_dict() == {e: c.conjugate() for e, c in ta.items()}
+        for idx in range(len(cls.VARS)):
+            d = a.partial(idx)
+            assert_canonical(d)
+            want = {}
+            for e, c in ta.items():
+                if e[idx]:
+                    key = e[:idx] + (e[idx] - 1,) + e[idx + 1:]
+                    want[key] = c * e[idx]
+            assert d.terms_dict() == want
+
+
+def test_eps_cutoff_product_matches_truncated_product():
+    rng = random.Random(1207)
+    for _ in range(200):
+        a = rand_poly(rng, max_terms=6, max_t=2, max_spatial=2, max_eps=3)
+        b = rand_poly(rng, max_terms=6, max_t=2, max_spatial=2, max_eps=3)
+        for cutoff in range(5):
+            got = a._times(b, (cutoff + 1) << EPS_SHIFT)
+            assert_canonical(got)
+            assert got == (a * b).truncate_eps(cutoff)
+            assert_canonical((a * b).truncate_eps(cutoff))
+
+
+def test_exponent_limit_raises():
+    top = EXP_LIMIT - 1
+    assert (x1 ** top).degree_in("x1") == top
+    assert Poly.monomial((top, 0, 0, 0, top)).total_degree() == 2 * top
+    for exps in ((EXP_LIMIT, 0, 0, 0, 0), (0, 0, 0, 0, 300), (0, -1, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            Poly.monomial(exps)
+        with pytest.raises(ValueError):
+            Poly({exps: 1})
+    with pytest.raises(ValueError):
+        x1 ** EXP_LIMIT
+    with pytest.raises(ValueError):
+        (x1 ** 100 + t) * (x1 ** 28 + x2)
+    with pytest.raises(ValueError):
+        (eps ** 64) ** 2
+    with pytest.raises(ValueError):
+        PwPoly.variable("f2") ** 200
+    # carrying one field into the next would have made x1^128 into x2
+    assert ((x1 ** 64) * (x1 ** 63)).degree_in("x2") == 0

@@ -9,11 +9,10 @@ from fractions import Fraction
 import pytest
 
 from nckit.poly import Poly, t, x1, x2, x3, eps
-from nckit.rationals import CRat, _norm
+from nckit.rationals import CRat
 from nckit.star import (
     StarContext,
     ThetaProfile,
-    _is_conj,
     dt_leibniz_correction,
     dt_leibniz_defect,
     spatial_derivation_defect,
@@ -22,8 +21,8 @@ from nckit.star import (
     star_conj_defect,
     star_exp,
 )
-from util import (rand_exponents, rand_fraction, rand_imag_poly, rand_poly,
-                  rand_theta)
+from util import (assert_canonical, rand_exponents, rand_fraction,
+                  rand_imag_poly, rand_poly, rand_theta)
 
 I = CRat(0, 1)
 HALF = Fraction(1, 2)
@@ -86,7 +85,7 @@ def star_pair_reference(f: Poly, g: Poly, ctx: StarContext, *,
     place of the profile's cache."""
     if not f or not g:  # theta_dot_sum pairs terms such as F_ii = 0
         return Poly.zero()
-    if hermitian and (commutator or not _is_conj(f, g)):
+    if hermitian and (commutator or g != f.conj()):
         raise ValueError(
             "star: hermitian=True needs g == conj(f) and commutator=False")
     theta = ctx.theta
@@ -227,12 +226,12 @@ def star_pair_reference(f: Poly, g: Poly, ctx: StarContext, *,
     if hermitian:  # the imaginary parts of the weighted pairs cancel
         for key, (r, _) in out.items():
             if r:
-                terms[key] = _norm(r, 0, den)
+                terms[key] = CRat.from_ints(r, 0, den)
     else:
         for key, (r, i) in out.items():
             if r or i:
-                terms[key] = _norm(r, i, den)
-    return Poly._raw(terms)
+                terms[key] = CRat.from_ints(r, i, den)
+    return Poly(terms)
 
 
 def _x_groups(p: Poly) -> tuple[list, int, int]:
@@ -481,13 +480,6 @@ def test_star_grouped_operands_match_reference():
         (1 - t * t) * (x1 * x2 + CRat(0, HALF) * (1 + t)))
 
 
-def _assert_canonical(p: Poly):
-    """Every stored coefficient is nonzero and in normal form."""
-    for _, c in p.items():
-        assert c._den > 0 and math.gcd(c._re, c._im, c._den) == 1
-        assert not c.is_zero()
-
-
 def test_star_shared_denominator_matches_reference():
     # theta entries over 2, 3 and 5, operand coefficients over 3, 4, 5, 6,
     # 7 and 9, and x-groups with 2-3 term cofactors, so the call's shared
@@ -514,8 +506,8 @@ def test_star_shared_denominator_matches_reference():
                 assert ab == star_reference(a, b, ctx)
                 com = star_commutator(a, b, ctx)
                 assert com == star_reference(a, b, ctx) - star_reference(b, a, ctx)
-                _assert_canonical(ab)
-                _assert_canonical(com)
+                assert_canonical(ab)
+                assert_canonical(com)
             # every term cancels: the cross pairs of f*f against each other
             assert len(star_commutator(f, f, ctx)) == 0
             # the x1 x2 terms of two monomial pairs cancel, the rest stays
@@ -523,12 +515,12 @@ def test_star_shared_denominator_matches_reference():
             assert s == star_reference(x1 + x2, x1 - x2, ctx)
             assert s.coefficient((0, 1, 1, 0, 0)).is_zero()
             assert s.coefficient((0, 2, 0, 0, 0)) == 1
-            _assert_canonical(s)
+            assert_canonical(s)
             # the t^1 key of the cofactor and the eps^1 key cancel exactly
             q = star(x1 * (1 + t) * (1 + eps), x2 * (1 - t) * (1 - eps), ctx)
             assert q == star_reference(x1 * (1 + t) * (1 + eps),
                                        x2 * (1 - t) * (1 - eps), ctx)
-            _assert_canonical(q)
+            assert_canonical(q)
 
 
 def test_star_hermitian_matches_full_product():
@@ -578,7 +570,7 @@ def test_star_hermitian_matches_full_product():
                 full = star(f, f.conj(), ctx)
                 half = star(f, f.conj(), ctx, hermitian=True)
                 assert half == full
-                _assert_canonical(half)
+                assert_canonical(half)
 
     ctx = StarContext(thetas[0], eps_cutoff=1)
     for f in (operands[0], operands[-1]):  # one x-group and seven
@@ -632,14 +624,14 @@ def test_star_matches_pair_reference_on_large_operands():
         for f, g in ((small, large), (large, small), (mid, twin)):
             got = star(f, g, ctx)
             assert got == star_pair_reference(f, g, ctx)
-            _assert_canonical(got)
+            assert_canonical(got)
         com = star_commutator(small, mid, ctx)
         assert com == star_pair_reference(small, mid, ctx, commutator=True)
-        _assert_canonical(com)
+        assert_canonical(com)
         ctx = StarContext(thetas[(k + 1) % 2], eps_cutoff=cutoff)
         half = star(mid, mid.conj(), ctx, hermitian=True)
         assert half == star_pair_reference(mid, mid.conj(), ctx)
-        _assert_canonical(half)
+        assert_canonical(half)
 
 
 def test_star_associativity_randomized():
@@ -771,3 +763,16 @@ def test_star_exp_randomized_unitarity():
         lam = rand_imag_poly(rng)
         u = star_exp(lam, 2, ctx)
         assert star(u.conj(), u, ctx) == Poly.one()
+
+
+def test_star_exponent_limit_raises():
+    ctx = StarContext(ThetaProfile({(1, 2): t ** 30}))
+    near = star(t ** 90 * x1, x2, ctx)  # t^120: within the limit
+    assert_canonical(near)
+    assert near == star_reference(t ** 90 * x1, x2, ctx)
+    with pytest.raises(ValueError):  # the result holds t^130
+        star(t ** 100 * x1, x2, ctx)
+    with pytest.raises(ValueError):  # t's field could carry in the kernel
+        star(t ** 100 * x1, t ** 100 * x2, ctx)
+    with pytest.raises(ValueError):  # x1^128 in the order-0 term
+        star(x1 ** 64, x1 ** 64 * x2, ctx)

@@ -6,11 +6,12 @@ reproducible from the printed seed.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 from nckit.rationals import CRat
-from nckit.poly import Poly
+from nckit.poly import EXP_LIMIT, Poly
 from nckit.star import ThetaProfile
 
 
@@ -103,3 +104,16 @@ def rand_form(rng: random.Random, max_masks: int = 2, max_terms: int = 2,
         if p:
             parts[m] = parts.get(m, Poly.zero()) + p
     return DifferentialForm({m: p for m, p in parts.items() if p})
+
+
+def assert_canonical(p) -> None:
+    """p's storage is in canonical form: int den > 0, gcd(den, every
+    numerator) = 1, no zero pair, and every exponent below the limit."""
+    assert type(p._den) is int and p._den > 0
+    nums = [n for pair in p._nums.values() for n in pair]
+    assert all(type(n) is int for n in nums)
+    assert math.gcd(p._den, *nums) == 1
+    assert all(r or i for r, i in p._nums.values())
+    for exps, _ in p.items():
+        assert all(0 <= e < EXP_LIMIT for e in exps)
+        assert p._pack(exps) in p._nums
