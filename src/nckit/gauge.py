@@ -257,9 +257,7 @@ def invariance_witness(pot: GaugePotential, u: Poly,
     # blocks follow the canonical term order, not the order star emitted
     udag = u.conj()
     witness = Poly.zero()
-    keys, nums = dens._sorted_keys(), dens._nums
-    for k in range(0, len(keys), 64):
-        block = Poly._make({key: nums[key] for key in keys[k:k + 64]}, dens._den)
+    for block in dens._blocks(64):
         du = star(block, u, ctx)
         witness = witness + star_commutator(udag, du, ctx)
     remainder = ctx.reduce(dens_p - dens - witness)

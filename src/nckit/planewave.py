@@ -37,12 +37,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from operator import or_
+from functools import lru_cache
 from typing import Mapping, Sequence, Union
 
 from .rationals import CRat, RatLike
-from .poly import FIELD_BITS, BasePoly, Poly, _MASK
+from .poly import BasePoly, Poly
 from .star import StarContext
 from .scalar import linear_phase
 
@@ -69,11 +68,6 @@ _D = {(1, 2): PwPoly.variable("d12"), (1, 3): PwPoly.variable("d13"),
 _S_MARK = PwPoly.variable("s")
 _F = (PwPoly.variable("f0"), PwPoly.variable("f1"), PwPoly.variable("f2"))
 
-_IDX_S = PwPoly.VARS.index("s")
-_SHIFT_S = FIELD_BITS * _IDX_S
-_IDX_F = tuple(PwPoly.VARS.index(n) for n in ("f0", "f1", "f2"))
-_IDX_D = {pair: PwPoly.VARS.index(f"d{pair[0]}{pair[1]}") for pair in _DPAIRS}
-
 
 def pw_partial(p: PwPoly, mu: int) -> PwPoly:
     """Spacetime derivative d_mu via the chain rule on the profile symbols."""
@@ -83,70 +77,44 @@ def pw_partial(p: PwPoly, mu: int) -> PwPoly:
         raise ValueError(
             "profile derivative beyond second order not representable")
     factor = _W if mu == 0 else _K[mu]
-    return factor * (p.partial(_IDX_F[0]) * _F[1] + p.partial(_IDX_F[1]) * _F[2])
+    return factor * (p.partial("f0") * _F[1] + p.partial("f1") * _F[2])
 
 
 def pw_substitute(p: PwPoly, mapping: Mapping[str, Poly]) -> Poly:
     """Ring morphism into the spacetime polynomials: var -> mapping[var].
 
-    Reads p's packed keys.  A variable whose image is a constant is folded
-    into each term's coefficient first.  The terms are then grouped by
-    what remains of their keys, each power of an image is built once, and
-    every group's product is added up."""
-    used = reduce(or_, p._nums, 0)
-    consts, images = {}, {}
-    for j, name in enumerate(PwPoly.VARS):
-        shift = FIELD_BITS * j
-        if name in mapping:
-            img = mapping[name]
-            if img.total_degree():
-                images[shift] = img
+    A variable whose image is a constant is folded into each term's
+    coefficient first.  The terms are then grouped by what remains of
+    their exponents, each power of an image is built once, and every
+    group's product is summed in one pass."""
+    consts = {name: img.coefficient((0,) * len(Poly.VARS))
+              for name, img in mapping.items() if not img.total_degree()}
+    groups: dict[tuple[tuple[str, int], ...], CRat] = {}
+    for exps, c in p.items():
+        rest = []
+        for name, e in zip(PwPoly.VARS, exps):
+            if not e:
+                continue
+            if name in consts:
+                c = c * consts[name] ** e
+            elif name in mapping:
+                rest.append((name, e))
             else:
-                consts[shift] = img.coefficient((0,) * len(Poly.VARS))
-        elif used >> shift & _MASK:
-            raise KeyError(f"no substitution given for {name}")
-    rest = ~sum(_MASK << shift for shift in consts)
-    groups: dict[int, CRat] = {}
-    for k, (r, i) in p._nums.items():
-        c = CRat.from_ints(r, i, p._den)
-        for shift, v in consts.items():
-            if k >> shift & _MASK:
-                c = c * v ** (k >> shift & _MASK)
-        groups[k & rest] = groups.get(k & rest, 0) + c
-    powers: dict[tuple[int, int], Poly] = {}
-    out = Poly.zero()
-    for rk, c in groups.items():
+                raise KeyError(f"no substitution given for {name}")
+        groups[tuple(rest)] = groups.get(tuple(rest), 0) + c
+    powers: dict[tuple[str, int], Poly] = {}
+    products = [Poly.zero()]
+    for rest, c in groups.items():
+        if not c:
+            continue
         m = Poly.const(c)
-        for shift, img in images.items():
-            e = rk >> shift & _MASK
-            if e and m:
-                power = powers.get((shift, e))
-                if power is None:
-                    power = powers[(shift, e)] = img ** e
-                m = m * power
-        out = out + m
-    return out
-
-
-def _s_split(p: PwPoly) -> dict[int, PwPoly]:
-    """Split by the power of the grading marker s."""
-    buckets: dict[int, dict] = {}
-    for k, v in p._nums.items():
-        buckets.setdefault(k >> _SHIFT_S & _MASK, {})[k] = v
-    return {n: PwPoly._make(nums, p._den) for n, nums in buckets.items()}
-
-
-def _strip(p: PwPoly, var_indices: Sequence[int],
-           expected: Sequence[int]) -> PwPoly:
-    """Remove the given variable powers after checking they match exactly."""
-    fields = sum(_MASK << FIELD_BITS * j for j in var_indices)
-    want = sum(e << FIELD_BITS * j for j, e in zip(var_indices, expected))
-    for k in p._nums:
-        if k & fields != want:
-            got = tuple(k >> FIELD_BITS * j & _MASK for j in var_indices)
-            raise ValueError(
-                f"unexpected structure: exponents {got} where {expected} required")
-    return PwPoly._raw({k - want: v for k, v in p._nums.items()}, p._den)
+        for name, e in rest:
+            power = powers.get((name, e))
+            if power is None:
+                power = powers[(name, e)] = mapping[name] ** e
+            m = m * power
+        products.append(m)
+    return Poly._sum(products)
 
 
 # -- the ansatz and its strengths, all inside PwPoly -------------------------
@@ -376,14 +344,13 @@ class ActionReport:
 def _eval_wkp(p: PwPoly, vals: Sequence[Fraction]) -> Fraction:
     """Evaluate a PwPoly that only involves w, k, p variables at vals, the
     values of w, k1..k3 and p0..p3 (the first eight variables, in order)."""
+    if not p.uses_only(PwPoly.VARS[:len(vals)]):
+        raise ValueError("only w, k1..k3 and p0..p3 evaluate numerically")
     total = Fraction(0)
     for k, (r, i) in p._nums.items():
         if i:
             raise ValueError("expected a real coefficient")
-        if k >> FIELD_BITS * len(vals):
-            name = PwPoly.VARS[(k.bit_length() - 1) // FIELD_BITS]
-            raise ValueError(f"cannot evaluate symbol {name} numerically")
-        for e, v in zip(k.to_bytes(len(vals), "little"), vals):
+        for e, v in zip(p._unpack(k), vals):
             if e:
                 r *= v ** e
         total += r
@@ -399,19 +366,19 @@ def effective_action(spec: PlaneWaveSpec, ctx: StarContext) -> ActionReport:
     the diagnostics.
     """
     dens = _symbolic_density()
-    parts = _s_split(dens)
+    parts = dens._split("s")
 
-    quad_raw = _strip(parts.get(0, PwPoly.zero()), _IDX_F, (0, 2, 0))
+    quad_raw = parts.get(0, PwPoly.zero())._strip({"f0": 0, "f1": 2, "f2": 0})
     quad = -quad_raw  # orientation
 
     cubic: dict[tuple[int, int], PwPoly] = {}
     s1 = parts.get(1, PwPoly.zero())
-    for pair in _DPAIRS:
-        shift = FIELD_BITS * _IDX_D[pair]
-        q = PwPoly._make({k: v for k, v in s1._nums.items()
-                          if k >> shift & _MASK}, s1._den)
-        idxs = (_IDX_S, _IDX_D[pair], *_IDX_F)
-        cubic[pair] = -_strip(q, idxs, (1, 1, 1, 2, 0)) if q else PwPoly.zero()
+    for j, k in _DPAIRS:
+        d = f"d{j}{k}"
+        fixed = {"s": 1, d: 1, "f0": 1, "f1": 2, "f2": 0}
+        # every term holding d_jk must hold it once
+        cubic[(j, k)] = -sum((q._strip(fixed) for e, q in s1._split(d).items()
+                              if e), PwPoly.zero())
 
     residual = -sum((part for n, part in parts.items() if n >= 2),
                     PwPoly.zero())

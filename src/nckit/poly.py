@@ -38,6 +38,12 @@ _GUARD = int("80" * 64, 16)  # the top bit of each of 64 fields
 EPS_SHIFT = 4 * FIELD_BITS
 
 
+def _check_limit(keys: Iterable[int]) -> None:
+    """ValueError if an exponent of the packed keys reaches EXP_LIMIT."""
+    if reduce(or_, keys, 0) & _GUARD:
+        raise ValueError(f"an exponent reaches the limit {EXP_LIMIT}")
+
+
 class BasePoly:
     """Shared engine; concrete classes fix the variable tuple via VARS."""
 
@@ -130,11 +136,6 @@ class BasePoly:
     # the exponent-tuple view that perfbench's tracer reads
     _terms = property(terms_dict)
 
-    def _sorted_keys(self) -> list[int]:
-        """The keys in the order of ``sorted_terms``."""
-        return sorted(self._nums, reverse=True,
-                      key=lambda k: (sum(e := self._unpack(k)), e))
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], CRat]]:
         return sorted(self.items(), key=lambda kv: (sum(kv[0]), kv[0]),
                       reverse=True)
@@ -164,6 +165,42 @@ class BasePoly:
                       for n in names)
         return not reduce(or_, self._nums, 0) & ~allowed
 
+    def _tops(self) -> tuple[int, ...]:
+        """Per variable, the OR of its exponents: from their max to twice it."""
+        return self._unpack(reduce(or_, self._nums, 0))
+
+    def _split(self, name: str) -> dict:
+        """{e: the terms whose exponent of the variable is e}."""
+        shift = FIELD_BITS * type(self).VARS.index(name)
+        buckets: dict[int, dict] = {}
+        for k, v in self._nums.items():
+            buckets.setdefault(k >> shift & _MASK, {})[k] = v
+        return {e: type(self)._make(nums, self._den)
+                for e, nums in buckets.items()}
+
+    def _strip(self, fixed: Mapping[str, int]):
+        """Every term divided by the monomial of the given exponents; each
+        term must hold exactly those exponents, else ValueError."""
+        shifts = [FIELD_BITS * type(self).VARS.index(n) for n in fixed]
+        fields = sum(_MASK << s for s in shifts)
+        want = sum(e << s for s, e in zip(shifts, fixed.values()))
+        for k in self._nums:
+            if k & fields != want:
+                got = tuple(k >> s & _MASK for s in shifts)
+                raise ValueError(f"unexpected structure: exponents {got} "
+                                 f"where {tuple(fixed.values())} required")
+        return type(self)._raw({k - want: v for k, v in self._nums.items()},
+                               self._den)
+
+    def _blocks(self, size: int) -> list:
+        """The terms in ``sorted_terms`` order, ``size`` to a polynomial."""
+        nums = self._nums
+        keys = sorted(nums, reverse=True,
+                      key=lambda k: (sum(e := self._unpack(k)), e))
+        return [type(self)._make({k: nums[k] for k in keys[i:i + size]},
+                                 self._den)
+                for i in range(0, len(keys), size)]
+
     # -- ring operations --------------------------------------------------
 
     def _coerce_operand(self, other: ScalarLike):
@@ -180,30 +217,37 @@ class BasePoly:
             return NotImplemented
         if not o._nums:
             return self
-        nums = self._nums
-        if not nums:
+        if not self._nums:
             return -o if negate else o
-        den = lcm(self._den, o._den)
-        sa, sb = den // self._den, -(den // o._den) if negate else den // o._den
-        out = (dict(nums) if sa == 1 else
-               {k: (r * sa, i * sa) for k, (r, i) in nums.items()})
-        # without a shared key the result is canonical as it stands: the
-        # scale factors den // self._den and den // o._den are coprime
-        merged = False
-        for k, (r, i) in o._nums.items():
-            acc = out.get(k)
-            if acc is None:
-                out[k] = (r * sb, i * sb)
-            else:
-                merged = True
-                r, i = acc[0] + r * sb, acc[1] + i * sb
-                if r or i:
-                    out[k] = (r, i)
-                else:
-                    del out[k]
-        return (type(self)._make if merged else type(self)._raw)(out, den)
+        return type(self)._sum((self, o), -1 if negate else 1)
 
     __radd__ = __add__
+
+    @classmethod
+    def _sum(cls, polys: Sequence["BasePoly"], sign: int = 1):
+        """polys[0] plus sign times each later one, every term added once
+        into one dict over the lcm of the denominators."""
+        den = lcm(*(p._den for p in polys))
+        s = den // polys[0]._den
+        out = (dict(polys[0]._nums) if s == 1 else
+               {k: (r * s, i * s) for k, (r, i) in polys[0]._nums.items()})
+        # without a shared key the result is canonical as it stands: the
+        # scale factors den // p._den have no common factor
+        merged = False
+        for p in polys[1:]:
+            s = sign * (den // p._den)
+            for k, (r, i) in p._nums.items():
+                acc = out.get(k)
+                if acc is None:
+                    out[k] = (r * s, i * s)
+                else:
+                    merged = True
+                    r, i = acc[0] + r * s, acc[1] + i * s
+                    if r or i:
+                        out[k] = (r, i)
+                    else:
+                        del out[k]
+        return (cls._make if merged else cls._raw)(out, den)
 
     def __sub__(self, other: ScalarLike):
         return self.__add__(other, True)
@@ -217,11 +261,6 @@ class BasePoly:
 
     def __mul__(self, other: ScalarLike):
         cls = type(self)
-        if type(other) is int and other:  # gcd(den, other) is the common factor
-            g = gcd(self._den, other)
-            m = other // g
-            return cls._raw({k: (r * m, i * m) for k, (r, i) in self._nums.items()},
-                            self._den // g)
         if isinstance(other, (int, Fraction, CRat)):
             c = CRat.coerce(other)
             if not c:
@@ -243,8 +282,11 @@ class BasePoly:
         out: dict[int, tuple[int, int]] = {}
         get = out.get
         # under a bound, ascending keys stop each row at its first miss
-        right = o._nums.items() if bound is None else sorted(o._nums.items())
-        bound = bound or 1 << FIELD_BITS * len(self.VARS)  # or above any sum
+        if bound is None:
+            right = o._nums.items()
+            bound = 1 << FIELD_BITS * len(self.VARS)  # above any key sum
+        else:
+            right = sorted(o._nums.items())
         for ka, (ar, ai) in self._nums.items():
             top = bound - ka
             for kb, (br, bi) in right:
@@ -257,8 +299,7 @@ class BasePoly:
                 else:
                     out[k] = (acc[0] + ar * br - ai * bi,
                               acc[1] + ar * bi + ai * br)
-        if reduce(or_, out, 0) & _GUARD:
-            raise ValueError(f"an exponent reaches the limit {EXP_LIMIT}")
+        _check_limit(out)
         return type(self)._make({k: v for k, v in out.items() if v[0] or v[1]},
                                 self._den * o._den)
 

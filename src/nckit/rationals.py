@@ -93,10 +93,6 @@ class CRat:
     def is_real(self) -> bool:
         return not self._im
 
-    def is_imaginary(self) -> bool:
-        """Purely imaginary (real part zero); zero counts."""
-        return not self._re
-
     def __bool__(self) -> bool:
         return bool(self._re or self._im)
 

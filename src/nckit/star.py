@@ -72,12 +72,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import or_
 from typing import Callable, Mapping, Union
 
 from .rationals import CRat
-from .poly import EPS_SHIFT, EXP_LIMIT, FIELD_BITS, Poly, _GUARD, _MASK
+from .poly import EPS_SHIFT, EXP_LIMIT, FIELD_BITS, Poly, _MASK, _check_limit
 
 _LOW = (1 << EPS_SHIFT) - 1  # the fields of t, x1, x2 and x3
 
@@ -240,9 +238,10 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
             return Poly.zero()
         return p._times(q, None if cutoff is None else (cutoff + 1) << EPS_SHIFT)
     t_deg, rows = theta._star_table()
-    # each byte of the OR of a polynomial's keys bounds that exponent
-    p_tops = reduce(or_, p._nums).to_bytes(5, "little")
-    if p_tops[0] + (reduce(or_, q._nums) & _MASK) + n_max * t_deg >= 2 * EXP_LIMIT:
+    # t grows by at most t_deg per order; a field holds exponents below
+    # 2 * EXP_LIMIT, the final check below the limit itself
+    p_tops = p._tops()
+    if p_tops[0] + q._tops()[0] + n_max * t_deg >= 2 * EXP_LIMIT:
         raise ValueError(f"star: a t-exponent could reach the limit {EXP_LIMIT}")
     # the weight of node r is n_max!/r! (2 D)^(n_max - |r|)
     two_d = 2 * theta._den
@@ -284,8 +283,7 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
         for k, i in im.items():
             if i and k not in re:
                 nums[k | high] = (0, i)
-    if reduce(or_, nums, 0) & _GUARD:
-        raise ValueError(f"star: an exponent reaches the limit {EXP_LIMIT}")
+    _check_limit(nums)
     return Poly._make(nums, p._den * q._den * top * two_d ** n_max)
 
 

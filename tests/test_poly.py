@@ -294,3 +294,22 @@ def test_exponent_limit_raises():
         PwPoly.variable("f2") ** 200
     # carrying one field into the next would have made x1^128 into x2
     assert ((x1 ** 64) * (x1 ** 63)).degree_in("x2") == 0
+
+
+def test_split_strip_and_blocks():
+    third = Fraction(1, 3)
+    dd = 2 * x1 * eps + 4 * x1 * x2 * eps
+    p = dd + third * t + 6 * x1 ** 2
+    parts = p._split("eps")
+    assert parts == {1: dd, 0: third * t + 6 * x1 ** 2}
+    for part in parts.values():
+        assert_canonical(part)  # dd alone has the common factor 2
+    assert parts[1]._strip({"x1": 1, "eps": 1}) == 2 + 4 * x2
+    with pytest.raises(ValueError, match="unexpected structure"):
+        parts[0]._strip({"x1": 2})
+    for size in (1, 2, 4):
+        blocks = p._blocks(size)
+        assert [len(b) for b in blocks][:-1] == [size] * (len(blocks) - 1)
+        for b in blocks:
+            assert_canonical(b)
+        assert [kv for b in blocks for kv in b.sorted_terms()] == p.sorted_terms()

@@ -726,6 +726,20 @@ def test_eps_cutoff_truncates():
     assert star(f, g, full).truncate_eps(1) == star(f, g, cut)
 
 
+def test_negative_cutoff_keeps_no_order():
+    # theta = 0 and a spatially constant operand take the order-0 path, the
+    # other pairs the series; a cutoff below 0 keeps no eps order on either
+    pairs = ((x1, t), (x1 + eps, 3 + x1 * x2), (t + 1, eps * x3), (x1, x2),
+             (x1 * x2 + eps, x3 + t * x1))
+    for theta in (ThetaProfile.zero(), ThetaProfile({(1, 2): t, (2, 3): 1})):
+        for cutoff in (-2, -1):
+            ctx = StarContext(theta, eps_cutoff=cutoff)
+            for f, g in pairs:
+                assert ctx.reduce(f * g) == Poly.zero()
+                assert star(f, g, ctx) == Poly.zero()
+                assert star_commutator(f, g, ctx) == Poly.zero()
+
+
 def test_star_exp_unitary_mod_cutoff():
     th = ThetaProfile({(1, 2): t, (2, 3): 1})
     for order in (1, 2, 3):
@@ -772,7 +786,13 @@ def test_star_exponent_limit_raises():
     assert near == star_reference(t ** 90 * x1, x2, ctx)
     with pytest.raises(ValueError):  # the result holds t^130
         star(t ** 100 * x1, x2, ctx)
-    with pytest.raises(ValueError):  # t's field could carry in the kernel
+    with pytest.raises(ValueError, match="an exponent reaches"):  # t^230
         star(t ** 100 * x1, t ** 100 * x2, ctx)
+    # order 3 of theta^{12} = t^100 would pass t^255 in the kernel and carry
+    # t^300 into x1's field, where the final check could not see it
+    deep = StarContext(ThetaProfile({(1, 2): t ** 100}))
+    with pytest.raises(ValueError, match="t-exponent could reach"):
+        star(x1 ** 3, x2 ** 3, deep)
+    assert star(x1 ** 3, x2, deep) == star_reference(x1 ** 3, x2, deep)
     with pytest.raises(ValueError):  # x1^128 in the order-0 term
         star(x1 ** 64, x1 ** 64 * x2, ctx)
