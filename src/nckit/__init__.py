@@ -26,8 +26,7 @@ from .planewave import (ActionReport, PlaneWaveSpec, PwPoly, build_ansatz,
                         is_theta_polarised)
 from .grid import (GridField, band_limited_field, cross_validate_symbolic,
                    grid_cyclicity_defect, grid_star, grid_trace_defect,
-                   load_grid, load_grid_csv, phase_law_defect, plane_wave,
-                   save_grid, save_grid_csv)
+                   load_grid, phase_law_defect, plane_wave, save_grid)
 from .expr import (GradingError, ParseError, evaluate, parse_expression,
                    reduce_expression, value_to_expr)
 from .suites import SUITE_NAMES, SuiteReport, run_suite
@@ -90,8 +89,6 @@ __all__ = [
     "cross_validate_symbolic",
     "save_grid",
     "load_grid",
-    "save_grid_csv",
-    "load_grid_csv",
     "ParseError",
     "GradingError",
     "parse_expression",

@@ -17,14 +17,12 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .config import ConfigError, load_config, load_theta
 from .expr import (GradingError, ParseError, poly_to_expr,
                    reduce_expression)
-from .grid import (band_limited_field, cross_validate_symbolic,
-                   grid_cyclicity_defect, grid_trace_defect, load_grid,
-                   phase_law_defect)
+from .grid import (_occupied_band, band_limited_field,
+                   cross_validate_symbolic, grid_cyclicity_defect,
+                   grid_trace_defect, load_grid, phase_law_defect)
 from .planewave import effective_action, harmonic_spectrum
 from .star import StarContext, ThetaProfile
 from .suites import SUITE_NAMES, run_suite, theta_to_text
@@ -147,23 +145,8 @@ def _cmd_planewave(args) -> int:
 
 # -- grid-check ---------------------------------------------------------------
 
-def _occupied_band(values: np.ndarray) -> int:
-    """Largest signed mode index carrying more than roundoff weight."""
-    n = values.shape[0]
-    spec = np.abs(np.fft.fft2(values))
-    idx = np.abs(np.fft.fftfreq(n, d=1.0 / n).astype(int))
-    live = spec > 1e-12 * spec.max()
-    # no live mode (a zero, NaN or infinite spectrum) reads as band 0
-    return int(max(idx[live.any(axis=1)].max(initial=0),
-                   idx[live.any(axis=0)].max(initial=0)))
-
-
 def _cmd_grid_check(args) -> int:
-    try:
-        field, theta = load_grid(args.gridfile)
-    except (OSError, ValueError) as exc:
-        print(f"nckit: {exc}", file=sys.stderr)
-        return 2
+    field, theta = load_grid(args.gridfile)
     n, box = field.n, field.box_length
     if n < 4:
         raise ValueError(f"{args.gridfile}: grid size n = {n} is below the "
@@ -278,18 +261,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # built once: main may run many times in a process
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args, extra = parser.parse_known_args(argv)
+    args, extra = _PARSER.parse_known_args(argv)
     if args.command == "reduce" and args.expression is None:
         # argparse takes an expression that starts with '-' (-x1, -1/2*x1)
         # for an unknown option; the first such word is the expression
         if not extra:
-            parser.error("reduce: the following arguments are required: "
-                         "expression")
+            _PARSER.error("reduce: the following arguments are required: "
+                          "expression")
         args.expression = extra.pop(0)
     if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.fn(args)
     except (ParseError, GradingError, ConfigError, ValueError, OSError) as exc:

@@ -35,13 +35,14 @@ MAX_TERMS raises SizeLimitError before it runs.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .forms import DifferentialForm, d as exterior_d, form_conj, form_mul
 from .poly import Poly
-from .rationals import CRat
+from .rationals import CRat, I
 from .star import StarContext, star
 
 Value = Union[Poly, DifferentialForm]
@@ -79,12 +80,18 @@ class SizeLimitError(ValueError):
 
 # -- lexer ----------------------------------------------------------------
 
-_PUNCT = set("+-*./()^~")
+# One alternative per token kind, ASCII only: a character matched by none
+# of the others, a non-ASCII digit or letter included, is BAD.
+_TOKEN = re.compile(r"""
+    (?P<NL>\n) | (?P<WS>[ \t\r]+)
+  | (?P<DEC>[0-9]+\.[0-9]) | (?P<NUM>[0-9]+)
+  | (?P<NAME>[A-Za-z][A-Za-z0-9_]*) | (?P<PUNCT>[-+*./()^~])
+  | (?P<BAD>.)""", re.VERBOSE | re.DOTALL)
 
 
 @dataclass(frozen=True)
 class _Tok:
-    kind: str  # NUM, NAME, one of _PUNCT, EOF
+    kind: str  # NUM, NAME, the punctuation character itself, EOF
     text: str
     line: int
     col: int
@@ -92,46 +99,19 @@ class _Tok:
 
 def _tokenize(src: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    line, col = 1, 1
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            if j < n - 1 and src[j] == "." and src[j + 1].isdigit():
-                raise ParseError(
-                    "decimal literals are not supported; write p/q", line, start_col)
-            toks.append(_Tok("NUM", src[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Tok("NAME", src[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            toks.append(_Tok(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    toks.append(_Tok("EOF", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(src):
+        kind, text, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "NL":
+            line, line_start = line + 1, m.end()
+        elif kind == "DEC":
+            raise ParseError(
+                "decimal literals are not supported; write p/q", line, col)
+        elif kind == "BAD":
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        elif kind != "WS":
+            toks.append(_Tok(text if kind == "PUNCT" else kind, text, line, col))
+    toks.append(_Tok("EOF", "", line, len(src) - line_start + 1))
     return toks
 
 
@@ -349,7 +329,7 @@ def evaluate(node: Node, ctx: StarContext) -> Value:
     if isinstance(node, Sym):
         name = node.name
         if name == "i":
-            return Poly.const(CRat(0, 1))
+            return Poly.const(I)
         if name in ("t", "x1", "x2", "x3", "eps"):
             return Poly.variable(name)
         mu = 0 if name == "dt" else int(name[2])

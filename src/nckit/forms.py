@@ -36,11 +36,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .rationals import CRat
+from .rationals import HALF_I, CRat
 from .poly import Poly
 from .star import StarContext, star, theta_dot_sum
-
-_HALF_I = CRat(0, Fraction(1, 2))
 
 
 def _degree(mask: int) -> int:
@@ -208,7 +206,7 @@ def move_left(g: Poly, mask: int, ctx: StarContext) -> DifferentialForm:
                 corr = theta_dot_sum(
                     ctx, lambda i, k: g.partial(i) if k == j else zero)
                 sgn = -1 if _degree(mask & (bit - 1)) & 1 else 1
-                out[mask ^ bit | 1] = ctx.reduce(corr * (_HALF_I * -sgn))
+                out[mask ^ bit | 1] = ctx.reduce(corr * (HALF_I * -sgn))
     return DifferentialForm._raw({m: c for m, c in out.items() if c})
 
 

@@ -27,15 +27,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .rationals import CRat
+from .rationals import HALF_I, CRat
 from .poly import Poly
-from .star import StarContext, star, star_commutator, theta_dot_sum
+from .star import (PAIRS, StarContext, signed_entry, star, star_commutator,
+                   theta_dot_sum)
 
-_HALF_I = CRat(0, Fraction(1, 2))
 _QUARTER_I = CRat(0, Fraction(1, 4))
 
 _SPATIAL = (1, 2, 3)
-_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ def _theta_dot_div(pot: GaugePotential, ctx: StarContext) -> Poly:
 def time_component_defect(pot: GaugePotential, ctx: StarContext) -> Poly:
     """A_0 + conj(A_0) - (1/2) i thetadot^{ij} d_i A_j; zero when consistent."""
     a0 = pot.component(0)
-    return ctx.reduce(a0 + a0.conj() - _HALF_I * _theta_dot_div(pot, ctx))
+    return ctx.reduce(a0 + a0.conj() - HALF_I * _theta_dot_div(pot, ctx))
 
 
 def complete_time_component(pot: GaugePotential, ctx: StarContext,
@@ -117,17 +116,13 @@ class FieldStrength:
 
     def spatial_entry(self, i: int, j: int) -> Poly:
         """Signed F_ij for any i, j in 1..3."""
-        if i == j:
-            return Poly.zero()
-        if i < j:
-            return self.spatial[(i, j)]
-        return -self.spatial[(j, i)]
+        return signed_entry(self.spatial, i, j, Poly.zero())
 
 
 def _spatial_strength(a: tuple[Poly, Poly, Poly],
                       ctx: StarContext) -> dict[tuple[int, int], Poly]:
     out = {}
-    for i, j in _PAIRS:
+    for i, j in PAIRS:
         ai, aj = a[i - 1], a[j - 1]
         out[(i, j)] = ctx.reduce(aj.partial(i) - ai.partial(j)
                                  + star_commutator(ai, aj, ctx))
@@ -138,7 +133,7 @@ def _with_tilde(fs: FieldStrength, a: tuple[Poly, Poly, Poly],
                 ctx: StarContext) -> FieldStrength:
     """fs completed by Ftilde_0i = F_0i - (1/2) i thetadot^{kj} F_ij * A_k,
     the one place the improved time components are built."""
-    tilde = {i: ctx.reduce(fs.time[i] - _HALF_I * theta_dot_sum(
+    tilde = {i: ctx.reduce(fs.time[i] - HALF_I * theta_dot_sum(
                  ctx, lambda k, j: star(fs.spatial_entry(i, j), a[k - 1], ctx)))
              for i in _SPATIAL}
     return FieldStrength(fs.spatial, fs.time, tilde)
@@ -160,7 +155,7 @@ def field_strength(pot: GaugePotential, ctx: StarContext) -> FieldStrength:
         ai = a[i - 1]
         corr = theta_dot_sum(ctx, lambda m, n: star(a[n - 1], ai.partial(m), ctx))
         time[i] = ctx.reduce(ai.partial(0) - a0.partial(i)
-                             + star_commutator(a0, ai, ctx) - _HALF_I * corr)
+                             + star_commutator(a0, ai, ctx) - HALF_I * corr)
     return _with_tilde(FieldStrength(spatial, time, {}), a, ctx)
 
 
@@ -200,7 +195,7 @@ def _transformed_strength(pot: GaugePotential, u: Poly,
     for i in _SPATIAL:
         corr = theta_dot_sum(ctx, lambda k, j: star(
             udag, star(f.spatial_entry(i, j), du[k], ctx), ctx))
-        time_p[i] = ctx.reduce(_sandwich(u, f.time[i], ctx) + _HALF_I * corr)
+        time_p[i] = ctx.reduce(_sandwich(u, f.time[i], ctx) + HALF_I * corr)
     return f, _with_tilde(FieldStrength(spatial_p, time_p, {}), ap, ctx)
 
 
@@ -214,7 +209,7 @@ def covariance_defect(pot: GaugePotential, u: Poly,
     """
     f, fp = _transformed_strength(pot, u, ctx)
     spatial = {pair: ctx.reduce(fp.spatial[pair] - _sandwich(u, f.spatial[pair], ctx))
-               for pair in _PAIRS}
+               for pair in PAIRS}
     tilde = {i: ctx.reduce(fp.tilde[i] - _sandwich(u, f.tilde[i], ctx))
              for i in _SPATIAL}
     return spatial, tilde
@@ -231,7 +226,7 @@ def action_density(fs: FieldStrength, ctx: StarContext) -> Poly:
     trace property.
     """
     acc = Poly.zero()
-    for pair in _PAIRS:
+    for pair in PAIRS:
         fij = fs.spatial[pair]
         acc = acc + star(fij, fij.conj(), ctx, hermitian=True)
     for i in _SPATIAL:

@@ -41,9 +41,9 @@ which is what the trace and cyclicity measurements rely on.  Aliased
 contributions are not numerical noise but honestly twisted wrap-around
 modes; the helpers below default to safe bands.
 
-File formats: a 32 byte binary header '<8sI4xdd' holding the magic
-NCGRID01, the grid size, the box length and theta, followed by row-major
-complex128 samples; and a plain CSV variant for small grids.
+File format: the one grid container is the binary '.ncg' file, a 32 byte
+header '<8sI4xdd' holding the magic NCGRID01, the grid size, the box
+length and theta, followed by row-major complex128 samples.
 """
 
 from __future__ import annotations
@@ -86,13 +86,6 @@ class GridField:
     @property
     def cell_area(self) -> float:
         return (self.box_length / self.n) ** 2
-
-    def axis(self) -> np.ndarray:
-        return np.arange(self.n) * (self.box_length / self.n)
-
-    def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
-        x = self.axis()
-        return np.meshgrid(x, x, indexing="ij")
 
     def integral(self) -> complex:
         return complex(self.values.sum() * self.cell_area)
@@ -230,6 +223,17 @@ def phase_law_defect(n: int, box_length: float, theta: float,
     return float(np.max(np.abs(got.values - want)))
 
 
+def _occupied_band(values: np.ndarray) -> int:
+    """Largest signed mode index carrying more than roundoff weight."""
+    n = values.shape[0]
+    spec = np.abs(np.fft.fft2(values))
+    idx = np.abs(np.fft.fftfreq(n, d=1.0 / n).astype(int))
+    live = spec > 1e-12 * spec.max()
+    # no live mode (a zero, NaN or infinite spectrum) reads as band 0
+    return int(max(idx[live.any(axis=1)].max(initial=0),
+                   idx[live.any(axis=0)].max(initial=0)))
+
+
 def _normalised_gap(f: GridField, g: GridField, a: complex, b: complex) -> float:
     """|a - b| / (||f|| ||g||), and 0 when either field vanishes."""
     denom = f.l2_norm() * g.l2_norm()
@@ -341,7 +345,7 @@ def cross_validate_symbolic(poly_f: dict[tuple[int, int], float],
     return float(np.max(np.abs(product.values - series)) / denom)
 
 
-# -- file formats --------------------------------------------------------------
+# -- file format ---------------------------------------------------------------
 
 def save_grid(path, field: GridField, theta: float) -> None:
     """Binary format: '<8sI4xdd' header (magic, N, box, theta) + complex128."""
@@ -395,44 +399,3 @@ def load_grid(path) -> tuple[GridField, float]:
     _check_samples(values, box, theta)
     return GridField(values.copy(), box), theta
 
-
-def save_grid_csv(path, field: GridField, theta: float) -> None:
-    """CSV variant for small grids: one header line 'n,box_length,theta',
-    then one line per row with interleaved re,im samples."""
-    lines = [f"{field.n},{field.box_length!r},{float(theta)!r}"]
-    for row in field.values:
-        cells = []
-        for v in row:
-            cells.append(repr(float(v.real)))
-            cells.append(repr(float(v.imag)))
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_grid_csv(path) -> tuple[GridField, float]:
-    with open(path, "r", encoding="ascii") as fh:
-        head = fh.readline().strip()
-        try:
-            n_txt, box_txt, theta_txt = head.split(",")
-            n, box, theta = int(n_txt), float(box_txt), float(theta_txt)
-        except ValueError as exc:
-            raise ValueError(f"bad grid csv header {head!r}") from exc
-        _check_header(n, box, theta)
-        rows = fh.read().splitlines()
-    while rows and not rows[-1].strip():
-        rows.pop()
-    if len(rows) != n:
-        raise ValueError(f"grid csv has {len(rows)} rows, expected {n}")
-    # every row is checked before the n x n array exists, so its size is
-    # bounded by the file's
-    for i, row in enumerate(rows):
-        cells = row.count(",") + 1
-        if cells != 2 * n:
-            raise ValueError(f"grid csv row {i} has {cells} cells")
-    values = np.zeros((n, n), dtype=np.complex128)
-    parts = values.view(np.float64)  # each row's re and im interleaved
-    for i, row in enumerate(rows):
-        parts[i] = [float(c) for c in row.split(",")]
-    _check_samples(values, box, theta)
-    return GridField(values, box), theta

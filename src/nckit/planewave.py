@@ -40,9 +40,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence, Union
 
-from .rationals import CRat, RatLike
+from .rationals import CRat, I, RatLike
 from .poly import BasePoly, Poly
 from .star import StarContext
+from .gauge import GaugePotential, complete_time_component
 from .scalar import linear_phase
 
 _HALF_I = CRat(0, Fraction(1, 2))
@@ -134,11 +135,10 @@ def _symbolic_potential() -> tuple[PwPoly, list[PwPoly]]:
     A_i = i p_i f(u); the time component follows from the reality
     constraint: A_0 = i p_0 f - (1/4) thetadot^{jk} k_j p_k f'.
     """
-    i_ = CRat(0, 1)
-    a_sp = [_P[i] * _F[0] * i_ for i in _SPATIAL]
+    a_sp = [_P[i] * _F[0] * I for i in _SPATIAL]
     # S = thetadot^{jk} k_j p_k, the scalar coupling the wave to the twist
     s = _d_sum(lambda j, k: _K[j] * _P[k])
-    a0 = _P[0] * _F[0] * i_ - _QUARTER * _S_MARK * s * _F[1]
+    a0 = _P[0] * _F[0] * I - _QUARTER * _S_MARK * s * _F[1]
     return a0, a_sp
 
 
@@ -274,15 +274,12 @@ def build_ansatz(spec: PlaneWaveSpec, ctx: StarContext):
     ring).  Returns a GaugePotential with the time component filled in by
     the reality constraint.
     """
-    from .gauge import GaugePotential, complete_time_component
-
     coeffs = spec.profile_coefficients()
     u = spec.phase()
     f = _poly_profile(coeffs, u)
-    i_ = CRat(0, 1)
-    pot = GaugePotential(*(Poly.const(CRat(spec.p[i])) * f * i_
+    pot = GaugePotential(*(Poly.const(CRat(spec.p[i])) * f * I
                            for i in _SPATIAL))
-    return complete_time_component(pot, ctx, seed=Poly.const(CRat(spec.p[0])) * f * i_)
+    return complete_time_component(pot, ctx, seed=Poly.const(CRat(spec.p[0])) * f * I)
 
 
 def coupling_scalar(spec: PlaneWaveSpec, ctx: StarContext) -> Poly:

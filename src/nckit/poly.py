@@ -336,6 +336,8 @@ class BasePoly:
         return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
+        if not any(self._nums):  # a constant hashes like the scalar it equals
+            return hash(_norm(*self._nums.get(0, (0, 0)), self._den))
         return hash((self._den, frozenset(self._nums.items())))
 
     def __repr__(self) -> str:
@@ -358,12 +360,17 @@ class Poly(BasePoly):
     """Polynomial in (t, x1, x2, x3, eps); the public symbolic carrier.
 
     Index convention for partials: 0 = t (time), 1..3 = x1..x3.  eps (index
-    4) is a formal constant: ``partial`` never touches it and conjugation
-    leaves it alone.
+    4) is a formal constant: ``partial`` rejects it and conjugation leaves
+    it alone.
     """
 
     VARS = ("t", "x1", "x2", "x3", "eps")
     __slots__ = ()
+
+    def partial(self, idx_or_name: int | str) -> "Poly":
+        if idx_or_name in (4, "eps"):
+            raise ValueError("eps is a formal parameter; partial never acts on it")
+        return super().partial(idx_or_name)
 
     def eps_degree(self) -> int:
         return max(self._nums, default=0) >> EPS_SHIFT
@@ -412,8 +419,6 @@ def mul(a: Poly, b: Poly) -> Poly:
 
 def partial(p: Poly, mu: int) -> Poly:
     """d/dx^mu with mu in 0..3 (0 = time)."""
-    if not 0 <= mu <= 3:
-        raise ValueError("partial index must be 0..3")
     return p.partial(mu)
 
 

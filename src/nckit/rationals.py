@@ -212,6 +212,7 @@ def _norm(re: int, im: int, den: int) -> CRat:
 
 ONE = CRat(1)
 I = CRat(0, 1)
+HALF_I = CRat(0, Fraction(1, 2))
 
 
 def binary_power(base, n: int, one):

@@ -25,13 +25,8 @@ from typing import Sequence
 
 from .rationals import CRat
 from .poly import Poly
-from .star import (
-    StarContext,
-    dt_leibniz_defect,
-    spatial_derivation_defect,
-    star,
-)
-from .forms import DifferentialForm
+from .star import StarContext, _leibniz_defect, star
+from .forms import DifferentialForm, d, form_conj
 
 MINKOWSKI = (1, -1, -1, -1)
 
@@ -114,8 +109,6 @@ def kg_density_via_metric(phi: Poly, ctx: StarContext) -> Poly:
     normal-ordering conj(d phi) is (1/2) i thetadot^{ij} d_i d_j conj(phi),
     which dies by antisymmetry.
     """
-    from .forms import d, form_conj
-
     dphi = d(DifferentialForm.from_function(phi), ctx)
     return metric_pairing(dphi, form_conj(dphi, ctx), ctx)
 
@@ -127,7 +120,4 @@ def phase_subalgebra_defects(f: Poly, g: Poly,
     Every entry vanishes when f and g live in the subalgebra generated by
     t and one linear phase.
     """
-    out = [dt_leibniz_defect(f, g, ctx)]
-    for i in (1, 2, 3):
-        out.append(spatial_derivation_defect(f, g, i, ctx))
-    return out
+    return [_leibniz_defect(f, g, mu, ctx) for mu in range(4)]

@@ -74,14 +74,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
-from .rationals import CRat
+from .rationals import HALF_I, CRat
 from .poly import EPS_SHIFT, EXP_LIMIT, FIELD_BITS, Poly, _MASK, _check_limit
 
 _LOW = (1 << EPS_SHIFT) - 1  # the fields of t, x1, x2 and x3
 
 EntryLike = Union[Poly, CRat, int, Fraction]
 
-_HALF_I = CRat(0, Fraction(1, 2))
+PAIRS = ((1, 2), (1, 3), (2, 3))  # the upper triangle (i, j), i < j
+
+
+def signed_entry(upper: Mapping[tuple[int, int], Poly], i: int, j: int,
+                 zero: Poly) -> Poly:
+    """Entry (i, j) of the antisymmetric matrix whose upper triangle is
+    upper; zero on the diagonal and where upper has no entry."""
+    if i == j:
+        return zero
+    if i < j:
+        return upper.get((i, j), zero)
+    return -upper.get((j, i), zero)
 
 
 class ThetaProfile:
@@ -137,11 +148,7 @@ class ThetaProfile:
 
     def entry(self, i: int, j: int) -> Poly:
         """Signed entry theta^{ij}; antisymmetry is built in."""
-        if i == j:
-            return Poly.zero()
-        if i < j:
-            return self._upper.get((i, j), Poly.zero())
-        return -self._upper.get((j, i), Poly.zero())
+        return signed_entry(self._upper, i, j, Poly.zero())
 
     def upper_entries(self) -> dict[tuple[int, int], Poly]:
         return dict(self._upper)
@@ -407,15 +414,20 @@ def star_commutator(f: Poly, g: Poly, ctx: StarContext) -> Poly:
     return star(f, g, ctx, commutator=True)
 
 
+def _leibniz_defect(f: Poly, g: Poly, mu: int, ctx: StarContext) -> Poly:
+    """d_mu(f*g) - (d_mu f)*g - f*(d_mu g)."""
+    return (star(f, g, ctx).partial(mu)
+            - star(f.partial(mu), g, ctx)
+            - star(f, g.partial(mu), ctx))
+
+
 def dt_leibniz_defect(f: Poly, g: Poly, ctx: StarContext) -> Poly:
     """d_t(f*g) - (d_t f)*g - f*(d_t g).
 
     Identically equal to (1/2) i thetadot^{ij} (d_i f)*(d_j g); the equality
     is a test contract, this function computes the left side from scratch.
     """
-    return (star(f, g, ctx).partial(0)
-            - star(f.partial(0), g, ctx)
-            - star(f, g.partial(0), ctx))
+    return _leibniz_defect(f, g, 0, ctx)
 
 
 def theta_dot_sum(ctx: StarContext,
@@ -436,7 +448,7 @@ def theta_dot_sum(ctx: StarContext,
 
 def dt_leibniz_correction(f: Poly, g: Poly, ctx: StarContext) -> Poly:
     """(1/2) i thetadot^{ij} (d_i f)*(d_j g), the closed form of the defect."""
-    return ctx.reduce(_HALF_I * theta_dot_sum(
+    return ctx.reduce(HALF_I * theta_dot_sum(
         ctx, lambda i, j: star(f.partial(i), g.partial(j), ctx)))
 
 
@@ -449,9 +461,7 @@ def spatial_derivation_defect(f: Poly, g: Poly, i: int, ctx: StarContext) -> Pol
     """d_i(f*g) - (d_i f)*g - f*(d_i g) for spatial i; identically zero."""
     if not 1 <= i <= 3:
         raise ValueError("spatial index must be 1..3")
-    return (star(f, g, ctx).partial(i)
-            - star(f.partial(i), g, ctx)
-            - star(f, g.partial(i), ctx))
+    return _leibniz_defect(f, g, i, ctx)
 
 
 def star_exp(lam: Poly, order: int, ctx: StarContext) -> Poly:

@@ -34,16 +34,17 @@ from .expr import poly_to_expr, value_to_expr
 from .forms import (DifferentialForm, d, d_leibniz_defect, form_conj,
                     form_mul, left_mul)
 from .gauge import (GaugePotential, action_density, complete_time_component,
-                    covariance_defect, field_strength, invariance_witness,
+                    covariance_defect, field_strength,
+                    gauge_transform_potential, invariance_witness,
                     time_component_defect)
 from .planewave import (PlaneWaveSpec, _derive_coeffs, _poly_profile,
                         build_ansatz, effective_action, harmonic_spectrum,
                         is_theta_polarised, pw_substitute)
 from .poly import Poly, t, x
-from .rationals import CRat
+from .rationals import CRat, I
 from .scalar import (kg_density, kg_density_via_metric, kg_operator,
                      linear_phase, null_quadruples, phase_subalgebra_defects)
-from .star import (StarContext, ThetaProfile, dt_leibniz_correction,
+from .star import (PAIRS, StarContext, ThetaProfile, dt_leibniz_correction,
                    dt_leibniz_defect, spatial_derivation_defect, star,
                    star_commutator, star_conj_defect, star_exp)
 
@@ -88,7 +89,7 @@ def _rand_t_poly(rng: random.Random, max_deg=2) -> Poly:
 
 def _rand_theta(rng: random.Random, max_deg=2) -> ThetaProfile:
     entries = {}
-    for pair in ((1, 2), (1, 3), (2, 3)):
+    for pair in PAIRS:
         if rng.random() < 0.75:
             entries[pair] = _rand_t_poly(rng, max_deg)
     return ThetaProfile(entries)
@@ -197,9 +198,6 @@ def _describe(ctx: StarContext, **values) -> str:
 
 # -- star suite ----------------------------------------------------------------
 
-_I = CRat(0, 1)
-
-
 def _case_associativity(rng, theta, order, k):
     ctx = _ctx_for(rng, theta)
     f, g, h = _rand_poly(rng), _rand_poly(rng), _rand_poly(rng)
@@ -210,7 +208,7 @@ def _case_associativity(rng, theta, order, k):
 def _case_generator_commutators(rng, theta, order, k):
     ctx = _ctx_for(rng, theta)
     ok = all(star_commutator(x[i], t, ctx).is_zero()
-             and all(star_commutator(x[i], x[j], ctx) == ctx.theta.entry(i, j) * _I
+             and all(star_commutator(x[i], x[j], ctx) == ctx.theta.entry(i, j) * I
                      for j in (1, 2, 3))
              for i in (1, 2, 3))
     return ok, lambda: _describe(ctx)
@@ -313,9 +311,9 @@ def _case_action_invariance(rng, theta, order, k):
 def _case_pure_gauge(rng, theta, order, k):
     ctx = _ctx_for(rng, theta, max_deg=1, order=order)
     lam, u = _rand_gauge(rng, ctx, order)
-    udag = u.conj()
-    pure = complete_time_component(
-        GaugePotential(*(star(udag, u.partial(i), ctx) for i in (1, 2, 3))), ctx)
+    zero = Poly.zero()
+    pure = complete_time_component(gauge_transform_potential(
+        GaugePotential(zero, zero, zero), u, ctx), ctx)
     ok = all(v.is_zero() for v in field_strength(pure, ctx).spatial.values())
     return ok, lambda: _describe_gauge(ctx, pure, lam)
 

@@ -10,10 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from nckit.cli import _build_parser, _occupied_band, main
+from nckit.cli import _build_parser, main
 from nckit.config import ConfigError, load_config, load_theta
 from nckit.expr import MAX_DEGREE, MAX_NESTING, MAX_TERMS
-from nckit.grid import MAGIC, GridField, band_limited_field, save_grid
+from nckit.grid import (MAGIC, GridField, _occupied_band, band_limited_field,
+                        save_grid)
 from nckit.poly import Poly, t
 from nckit.star import ThetaProfile
 
@@ -139,6 +140,14 @@ def test_reduce_exit_codes(capsys):
     assert "column 4" in capsys.readouterr().err
     assert main(["reduce", "dt.dx1"]) == 2
     assert "pointwise" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr, col", [("x1^\u00b2", 4), ("\u0661+x1", 1)])
+def test_reduce_rejects_non_ascii_digits(capsys, expr, col):
+    assert main(["reduce", expr]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"nckit: line 1, column {col}: unexpected character")
 
 
 def test_reduce_deep_nesting_is_bad_input(capsys):

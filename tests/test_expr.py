@@ -8,6 +8,8 @@ import pytest
 from nckit.expr import (
     GradingError,
     ParseError,
+    _Tok,
+    _tokenize,
     evaluate,
     form_to_expr,
     parse_expression,
@@ -282,3 +284,82 @@ def test_renderers_match_reference_on_seeded_inputs():
         w = DifferentialForm({m: _render_poly(rng, rng.choice((1, 1, 2, 3)))
                               for m in masks})
         assert form_to_expr(w) == form_to_expr_reference(w)
+
+
+# The hand-written lexer that the one-regex ``_tokenize`` replaced, kept
+# verbatim as a reference; it differs only on non-ASCII input, where its
+# str.isdigit and str.isalpha accept Unicode digits and letters.
+
+_PUNCT = set("+-*./()^~")
+
+
+def _tokenize_reference(src: str) -> list[_Tok]:
+    toks: list[_Tok] = []
+    line, col = 1, 1
+    i, n = 0, len(src)
+    while i < n:
+        ch = src[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        start_col = col
+        if ch.isdigit():
+            j = i
+            while j < n and src[j].isdigit():
+                j += 1
+            if j < n - 1 and src[j] == "." and src[j + 1].isdigit():
+                raise ParseError(
+                    "decimal literals are not supported; write p/q", line, start_col)
+            toks.append(_Tok("NUM", src[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            toks.append(_Tok("NAME", src[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch in _PUNCT:
+            toks.append(_Tok(ch, ch, line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, start_col)
+    toks.append(_Tok("EOF", "", line, col))
+    return toks
+
+
+def _lex_outcome(lexer, src):
+    try:
+        return lexer(src)
+    except ParseError as exc:
+        return ("error", str(exc))
+
+
+def test_tokenize_matches_reference_on_random_ascii():
+    rng = random.Random(1717)
+    # weighted toward the lexer's edges: digit runs next to '.', names with
+    # '_', every kind of whitespace, newlines, and characters no token takes
+    alphabet = ("0123456789" * 3 + "xtie_d" * 2 + "aZ" + "+-*./()^~" * 2
+                + ".." + " \t\r\n" * 2 + "$@#!,;\x0b\x0c\x7f\x00'\"")
+    for _ in range(20000):
+        src = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        assert (_lex_outcome(_tokenize, src)
+                == _lex_outcome(_tokenize_reference, src)), repr(src)
+
+
+@pytest.mark.parametrize("src, col", [("x1^\u00b2", 4), ("\u0661+x1", 1),
+                                      ("3\u0663", 2), ("x\u00e9", 2)])
+def test_non_ascii_characters_are_unexpected(src, col):
+    with pytest.raises(ParseError, match="unexpected character") as e:
+        parse_expression(src)
+    assert (e.value.line, e.value.col) == (1, col)

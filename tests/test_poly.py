@@ -109,6 +109,35 @@ def test_mixed_type_rejected():
         partial(x1, 4)
 
 
+def test_partial_rejects_eps_in_both_spellings():
+    p = eps * x1 + eps
+    for spelling in (4, "eps"):
+        with pytest.raises(ValueError, match="eps"):
+            p.partial(spelling)
+        with pytest.raises(ValueError, match="eps"):
+            partial(p, spelling)
+    assert p.partial("x1") == partial(p, 1) == eps
+    # the plane-wave ring has no formal parameter: every variable differentiates
+    s = PwPoly.variable("s")
+    assert (s * s).partial("s") == 2 * s
+    assert s.partial(len(PwPoly.VARS) - 1) == PwPoly.zero()
+
+
+@pytest.mark.parametrize("cls", [Poly, PwPoly])
+def test_constants_hash_like_equal_scalars(cls):
+    for c in (0, 1, -7, Fraction(3, 4), Fraction(-5, 6), CRat(0, 1),
+              CRat(Fraction(1, 2), Fraction(-3, 4)), CRat(2, 5)):
+        p = cls.const(c)
+        assert p == c and c == p
+        assert hash(p) == hash(c)
+        assert len({p, c}) == 1
+    assert hash(cls.zero()) == hash(0) and len({cls.zero(), 0, cls()}) == 1
+    assert len({cls.const(1), cls.one(), CRat(1), Fraction(1), 1}) == 1
+    # a non-constant polynomial is never equal to a scalar
+    v = cls.variable(cls.VARS[0])
+    assert v != 1 and len({v, v + 0, cls.one()}) == 2
+
+
 def test_ring_axioms_random():
     rng = random.Random(1201)
     for _ in range(120):
@@ -252,7 +281,8 @@ def test_packed_ops_match_crat_reference(cls):
         conj = a.conj()
         assert_canonical(conj)
         assert conj.terms_dict() == {e: c.conjugate() for e, c in ta.items()}
-        for idx in range(len(cls.VARS)):
+        # Poly.partial rejects eps, its last variable; PwPoly takes every one
+        for idx in range(len(cls.VARS) - (cls is Poly)):
             d = a.partial(idx)
             assert_canonical(d)
             want = {}

@@ -1,4 +1,8 @@
-"""The package's public surface: every exported name exists, once."""
+"""The package's public surface: every exported name exists, once, and
+only the grid module loads numpy when the package is imported."""
+
+import ast
+import pathlib
 
 import nckit
 
@@ -14,3 +18,32 @@ def test_star_import_binds_exactly_all():
     exec("from nckit import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(nckit.__all__)
+
+
+def _import_time_modules(tree: ast.Module) -> set[str]:
+    """Top-level module names that the module imports when it is loaded:
+    every import outside a function body, class bodies included."""
+    found = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_only_grid_imports_numpy_at_module_level():
+    src = pathlib.Path(nckit.__file__).parent
+    files = sorted(src.glob("*.py"))
+    assert "grid.py" in [f.name for f in files]
+    offenders = [f.name for f in files if f.name != "grid.py"
+                 and "numpy" in _import_time_modules(
+                     ast.parse(f.read_text(encoding="utf-8")))]
+    assert offenders == []
+    assert "numpy" in _import_time_modules(
+        ast.parse((src / "grid.py").read_text(encoding="utf-8")))

@@ -7,7 +7,8 @@ import pytest
 
 from nckit.poly import Poly, t, x1, x2, x3
 from nckit.rationals import CRat
-from nckit.star import StarContext, ThetaProfile, star, star_commutator
+from nckit.star import (StarContext, ThetaProfile, dt_leibniz_defect,
+                        spatial_derivation_defect, star, star_commutator)
 from nckit.forms import DifferentialForm
 from nckit.scalar import (
     MINKOWSKI,
@@ -85,6 +86,11 @@ def test_phase_subalgebra_defects_vanish():
     # and a pair that leaves the subalgebra does produce a time defect
     assert not all(
         p.is_zero() for p in phase_subalgebra_defects(x1, x2, ctx))
+    # the entries are the time and the x1, x2, x3 Leibniz defects, in order
+    h, k = t * x1 * x3 + x2, x2 * x3 + t * x1
+    assert phase_subalgebra_defects(h, k, ctx) == (
+        [dt_leibniz_defect(h, k, ctx)]
+        + [spatial_derivation_defect(h, k, i, ctx) for i in (1, 2, 3)])
 
 
 def test_kg_density_real():
