@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import configparser
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,11 +66,19 @@ def _parse_theta(section) -> ThetaProfile:
                          for key, text in section.items()})
 
 
+# ASCII integers and fractions only: Fraction(str) also takes decimals,
+# exponents (1e3000000 runs for seconds), underscores and non-ASCII digits
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _fraction(text: str, where: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"{where}: not a rational: {text!r}") from None
+    text = text.strip()
+    if _RATIONAL.fullmatch(text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):  # 1/0, or past int's digit limit
+            pass
+    raise ConfigError(f"{where}: not a rational: {text!r}")
 
 
 def _fraction_list(text: str, count: int, where: str) -> tuple[Fraction, ...]:

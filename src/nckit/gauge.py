@@ -19,10 +19,17 @@ Gauge transformations use unitaries U = star_exp(lam) truncated at a fixed
 order in the formal expansion parameter eps, so every covariance statement
 here holds modulo eps^{N+1}; with a StarContext whose eps_cutoff is N the
 defects come out as the exact zero polynomial.
+
+``covariance_defect`` and ``invariance_witness`` both start from the pair
+(F, F') of a potential and its transform.  A one-entry memo keyed on the
+value of (pot, u, ctx) builds it once when the two are called on equal
+inputs, as every caller does; it holds at most one (F, F') pair, and
+callers treat it as read-only.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -177,6 +184,7 @@ def _sandwich(u: Poly, f: Poly, ctx: StarContext) -> Poly:
     return star(u.conj(), star(f, u, ctx), ctx)
 
 
+@functools.lru_cache(maxsize=1)
 def _transformed_strength(pot: GaugePotential, u: Poly,
                           ctx: StarContext) -> tuple[FieldStrength,
                                                      FieldStrength]:
@@ -185,6 +193,12 @@ def _transformed_strength(pot: GaugePotential, u: Poly,
 
         F'_0i = U~ F_0i U + (1/2) i thetadot^{kj} U~ * F_ij * (d_k U)
         Ftilde'_0i = F'_0i - (1/2) i thetadot^{kj} F'_ij * A'_k
+
+    Memoized on the value of (pot, u, ctx), which are immutable and hash
+    by value, with room for one entry: ``covariance_defect`` and
+    ``invariance_witness`` on equal inputs build (F, F') once, any other
+    input recomputes and evicts it, and at most one (F, F') pair is held.
+    Callers share the result and treat it as read-only.
     """
     f = field_strength(pot, ctx)
     ap = gauge_transform_potential(pot, u, ctx).spatial()
@@ -246,7 +260,6 @@ def invariance_witness(pot: GaugePotential, u: Poly,
     f, fp = _transformed_strength(pot, u, ctx)
     dens = action_density(f, ctx)
     dens_p = action_density(fp, ctx)
-    del f, fp  # freed before the witness, the step that peaks in memory
     # the witness is linear in dens: summing it over blocks of dens's terms
     # keeps dens * U, the largest intermediate, from being held whole; the
     # blocks follow the canonical term order, not the order star emitted

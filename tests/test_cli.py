@@ -6,6 +6,7 @@ import pathlib
 import shlex
 import struct
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ def write(path, text):
 # -- config files ---------------------------------------------------------------
 
 def test_theta_config(tmp_path):
-    from fractions import Fraction
     p = write(tmp_path / "th.ini", "[theta]\nt12 = t^2\nt23 = 1/2\n")
     profile = load_theta(p)
     assert profile.entry(1, 2) == t * t
@@ -78,7 +78,6 @@ def test_planewave_config(tmp_path):
     assert cfg.planewave.profile == "cos"
     p2 = write(tmp_path / "w2.ini",
                "[planewave]\nomega = 1\nk = 1 0 0\np = 0 0 1 0\nprofile = 0 0 1\n")
-    from fractions import Fraction
     assert load_config(p2).planewave.profile == (
         Fraction(0), Fraction(0), Fraction(1))
 
@@ -101,6 +100,31 @@ def test_planewave_config_errors(tmp_path):
     p = write(tmp_path / "zero.ini",
               "[planewave]\nomega = 3\nk = 1 2 2\np = 1 2 0 1\nprofile = 0\n")
     assert load_config(p).planewave.profile == (0,)
+
+
+@pytest.mark.parametrize("value", ["٣", "1_000", "1e3", "0.5", "1e400",
+                                   "1e3000000", "1/0", "1" * 5000, "+-1",
+                                   "1/-2", "3/"])
+@pytest.mark.parametrize("key", ["omega", "k", "profile"])
+def test_planewave_numbers_are_ascii_rationals(tmp_path, capsys, key, value):
+    # Fraction(str) also takes Python's literal syntax; 1e3000000 took
+    # seconds to expand before an error that named no key
+    fields = {"omega": "3", "k": "1 2 2", "p": "1 2 0 1", "profile": "0 1"}
+    fields[key] = {"omega": value, "k": f"{value} 2 2",
+                   "profile": f"0 {value}"}[key]
+    p = write(tmp_path / "pw.ini", "[planewave]\n" + "".join(
+        f"{k} = {v}\n" for k, v in fields.items()))
+    assert main(["planewave", p]) == 2
+    assert capsys.readouterr().err == (
+        f"nckit: [planewave] {key}: not a rational: {value!r}\n")
+
+
+def test_planewave_numbers_keep_signs_and_fractions(tmp_path):
+    p = write(tmp_path / "pw.ini", "[planewave]\nomega = +3\n"
+              "k = -1 2/4 007\np = 1 -2/3 0 1\nprofile = 0 -1/2\n")
+    wave = load_config(p).planewave
+    assert (wave.omega, wave.k) == (3, (-1, Fraction(1, 2), 7))
+    assert wave.p[1] == Fraction(-2, 3) and wave.profile == (0, Fraction(-1, 2))
 
 
 def test_grid_section_is_unknown(tmp_path, capsys):

@@ -5,13 +5,16 @@ with stdlib ``random`` at fixed seeds: random expressions over the
 expression language's tokens, mutated ``[theta]`` and ``[planewave]``
 files, and mutated binary grid files, each with an occasional ``--json``
 path that cannot be written.  Every call must exit 0, 1 or 2, only
-``verify`` may exit 1 (a failed verification), and no call may raise or
-leave a traceback on stderr.  A failing case reports its argv and the
-text of every file it reads, so it replays.
+``verify`` may exit 1 (a failed verification), no call may raise or
+leave a traceback on stderr, and each must return within CASE_LIMIT_S.
+A failing case reports its argv and the text of every file it reads, so
+it replays.
 """
 
+import contextlib
 import random
 import shlex
+import signal
 import struct
 import traceback
 
@@ -22,6 +25,7 @@ from nckit.grid import MAGIC, band_limited_field, save_grid
 from nckit.suites import SUITE_NAMES
 
 CASES = 50  # per subcommand
+CASE_LIMIT_S = 20.0  # generous: the slowest case takes about 0.1 s
 
 TOKENS = ["(", ")", "+", "-", "*", ".", "^", "~", "/", ",", " ", "d(", "D2("]
 
@@ -137,6 +141,21 @@ def _case(cmd, rng, tmp_path):
     return argv + _json_flag(rng, tmp_path), files
 
 
+@contextlib.contextmanager
+def _alarm(seconds, replay):
+    """Fail the running case, with its replay text, after seconds."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds:g} s\n{replay}")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _replay(argv, files):
     text = [f"argv: {shlex.join(argv)}"]
     for name, body in files.items():
@@ -157,15 +176,15 @@ def test_exit_codes_on_generated_inputs(tmp_path, capsys, cmd):
                 target.write_bytes(body)
             else:
                 target.write_text(body, encoding="utf-8")
+        replay = _replay(argv, files)
         try:
-            code = main(argv)
+            with _alarm(CASE_LIMIT_S, replay):
+                code = main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
         except Exception:
-            pytest.fail(f"raised:\n{traceback.format_exc()}\n"
-                        f"{_replay(argv, files)}")
+            pytest.fail(f"raised:\n{traceback.format_exc()}\n{replay}")
         err = capsys.readouterr().err
-        replay = _replay(argv, files)
         assert code in (0, 1, 2), f"exit {code}\n{replay}"
         assert code != 1 or cmd == "verify", f"exit 1\n{replay}"
         assert "Traceback" not in err, f"{err}\n{replay}"

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import nckit.gauge
 from nckit.poly import Poly, t, x1, x2, x3
 from nckit.rationals import CRat
 from nckit.star import StarContext, ThetaProfile, star, star_exp
@@ -19,6 +20,7 @@ from nckit.gauge import (
     invariance_witness,
     reality_defect,
     time_component_defect,
+    _transformed_strength,
 )
 from util import rand_fraction, rand_imag_poly, rand_theta
 
@@ -273,3 +275,46 @@ def test_gauge_identity_transformation():
     assert u == Poly.one()
     moved = gauge_transform_potential(pot, u, ctx)
     assert moved.spatial() == pot.spatial()
+
+
+# -- the one-entry (F, F') memo ----------------------------------------------
+
+@pytest.fixture
+def cleared_memo():
+    _transformed_strength.cache_clear()
+    yield _transformed_strength
+    _transformed_strength.cache_clear()
+
+
+def _memo_inputs(cutoff=2, lam=I * x1 * x2):
+    """Fresh objects on every call, equal in value for equal arguments."""
+    ctx = StarContext(ThetaProfile({(1, 2): t, (2, 3): Fraction(1, 2)}),
+                      eps_cutoff=cutoff)
+    pot = complete_time_component(
+        GaugePotential(I * x2, I * x1 * x3, I * x1 * x2), ctx)
+    return pot, star_exp(lam, cutoff, ctx), ctx
+
+
+def test_strength_memo_builds_once_per_input_value(cleared_memo, monkeypatch):
+    calls = []
+
+    def counted(pot, ctx):
+        calls.append(1)
+        return field_strength(pot, ctx)
+
+    monkeypatch.setattr(nckit.gauge, "field_strength", counted)
+    first, second = _memo_inputs(), _memo_inputs()
+    assert all(a == b and a is not b for a, b in zip(first, second))
+    covariance_defect(*first)
+    witness_hit, remainder_hit = invariance_witness(*second)
+    assert len(calls) == 1 and cleared_memo.cache_info().hits == 1
+    # a different unitary and a different cutoff each miss
+    for args in (_memo_inputs(lam=I * x3), _memo_inputs(cutoff=3)):
+        covariance_defect(*args)
+        assert cleared_memo.cache_info().currsize <= 1
+    assert len(calls) == 3
+    # a hit returns what a cold recomputation does
+    cleared_memo.cache_clear()
+    assert invariance_witness(*_memo_inputs()) == (witness_hit, remainder_hit)
+    assert len(calls) == 4
+    assert not witness_hit.is_zero() and remainder_hit.is_zero()
