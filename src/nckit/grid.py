@@ -23,9 +23,28 @@ Every transform uses numpy's "forward" normalisation, which puts the
 rescaled.  Each slice is built in one reused buffer, and its window row
 j lands on first-axis mode (a1 + start + j) mod N, which is two
 contiguous slice adds: up to the last row, then the wrapped rest from
-row 0.  On one core of a shared 2-core VM, band limited products take
-about 0.1 s at N = 256 and 0.7 s at N = 512, full band ones about 0.4 s
-and 3 s.
+row 0.
+
+Slices of W N >= 2^15 samples are split by output row when the process
+may run on two CPUs (its affinity mask, which taskset sets).  The N
+output rows fall into two contiguous ranges; the calling thread fills one
+and a helper thread the other.  Each walks the same live rows a1 in
+ascending order and transforms, at most ceil(W / 4) window rows at a
+time, only those that land in its range.  numpy's FFTs release the
+interpreter lock, so the two ranges are transformed at once.  Every
+output row adds the same terms in the same order as in the serial loop,
+and a row's FFT does not depend on the rows transformed with it, so the
+product has the same bytes on either path.  The threshold is the
+measured crossover.  Below it, handing the interpreter lock back and
+forth around many small numpy calls costs more than the second core
+gains.  On a shared 2-core VM (Python 3.11, numpy 2.4) the split took
+1.66 times the serial time at W N = 16384 (full band, N = 128), 1.15 at
+18240 and 1.03 at 24864 and 32512 (band limited, N = 192 to 256), but
+0.77 at 36864, 0.66 at 50880 and about 0.5 from 130560 on.  On that VM
+band limited products take 0.08-0.12 s at N = 256, which stays serial,
+and 0.47-0.64 s at N = 512 (0.83-1.16 s serial).  Full band ones take
+0.27-0.31 s at N = 256 and 2.3 s at N = 512 (0.32-0.47 s and 4.7 s
+serial).
 
 The series cross-check holds each polynomial of its derivative
 bookkeeping as a coefficient matrix C.  Differentiating q times the
@@ -50,13 +69,20 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import signal
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 MAGIC = b"NCGRID01"
 _HEADER = struct.Struct("<8sI4xdd")
+
+# grid_star splits a product by output row from this many samples per
+# slice (W N); the measured crossover, see the module docstring
+_SPLIT_MIN_WORK = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -170,6 +196,14 @@ def grid_star(f: GridField, g: GridField, theta: float) -> GridField:
     that differ from the computed ones by less than that FFT's own
     worst-case error.  A full band spectrum keeps every row and gives the
     dense kernel's result bit for bit.
+
+    Slices of W N >= 2^15 samples, W the right factor's window rows, are
+    split by output row between the calling thread and one helper when
+    the process may run on two CPUs.  Each output row still adds the same
+    terms in the same order, so the result has the same bytes as the
+    serial loop's.  The threshold is the measured crossover, at which the
+    second core starts to pay for the threads' hand-offs (see the module
+    docstring).  The helper is joined before the call returns or raises.
     """
     _compatible(f, g)
     n = f.n
@@ -192,22 +226,115 @@ def grid_star(f: GridField, g: GridField, theta: float) -> GridField:
     # is the conjugate of its row b1 = a1, or of the same formula when a1
     # lies outside the window
     left = np.exp(0.5j * theta * np.outer(q[window], q))  # [j, a2]
-    out_modes = np.zeros((n, n), dtype=np.complex128)
-    buf = np.empty((size, n), dtype=np.complex128)
-    for a1 in f_rows:
-        np.multiply(left, fhat[a1, :], out=buf)
-        a_slice = np.fft.ifft(buf, axis=1, norm="forward")  # [j, x2]
+
+    def right_twist(a1):
         row = (a1 - start) % n
         twist = left[row] if row < size else np.exp(0.5j * theta * (q[a1] * q))
-        np.multiply(ghat, twist.conj(), out=buf)
-        a_slice *= np.fft.ifft(buf, axis=1, norm="forward")
-        # row j lands on first-axis mode (a1 + start + j) mod n: rows s..
-        # up to the end of the grid, then the wrapped rest from row 0
-        s = (a1 + start) % n
-        head = min(size, n - s)
-        out_modes[s:s + head] += a_slice[:head]
-        out_modes[:size - head] += a_slice[head:]
+        return twist.conj()
+
+    out_modes = np.zeros((n, n), dtype=np.complex128)
+    parts = _parts(size * n) if len(f_rows) else 1
+    if parts == 1:
+        buf = np.empty((size, n), dtype=np.complex128)
+        for a1 in f_rows:
+            np.multiply(left, fhat[a1, :], out=buf)
+            a_slice = np.fft.ifft(buf, axis=1, norm="forward")  # [j, x2]
+            np.multiply(ghat, right_twist(a1), out=buf)
+            a_slice *= np.fft.ifft(buf, axis=1, norm="forward")
+            # row j lands on first-axis mode (a1 + start + j) mod n: rows
+            # s.. up to the end of the grid, then the wrapped rest from row 0
+            s = (a1 + start) % n
+            head = min(size, n - s)
+            out_modes[s:s + head] += a_slice[:head]
+            out_modes[:size - head] += a_slice[head:]
+    else:
+        piece = -(-size // (2 * parts))  # window rows per transform
+
+        def add_rows(lo, hi, stop):
+            # the loop above, keeping only the window rows that land on
+            # output rows lo..hi-1, transformed piece by piece
+            buf = np.empty((piece, n), dtype=np.complex128)
+            for a1 in f_rows:
+                if stop.is_set():
+                    return
+                f_row, twist = fhat[a1, :], right_twist(a1)
+                s = (a1 + start) % n
+                head = min(size, n - s)
+                # window rows j0..j1 - 1 land on output rows base + j0..
+                for base, j0, j1 in ((s, 0, head), (-head, head, size)):
+                    j0, j1 = max(j0, lo - base), min(j1, hi - base)
+                    for j in range(j0, j1, piece):
+                        k = min(j + piece, j1)
+                        b = buf[:k - j]
+                        np.multiply(left[j:k], f_row, out=b)
+                        a_slice = np.fft.ifft(b, axis=1, norm="forward")
+                        np.multiply(ghat[j:k], twist, out=b)
+                        a_slice *= np.fft.ifft(b, axis=1, norm="forward")
+                        out_modes[base + j:base + k] += a_slice
+
+        _split_rows(n, parts, add_rows)
+    # the last transform is the call's peak in memory: hold no spectrum
+    # through it (the helpers' freed buffers may stay resident)
+    del fhat, ghat, left
     return f.with_values(np.fft.ifft(out_modes, axis=0, norm="forward"))
+
+
+def _parts(work: int) -> int:
+    """How many parts grid_star splits its output rows into, for slices of
+    `work` = W N samples: the CPUs this process may run on, at most 2, and
+    one below _SPLIT_MIN_WORK."""
+    if work < _SPLIT_MIN_WORK:
+        return 1
+    try:
+        return min(2, len(os.sched_getaffinity(0)))
+    except AttributeError:  # not Linux: stay serial
+        return 1
+
+
+def _split_rows(n: int, parts: int, add_rows) -> None:
+    """Call add_rows(lo, hi, stop) on `parts` contiguous ranges of the n
+    output rows, the first in the calling thread and the rest in helper
+    threads, and return when every helper has finished.
+
+    Helpers start with the timer and interrupt signals blocked, so those
+    reach the calling thread.  If a part raises, `stop` is set and the
+    other parts return at their next row.  Once the helpers are joined,
+    the caller's exception propagates, or else the first helper's is
+    raised here.
+    """
+    bounds = [n * k // parts for k in range(parts + 1)]
+    stop = threading.Event()
+    errors = []
+
+    def helper(lo, hi):
+        try:
+            add_rows(lo, hi, stop)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+            stop.set()
+
+    threads = [threading.Thread(target=helper, args=bounds[k:k + 2],
+                                name="grid_star")
+               for k in range(1, parts)]
+    started = []
+    try:
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {
+            signal.SIGALRM, signal.SIGPROF, signal.SIGVTALRM, signal.SIGINT})
+        try:
+            for t in threads:
+                t.start()
+                started.append(t)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        add_rows(bounds[0], bounds[1], stop)
+    except BaseException:  # such as a timeout that the caller's alarm raised
+        stop.set()
+        raise
+    finally:
+        for t in started:
+            t.join()
+    if errors:
+        raise errors[0]
 
 
 def phase_law_defect(n: int, box_length: float, theta: float,

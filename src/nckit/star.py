@@ -61,7 +61,12 @@ f*g - g*f is twice the odd nodes.
 Hermitian mode.  f * conj(f), the shape of every action density, is real,
 since conjugation reverses the product.  ``star(f, conj(f), ctx,
 hermitian=True)`` forms at each node only the two real products that land
-in the real part.
+in the real part.  With f = sum_e f_e eps^e, the cross blocks come in
+pairs: conj(f_e * conj f_e') = f_e' * conj f_e, so the two have the same
+real part.  So the kernel skips the blocks with ep > eq and adds those
+with ep < eq twice, which is exact over the ints.  The pairing holds for
+the whole series, not node by node, and every node adds into one
+accumulator, so only the sum is used.
 
 Nothing outlives the call except what ``ThetaProfile`` keeps: its thetadot
 and the row table of D.
@@ -373,7 +378,9 @@ def _node_product(out: dict, ps: dict, qs: dict, w: int, rot: int,
     With P = Pr + i Pi and Q = Qr + i Qi, Re PQ = Pr Qr - Pi Qi and
     Im PQ = Pr Qi + Pi Qr.  An even rot keeps each in its own accumulator,
     an odd one swaps them; rot 1 and 2 negate Im PQ, rot 2 and 3 negate
-    Re PQ.  real_only forms only what lands in the real accumulator."""
+    Re PQ.  real_only forms only what lands in the real accumulator, and
+    only the eps blocks ep <= eq, the ones with ep < eq twice (see the
+    module docstring)."""
     odd = rot & 1
     w_re = w if rot < 2 else -w
     w_im = -w if rot == 1 or rot == 2 else w
@@ -382,20 +389,25 @@ def _node_product(out: dict, ps: dict, qs: dict, w: int, rot: int,
             e = ep + eq
             if cutoff is not None and e > cutoff:
                 continue
+            wr, wi = w_re, w_im
+            if real_only and ep != eq:
+                if ep > eq:
+                    continue
+                wr, wi = 2 * w_re, 2 * w_im  # and block (eq, ep) is skipped
             acc = out.get(e)
             if acc is None:
                 acc = out[e] = ({}, {})
             to_re, to_im = (acc[1], acc[0]) if odd else acc
             if not (real_only and odd):
                 if pr and qr:
-                    _mac(to_re, pr, qr, w_re)
+                    _mac(to_re, pr, qr, wr)
                 if pi and qi:
-                    _mac(to_re, pi, qi, -w_re)
+                    _mac(to_re, pi, qi, -wr)
             if not (real_only and not odd):
                 if pr and qi:
-                    _mac(to_im, pr, qi, w_im)
+                    _mac(to_im, pr, qi, wi)
                 if pi and qr:
-                    _mac(to_im, pi, qr, w_im)
+                    _mac(to_im, pi, qr, wi)
 
 
 def _mac(dest: dict, a: dict, b: dict, w: int) -> None:

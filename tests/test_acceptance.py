@@ -64,6 +64,7 @@ def test_criterion_01_star_associativity_and_commutators():
 
 
 def test_criterion_02_time_derivative_correction():
+    budget = 30.0
     t0 = time.monotonic()
     rng = random.Random(2002)
     failures = 0
@@ -73,13 +74,16 @@ def test_criterion_02_time_derivative_correction():
         g = rand_poly(rng, max_terms=3, max_t=2, max_spatial=4)
         if dt_leibniz_defect(f, g, ctx) != dt_leibniz_correction(f, g, ctx):
             failures += 1
-    ok = failures == 0
+    elapsed = time.monotonic() - t0
+    ok = failures == 0 and elapsed <= budget
     _verdict(2, "time-derivative defect equals its closed form", ok,
-             f"200 pairs, exact, {time.monotonic() - t0:.1f}s")
-    assert ok
+             f"200 pairs, exact, {elapsed:.1f}s of {budget:.0f}s")
+    assert failures == 0
+    assert elapsed <= budget
 
 
 def test_criterion_03_conjugation_antihomomorphism():
+    budget = 30.0
     t0 = time.monotonic()
     rng = random.Random(2003)
     failures = 0
@@ -89,13 +93,16 @@ def test_criterion_03_conjugation_antihomomorphism():
         g = rand_poly(rng, max_terms=3, max_t=2, max_spatial=4)
         if not star_conj_defect(f, g, ctx).is_zero():
             failures += 1
-    ok = failures == 0
+    elapsed = time.monotonic() - t0
+    ok = failures == 0 and elapsed <= budget
     _verdict(3, "conjugation reverses the star product", ok,
-             f"200 pairs, exact, {time.monotonic() - t0:.1f}s")
-    assert ok
+             f"200 pairs, exact, {elapsed:.1f}s of {budget:.0f}s")
+    assert failures == 0
+    assert elapsed <= budget
 
 
 def test_criterion_04_calculus_consistency():
+    budget = 30.0
     t0 = time.monotonic()
     rng = random.Random(2004)
     failures = 0
@@ -109,10 +116,12 @@ def test_criterion_04_calculus_consistency():
             failures += 1
         if not d_leibniz_defect(a, b, ctx).is_zero():
             failures += 1
-    ok = failures == 0
+    elapsed = time.monotonic() - t0
+    ok = failures == 0 and elapsed <= budget
     _verdict(4, "exterior derivative squares to zero + graded rule", ok,
-             f"100 pairs, exact, {time.monotonic() - t0:.1f}s")
-    assert ok
+             f"100 pairs, exact, {elapsed:.1f}s of {budget:.0f}s")
+    assert failures == 0
+    assert elapsed <= budget
 
 
 def test_criterion_05_gauge_covariance():
@@ -175,6 +184,7 @@ def test_gauge_covariance_with_thetadot_in_every_entry():
 
 
 def test_criterion_06_action_coefficients_as_identities():
+    budget = 30.0
     t0 = time.monotonic()
     ctx = StarContext(ThetaProfile({(1, 2): t * t, (2, 3): t}))
     spec = PlaneWaveSpec(omega=3, k=(1, 2, 2), p=(1, 2, 0, 1))
@@ -189,13 +199,17 @@ def test_criterion_06_action_coefficients_as_identities():
         for diag in report.diagnostics)
     names = {diag["name"] for diag in report.diagnostics}
     ok = ok and structured and "mixed-strength-correction-sign" in names
-    _verdict(6, "action coefficients equal the printed forms", ok,
+    elapsed = time.monotonic() - t0
+    _verdict(6, "action coefficients equal the printed forms",
+             ok and elapsed <= budget,
              "polynomial identity; cubic sign -1 documented in diagnostics, "
-             f"{time.monotonic() - t0:.1f}s")
+             f"{elapsed:.1f}s of {budget:.0f}s")
     assert ok
+    assert elapsed <= budget
 
 
 def test_criterion_07_polarisation_dichotomy():
+    budget = 30.0
     t0 = time.monotonic()
     rng = random.Random(2007)
     failures = 0
@@ -233,13 +247,16 @@ def test_criterion_07_polarisation_dichotomy():
         if effective_action(spec, ctx).cubic_contracted.is_zero():
             failures += 1
         done += 1
-    ok = failures == 0
+    elapsed = time.monotonic() - t0
+    ok = failures == 0 and elapsed <= budget
     _verdict(7, "deformation-blind waves lose the cubic term, generic keep it",
-             ok, f"20 + 20 specs, exact, {time.monotonic() - t0:.1f}s")
-    assert ok
+             ok, f"20 + 20 specs, exact, {elapsed:.1f}s of {budget:.0f}s")
+    assert failures == 0
+    assert elapsed <= budget
 
 
 def test_criterion_08_null_waves_stay_solutions():
+    budget = 30.0
     t0 = time.monotonic()
     rng = random.Random(2008)
     failures = 0
@@ -255,11 +272,13 @@ def test_criterion_08_null_waves_stay_solutions():
             acc = star(acc, u, ctx)
         if acc != u ** 4:
             failures += 1
-    ok = failures == 0
+    elapsed = time.monotonic() - t0
+    ok = failures == 0 and elapsed <= budget
     _verdict(8, "null plane waves solve the wave equation at every power",
              ok, "10 null covectors, powers up to 6, exact, "
-                f"{time.monotonic() - t0:.1f}s")
-    assert ok
+                f"{elapsed:.1f}s of {budget:.0f}s")
+    assert failures == 0
+    assert elapsed <= budget
 
 
 def test_criterion_09_grid_oracle():
@@ -287,6 +306,7 @@ def test_criterion_09_grid_oracle():
 
 
 def test_criterion_10_harmonic_spectrum():
+    budget = 30.0
     t0 = time.monotonic()
     ctx = StarContext(ThetaProfile({(1, 2): t * t, (2, 3): t}))
     spec = PlaneWaveSpec(omega=3, k=(1, 2, 2), p=(1, 2, 0, 1), profile="cos")
@@ -294,7 +314,10 @@ def test_criterion_10_harmonic_spectrum():
     want = {1: Fraction(1, 4), 3: Fraction(-1, 4)}
     ok = spectrum == want and all(
         abs(float(spectrum[n]) - float(want[n])) <= 1e-12 for n in want)
-    _verdict(10, "cubic self-interaction lands on harmonics 1 and 3", ok,
+    elapsed = time.monotonic() - t0
+    _verdict(10, "cubic self-interaction lands on harmonics 1 and 3",
+             ok and elapsed <= budget,
              "exact rational spectrum {1: 1/4, 3: -1/4}, "
-             f"{time.monotonic() - t0:.1f}s")
+             f"{elapsed:.1f}s of {budget:.0f}s")
     assert ok
+    assert elapsed <= budget

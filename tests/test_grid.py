@@ -2,11 +2,17 @@
 
 import cmath
 import math
+import os
+import signal
 import struct
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import nckit.grid
 from nckit.cli import SERIES_TOL
 from nckit.grid import (
     MAGIC,
@@ -169,7 +175,7 @@ def test_grid_star_matches_reference_full_band(n):
         assert np.max(np.abs(got.values - want.values)) < 1e-12 * scale
 
 
-@pytest.mark.parametrize("n", [5, 9, 12, 64])
+@pytest.mark.parametrize("n", [5, 9, 12, 64, 128, 256])
 def test_grid_star_full_band_is_the_dense_kernel_bit_for_bit(n):
     # nothing is below roundoff, so every row is live and the window is
     # the whole grid starting at row 0: the same arithmetic as the dense
@@ -233,6 +239,124 @@ def test_grid_star_zero_operand():
     assert _cyclic_window(_live_rows(spectrum(zero)), n) == (0, 0)
     for lhs, rhs in ((zero, f), (f, zero), (zero, zero)):
         assert not np.any(grid_star(lhs, rhs, 0.7).values)
+
+
+def test_grid_star_bytes_do_not_depend_on_the_part_count(monkeypatch):
+    # each output row adds the same terms in the same order however the
+    # rows are split; forced part counts run the split on any machine and
+    # at any size
+    n = 256
+    nan_field = band_limited_field(n, 2.0, 40, seed=1870)
+    values = nan_field.values.copy()
+    values[7, 11] = np.nan
+    pairs = [
+        (band_limited_field(n, 2 * np.pi, n // 4 - 1, seed=1871),
+         band_limited_field(n, 2 * np.pi, n // 4 - 1, seed=1872)),
+        (band_limited_field(n, 2.0, 30, seed=1873),
+         rows_field(n, list(range(230, n)) + list(range(20)), seed=1874)),
+        (rows_field(n, [3, 4, 90, 200], seed=1875),
+         rows_field(n, list(range(10, 30)) + list(range(150, 170)), seed=1876)),
+        (plane_wave(n, 2.0, 3, -7), plane_wave(n, 2.0, -60, 5)),
+        (nan_field.with_values(values), band_limited_field(n, 2.0, 40, seed=1877)),
+    ]
+    assert _cyclic_window(_live_rows(spectrum(pairs[1][1])), n) == (230, 46)
+    assert _cyclic_window(_live_rows(spectrum(pairs[2][1])), n) == (150, 136)
+    for parts in (1, 2, 3):
+        monkeypatch.setattr(nckit.grid, "_parts", lambda work, p=parts: p)
+        with np.errstate(invalid="ignore"):
+            got = [grid_star(f, g, 0.37).values.tobytes() for f, g in pairs]
+        if parts == 1:
+            want = got
+        assert got == want
+
+
+def _grid_threads():
+    return [t for t in threading.enumerate() if t.name == "grid_star"]
+
+
+def test_import_starts_no_thread():
+    code = ("import threading; n = threading.active_count(); import nckit; "
+            "assert threading.active_count() == n, threading.enumerate()")
+    src = os.path.dirname(os.path.dirname(nckit.grid.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                    timeout=60)
+
+
+def test_split_grid_star_leaves_no_thread(monkeypatch):
+    # and its helpers block the signals that must reach the caller
+    masks = []
+    ifft = np.fft.ifft
+
+    def ifft_noting_masks(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            masks.append(signal.pthread_sigmask(signal.SIG_BLOCK, []))
+        return ifft(*args, **kwargs)
+
+    monkeypatch.setattr(nckit.grid, "_parts", lambda work: 2)
+    monkeypatch.setattr(np.fft, "ifft", ifft_noting_masks)
+    f, g = random_field(64, 1880), random_field(64, 1881)
+    before = threading.active_count()
+    grid_star(f, g, 0.5)
+    assert threading.active_count() == before
+    assert masks
+    caller = {signal.SIGALRM, signal.SIGPROF, signal.SIGVTALRM, signal.SIGINT}
+    assert all(caller <= mask for mask in masks)
+    assert not caller & signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
+
+def test_helper_exception_reaches_the_caller(monkeypatch):
+    class Boom(Exception):
+        pass
+
+    ifft = np.fft.ifft
+
+    def ifft_off_main(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise Boom()
+        return ifft(*args, **kwargs)
+
+    monkeypatch.setattr(nckit.grid, "_parts", lambda work: 2)
+    monkeypatch.setattr(np.fft, "ifft", ifft_off_main)
+    f, g = random_field(64, 1882), random_field(64, 1883)
+    before = threading.active_count()
+    with pytest.raises(Boom):
+        grid_star(f, g, 0.5)
+    assert threading.active_count() == before
+
+
+def test_alarm_in_the_caller_stops_the_helpers(monkeypatch):
+    # the alarm is set as the parts start, so it lands while they run; its
+    # handler raises in the calling thread, which joins the helpers
+    class Expired(Exception):
+        pass
+
+    seen = []
+
+    def expire(signum, frame):
+        seen.append(len(_grid_threads()))
+        raise Expired()
+
+    split_rows = nckit.grid._split_rows
+
+    def split_with_alarm(*args):
+        signal.setitimer(signal.ITIMER_REAL, 0.01)
+        split_rows(*args)
+
+    monkeypatch.setattr(nckit.grid, "_parts", lambda work: 2)
+    monkeypatch.setattr(nckit.grid, "_split_rows", split_with_alarm)
+    f, g = random_field(256, 1884), random_field(256, 1885)
+    before = threading.active_count()
+    previous = signal.signal(signal.SIGALRM, expire)
+    try:
+        with pytest.raises(Expired):
+            grid_star(f, g, 0.5)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert seen == [1]
+    assert threading.active_count() == before
+    assert not _grid_threads()
 
 
 @pytest.mark.parametrize("n", [32, 64, 128, 256])

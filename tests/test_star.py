@@ -526,8 +526,8 @@ def test_star_shared_denominator_matches_reference():
 def test_star_hermitian_matches_full_product():
     # f * conj(f) from the real part of each series term only is the full
     # product: on time-dependent and constant theta, every eps cutoff, one,
-    # two and many x-groups, cofactors of 1-3 (t, eps) terms, complex
-    # coefficients over up to 7
+    # two and many x-groups, cofactors of 1-3 (t, eps) terms, eps orders
+    # 0..3 holding unequal term counts, complex coefficients over up to 7
     rng = random.Random(1321)
 
     def frac(nonzero=False):
@@ -554,8 +554,23 @@ def test_star_hermitian_matches_full_product():
             if len({e[1:4] for e, _ in p.items()}) == groups:
                 return p
 
+    def layered(counts):
+        # counts[e] terms of eps order e, on distinct x-monomials
+        p = Poly.zero()
+        for e, count in enumerate(counts):
+            for xe in rng.sample(spatial, count):
+                p = p + Poly.monomial((rng.randint(0, 2), *xe, e),
+                                      CRat(frac(True), frac()))
+        return p
+
     operands = [operand(n) for n in (1, 1, 2, 2, 2, 5, 5, 7)]
     assert any(len(p) > len({e[1:4] for e, _ in p.items()}) for p in operands)
+    # the cross blocks (ep, eq) and (eq, ep) of unequal sizes
+    for counts in ((1, 3, 2, 4), (4, 1, 3, 2), (2, 0, 5, 1)):
+        p = layered(counts)
+        assert [sum(1 for e, _ in p.items() if e[4] == k)
+                for k in range(4)] == list(counts)
+        operands.append(p)
     thetas = [ThetaProfile({pair: frac() + frac(True) * t
                             for pair in ((1, 2), (1, 3), (2, 3))})
               for _ in range(2)]
@@ -563,7 +578,7 @@ def test_star_hermitian_matches_full_product():
                for i, j in ((1, 2), (1, 3), (2, 3)))
     thetas.append(ThetaProfile({(1, 2): Fraction(1, 2), (1, 3): Fraction(-2, 3),
                                 (2, 3): Fraction(3, 7)}))
-    for cutoff in (None, 0, 1, 2):
+    for cutoff in (None, 0, 1, 2, 3):
         for th in thetas:
             ctx = StarContext(th, eps_cutoff=cutoff)
             for f in operands:
