@@ -33,9 +33,11 @@ SERIES_TOL = 1e-6
 
 
 def _write_json(path: str, doc: dict) -> None:
+    """Encode the whole report before opening the file, so a failed encode
+    leaves no file, then write it in one call."""
+    text = json.dumps(doc, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 # -- reduce -----------------------------------------------------------------

@@ -13,7 +13,9 @@ One INI-style file can carry up to two sections:
     profile = cos      (or ascending coefficients in u: "0 0 1")
 
 Every section is optional; unknown sections and keys are rejected so typos
-fail loudly instead of silently falling back to defaults.
+fail loudly instead of silently falling back to defaults.  Values are read
+literally: ``%`` has no interpolation meaning, and ``[DEFAULT]`` is an
+unknown section like any other.
 """
 
 from __future__ import annotations
@@ -120,7 +122,10 @@ class Config:
 def load_config(path) -> Config:
     if not os.path.exists(path):
         raise ConfigError(f"no such config file: {path}")
-    cp = configparser.ConfigParser()
+    # no interpolation: % is an ordinary character, left for the value
+    # parsers to reject; and no header line can name the default section,
+    # so [DEFAULT] is an ordinary, hence unknown, section
+    cp = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh)

@@ -31,6 +31,14 @@ reported coefficients refer to the action orientation, the negative of
 the literal integrand built here, and the reference cubic listed for
 comparison differs from the derivation by an overall sign traceable to a
 transposed contraction in the mixed correction term of the reference.
+
+Built once per process (``_accounting``): the density, its split by the
+s-grading, the stripped quadratic and cubic coefficients, the residual,
+both references, their comparison and the diagnostics, and per
+coefficient its terms unpacked for evaluation.  Each spec then only
+evaluates the four coefficients at its (w, k, p), exactly over ints with
+every value over one common denominator, contracts the cubic ones with
+thetadot and tests polarisation.
 """
 
 from __future__ import annotations
@@ -38,7 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence, Union
+from math import lcm
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .rationals import CRat, I, RatLike
 from .poly import BasePoly, Poly
@@ -171,7 +180,6 @@ def _symbolic_strengths() -> tuple[dict, dict, dict]:
     return spatial, time, tilde
 
 
-@lru_cache(maxsize=1)
 def _symbolic_density() -> PwPoly:
     """Literal action density integrand for the generic plane wave:
 
@@ -338,30 +346,71 @@ class ActionReport:
     diagnostics: tuple[dict, ...]
 
 
-def _eval_wkp(p: PwPoly, vals: Sequence[Fraction]) -> Fraction:
-    """Evaluate a PwPoly that only involves w, k, p variables at vals, the
-    values of w, k1..k3 and p0..p3 (the first eight variables, in order)."""
-    if not p.uses_only(PwPoly.VARS[:len(vals)]):
-        raise ValueError("only w, k1..k3 and p0..p3 evaluate numerically")
-    total = Fraction(0)
-    for k, (r, i) in p._nums.items():
-        if i:
-            raise ValueError("expected a real coefficient")
-        for e, v in zip(p._unpack(k), vals):
-            if e:
-                r *= v ** e
-        total += r
-    return total / p._den
+_WKP = PwPoly.VARS[:8]
 
 
-def effective_action(spec: PlaneWaveSpec, ctx: StarContext) -> ActionReport:
-    """Exact action density accounting for a plane wave (see ActionReport).
+class _WkpValue:
+    """A polynomial in w, k1..k3, p0..p3 prepared for exact evaluation over
+    ints: per term its real numerator, its (variable, exponent) factors and
+    its degree, then the shared denominator and the top degree."""
 
-    The s^0 (classical) part is a pure multiple of f'^2 and the s^1 part a
-    combination of d_jk f f'^2; anything else at those orders is an error.
-    Orientation and the cubic reference sign are applied as documented in
-    the diagnostics.
-    """
+    __slots__ = ("terms", "den", "top")
+
+    def __init__(self, p: PwPoly):
+        if not p.uses_only(_WKP):
+            raise ValueError("only w, k1..k3 and p0..p3 evaluate numerically")
+        terms = []
+        for key, (r, i) in p._nums.items():
+            if i:
+                raise ValueError("expected a real coefficient")
+            exps = p._unpack(key)
+            terms.append((r, tuple((j, e) for j, e in enumerate(exps) if e),
+                          sum(exps)))
+        self.terms = tuple(terms)
+        self.den = p._den
+        self.top = max((m for _, _, m in terms), default=0)
+
+    def at(self, nums: Sequence[int], d: int) -> Fraction:
+        """The value with variable j at nums[j] / d: a degree m term is an
+        int over d^m, so scaling each by d^(top - m) leaves one quotient."""
+        top = self.top
+        total = 0
+        for r, factors, m in self.terms:
+            for j, e in factors:
+                r *= nums[j] ** e
+            total += r * d ** (top - m)
+        return Fraction(total, self.den * d ** top)
+
+
+def _over_one_den(vals: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(nums, d) with vals[j] = nums[j] / d and d the lcm of the
+    denominators."""
+    d = lcm(*(v.denominator for v in vals))
+    return [v.numerator * (d // v.denominator) for v in vals], d
+
+
+class _Accounting(NamedTuple):
+    """Everything in an ActionReport that no spec or deformation changes,
+    with the coefficients prepared for evaluation."""
+
+    integrand: PwPoly
+    quad: PwPoly
+    cubic: dict[tuple[int, int], PwPoly]
+    residual: PwPoly
+    reference_quad: PwPoly
+    reference_cubic: dict[tuple[int, int], PwPoly]
+    quad_ok: bool
+    rel_sign: int | None
+    diagnostics: tuple[dict, ...]
+    quad_value: _WkpValue
+    cubic_values: tuple[tuple[tuple[int, int], _WkpValue], ...]
+
+
+@lru_cache(maxsize=1)
+def _accounting() -> _Accounting:
+    """Split the symbolic density by twist order and compare each
+    coefficient with its reference, once per process.  A structural
+    ValueError propagates and, being no result, is not memoised."""
     dens = _symbolic_density()
     parts = dens._split("s")
 
@@ -391,9 +440,9 @@ def effective_action(spec: PlaneWaveSpec, ctx: StarContext) -> ActionReport:
     else:
         rel_sign = None
 
-    diagnostics = [dict(_DIAG_ORIENTATION)]
+    diagnostics = [_DIAG_ORIENTATION]
     if rel_sign == -1:
-        diagnostics.append(dict(_DIAG_CUBIC_SIGN))
+        diagnostics.append(_DIAG_CUBIC_SIGN)
     if not quad_ok:
         diagnostics.append({
             "name": "quadratic-reference-mismatch",
@@ -407,30 +456,45 @@ def effective_action(spec: PlaneWaveSpec, ctx: StarContext) -> ActionReport:
                       "beyond an overall sign",
         })
 
-    vals = (spec.omega, *spec.k, *spec.p)
-    quad_value = _eval_wkp(quad, vals)
+    return _Accounting(
+        dens, quad, cubic, residual, ref_quad, ref_cubic, quad_ok, rel_sign,
+        tuple(diagnostics), _WkpValue(quad),
+        tuple((pair, _WkpValue(coeff)) for pair, coeff in cubic.items()))
+
+
+def effective_action(spec: PlaneWaveSpec, ctx: StarContext) -> ActionReport:
+    """Exact action density accounting for a plane wave (see ActionReport).
+
+    The s^0 (classical) part is a pure multiple of f'^2 and the s^1 part a
+    combination of d_jk f f'^2; anything else at those orders is an error.
+    Orientation and the cubic reference sign are applied as documented in
+    the diagnostics.  The symbolic fields come from one build per process;
+    the report's dicts are its own copies.
+    """
+    acc = _accounting()
+    nums, d = _over_one_den((spec.omega, *spec.k, *spec.p))
     dot = ctx.theta.theta_dot()
     contracted = Poly.zero()
-    for (j, kk), coeff in cubic.items():
-        num = _eval_wkp(coeff, vals)
+    for (j, kk), coeff in acc.cubic_values:
+        num = coeff.at(nums, d)
         if num:
             contracted = contracted + dot.entry(j, kk) * num
 
     return ActionReport(
         orientation=-1,
-        integrand=dens,
-        quad_coeff=quad,
-        cubic_coeff=cubic,
-        residual=residual,
+        integrand=acc.integrand,
+        quad_coeff=acc.quad,
+        cubic_coeff=dict(acc.cubic),
+        residual=acc.residual,
         residual_order=2,
-        reference_quad=ref_quad,
-        reference_cubic=ref_cubic,
-        quad_matches_reference=quad_ok,
-        cubic_relative_sign=rel_sign,
-        quad_value=quad_value,
+        reference_quad=acc.reference_quad,
+        reference_cubic=dict(acc.reference_cubic),
+        quad_matches_reference=acc.quad_ok,
+        cubic_relative_sign=acc.rel_sign,
+        quad_value=acc.quad_value.at(nums, d),
         cubic_contracted=contracted,
         polarised=is_theta_polarised(spec, ctx),
-        diagnostics=tuple(diagnostics),
+        diagnostics=tuple(dict(diag) for diag in acc.diagnostics),
     )
 
 

@@ -42,6 +42,10 @@ def test_theta_config_rejects_bad_entries(tmp_path):
         "[theta]\nt21 = t\n",           # unknown key
         "[theta]\nt12 = t +\n",         # parse error
         "[theta]\nt12 = dt\n",          # not scalar
+        "[theta]\nt12 = 50%\n",         # % is no interpolation
+        "[theta]\nt12 = %(x)s\n",
+        "[DEFAULT]\nt12 = t\n",        # no default section
+        "[DEFAULT]\nt12 = t\n[theta]\n",
     ):
         p = write(tmp_path / "bad.ini", body)
         with pytest.raises(ConfigError):
@@ -88,6 +92,9 @@ def test_planewave_config_errors(tmp_path):
         "[planewave]\nomega = 3\nk = 1 2 2\n",                 # missing p
         "[planewave]\nomega = x\nk = 1 2 2\np = 1 2 0 1\n",    # bad omega
         "[planewave]\nomega = 3\nk = 1 2 2\np = 1 2 0 1\nq = 1\n",
+        "[planewave]\nomega = 3\nk = 1 2 2\np = 1 2 0 1\n"
+        "profile = %(omega)s\n",
+        "[DEFAULT]\nomega = 3\n[planewave]\nk = 1 2 2\np = 1 2 0 1\n",
         "[planewave]\nomega = 3\nk = 1 2 2\np = 1 2 0 1\nprofile =\n",
     )
     for body in bodies:
@@ -104,7 +111,7 @@ def test_planewave_config_errors(tmp_path):
 
 @pytest.mark.parametrize("value", ["٣", "1_000", "1e3", "0.5", "1e400",
                                    "1e3000000", "1/0", "1" * 5000, "+-1",
-                                   "1/-2", "3/"])
+                                   "1/-2", "3/", "50%", "%(omega)s"])
 @pytest.mark.parametrize("key", ["omega", "k", "profile"])
 def test_planewave_numbers_are_ascii_rationals(tmp_path, capsys, key, value):
     # Fraction(str) also takes Python's literal syntax; 1e3000000 took
@@ -125,6 +132,23 @@ def test_planewave_numbers_keep_signs_and_fractions(tmp_path):
     wave = load_config(p).planewave
     assert (wave.omega, wave.k) == (3, (-1, Fraction(1, 2), 7))
     assert wave.p[1] == Fraction(-2, 3) and wave.profile == (0, Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("body, err", [
+    ("[theta]\nt12 = 50%\n",
+     "nckit: [theta] t12: line 1, column 3: unexpected character '%'\n"),
+    ("[theta]\nt12 = %(t12)s\n",
+     "nckit: [theta] t12: line 1, column 1: unexpected character '%'\n"),
+    ("[DEFAULT]\nt12 = t\n", "nckit: unknown section [DEFAULT]\n"),
+    ("[DEFAULT]\nt12 = t\n[theta]\n", "nckit: unknown section [DEFAULT]\n"),
+], ids=["percent", "interpolation", "default", "default-and-theta"])
+def test_config_percent_and_default_are_usage_errors(tmp_path, capsys, body,
+                                                      err):
+    # configparser's defaults would interpolate % and merge [DEFAULT]
+    # into every section
+    prof = write(tmp_path / "p.ini", body)
+    assert main(["reduce", "x1*x2 - x2*x1", "--theta", prof]) == 2
+    assert capsys.readouterr() == ("", err)
 
 
 def test_grid_section_is_unknown(tmp_path, capsys):
@@ -271,6 +295,28 @@ def test_reduce_json_and_order(tmp_path, capsys):
     assert doc["kind"] == "reduce"
     assert doc["result"] == "eps"
     assert doc["order"] == 2
+
+
+def test_json_reports_are_indented_dumps_byte_for_byte(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["reduce", "~(x1*x2)", "--json", str(out)]) == 0
+    spec = write(tmp_path / "w.ini", WAVE_INI)
+    assert main(["planewave", spec, "--json", str(tmp_path / "w.json")]) == 0
+    capsys.readouterr()
+    for name in ("r.json", "w.json"):
+        data = (tmp_path / name).read_bytes()
+        doc = json.loads(data)
+        assert data == (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+def test_failed_json_encode_leaves_no_file(tmp_path):
+    from nckit.cli import _write_json
+
+    out = tmp_path / "o.json"
+    with pytest.raises(TypeError):
+        _write_json(str(out), {"schema": "nckit-report/1",
+                               "value": Fraction(1, 2)})
+    assert not out.exists()
 
 
 # -- verify ------------------------------------------------------------------------

@@ -65,26 +65,27 @@ def _mutate(rng, text):
 
 
 def _theta_text(rng):
-    lines = [_pick(rng, ["[theta]"], ["[grid]", ""])]
+    lines = [_pick(rng, ["[theta]"], ["[grid]", "", "[DEFAULT]"])]
     for key in rng.sample(["t12", "t13", "t23"], rng.randint(0, 3)):
         value = _pick(rng, ["t", "t^2 - 1/2", "1/3", "0", _mutate(rng, "t")],
-                      ["x1", "i*t", "t^100000", "dt", "t +", "", "(t"])
+                      ["x1", "i*t", "t^100000", "dt", "t +", "", "(t",
+                       "50%", "%(t12)s"])
         lines.append(f"{_pick(rng, [key], ['t21', 'x'])} = {value}")
     return "\n".join(lines) + "\n"
 
 
 def _wave_text(rng):
-    fields = {"omega": (["3", "0", "-1/2"], ["x", "1/0", "10^3"]),
+    fields = {"omega": (["3", "0", "-1/2"], ["x", "1/0", "10^3", "50%"]),
               "k": (["1 2 2", "0 0 0", "1 -2 1/3"], ["1 2", "1 2 2 2", "a b c"]),
               "p": (["1 2 0 1", "0 0 0 0", "1/2 0 0 1"], ["1 2 0"]),
               "profile": (["cos", "0 0 1", "1", "2 0", "0 1/2 0 3"],
-                          ["", "sin"])}
+                          ["", "sin", "%(omega)s", "%(t12)s"])}
     lines = ["[planewave]"]
     for key, (good, bad) in fields.items():
         if rng.random() < 0.97:
             lines.append(f"{key} = {_pick(rng, good, bad)}")
     lines.append(_pick(rng, ["", "[theta]\nt12 = t\nt23 = 1/2"],
-                       ["extra = 1", "[other]"]))
+                       ["extra = 1", "[other]", "[DEFAULT]\nomega = 3"]))
     return "\n".join(lines) + "\n"
 
 

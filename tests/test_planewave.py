@@ -1,5 +1,6 @@
 """Plane wave sector: closed forms, action accounting, harmonics."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,9 @@ from nckit.planewave import (
     ActionReport,
     PlaneWaveSpec,
     PwPoly,
+    _WkpValue,
+    _accounting,
+    _over_one_den,
     _symbolic_strengths,
     build_ansatz,
     coupling_scalar,
@@ -278,6 +282,126 @@ def test_longitudinal_wave_is_pure_gauge():
     report = effective_action(spec, ctx)
     assert report.quad_value == 0
     assert report.cubic_contracted.is_zero()
+
+
+def _eval_wkp(p: PwPoly, vals) -> Fraction:
+    return _WkpValue(p).at(*_over_one_den(vals))
+
+
+def _eval_wkp_reference(p: PwPoly, vals) -> Fraction:
+    """The evaluation in Fractions, term by term, as it was first written."""
+    if not p.uses_only(PwPoly.VARS[:len(vals)]):
+        raise ValueError("only w, k1..k3 and p0..p3 evaluate numerically")
+    total = Fraction(0)
+    for k, (r, i) in p._nums.items():
+        if i:
+            raise ValueError("expected a real coefficient")
+        for e, v in zip(p._unpack(k), vals):
+            if e:
+                r *= v ** e
+        total += r
+    return total / p._den
+
+
+def _random_wkp_poly(rng) -> PwPoly:
+    """Up to 18 terms in w, k1..k3, p0..p3 of mixed degrees 0..6."""
+    terms = {}
+    for _ in range(rng.randint(1, 18)):
+        exps = [0] * len(PwPoly.VARS)
+        for _ in range(rng.randint(0, 6)):
+            exps[rng.randrange(8)] += 1
+        terms[tuple(exps)] = Fraction(rng.randint(-40, 40),
+                                      rng.choice((1, 2, 3, 4, 9, 35)))
+    return PwPoly(terms)
+
+
+def test_integer_evaluation_matches_the_fraction_reference():
+    rng = random.Random(20)
+    polys = [PwPoly.zero(), PwPoly.const(Fraction(-7, 3)), PwPoly.one()]
+    polys += [_random_wkp_poly(rng) for _ in range(60)]
+    dens = (1, 1, 2, 3, 5, 6, 7, 12)
+    for n, p in enumerate(polys):
+        for _ in range(4):
+            vals = [Fraction(rng.randint(-9, 9), rng.choice(dens))
+                    for _ in range(8)]
+            if n % 3 == 0:
+                vals[rng.randrange(8)] = Fraction(0)
+            got = _eval_wkp(p, vals)
+            assert type(got) is Fraction
+            assert got == _eval_wkp_reference(p, vals), (p, vals)
+    # the report's own coefficients at fractional data
+    ctx = StarContext(ThetaProfile({(1, 2): t, (1, 3): Fraction(1, 2)}))
+    for _ in range(5):
+        spec = PlaneWaveSpec(Fraction(rng.randint(-9, 9), rng.choice(dens)),
+                             tuple(Fraction(rng.randint(-9, 9), rng.choice(dens))
+                                   for _ in range(3)),
+                             tuple(Fraction(rng.randint(-9, 9), rng.choice(dens))
+                                   for _ in range(4)))
+        vals = (spec.omega, *spec.k, *spec.p)
+        report = effective_action(spec, ctx)
+        assert report.quad_value == _eval_wkp_reference(report.quad_coeff, vals)
+        dot = ctx.theta.theta_dot()
+        want = sum((dot.entry(j, k) * _eval_wkp_reference(c, vals)
+                    for (j, k), c in report.cubic_coeff.items()), Poly.zero())
+        assert report.cubic_contracted == want
+
+
+@pytest.mark.parametrize("p, message", [
+    (W * S_MARK + 1, "only w, k1..k3 and p0..p3 evaluate numerically"),
+    (F0, "only w, k1..k3 and p0..p3 evaluate numerically"),
+    (W * K[1] + I * P[2], "expected a real coefficient"),
+    (I * W, "expected a real coefficient"),
+])
+def test_evaluation_errors_keep_their_messages(p, message):
+    vals = [Fraction(v, 3) for v in range(1, 9)]
+    for fn in (_eval_wkp, _eval_wkp_reference):
+        with pytest.raises(ValueError, match=message):
+            fn(p, vals)
+
+
+def test_accounting_is_built_once_for_every_spec_and_theta():
+    _accounting.cache_clear()
+    thetas = (ThetaProfile.zero(), ThetaProfile({(1, 2): t * t}),
+              ThetaProfile({(1, 3): Fraction(-1, 2), (2, 3): t}))
+    specs = (PlaneWaveSpec(3, (1, 2, 2), (1, 2, 0, 1)),
+             PlaneWaveSpec(Fraction(1, 2), (0, -1, 3), (2, 0, 1, Fraction(1, 7)),
+                           profile=(0, 0, 1)))
+    for theta in thetas:
+        for spec in specs:
+            effective_action(spec, StarContext(theta))
+    info = _accounting.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 5, 1)
+
+
+def test_structural_error_is_raised_on_every_call(monkeypatch):
+    import nckit.planewave as pw
+
+    good = pw._symbolic_density
+    # an s^0 term with no f'^2 breaks the quadratic strip
+    monkeypatch.setattr(pw, "_symbolic_density", lambda: good() + W * F0)
+    _accounting.cache_clear()
+    spec, ctx = spec_and_ctx()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unexpected structure"):
+            effective_action(spec, ctx)
+    assert _accounting.cache_info().currsize == 0
+    monkeypatch.undo()
+    _accounting.cache_clear()
+    assert effective_action(spec, ctx).quad_matches_reference
+
+
+def test_reports_do_not_share_mutable_fields():
+    spec, ctx = spec_and_ctx()
+    first = effective_action(spec, ctx)
+    cubic = dict(first.cubic_coeff)
+    first.cubic_coeff[(1, 2)] = PwPoly.zero()
+    first.reference_cubic.clear()
+    first.diagnostics[0]["name"] = "changed"
+    second = effective_action(PlaneWaveSpec(1, (1, 0, 0), (0, 0, 1, 0)), ctx)
+    assert second.cubic_coeff == cubic
+    assert second.reference_cubic == reference_cubic_coefficients()
+    assert second.diagnostics[0]["name"] == "action-quadratic-orientation"
+    assert second.quad_coeff is first.quad_coeff  # immutable, so shared
 
 
 # -- polarisation --------------------------------------------------------------
