@@ -13,9 +13,10 @@ One INI-style file can carry up to two sections:
     profile = cos      (or ascending coefficients in u: "0 0 1")
 
 Every section is optional; unknown sections and keys are rejected so typos
-fail loudly instead of silently falling back to defaults.  Values are read
-literally: ``%`` has no interpolation meaning, and ``[DEFAULT]`` is an
-unknown section like any other.
+fail loudly instead of silently falling back to defaults.  Section names
+and keys are case-sensitive.  Values are read literally: ``%`` has no
+interpolation meaning, and ``[DEFAULT]`` is an unknown section like any
+other.
 """
 
 from __future__ import annotations
@@ -126,6 +127,7 @@ def load_config(path) -> Config:
     # parsers to reject; and no header line can name the default section,
     # so [DEFAULT] is an ordinary, hence unknown, section
     cp = configparser.ConfigParser(interpolation=None, default_section="\n")
+    cp.optionxform = str  # keys are case-sensitive: T12 is not t12
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh)

@@ -25,6 +25,11 @@ defects come out as the exact zero polynomial.
 value of (pot, u, ctx) builds it once when the two are called on equal
 inputs, as every caller does; it holds at most one (F, F') pair, and
 callers treat it as read-only.
+
+``invariance_witness`` takes its commutator in one pass, on density(A) * U
+truncated to the eps orders that commutator can see (the proof is in its
+docstring), and builds density(A') only after it, so the two largest
+intermediates are never held together.
 """
 
 from __future__ import annotations
@@ -256,17 +261,31 @@ def invariance_witness(pot: GaugePotential, u: Poly,
     Returns (w, r) with w = [conj(U), density(A) * U] and r the rest;
     r vanishes modulo eps^{N+1}.  Since the witness is a star commutator,
     the density change integrates to zero by the trace property.
+
+    density(A) * U is built only to the eps orders w can see.  Every term
+    of a commutator is an odd node r of the series, |r| >= 1, and carries
+    d^r on one factor and D^r on the other, D_i = theta^{ij} d_j; so it
+    takes at least one spatial derivative of each.  The spatially constant
+    terms of conj(U) (the eps^0 term 1 among them) therefore never act,
+    and w = [V, density(A) * U] with V the spatially non-constant terms of
+    conj(U) at eps order <= N (all of them when N is None).  Eps orders
+    add in a star product, so with lo the lowest eps order of V, a term of
+    density(A) * U above order N - lo lands above N with every term of V,
+    where the cutoff drops it.  The orders <= N - lo of density(A) * U are
+    those of the product under cutoff N - lo, again because orders add.
+    With no such V, w = 0.
     """
     f, fp = _transformed_strength(pot, u, ctx)
     dens = action_density(f, ctx)
-    dens_p = action_density(fp, ctx)
-    # the witness is linear in dens: summing it over blocks of dens's terms
-    # keeps dens * U, the largest intermediate, from being held whole; the
-    # blocks follow the canonical term order, not the order star emitted
     udag = u.conj()
-    witness = Poly.zero()
-    for block in dens._blocks(64):
-        du = star(block, u, ctx)
-        witness = witness + star_commutator(udag, du, ctx)
+    cutoff = ctx.eps_cutoff
+    lo = min((e[4] for e, _ in u.items() if any(e[1:4])), default=None)
+    if lo is None or (cutoff is not None and lo > cutoff):
+        witness = Poly.zero()
+    else:
+        inner = ctx if cutoff is None else StarContext(ctx.theta, cutoff - lo)
+        witness = star_commutator(udag, star(dens, u, inner), ctx)
+    # density(A') only now, so it and density(A) * U are never held together
+    dens_p = action_density(fp, ctx)
     remainder = ctx.reduce(dens_p - dens - witness)
     return witness, remainder

@@ -192,15 +192,6 @@ class BasePoly:
         return type(self)._raw({k - want: v for k, v in self._nums.items()},
                                self._den)
 
-    def _blocks(self, size: int) -> list:
-        """The terms in ``sorted_terms`` order, ``size`` to a polynomial."""
-        nums = self._nums
-        keys = sorted(nums, reverse=True,
-                      key=lambda k: (sum(e := self._unpack(k)), e))
-        return [type(self)._make({k: nums[k] for k in keys[i:i + size]},
-                                 self._den)
-                for i in range(0, len(keys), size)]
-
     # -- ring operations --------------------------------------------------
 
     def _coerce_operand(self, other: ScalarLike):
@@ -376,8 +367,9 @@ class Poly(BasePoly):
         return max(self._nums, default=0) >> EPS_SHIFT
 
     def spatial_degree(self) -> int:
-        return max((sum(k.to_bytes(5, "little")[1:4]) for k in self._nums),
-                   default=0)
+        # x1, x2 and x3 are bytes 1 to 3 of a key
+        return max(((k >> 8 & 255) + (k >> 16 & 255) + (k >> 24 & 255)
+                    for k in self._nums), default=0)
 
     def truncate_eps(self, n: int) -> "Poly":
         """Drop every term whose eps-exponent exceeds n."""

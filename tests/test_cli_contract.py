@@ -70,7 +70,7 @@ def _theta_text(rng):
         value = _pick(rng, ["t", "t^2 - 1/2", "1/3", "0", _mutate(rng, "t")],
                       ["x1", "i*t", "t^100000", "dt", "t +", "", "(t",
                        "50%", "%(t12)s"])
-        lines.append(f"{_pick(rng, [key], ['t21', 'x'])} = {value}")
+        lines.append(f"{_pick(rng, [key], ['t21', 'x', key.upper()])} = {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -189,3 +189,15 @@ def test_exit_codes_on_generated_inputs(tmp_path, capsys, cmd):
         assert code in (0, 1, 2), f"exit {code}\n{replay}"
         assert code != 1 or cmd == "verify", f"exit 1\n{replay}"
         assert "Traceback" not in err, f"{err}\n{replay}"
+
+
+@pytest.mark.parametrize("body", ["[theta]\nT12 = t\n",
+                                  "[theta]\nt12 = t\nT12 = t\n"],
+                         ids=["upper", "after-lower"])
+def test_config_keys_are_case_sensitive(tmp_path, capsys, body):
+    # configparser's default lower-casing would read T12 as t12, or
+    # report t12 then T12 as a duplicate
+    (tmp_path / "th.ini").write_text(body, encoding="utf-8")
+    argv = ["reduce", "x1*x2", "--theta", str(tmp_path / "th.ini")]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "nckit: unknown key 'T12' in [theta]\n")

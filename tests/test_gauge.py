@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 import nckit.gauge
-from nckit.poly import Poly, t, x1, x2, x3
+from nckit.poly import Poly, eps, t, x1, x2, x3
 from nckit.rationals import CRat
-from nckit.star import StarContext, ThetaProfile, star, star_exp
+from nckit.star import (StarContext, ThetaProfile, star, star_commutator,
+                         star_exp)
 from nckit.gauge import (
     FieldStrength,
     GaugePotential,
@@ -265,6 +266,82 @@ def test_covariance_and_invariance_at_order_three():
         assert all(p.is_zero() for p in dtilde.values())
         _, remainder = invariance_witness(pot, u, ctx)
         assert remainder.is_zero()
+
+
+# -- the truncated witness ----------------------------------------------------
+
+def _full_witness(pot, u, ctx):
+    """[conj(U), density(A) * U] with density(A) * U built at full cutoff."""
+    dens = action_density(field_strength(pot, ctx), ctx)
+    return star_commutator(u.conj(), star(dens, u, ctx), ctx)
+
+
+@pytest.mark.parametrize("cutoff", [None, 0, 1, 2, 3])
+def test_truncated_witness_matches_full_commutator(cutoff):
+    rng = random.Random(f"witness-{cutoff}")
+    order = 2 if cutoff is None else cutoff
+    nonzero = 0
+    for _ in range(4):
+        ctx = StarContext(rand_theta(rng, max_deg=1), eps_cutoff=cutoff)
+        pot = complete_time_component(
+            rand_anti_hermitian_potential(rng, max_terms=2, max_spatial=2),
+            ctx, seed=rand_imag_poly(rng, max_terms=1, max_spatial=2))
+        lam = rand_imag_poly(rng, max_terms=2, max_spatial=2)
+        while lam.spatial_degree() == 0:
+            lam = rand_imag_poly(rng, max_terms=2, max_spatial=2)
+        u = star_exp(lam, order, ctx)
+        witness, remainder = invariance_witness(pot, u, ctx)
+        assert witness == _full_witness(pot, u, ctx)
+        assert cutoff is None or remainder.is_zero()
+        nonzero += not witness.is_zero()
+    # at cutoff 0 U is 1, which commutes with everything
+    assert nonzero >= (cutoff != 0)
+
+
+def test_truncated_witness_with_time_only_terms():
+    # lam's t-only terms put spatially constant terms into every eps order
+    # of U; they do not lower the order at which U starts to act
+    ctx = StarContext(ThetaProfile({(1, 2): t, (2, 3): Fraction(1, 3)}),
+                      eps_cutoff=2)
+    pot = complete_time_component(
+        GaugePotential(I * x2, I * x1 * x3, I * t * x1), ctx)
+    for lam in (I * t + I * x1 * x2, I * t ** 2 - 2 * I * x3 + I * t * x1):
+        u = star_exp(lam, 2, ctx)
+        witness, remainder = invariance_witness(pot, u, ctx)
+        assert not witness.is_zero() and remainder.is_zero()
+        assert witness == _full_witness(pot, u, ctx)
+    # U acts from eps^2 on, so only eps^0 of density(A) * U is needed
+    u = 1 + eps * I * t + eps ** 2 * (I * x1 * x2 + t)
+    witness, _ = invariance_witness(pot, u, ctx)
+    assert not witness.is_zero()
+    assert witness == _full_witness(pot, u, ctx)
+
+
+def test_truncated_witness_drops_nothing_when_eps0_acts():
+    ctx = StarContext(ThetaProfile({(1, 2): t, (1, 3): 1}), eps_cutoff=2)
+    pot = complete_time_component(
+        GaugePotential(I * x2 * x3, I * x1, eps * I * x1 * x2), ctx)
+    for u in (x1 + eps * I * x2 * x3, 1 + x2 * x3 + eps ** 2 * I * x1):
+        witness, _ = invariance_witness(pot, u, ctx)
+        assert not witness.is_zero()
+        assert witness == _full_witness(pot, u, ctx)
+
+
+@pytest.mark.parametrize("cutoff", [None, 0, 1, 2])
+def test_witness_of_spatially_constant_unitary_is_zero(cutoff):
+    ctx = StarContext(ThetaProfile({(1, 2): t, (2, 3): 1}), eps_cutoff=cutoff)
+    pot = complete_time_component(
+        GaugePotential(I * x2, I * x1 * x3, I * x1 * x2), ctx)
+    order = 2 if cutoff is None else cutoff
+    u = star_exp(I * t ** 2 - I * t, order, ctx)
+    witness, remainder = invariance_witness(pot, u, ctx)
+    assert witness.is_zero() and _full_witness(pot, u, ctx).is_zero()
+    assert cutoff is None or remainder.is_zero()
+    # U's only spatial term lies above the cutoff: it never acts either
+    if cutoff is not None:
+        u = 1 + eps * I * t + eps ** (cutoff + 1) * I * x1
+        assert invariance_witness(pot, u, ctx)[0].is_zero()
+        assert _full_witness(pot, u, ctx).is_zero()
 
 
 def test_gauge_identity_transformation():

@@ -75,6 +75,17 @@ def test_degree_helpers():
     assert p.degree_in("t") == 2
 
 
+def test_spatial_degree_matches_exponent_tuples():
+    # exponents up to the limit in every field, t and eps included, so a
+    # field read from the wrong byte shows
+    rng = random.Random(2121)
+    for _ in range(200):
+        p = Poly({tuple(rng.choice((0, 1, 2, EXP_LIMIT - 1)) for _ in range(5)):
+                  rand_crat(rng) for _ in range(rng.randint(0, 4))})
+        want = max((sum(e[1:4]) for e, _ in p.items()), default=0)
+        assert p.spatial_degree() == want
+
+
 def test_power_squares_only_while_bits_remain(monkeypatch):
     p = x1 + x2 + x3 + t
     want = Poly.one()
@@ -326,7 +337,7 @@ def test_exponent_limit_raises():
     assert ((x1 ** 64) * (x1 ** 63)).degree_in("x2") == 0
 
 
-def test_split_strip_and_blocks():
+def test_split_and_strip():
     third = Fraction(1, 3)
     dd = 2 * x1 * eps + 4 * x1 * x2 * eps
     p = dd + third * t + 6 * x1 ** 2
@@ -337,9 +348,3 @@ def test_split_strip_and_blocks():
     assert parts[1]._strip({"x1": 1, "eps": 1}) == 2 + 4 * x2
     with pytest.raises(ValueError, match="unexpected structure"):
         parts[0]._strip({"x1": 2})
-    for size in (1, 2, 4):
-        blocks = p._blocks(size)
-        assert [len(b) for b in blocks][:-1] == [size] * (len(blocks) - 1)
-        for b in blocks:
-            assert_canonical(b)
-        assert [kv for b in blocks for kv in b.sorted_terms()] == p.sorted_terms()
