@@ -128,9 +128,6 @@ class DifferentialForm:
     def degrees(self) -> set[int]:
         return {_degree(m) for m in self._parts}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def degree(self) -> int:
         """Degree of a homogeneous form (0 for the zero form)."""
         degs = self.degrees()

@@ -93,31 +93,56 @@ def pw_partial(p: PwPoly, mu: int) -> PwPoly:
 def pw_substitute(p: PwPoly, mapping: Mapping[str, Poly]) -> Poly:
     """Ring morphism into the spacetime polynomials: var -> mapping[var].
 
-    A variable whose image is a constant is folded into each term's
-    coefficient first.  The terms are then grouped by what remains of
-    their exponents, each power of an image is built once, and every
-    group's product is summed in one pass."""
-    consts = {name: img.coefficient((0,) * len(Poly.VARS))
-              for name, img in mapping.items() if not img.total_degree()}
-    groups: dict[tuple[tuple[str, int], ...], CRat] = {}
-    for exps, c in p.items():
+    A variable whose image is a constant (re + im i) / c is folded into
+    each term's coefficient over ints.  With m its largest exponent in p,
+    a term holding it e times is multiplied by (re + im i)^e c^(m - e), so
+    every term is an int pair over one common denominator: p's times c^m
+    for each folded variable.  The terms are then grouped by what remains
+    of their exponents and each group summed as an int pair.  Each power
+    of an image is built once, and every group's product is summed in one
+    pass."""
+    if not p:
+        return Poly.zero()
+    names = PwPoly.VARS
+    exps = [p._unpack(k) for k in p._nums]
+    tops = list(map(max, zip(*exps)))
+    den = p._den
+    # per variable, None or the int pair its constant image folds in with
+    # at each exponent 0..m
+    folds: list = [None] * len(names)
+    for j, name in enumerate(names):
+        img = mapping.get(name)
+        if img is None or any(img._nums):
+            continue
+        re, im = img._nums.get(0, (0, 0))
+        c, m = img._den, tops[j]
+        den *= c ** m
+        fold, pr, pi = [], 1, 0
+        for e in range(m + 1):
+            scale = c ** (m - e)
+            fold.append((pr * scale, pi * scale))
+            pr, pi = pr * re - pi * im, pr * im + pi * re
+        folds[j] = fold
+    groups: dict[tuple[tuple[str, int], ...], tuple[int, int]] = {}
+    for key, (r, i) in zip(exps, p._nums.values()):
         rest = []
-        for name, e in zip(PwPoly.VARS, exps):
-            if not e:
-                continue
-            if name in consts:
-                c = c * consts[name] ** e
-            elif name in mapping:
+        for name, e, fold in zip(names, key, folds):
+            if fold is not None:
+                fr, fi = fold[e]
+                r, i = r * fr - i * fi, r * fi + i * fr
+            elif e:
+                if name not in mapping:
+                    raise KeyError(f"no substitution given for {name}")
                 rest.append((name, e))
-            else:
-                raise KeyError(f"no substitution given for {name}")
-        groups[tuple(rest)] = groups.get(tuple(rest), 0) + c
+        rest = tuple(rest)
+        acc = groups.get(rest)
+        groups[rest] = (r, i) if acc is None else (acc[0] + r, acc[1] + i)
     powers: dict[tuple[str, int], Poly] = {}
     products = [Poly.zero()]
-    for rest, c in groups.items():
-        if not c:
+    for rest, (r, i) in groups.items():
+        if not (r or i):
             continue
-        m = Poly.const(c)
+        m = Poly._make({0: (r, i)}, den)
         for name, e in rest:
             power = powers.get((name, e))
             if power is None:

@@ -366,6 +366,12 @@ class Poly(BasePoly):
     def eps_degree(self) -> int:
         return max(self._nums, default=0) >> EPS_SHIFT
 
+    def total_degree(self) -> int:
+        # t, x1, x2, x3 and eps are bytes 0 to 4 of a key, eps the top one
+        return max(((k & 255) + (k >> 8 & 255) + (k >> 16 & 255)
+                    + (k >> 24 & 255) + (k >> 32) for k in self._nums),
+                   default=0)
+
     def spatial_degree(self) -> int:
         # x1, x2 and x3 are bytes 1 to 3 of a key
         return max(((k >> 8 & 255) + (k >> 16 & 255) + (k >> 24 & 255)

@@ -90,9 +90,6 @@ class CRat:
     def is_zero(self) -> bool:
         return not self._re and not self._im
 
-    def is_real(self) -> bool:
-        return not self._im
-
     def __bool__(self) -> bool:
         return bool(self._re or self._im)
 

@@ -77,7 +77,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .rationals import HALF_I, CRat
 from .poly import EPS_SHIFT, EXP_LIMIT, FIELD_BITS, Poly, _MASK, _check_limit
@@ -166,9 +166,6 @@ class ThetaProfile:
             object.__setattr__(self, "_dot", ThetaProfile(
                 {k: v.partial(0) for k, v in self._upper.items()}))
         return self._dot
-
-    def is_static(self) -> bool:
-        return self.theta_dot().is_zero()
 
     def _star_table(self) -> tuple[int, tuple]:
         """(largest t-exponent, rows) for the star kernel, built on first
@@ -426,11 +423,15 @@ def star_commutator(f: Poly, g: Poly, ctx: StarContext) -> Poly:
     return star(f, g, ctx, commutator=True)
 
 
-def _leibniz_defect(f: Poly, g: Poly, mu: int, ctx: StarContext) -> Poly:
-    """d_mu(f*g) - (d_mu f)*g - f*(d_mu g)."""
-    return (star(f, g, ctx).partial(mu)
-            - star(f.partial(mu), g, ctx)
-            - star(f, g.partial(mu), ctx))
+def _leibniz_defect(f: Poly, g: Poly, mus: Sequence[int],
+                    ctx: StarContext) -> list[Poly]:
+    """[d_mu(f*g) - (d_mu f)*g - f*(d_mu g) for mu in mus].
+
+    f*g, the largest product of the check, is built once for every
+    direction; each direction then costs its two one-sided products."""
+    fg = star(f, g, ctx)
+    return [fg.partial(mu) - star(f.partial(mu), g, ctx)
+            - star(f, g.partial(mu), ctx) for mu in mus]
 
 
 def dt_leibniz_defect(f: Poly, g: Poly, ctx: StarContext) -> Poly:
@@ -439,7 +440,7 @@ def dt_leibniz_defect(f: Poly, g: Poly, ctx: StarContext) -> Poly:
     Identically equal to (1/2) i thetadot^{ij} (d_i f)*(d_j g); the equality
     is a test contract, this function computes the left side from scratch.
     """
-    return _leibniz_defect(f, g, 0, ctx)
+    return _leibniz_defect(f, g, (0,), ctx)[0]
 
 
 def theta_dot_sum(ctx: StarContext,
@@ -473,7 +474,7 @@ def spatial_derivation_defect(f: Poly, g: Poly, i: int, ctx: StarContext) -> Pol
     """d_i(f*g) - (d_i f)*g - f*(d_i g) for spatial i; identically zero."""
     if not 1 <= i <= 3:
         raise ValueError("spatial index must be 1..3")
-    return _leibniz_defect(f, g, i, ctx)
+    return _leibniz_defect(f, g, (i,), ctx)[0]
 
 
 def star_exp(lam: Poly, order: int, ctx: StarContext) -> Poly:

@@ -80,7 +80,6 @@ def test_form_validation():
 def test_degrees_and_parts():
     w = DifferentialForm({0b0011: x1, 0b0001: t, 0: Poly.one()})
     assert w.degrees() == {0, 1, 2}
-    assert not w.is_homogeneous()
     with pytest.raises(ValueError):
         w.degree()
     assert w.homogeneous_part(1) == DifferentialForm({0b0001: t})

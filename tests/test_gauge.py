@@ -248,7 +248,7 @@ def test_covariance_and_invariance_at_order_three():
     rng = random.Random(1507)
     for _ in range(10):
         theta = rand_theta(rng, max_deg=1, allow_zero_entries=False)
-        while theta.is_static():
+        while theta.theta_dot().is_zero():
             theta = rand_theta(rng, max_deg=1, allow_zero_entries=False)
         ctx = StarContext(theta, eps_cutoff=3)
         spatial = rand_anti_hermitian_potential(rng, max_spatial=2)

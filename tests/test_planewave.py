@@ -29,6 +29,7 @@ from nckit.planewave import (
     reference_cubic_coefficients,
     reference_quad_coefficient,
 )
+from util import assert_canonical, rand_crat, rand_fraction, rand_poly
 
 I = CRat(0, 1)
 
@@ -163,6 +164,96 @@ def test_pw_substitute_folds_constants_and_groups_terms():
     assert pw_substitute(2 * W * F0 + 3 * P[0] * F0, mapping).is_zero()
     with pytest.raises(KeyError):
         pw_substitute(p + S_MARK, mapping)
+
+
+# pw_substitute as it was first written, folding each constant image into
+# the term's CRat coefficient; kept verbatim as the reference for the fold
+# over one common int denominator
+def _pw_substitute_reference(p: PwPoly, mapping) -> Poly:
+    consts = {name: img.coefficient((0,) * len(Poly.VARS))
+              for name, img in mapping.items() if not img.total_degree()}
+    groups: dict[tuple[tuple[str, int], ...], CRat] = {}
+    for exps, c in p.items():
+        rest = []
+        for name, e in zip(PwPoly.VARS, exps):
+            if not e:
+                continue
+            if name in consts:
+                c = c * consts[name] ** e
+            elif name in mapping:
+                rest.append((name, e))
+            else:
+                raise KeyError(f"no substitution given for {name}")
+        groups[tuple(rest)] = groups.get(tuple(rest), 0) + c
+    powers: dict[tuple[str, int], Poly] = {}
+    products = [Poly.zero()]
+    for rest, c in groups.items():
+        if not c:
+            continue
+        m = Poly.const(c)
+        for name, e in rest:
+            power = powers.get((name, e))
+            if power is None:
+                power = powers[(name, e)] = mapping[name] ** e
+            m = m * power
+        products.append(m)
+    return Poly._sum(products)
+
+
+def _rand_image(rng) -> Poly:
+    """A zero, complex rational, non-unit-denominator or non-constant image."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Poly.zero()
+    if kind == 1:
+        return Poly.const(rand_crat(rng))
+    if kind == 2:
+        return Poly.const(rand_fraction(rng, lo=-9, hi=9, max_den=7))
+    return rand_poly(rng, max_terms=2, max_t=1, max_spatial=2)
+
+
+def test_pw_substitute_matches_crat_reference():
+    rng = random.Random(2202)
+    unmapped = 0
+    for n in range(300):
+        p = PwPoly.zero()
+        for _ in range(rng.randint(0, 8)):
+            exps = [0] * len(PwPoly.VARS)
+            for j in rng.sample(range(len(exps)), rng.randint(0, 4)):
+                exps[j] = rng.randint(1, 3)
+            p = p + PwPoly.monomial(exps, rand_crat(rng))
+        mapping = {name: _rand_image(rng) for name in PwPoly.VARS}
+        if n % 5 == 0:  # leave out a variable that p may use
+            del mapping[rng.choice(PwPoly.VARS)]
+        try:
+            want = _pw_substitute_reference(p, mapping)
+        except KeyError as exc:
+            unmapped += 1
+            with pytest.raises(KeyError) as got_exc:
+                pw_substitute(p, mapping)
+            assert got_exc.value.args == exc.args
+            continue
+        got = pw_substitute(p, mapping)
+        assert got == want, (p, mapping)
+        assert_canonical(got)
+    assert unmapped >= 10
+
+
+def test_pw_substitute_matches_crat_reference_on_the_integrand():
+    # the full integrand, its wave data over non-unit denominators and
+    # thetadot constant in one entry, linear in another, zero in the third
+    integrand = _accounting().integrand
+    rng = random.Random(2203)
+    u = t + Poly.const(Fraction(1, 3))
+    for _ in range(3):
+        mapping = {name: Poly.const(rand_fraction(rng, lo=-5, hi=5, max_den=4))
+                   for name in PwPoly.VARS[:8]}
+        mapping.update({"d12": Poly.const(rand_crat(rng)), "d13": 3 * t,
+                        "d23": Poly.zero(), "s": Poly.one(),
+                        "f0": u * u, "f1": 2 * u, "f2": Poly.const(2)})
+        got = pw_substitute(integrand, mapping)
+        assert got == _pw_substitute_reference(integrand, mapping)
+        assert_canonical(got)
 
 
 # -- closed form field strengths ----------------------------------------------

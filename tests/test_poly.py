@@ -86,6 +86,18 @@ def test_spatial_degree_matches_exponent_tuples():
         assert p.spatial_degree() == want
 
 
+def test_total_degree_matches_exponent_tuples():
+    # exponents up to the limit in every field, eps (the top byte) included
+    rng = random.Random(2221)
+    for _ in range(200):
+        p = Poly({tuple(rng.choice((0, 1, 2, EXP_LIMIT - 1)) for _ in range(5)):
+                  rand_crat(rng) for _ in range(rng.randint(0, 4))})
+        want = max((sum(e) for e, _ in p.items()), default=0)
+        assert p.total_degree() == want
+    top = EXP_LIMIT - 1
+    assert Poly.monomial((top,) * 5).total_degree() == 5 * top
+
+
 def test_power_squares_only_while_bits_remain(monkeypatch):
     p = x1 + x2 + x3 + t
     want = Poly.one()

@@ -93,6 +93,36 @@ def test_phase_subalgebra_defects_vanish():
         + [spatial_derivation_defect(h, k, i, ctx) for i in (1, 2, 3)])
 
 
+def test_phase_subalgebra_defects_build_fg_once(monkeypatch):
+    # pairs outside the phase subalgebra under a time-dependent theta, so
+    # the time defect is nonzero; f*g is built once per vector, 9 calls
+    import nckit.star as star_module
+    rng = random.Random(2204)
+    calls = []
+    plain_star = star_module.star
+
+    def counting_star(*args, **kwargs):
+        calls.append(1)
+        return plain_star(*args, **kwargs)
+
+    for _ in range(10):
+        want = [Poly.zero()]
+        while want[0].is_zero():  # redraw until the time defect shows
+            ctx = StarContext(rand_theta(rng, max_deg=2))
+            f = rand_poly(rng, max_terms=3, max_t=2, max_spatial=3)
+            g = rand_poly(rng, max_terms=3, max_t=2, max_spatial=3)
+            want = [dt_leibniz_defect(f, g, ctx)] + [
+                spatial_derivation_defect(f, g, i, ctx) for i in (1, 2, 3)]
+        # and from scratch, one direction at a time
+        assert want == [star(f, g, ctx).partial(mu) - star(f.partial(mu), g, ctx)
+                        - star(f, g.partial(mu), ctx) for mu in range(4)]
+        monkeypatch.setattr(star_module, "star", counting_star)
+        calls.clear()
+        assert phase_subalgebra_defects(f, g, ctx) == want
+        assert len(calls) == 9
+        monkeypatch.setattr(star_module, "star", plain_star)
+
+
 def test_kg_density_real():
     rng = random.Random(1601)
     for _ in range(25):

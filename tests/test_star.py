@@ -297,12 +297,10 @@ def test_theta_antisymmetry_and_dot():
     assert dot.entry(1, 2) == Poly.one()
     assert dot.entry(1, 3).is_zero()
     assert dot.entry(2, 3) == 2 * t
-    assert not th.is_static()
-    assert ThetaProfile.constant(t12=Fraction(3, 2)).is_static()
-    assert ThetaProfile.zero().is_static()
+    assert ThetaProfile.constant(t12=Fraction(3, 2)).theta_dot().is_zero()
+    assert ThetaProfile.zero().theta_dot().is_zero()
     # the only t-dependence in one off-diagonal entry, behind a constant
     one_entry = ThetaProfile({(1, 2): 3, (1, 3): Fraction(1, 2), (2, 3): t + 1})
-    assert not one_entry.is_static()
     assert not one_entry.theta_dot().is_zero()
 
 
