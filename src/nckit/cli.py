@@ -25,7 +25,7 @@ from .grid import (_occupied_band, band_limited_field,
                    grid_trace_defect, load_grid, phase_law_defect)
 from .planewave import effective_action, harmonic_spectrum
 from .star import StarContext, ThetaProfile
-from .suites import SUITE_NAMES, run_suite, theta_to_text
+from .suites import REPORT_SCHEMA, SUITE_NAMES, run_suite, theta_to_text
 
 PHASE_TOL = 1e-8
 TRACE_TOL = 1e-10
@@ -49,7 +49,7 @@ def _cmd_reduce(args) -> int:
     print(result)
     if args.json:
         _write_json(args.json, {
-            "schema": "nckit-report/1",
+            "schema": REPORT_SCHEMA,
             "kind": "reduce",
             "input": args.expression,
             "theta": theta_to_text(theta),
@@ -96,7 +96,7 @@ def _cmd_planewave(args) -> int:
     passed = report.quad_matches_reference and (
         report.cubic_relative_sign in (None, -1))
     doc = {
-        "schema": "nckit-report/1",
+        "schema": REPORT_SCHEMA,
         "kind": "planewave",
         "spec": {
             "omega": str(spec.omega),
@@ -184,7 +184,7 @@ def _cmd_grid_check(args) -> int:
 
     if args.json:
         _write_json(args.json, {
-            "schema": "nckit-report/1",
+            "schema": REPORT_SCHEMA,
             "kind": "grid-check",
             "gridfile": args.gridfile,
             "n": n,

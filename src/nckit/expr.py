@@ -29,7 +29,9 @@ left.  Misusing grades (a pointwise product or a power of a form, Dmu of
 a form) raises GradingError; malformed input raises ParseError with the
 line and column, as does parenthesis nesting deeper than MAX_NESTING; a
 product or power whose operands could give a result beyond MAX_DEGREE or
-MAX_TERMS raises SizeLimitError before it runs.
+MAX_TERMS raises SizeLimitError before it runs.  Every flat chain (sums,
+products, powers, runs of prefix signs) is walked in one loop, whatever
+its length; only parentheses nest.
 """
 
 from __future__ import annotations
@@ -313,44 +315,38 @@ def _check_size(node: Node, degree: int, terms: int) -> None:
 
 
 def evaluate(node: Node, ctx: StarContext) -> Value:
-    if isinstance(node, Bin):
-        # Walk a left-deep chain such as a long flat sum in a loop, so its
-        # length is not bounded by the interpreter's recursion limit.
-        chain = []
-        while isinstance(node, Bin):
-            chain.append(node)
-            node = node.left
-        acc = evaluate(node, ctx)
-        for op in reversed(chain):
-            acc = _binary(op, acc, evaluate(op.right, ctx), ctx)
-        return acc
+    # Follow first operands in a loop, then apply the collected operators
+    # in reverse: only a Bin's right operand recurses, and it nests only
+    # inside parentheses, which MAX_NESTING bounds.
+    chain = []
+    while isinstance(node, (Bin, Un, Pow, Call)):
+        chain.append(node)
+        node = (node.left if isinstance(node, Bin) else
+                node.base if isinstance(node, Pow) else node.arg)
     if isinstance(node, Num):
-        return Poly.const(Fraction(node.value))
-    if isinstance(node, Sym):
-        name = node.name
-        if name == "i":
-            return Poly.const(I)
-        if name in ("t", "x1", "x2", "x3", "eps"):
-            return Poly.variable(name)
-        mu = 0 if name == "dt" else int(name[2])
-        return DifferentialForm.basis(mu)
+        v = Poly.const(Fraction(node.value))
+    elif not isinstance(node, Sym):
+        raise TypeError(f"not a syntax node: {node!r}")
+    elif node.name == "i":
+        v = Poly.const(I)
+    elif node.name in ("t", "x1", "x2", "x3", "eps"):
+        v = Poly.variable(node.name)
+    else:
+        v = DifferentialForm.basis(_BASIS_NAMES.index(node.name))
+    for op in reversed(chain):
+        v = _apply(op, v, ctx)
+    return v
+
+
+def _apply(node: Node, v: Value, ctx: StarContext) -> Value:
+    """The value of node, given the value v of its first operand."""
+    if isinstance(node, Bin):
+        return _binary(node, v, evaluate(node.right, ctx), ctx)
     if isinstance(node, Un):
-        # a run of prefix signs is a chain of Un nodes, applied in a loop
-        chain = []
-        while isinstance(node, Un):
-            chain.append(node.op)
-            node = node.arg
-        v = evaluate(node, ctx)
-        for op in reversed(chain):
-            if op == "-":
-                v = -v
-            elif isinstance(v, Poly):
-                v = v.conj()
-            else:
-                v = form_conj(v, ctx)
-        return v
+        if node.op == "-":
+            return -v
+        return v.conj() if isinstance(v, Poly) else form_conj(v, ctx)
     if isinstance(node, Pow):
-        v = evaluate(node.base, ctx)
         if isinstance(v, DifferentialForm):
             raise GradingError(
                 f"line {node.line}, column {node.col}: "
@@ -361,16 +357,13 @@ def evaluate(node: Node, ctx: StarContext) -> Value:
         # there are multisets of n of the k terms of p
         _check_size(node, 0, math.comb(n + k - 1, n) if k else 1)
         return v ** n
-    if isinstance(node, Call):
-        v = evaluate(node.arg, ctx)
-        if node.fn == "d":
-            return exterior_d(_promote(v), ctx)
-        if isinstance(v, DifferentialForm):
-            raise GradingError(
-                f"line {node.line}, column {node.col}: "
-                f"{node.fn} needs a scalar function; use d for forms")
-        return v.partial(int(node.fn[1]))
-    raise TypeError(f"not a syntax node: {node!r}")
+    if node.fn == "d":
+        return exterior_d(_promote(v), ctx)
+    if isinstance(v, DifferentialForm):
+        raise GradingError(
+            f"line {node.line}, column {node.col}: "
+            f"{node.fn} needs a scalar function; use d for forms")
+    return v.partial(int(node.fn[1]))
 
 
 def _binary(node: Bin, a: Value, b: Value, ctx: StarContext) -> Value:

@@ -153,9 +153,6 @@ class BasePoly:
     def __len__(self) -> int:
         return len(self._nums)
 
-    def total_degree(self) -> int:
-        return max(map(sum, map(self._unpack, self._nums)), default=0)
-
     def degree_in(self, name: str) -> int:
         shift = FIELD_BITS * type(self).VARS.index(name)
         return max((k >> shift & _MASK for k in self._nums), default=0)

@@ -49,6 +49,7 @@ from .star import (PAIRS, StarContext, ThetaProfile, dt_leibniz_correction,
                    star_commutator, star_conj_defect, star_exp)
 
 SUITE_NAMES = ("star", "calculus", "gauge", "scalar", "planewave", "grid")
+REPORT_SCHEMA = "nckit-report/1"  # the "schema" of every --json report
 
 _MAX_COUNTEREXAMPLES = 3
 
@@ -150,7 +151,7 @@ class SuiteReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": "nckit-report/1",
+            "schema": REPORT_SCHEMA,
             "kind": "verify",
             "suite": self.suite,
             "seed": self.seed,

@@ -221,11 +221,39 @@ def test_reduce_nesting_limit(capsys):
     assert capsys.readouterr().out == "3*x1\n"
 
 
-def test_reduce_long_flat_sum(capsys):
-    # a flat chain is walked in a loop, whatever its length
-    for n in (1000, 3000):
-        assert main(["reduce", "+".join(["x1"] * n)]) == 0
-        assert capsys.readouterr().out == f"{n}*x1\n"
+# (id, expression of n links, expected output); n is even
+FLAT_CHAINS = [
+    ("sum", lambda n: "+".join(["x1"] * n), lambda n: f"{n}*x1"),
+    ("difference", lambda n: "-x1" * n, lambda n: f"-{n}*x1"),
+    ("star", lambda n: "x1" + "*1" * n, lambda n: "x1"),
+    ("pointwise", lambda n: "x1" + " .1" * n, lambda n: "x1"),
+    ("power", lambda n: "x1" + "^1" * n, lambda n: "x1"),
+    ("signs", lambda n: "-" * n + "~" * (n + 1) + "i", lambda n: "-i"),
+    ("negated-power", lambda n: "-x1" + "^1" * n, lambda n: "-x1"),
+    ("call-power", lambda n: "D1(x1^2)" + "^1" * n, lambda n: "2*x1"),
+]
+
+
+@pytest.mark.parametrize("n", [1000, 3000])
+@pytest.mark.parametrize("expr, want", [c[1:] for c in FLAT_CHAINS],
+                         ids=[c[0] for c in FLAT_CHAINS])
+def test_reduce_long_flat_chains(expr, want, n, capsys):
+    # every flat chain is walked in a loop, whatever its length; only
+    # parentheses nest
+    assert main(["reduce", "--", expr(n)]) == 0
+    assert capsys.readouterr() == (want(n) + "\n", "")
+
+
+@pytest.mark.parametrize("expr, err", [
+    ("dx1^1^1", "line 1, column 4: power of a differential form"),
+    ("x1^2^2^2^2^2", "line 1, column 11: result could reach degree 32, "
+                     "above the limit of 16"),
+    ("x1+" * 1500 + "dx1^1^1", "line 1, column 4504: power of a "
+                                "differential form"),
+], ids=["form-power", "degree", "deep-in-a-sum"])
+def test_reduce_error_deep_in_a_chain_keeps_its_position(expr, err, capsys):
+    assert main(["reduce", expr]) == 2
+    assert capsys.readouterr() == ("", f"nckit: {err}\n")
 
 
 def test_reduce_long_prefix_sign_runs(capsys):

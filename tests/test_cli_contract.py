@@ -2,11 +2,13 @@
 
 About 200 in-process ``cli.main`` calls across the four subcommands, drawn
 with stdlib ``random`` at fixed seeds: random expressions over the
-expression language's tokens, mutated ``[theta]`` and ``[planewave]``
-files, and mutated binary grid files, each with an occasional ``--json``
-path that cannot be written.  Every call must exit 0, 1 or 2, only
-``verify`` may exit 1 (a failed verification), no call may raise or
-leave a traceback on stderr, and each must return within CASE_LIMIT_S.
+expression language's tokens (a fifth of them flat chains of 1,000 to
+3,000 links), mutated ``[theta]`` and ``[planewave]`` files, and mutated
+binary grid files, each with an occasional ``--json`` path that cannot be
+written.  Every call must exit 0, 1 or 2, only ``verify`` may exit 1 (a
+failed verification), no call may raise, leave a traceback on stderr or
+report its input nested too deeply, and each must return within
+CASE_LIMIT_S.
 A failing case reports its argv and the text of every file it reads, so
 it replays.
 """
@@ -35,8 +37,17 @@ def _pick(rng, good, bad, p_bad=0.15):
     return rng.choice(bad if rng.random() < p_bad else good)
 
 
+def _chain(rng):
+    """A flat chain of 1,000 to 3,000 links: long, but with no nesting."""
+    n = rng.randint(1000, 3000)
+    link = rng.choice(["+x1", "-x2", "*1", " .1", "^1", "-", "~"])
+    return link * n + "x1" if link in ("-", "~") else "x1" + link * n
+
+
 def _expr(rng, depth=0):
-    """A random expression, mostly well formed."""
+    """A random expression, mostly well formed, sometimes a flat chain."""
+    if depth == 0 and rng.random() < 0.2:
+        return _chain(rng)
     r = rng.random()
     if depth > 3 or r < 0.3:
         return _pick(rng, ["t", "x1", "x2", "x3", "eps", "i", "dt", "dx1",
@@ -169,8 +180,10 @@ def _replay(argv, files):
                                  "grid-check"])
 def test_exit_codes_on_generated_inputs(tmp_path, capsys, cmd):
     rng = random.Random(f"cli-contract-{cmd}")
+    power_chains = 0
     for _ in range(CASES):
         argv, files = _case(cmd, rng, tmp_path)
+        power_chains += "^1" * 100 in argv[1]
         for name, body in files.items():
             target = tmp_path / name
             if isinstance(body, bytes):
@@ -189,6 +202,10 @@ def test_exit_codes_on_generated_inputs(tmp_path, capsys, cmd):
         assert code in (0, 1, 2), f"exit {code}\n{replay}"
         assert code != 1 or cmd == "verify", f"exit 1\n{replay}"
         assert "Traceback" not in err, f"{err}\n{replay}"
+        # flat chains cost no depth, and parentheses nest at most
+        # MAX_NESTING deep: the RecursionError fallback is never reached
+        assert "nested too deeply" not in err, f"{err}\n{replay}"
+    assert cmd != "reduce" or power_chains, "no '^1' chain in the sample"
 
 
 @pytest.mark.parametrize("body", ["[theta]\nT12 = t\n",

@@ -99,6 +99,11 @@ def test_grading_errors():
         ev("x1.d(x2)")
 
 
+def test_evaluate_rejects_a_non_node():
+    with pytest.raises(TypeError, match="not a syntax node: None"):
+        evaluate(None, FLAT)
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as e:
         parse_expression("x1 + $")
