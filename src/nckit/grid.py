@@ -25,26 +25,27 @@ j lands on first-axis mode (a1 + start + j) mod N, which is two
 contiguous slice adds: up to the last row, then the wrapped rest from
 row 0.
 
-Slices of W N >= 2^15 samples are split by output row when the process
-may run on two CPUs (its affinity mask, which taskset sets).  The N
-output rows fall into two contiguous ranges; the calling thread fills one
-and a helper thread the other.  Each walks the same live rows a1 in
-ascending order and transforms, at most ceil(W / 4) window rows at a
-time, only those that land in its range.  numpy's FFTs release the
-interpreter lock, so the two ranges are transformed at once.  Every
-output row adds the same terms in the same order as in the serial loop,
-and a row's FFT does not depend on the rows transformed with it, so the
-product has the same bytes on either path.  The threshold is the
-measured crossover.  Below it, handing the interpreter lock back and
-forth around many small numpy calls costs more than the second core
-gains.  On a shared 2-core VM (Python 3.11, numpy 2.4) the split took
-1.66 times the serial time at W N = 16384 (full band, N = 128), 1.15 at
-18240 and 1.03 at 24864 and 32512 (band limited, N = 192 to 256), but
-0.77 at 36864, 0.66 at 50880 and about 0.5 from 130560 on.  On that VM
-band limited products take 0.08-0.12 s at N = 256, which stays serial,
-and 0.47-0.64 s at N = 512 (0.83-1.16 s serial).  Full band ones take
-0.27-0.31 s at N = 256 and 2.3 s at N = 512 (0.32-0.47 s and 4.7 s
-serial).
+One loop fills a range of output rows: it walks the live rows a1 in
+ascending order and transforms, a piece of window rows at a time, only
+the window rows that land in its range.  It runs over the whole grid
+with the whole window as one piece, or, for slices of W N >= 2^15
+samples when the process may run on two CPUs (its affinity mask, which
+taskset sets), over two contiguous ranges of output rows with pieces of
+ceil(W / 4) rows: the calling thread runs one and a helper thread the
+other.  numpy's FFTs release the interpreter lock, so the two ranges
+are transformed at once.  Every output row adds the same terms in the
+same order whatever the ranges, and a row's FFT does not depend on the
+rows transformed with it, so the product has the same bytes for one
+part or two.  The threshold is the measured crossover.  Below it,
+handing the interpreter lock back and forth around many small numpy
+calls costs more than the second core gains.  On a shared 2-core VM
+(Python 3.11, numpy 2.4) two parts took 1.66 times the one-part time at
+W N = 16384 (full band, N = 128), 1.15 at 18240 and 1.03 at 24864 and
+32512 (band limited, N = 192 to 256), but 0.77 at 36864, 0.66 at 50880
+and about 0.5 from 130560 on.  On that VM band limited products take
+0.08-0.12 s at N = 256, which stays in one part, and 0.47-0.64 s at
+N = 512 (0.83-1.16 s in one part).  Full band ones take 0.27-0.31 s at
+N = 256 and 2.3 s at N = 512 (0.32-0.47 s and 4.7 s in one part).
 
 The series cross-check holds each polynomial of its derivative
 bookkeeping as a coefficient matrix C.  Differentiating q times the
@@ -123,11 +124,6 @@ class GridField:
         return GridField(values, self.box_length)
 
 
-def _compatible(f: GridField, g: GridField) -> None:
-    if f.n != g.n or f.box_length != g.box_length:
-        raise ValueError("grid fields must share size and box length")
-
-
 def plane_wave(n: int, box_length: float, a1: int, a2: int) -> GridField:
     """The field e^{i (q_{a1} x1 + q_{a2} x2)} with integer mode numbers."""
     idx = np.arange(n)
@@ -197,15 +193,18 @@ def grid_star(f: GridField, g: GridField, theta: float) -> GridField:
     worst-case error.  A full band spectrum keeps every row and gives the
     dense kernel's result bit for bit.
 
-    Slices of W N >= 2^15 samples, W the right factor's window rows, are
-    split by output row between the calling thread and one helper when
-    the process may run on two CPUs.  Each output row still adds the same
-    terms in the same order, so the result has the same bytes as the
-    serial loop's.  The threshold is the measured crossover, at which the
-    second core starts to pay for the threads' hand-offs (see the module
+    One row loop adds the transformed slices into the output rows.  It
+    runs once over the whole grid in the calling thread, or, for slices
+    of W N >= 2^15 samples (W the right factor's window rows) when the
+    process may run on two CPUs, over two ranges of output rows, one in
+    the calling thread and one in a helper.  Each output row adds the
+    same terms in the same order either way, so the result has the same
+    bytes.  The threshold is the measured crossover, at which the second
+    core starts to pay for the threads' hand-offs (see the module
     docstring).  The helper is joined before the call returns or raises.
     """
-    _compatible(f, g)
+    if f.n != g.n or f.box_length != g.box_length:
+        raise ValueError("grid fields must share size and box length")
     n = f.n
     q = 2 * np.pi * np.fft.fftfreq(n, d=f.box_length / n)
     fhat = np.fft.fft2(f.values, norm="forward")
@@ -234,45 +233,38 @@ def grid_star(f: GridField, g: GridField, theta: float) -> GridField:
 
     out_modes = np.zeros((n, n), dtype=np.complex128)
     parts = _parts(size * n) if len(f_rows) else 1
-    if parts == 1:
-        buf = np.empty((size, n), dtype=np.complex128)
+    # window rows per transform: the whole window in one part; range()
+    # needs a step of at least 1 even for an empty window
+    piece = max(1, -(-size // (2 * parts)) if parts > 1 else size)
+
+    def add_rows(lo, hi, stop):
+        # window row j lands on output row (s + j) mod n, so rows lo..hi-1
+        # take j in [lo - s, hi - s) and [lo + n - s, hi + n - s), clipped
+        # to the window; for the whole grid the two runs join into one
+        runs = ((lo, hi + n),) if hi - lo == n else ((lo, hi), (lo + n, hi + n))
+        buf = np.empty((piece, n), dtype=np.complex128)
         for a1 in f_rows:
-            np.multiply(left, fhat[a1, :], out=buf)
-            a_slice = np.fft.ifft(buf, axis=1, norm="forward")  # [j, x2]
-            np.multiply(ghat, right_twist(a1), out=buf)
-            a_slice *= np.fft.ifft(buf, axis=1, norm="forward")
-            # row j lands on first-axis mode (a1 + start + j) mod n: rows
-            # s.. up to the end of the grid, then the wrapped rest from row 0
+            if stop.is_set():
+                return
+            f_row, twist = fhat[a1, :], right_twist(a1)
             s = (a1 + start) % n
-            head = min(size, n - s)
-            out_modes[s:s + head] += a_slice[:head]
-            out_modes[:size - head] += a_slice[head:]
-    else:
-        piece = -(-size // (2 * parts))  # window rows per transform
+            for j0, j1 in runs:
+                j1 = min(j1 - s, size)
+                for j in range(max(j0 - s, 0), j1, piece):
+                    k = min(j + piece, j1)
+                    b = buf[:k - j]
+                    np.multiply(left[j:k], f_row, out=b)
+                    a_slice = np.fft.ifft(b, axis=1, norm="forward")  # [j, x2]
+                    np.multiply(ghat[j:k], twist, out=b)
+                    a_slice *= np.fft.ifft(b, axis=1, norm="forward")
+                    # rows up to the end of the grid, then the wrapped
+                    # rest from row 0
+                    r = (s + j) % n
+                    head = min(k - j, n - r)
+                    out_modes[r:r + head] += a_slice[:head]
+                    out_modes[:k - j - head] += a_slice[head:]
 
-        def add_rows(lo, hi, stop):
-            # the loop above, keeping only the window rows that land on
-            # output rows lo..hi-1, transformed piece by piece
-            buf = np.empty((piece, n), dtype=np.complex128)
-            for a1 in f_rows:
-                if stop.is_set():
-                    return
-                f_row, twist = fhat[a1, :], right_twist(a1)
-                s = (a1 + start) % n
-                head = min(size, n - s)
-                # window rows j0..j1 - 1 land on output rows base + j0..
-                for base, j0, j1 in ((s, 0, head), (-head, head, size)):
-                    j0, j1 = max(j0, lo - base), min(j1, hi - base)
-                    for j in range(j0, j1, piece):
-                        k = min(j + piece, j1)
-                        b = buf[:k - j]
-                        np.multiply(left[j:k], f_row, out=b)
-                        a_slice = np.fft.ifft(b, axis=1, norm="forward")
-                        np.multiply(ghat[j:k], twist, out=b)
-                        a_slice *= np.fft.ifft(b, axis=1, norm="forward")
-                        out_modes[base + j:base + k] += a_slice
-
-        _split_rows(n, parts, add_rows)
+    _split_rows(n, parts, add_rows)
     # the last transform is the call's peak in memory: hold no spectrum
     # through it (the helpers' freed buffers may stay resident)
     del fhat, ghat, left
@@ -280,21 +272,23 @@ def grid_star(f: GridField, g: GridField, theta: float) -> GridField:
 
 
 def _parts(work: int) -> int:
-    """How many parts grid_star splits its output rows into, for slices of
-    `work` = W N samples: the CPUs this process may run on, at most 2, and
-    one below _SPLIT_MIN_WORK."""
+    """How many ranges of output rows grid_star's row loop runs over, for
+    slices of `work` = W N samples: the CPUs this process may run on, at
+    most 2, and one below _SPLIT_MIN_WORK or off Linux."""
     if work < _SPLIT_MIN_WORK:
         return 1
     try:
         return min(2, len(os.sched_getaffinity(0)))
-    except AttributeError:  # not Linux: stay serial
+    except AttributeError:  # not Linux: one part
         return 1
 
 
 def _split_rows(n: int, parts: int, add_rows) -> None:
     """Call add_rows(lo, hi, stop) on `parts` contiguous ranges of the n
     output rows, the first in the calling thread and the rest in helper
-    threads, and return when every helper has finished.
+    threads, and return when every helper has finished.  One part is the
+    whole grid, run in the calling thread with no thread started and no
+    signal mask touched.
 
     Helpers start with the timer and interrupt signals blocked, so those
     reach the calling thread.  If a part raises, `stop` is set and the
@@ -302,8 +296,10 @@ def _split_rows(n: int, parts: int, add_rows) -> None:
     the caller's exception propagates, or else the first helper's is
     raised here.
     """
-    bounds = [n * k // parts for k in range(parts + 1)]
     stop = threading.Event()
+    if parts == 1:  # Windows has no pthread_sigmask
+        return add_rows(0, n, stop)
+    bounds = [n * k // parts for k in range(parts + 1)]
     errors = []
 
     def helper(lo, hi):
@@ -372,7 +368,6 @@ def grid_trace_defect(f: GridField, g: GridField, theta: float) -> float:
 
     The trace property: integrating a star product erases the twist.
     """
-    _compatible(f, g)
     s = grid_star(f, g, theta)
     plain = complex((f.values * g.values).sum() * f.cell_area)
     return _normalised_gap(f, g, s.integral(), plain)
@@ -380,7 +375,6 @@ def grid_trace_defect(f: GridField, g: GridField, theta: float) -> float:
 
 def grid_cyclicity_defect(f: GridField, g: GridField, theta: float) -> float:
     """|integral(f*g) - integral(g*f)| / (||f|| ||g||)."""
-    _compatible(f, g)
     return _normalised_gap(f, g, grid_star(f, g, theta).integral(),
                            grid_star(g, f, theta).integral())
 

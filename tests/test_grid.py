@@ -258,9 +258,15 @@ def test_grid_star_bytes_do_not_depend_on_the_part_count(monkeypatch):
          rows_field(n, list(range(10, 30)) + list(range(150, 170)), seed=1876)),
         (plane_wave(n, 2.0, 3, -7), plane_wave(n, 2.0, -60, 5)),
         (nan_field.with_values(values), band_limited_field(n, 2.0, 40, seed=1877)),
+        # a zero right factor has an empty window, W = 0
+        (band_limited_field(n, 2.0, 30, seed=1878), GridField(np.zeros((n, n)), 2.0)),
+        # an odd grid whose window wraps past row 0
+        (band_limited_field(15, 2.0, 3, seed=1879), rows_field(15, [13, 14, 0, 1, 2], seed=1880)),
     ]
     assert _cyclic_window(_live_rows(spectrum(pairs[1][1])), n) == (230, 46)
     assert _cyclic_window(_live_rows(spectrum(pairs[2][1])), n) == (150, 136)
+    assert _cyclic_window(_live_rows(spectrum(pairs[5][1])), n) == (0, 0)
+    assert _cyclic_window(_live_rows(spectrum(pairs[6][1])), 15) == (13, 5)
     for parts in (1, 2, 3):
         monkeypatch.setattr(nckit.grid, "_parts", lambda work, p=parts: p)
         with np.errstate(invalid="ignore"):
@@ -268,6 +274,23 @@ def test_grid_star_bytes_do_not_depend_on_the_part_count(monkeypatch):
         if parts == 1:
             want = got
         assert got == want
+
+
+def test_one_part_starts_no_thread_and_sets_no_signal_mask(monkeypatch):
+    # the one-part loop runs in the calling thread, also where there are
+    # no threads to start or no pthread_sigmask (Windows)
+    def refuse(*args, **kwargs):
+        raise AssertionError("one part must not start a thread or mask signals")
+
+    pairs = [(random_field(64, 1886), random_field(64, 1887)),
+             (band_limited_field(256, 2.0, 40, seed=1888),
+              band_limited_field(256, 2.0, 40, seed=1889))]
+    monkeypatch.setattr(nckit.grid, "_parts", lambda work: 2)
+    want = [grid_star(f, g, 0.37).values.tobytes() for f, g in pairs]
+    monkeypatch.setattr(nckit.grid, "_parts", lambda work: 1)
+    monkeypatch.setattr(threading, "Thread", refuse)
+    monkeypatch.setattr(signal, "pthread_sigmask", refuse)
+    assert [grid_star(f, g, 0.37).values.tobytes() for f, g in pairs] == want
 
 
 def _grid_threads():
@@ -473,6 +496,17 @@ def test_band_limited_field_spectrum_support():
     assert np.array_equal(f.values, again.values)
     with pytest.raises(ValueError):
         band_limited_field(n, 1.0, n // 2, seed=1)
+
+
+@pytest.mark.parametrize("product", [grid_star, grid_trace_defect,
+                                     grid_cyclicity_defect])
+def test_mismatched_grids_are_rejected(product):
+    f = band_limited_field(16, 2.0, 3, seed=1890)
+    for g in (band_limited_field(12, 2.0, 3, seed=1891),
+              band_limited_field(16, 2.5, 3, seed=1892)):
+        for lhs, rhs in ((f, g), (g, f)):
+            with pytest.raises(ValueError, match="share size and box length"):
+                product(lhs, rhs, 0.5)
 
 
 def test_trace_and_cyclicity_defects():
