@@ -17,7 +17,8 @@ import argparse
 import json
 import sys
 
-from .config import ConfigError, load_config, load_theta
+from .config import (ConfigError, load_config, load_theta, planewave_items,
+                     theta_to_text)
 from .expr import (GradingError, ParseError, poly_to_expr,
                    reduce_expression)
 from .grid import (_occupied_band, band_limited_field,
@@ -25,7 +26,7 @@ from .grid import (_occupied_band, band_limited_field,
                    grid_trace_defect, load_grid, phase_law_defect)
 from .planewave import effective_action, harmonic_spectrum
 from .star import StarContext, ThetaProfile
-from .suites import REPORT_SCHEMA, SUITE_NAMES, run_suite, theta_to_text
+from .suites import REPORT_SCHEMA, SUITE_NAMES, run_suite
 
 PHASE_TOL = 1e-8
 TRACE_TOL = 1e-10
@@ -93,8 +94,6 @@ def _cmd_planewave(args) -> int:
         harmonics = {str(n): str(c) for n, c in sorted(spectrum.items())}
     except ValueError as exc:
         harmonics, spectrum_note = None, str(exc)
-    passed = report.quad_matches_reference and (
-        report.cubic_relative_sign in (None, -1))
     doc = {
         "schema": REPORT_SCHEMA,
         "kind": "planewave",
@@ -114,16 +113,12 @@ def _cmd_planewave(args) -> int:
         "polarised": report.polarised,
         "harmonics": harmonics,
         "diagnostics": [dict(d) for d in report.diagnostics],
-        "passed": passed,
+        "passed": report.passed,
     }
 
-    wave, sign = doc["spec"], doc["cubic_relative_sign"]
+    sign = doc["cubic_relative_sign"]
     rows = [
-        ("omega", wave["omega"]),
-        ("k", " ".join(wave["k"])),
-        ("p", " ".join(wave["p"])),
-        ("profile", (wave["profile"] if isinstance(wave["profile"], str)
-                     else " ".join(wave["profile"]))),
+        *planewave_items(spec),
         ("null wave", "yes" if doc["null"] else "no"),
         ("quadratic identity", "pass" if doc["quad_matches_reference"]
                                else "FAIL"),
@@ -139,10 +134,10 @@ def _cmd_planewave(args) -> int:
     width = max(len(k) for k, _ in rows)
     for key, val in rows:
         print(f"{key:<{width}}  {val}")
-    print(f"result: {'pass' if passed else 'FAIL'}")
+    print(f"result: {'pass' if report.passed else 'FAIL'}")
     if args.json:
         _write_json(args.json, doc)
-    return 0 if passed else 1
+    return 0 if report.passed else 1
 
 
 # -- grid-check ---------------------------------------------------------------

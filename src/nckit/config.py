@@ -12,11 +12,12 @@ One INI-style file can carry up to two sections:
     p = 1 2 0 1
     profile = cos      (or ascending coefficients in u: "0 0 1")
 
-Every section is optional; unknown sections and keys are rejected so typos
-fail loudly instead of silently falling back to defaults.  Section names
-and keys are case-sensitive.  Values are read literally: ``%`` has no
-interpolation meaning, and ``[DEFAULT]`` is an unknown section like any
-other.
+The module reads both sections (``load_config``) and writes them
+(``theta_to_text``, ``planewave_items``).  Every section is optional;
+unknown sections and keys are rejected so typos fail loudly instead of
+silently falling back to defaults.  Section names and keys are
+case-sensitive.  Values are read literally: ``%`` has no interpolation
+meaning, and ``[DEFAULT]`` is an unknown section like any other.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import GradingError, ParseError, SizeLimitError, evaluate, parse_expression
+from .expr import (GradingError, ParseError, SizeLimitError, evaluate,
+                   parse_expression, poly_to_expr)
 from .planewave import PlaneWaveSpec
 from .poly import Poly
-from .star import StarContext, ThetaProfile
+from .star import PAIRS, StarContext, ThetaProfile
 
 
 class ConfigError(Exception):
@@ -60,7 +62,13 @@ def _check_keys(section, known) -> None:
             raise ConfigError(f"unknown key {key!r} in [{section.name}]")
 
 
-_THETA_SLOTS = {"t12": (1, 2), "t13": (1, 3), "t23": (2, 3)}
+_THETA_SLOTS = {f"t{i}{j}": (i, j) for i, j in PAIRS}
+
+
+def theta_to_text(theta: ThetaProfile) -> dict[str, str]:
+    """The [theta] keys and values that read back as theta."""
+    return {f"t{i}{j}": poly_to_expr(p)
+            for (i, j), p in theta.upper_entries().items()}
 
 
 def _parse_theta(section) -> ThetaProfile:
@@ -89,6 +97,15 @@ def _fraction_list(text: str, count: int, where: str) -> tuple[Fraction, ...]:
     if len(parts) != count:
         raise ConfigError(f"{where}: expected {count} entries, got {len(parts)}")
     return tuple(_fraction(p, where) for p in parts)
+
+
+def planewave_items(spec: PlaneWaveSpec) -> list[tuple[str, str]]:
+    """The [planewave] keys and values, in file order, that read back as
+    spec."""
+    profile = (spec.profile if isinstance(spec.profile, str)
+               else " ".join(map(str, spec.profile)))
+    return [("omega", str(spec.omega)), ("k", " ".join(map(str, spec.k))),
+            ("p", " ".join(map(str, spec.p))), ("profile", profile)]
 
 
 def _parse_planewave(section) -> PlaneWaveSpec:

@@ -26,6 +26,9 @@ front (``move_left``).  Consequences, all tested:
     d(a ^ b) = d(a) ^ b + (-1)^p a ^ d(b)       (p = degree of a)
     conj(a ^ b) = conj(b) ^ conj(a)
 
+For an inhomogeneous a, (-1)^p goes on each term of a by its own degree,
+so ``d_leibniz_defect`` forms one signed product a' ^ d(b).
+
 Conjugation of a wedge monomial reverses its factors, hence the
 (-1)^{p(p-1)/2} sign, and leaves the conjugated coefficient on the right;
 ``form_conj`` moves it back into normal order.
@@ -33,10 +36,9 @@ Conjugation of a wedge monomial reverses its factors, hence the
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .rationals import HALF_I, CRat
+from .rationals import HALF_I
 from .poly import Poly
 from .star import StarContext, star, theta_dot_sum
 
@@ -137,10 +139,6 @@ class DifferentialForm:
             raise ValueError("form is not homogeneous")
         return degs.pop()
 
-    def homogeneous_part(self, p: int) -> "DifferentialForm":
-        return DifferentialForm._raw(
-            {m: c for m, c in self._parts.items() if _degree(m) == p})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DifferentialForm):
             return NotImplemented
@@ -177,15 +175,6 @@ class DifferentialForm:
 
     def __neg__(self) -> "DifferentialForm":
         return DifferentialForm._raw({m: -c for m, c in self._parts.items()})
-
-    def __mul__(self, scalar) -> "DifferentialForm":
-        if not isinstance(scalar, (int, Fraction, CRat)):
-            return NotImplemented
-        return DifferentialForm._raw(
-            {m: c2 for m, c in self._parts.items()
-             if (c2 := c * scalar)})
-
-    __rmul__ = __mul__
 
 
 def move_left(g: Poly, mask: int, ctx: StarContext) -> DifferentialForm:
@@ -263,14 +252,13 @@ def form_conj(w: DifferentialForm, ctx: StarContext) -> DifferentialForm:
 
 def d_leibniz_defect(a: DifferentialForm, b: DifferentialForm,
                      ctx: StarContext) -> DifferentialForm:
-    """d(a b) - d(a) b - (-1)^p a d(b), summed over homogeneous parts of a.
+    """d(a b) - d(a) b - a' d(b), a' being a with each term f . W signed by
+    (-1)^deg(W), so one product covers every degree of a.
 
     Identically zero: the dt correction in the bimodule relations is exactly
     what the graded Leibniz rule requires.
     """
-    total = d(form_mul(a, b, ctx), ctx) - form_mul(d(a, ctx), b, ctx)
-    for p in a.degrees():
-        ap = a.homogeneous_part(p)
-        term = form_mul(ap, d(b, ctx), ctx)
-        total = total - (term * (-1 if p & 1 else 1))
-    return total
+    signed = DifferentialForm._raw(
+        {m: -c if _degree(m) & 1 else c for m, c in a.items()})
+    return (d(form_mul(a, b, ctx), ctx) - form_mul(d(a, ctx), b, ctx)
+            - form_mul(signed, d(b, ctx), ctx))

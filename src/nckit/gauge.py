@@ -75,9 +75,6 @@ class GaugePotential:
             return self.spatial()[mu - 1]
         raise ValueError("component index must be 0..3")
 
-    def with_time_component(self, a0: Poly) -> "GaugePotential":
-        return GaugePotential(self.a1, self.a2, self.a3, a0)
-
 
 def reality_defect(pot: GaugePotential, ctx: StarContext) -> list[Poly]:
     """A_k + conj(A_k) for k = 1..3, reduced by the eps cutoff."""
@@ -109,7 +106,7 @@ def complete_time_component(pot: GaugePotential, ctx: StarContext,
     if ctx.reduce(seed + seed.conj()):
         raise ValueError("time component seed must be anti-hermitian")
     a0 = seed + _QUARTER_I * _theta_dot_div(pot, ctx)
-    out = pot.with_time_component(ctx.reduce(a0))
+    out = GaugePotential(*pot.spatial(), ctx.reduce(a0))
     if time_component_defect(out, ctx):
         raise ValueError(
             "spatial components violate the reality constraint "

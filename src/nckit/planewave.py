@@ -49,17 +49,15 @@ from functools import lru_cache
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence, Union
 
-from .rationals import CRat, I, RatLike
+from .rationals import HALF_I, CRat, I, RatLike
 from .poly import BasePoly, Poly
-from .star import StarContext
+from .star import PAIRS, StarContext, signed_entry
 from .gauge import GaugePotential, complete_time_component
 from .scalar import linear_phase
 
-_HALF_I = CRat(0, Fraction(1, 2))
 _QUARTER = Fraction(1, 4)
 
 _SPATIAL = (1, 2, 3)
-_DPAIRS = ((1, 2), (1, 3), (2, 3))
 
 
 class PwPoly(BasePoly):
@@ -158,7 +156,7 @@ def _d_sum(term) -> PwPoly:
     """sum_{j,k} thetadot^{jk} term(j, k) over the formal antisymmetric
     thetadot, i.e. sum_{j<k} d_jk (term(j, k) - term(k, j))."""
     acc = PwPoly.zero()
-    for j, k in _DPAIRS:
+    for j, k in PAIRS:
         acc = acc + _D[(j, k)] * (term(j, k) - term(k, j))
     return acc
 
@@ -185,23 +183,18 @@ def _symbolic_strengths() -> tuple[dict, dict, dict]:
     a0, a_sp = _symbolic_potential()
 
     spatial = {}
-    for i, j in _DPAIRS:
+    for i, j in PAIRS:
         spatial[(i, j)] = pw_partial(a_sp[j - 1], i) - pw_partial(a_sp[i - 1], j)
-
-    def spatial_entry(i, j):
-        if i == j:
-            return PwPoly.zero()
-        return spatial[(i, j)] if i < j else -spatial[(j, i)]
 
     time = {}
     tilde = {}
     for i in _SPATIAL:
         time[i] = f0i = (
             pw_partial(a_sp[i - 1], 0) - pw_partial(a0, i)
-            - _HALF_I * _S_MARK * _d_sum(
+            - HALF_I * _S_MARK * _d_sum(
                 lambda m, n: a_sp[n - 1] * pw_partial(a_sp[i - 1], m)))
-        tilde[i] = f0i - _HALF_I * _S_MARK * _d_sum(
-            lambda k, j: spatial_entry(i, j) * a_sp[k - 1])
+        tilde[i] = f0i - HALF_I * _S_MARK * _d_sum(lambda k, j: signed_entry(
+            spatial, i, j, PwPoly.zero()) * a_sp[k - 1])
     return spatial, time, tilde
 
 
@@ -212,7 +205,7 @@ def _symbolic_density() -> PwPoly:
     """
     spatial, _, tilde = _symbolic_strengths()
     acc = PwPoly.zero()
-    for pair in _DPAIRS:
+    for pair in PAIRS:
         fij = spatial[pair]
         acc = acc + fij * fij.conj()
     for i in _SPATIAL:
@@ -244,7 +237,7 @@ def reference_cubic_coefficients() -> dict[tuple[int, int], PwPoly]:
     """
     scalar = _W * _dot(_P, _P) - _P[0] * _dot(_K, _P)
     return {(j, kk): -2 * scalar * (_K[j] * _P[kk] - _K[kk] * _P[j])
-            for j, kk in _DPAIRS}
+            for j, kk in PAIRS}
 
 
 # -- user-facing spec and report ----------------------------------------------
@@ -319,7 +312,7 @@ def coupling_scalar(spec: PlaneWaveSpec, ctx: StarContext) -> Poly:
     """S(t) = thetadot^{jk}(t) k_j p_k for this wave; a polynomial in t."""
     dot = ctx.theta.theta_dot()
     acc = Poly.zero()
-    for j, kk in _DPAIRS:
+    for j, kk in PAIRS:
         coeff = spec.k[j - 1] * spec.p[kk] - spec.k[kk - 1] * spec.p[j]
         if coeff:
             acc = acc + dot.entry(j, kk) * Fraction(coeff)
@@ -353,6 +346,8 @@ class ActionReport:
     Symbolic fields are polynomials in the generic wave data; contracted
     fields substitute the concrete spec and deformation.  orientation is
     the factor relating reported coefficients to the literal integrand.
+    ``passed``, the ``nckit planewave`` verdict, needs quad_matches_reference
+    and cubic_relative_sign == -1: a cubic matching under neither sign fails.
     """
 
     orientation: int
@@ -369,6 +364,10 @@ class ActionReport:
     cubic_contracted: Poly
     polarised: bool
     diagnostics: tuple[dict, ...]
+
+    @property
+    def passed(self) -> bool:
+        return self.quad_matches_reference and self.cubic_relative_sign == -1
 
 
 _WKP = PwPoly.VARS[:8]
@@ -444,7 +443,7 @@ def _accounting() -> _Accounting:
 
     cubic: dict[tuple[int, int], PwPoly] = {}
     s1 = parts.get(1, PwPoly.zero())
-    for j, k in _DPAIRS:
+    for j, k in PAIRS:
         d = f"d{j}{k}"
         fixed = {"s": 1, d: 1, "f0": 1, "f1": 2, "f2": 0}
         # every term holding d_jk must hold it once
@@ -458,9 +457,9 @@ def _accounting() -> _Accounting:
     ref_cubic = reference_cubic_coefficients()
 
     quad_ok = quad == ref_quad
-    if all((cubic[p2] == ref_cubic[p2] for p2 in _DPAIRS)):
+    if all((cubic[p2] == ref_cubic[p2] for p2 in PAIRS)):
         rel_sign: int | None = 1
-    elif all((cubic[p2] == -ref_cubic[p2] for p2 in _DPAIRS)):
+    elif all((cubic[p2] == -ref_cubic[p2] for p2 in PAIRS)):
         rel_sign = -1
     else:
         rel_sign = None

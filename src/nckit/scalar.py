@@ -20,10 +20,8 @@ arithmetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
-from .rationals import CRat
 from .poly import Poly
 from .star import StarContext, _leibniz_defect, star
 from .forms import DifferentialForm, d, form_conj
@@ -56,14 +54,8 @@ def linear_phase(omega, k: Sequence) -> Poly:
     """The phase polynomial u = omega t + k1 x1 + k2 x2 + k3 x3."""
     if len(k) != 3:
         raise ValueError("k must have three components")
-    u = Poly.monomial((1, 0, 0, 0, 0), CRat.coerce(omega))
-    for i, ki in enumerate(k):
-        c = CRat.coerce(ki)
-        if c:
-            exps = [0] * 5
-            exps[1 + i] = 1
-            u = u + Poly.monomial(tuple(exps), c)
-    return u
+    return Poly({(1, 0, 0, 0, 0): omega, (0, 1, 0, 0, 0): k[0],
+                 (0, 0, 1, 0, 0): k[1], (0, 0, 0, 1, 0): k[2]})
 
 
 def kg_operator(phi: Poly) -> Poly:

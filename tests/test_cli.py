@@ -1,5 +1,6 @@
 """Command surface and config files: exit codes, reports, round trips."""
 
+import dataclasses
 import itertools
 import json
 import pathlib
@@ -11,11 +12,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nckit import cli
 from nckit.cli import _build_parser, main
-from nckit.config import ConfigError, load_config, load_theta
+from nckit.config import (ConfigError, load_config, load_theta,
+                          planewave_items, theta_to_text)
 from nckit.expr import MAX_DEGREE, MAX_NESTING, MAX_TERMS
 from nckit.grid import (MAGIC, GridField, _occupied_band, band_limited_field,
                         save_grid)
+from nckit.planewave import PlaneWaveSpec
 from nckit.poly import Poly, t
 from nckit.star import ThetaProfile
 
@@ -132,6 +136,24 @@ def test_planewave_numbers_keep_signs_and_fractions(tmp_path):
     wave = load_config(p).planewave
     assert (wave.omega, wave.k) == (3, (-1, Fraction(1, 2), 7))
     assert wave.p[1] == Fraction(-2, 3) and wave.profile == (0, Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("spec", [
+    PlaneWaveSpec(Fraction(5, 2), (Fraction(-1, 2), 0, 3),
+                  (0, -1, Fraction(2, 3), 1), (1, Fraction(-1, 2), 0)),
+    PlaneWaveSpec(Fraction(5, 2), (Fraction(-1, 2), 0, 3),
+                  (0, -1, Fraction(2, 3), 1), "cos"),
+], ids=["polynomial", "cos"])
+def test_written_sections_read_back(spec, tmp_path):
+    theta = ThetaProfile({(1, 2): t * t - Fraction(1, 3),
+                          (1, 3): Fraction(-5, 2),
+                          (2, 3): 3 * t - 2 * t * t * t})
+    theta_lines = [f"{k} = {v}" for k, v in theta_to_text(theta).items()]
+    wave_lines = [f"{k} = {v}" for k, v in planewave_items(spec)]
+    text = "\n".join(["[theta]", *theta_lines, "[planewave]", *wave_lines])
+    cfg = load_config(write(tmp_path / "w.ini", text + "\n"))
+    assert cfg.theta == theta
+    assert cfg.planewave == spec
 
 
 @pytest.mark.parametrize("body, err", [
@@ -483,6 +505,47 @@ def test_planewave_stdout_is_pinned(profile, harmonics, tmp_path, capsys):
                  WAVE_INI.replace("profile = cos", f"profile = {profile}"))
     assert main(["planewave", spec]) == 0
     assert capsys.readouterr().out == _pinned_report(profile, harmonics)
+
+
+def test_fractional_planewave_stdout_is_pinned(tmp_path, capsys):
+    spec = write(tmp_path / "w.ini", WAVE_INI.split("[planewave]")[0] + """\
+[planewave]
+omega = 5/2
+k = -1/2 0 3
+p = 0 -1 2/3 1
+profile = 1 -1/2 0
+""")
+    assert main(["planewave", spec]) == 0
+    assert capsys.readouterr().out == """\
+omega               5/2
+k                   -1/2 0 3
+p                   0 -1 2/3 1
+profile             1 -1/2 0
+null wave           no
+quadratic identity  pass
+cubic sign          -1
+quad value          59/12
+cubic contracted    -220/27*t - 220/9
+polarised           no
+harmonics           unavailable (harmonic analysis requires the cosine profile (or a constant))
+""" + _PINNED_TAIL
+
+
+@pytest.mark.parametrize("change", [
+    {"cubic_relative_sign": None},  # matches under neither sign
+    {"cubic_relative_sign": 1},
+    {"quad_matches_reference": False},
+])
+def test_planewave_fails_off_the_documented_signs(change, tmp_path, capsys,
+                                                  monkeypatch):
+    real = cli.effective_action
+    monkeypatch.setattr(cli, "effective_action", lambda spec, ctx: (
+        dataclasses.replace(real(spec, ctx), **change)))
+    spec = write(tmp_path / "w.ini", WAVE_INI)
+    out = tmp_path / "pw.json"
+    assert main(["planewave", spec, "--json", str(out)]) == 1
+    assert capsys.readouterr().out.endswith("result: FAIL\n")
+    assert json.loads(out.read_text())["passed"] is False
 
 
 def test_planewave_zero_polarization(tmp_path, capsys):

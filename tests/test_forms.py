@@ -7,6 +7,7 @@ import pytest
 
 from nckit.poly import Poly, t, x1, x2, x3
 from nckit.rationals import CRat
+from nckit import forms
 from nckit.star import StarContext, ThetaProfile, star
 from nckit.forms import (
     DifferentialForm,
@@ -82,7 +83,6 @@ def test_degrees_and_parts():
     assert w.degrees() == {0, 1, 2}
     with pytest.raises(ValueError):
         w.degree()
-    assert w.homogeneous_part(1) == DifferentialForm({0b0001: t})
     assert w.coefficient(0b0011) == x1
     assert (DX1 + DX2).degree() == 1
 
@@ -223,6 +223,46 @@ def test_d_graded_leibniz():
         a = rand_form(rng)
         b = rand_form(rng)
         assert d_leibniz_defect(a, b, ctx).is_zero()
+
+
+def _leibniz_by_degree(a, b, ctx):
+    """The per-degree formula: d(ab) - d(a) b - sum_p (-1)^p a_p d(b), with
+    a_p the degree p part of a, one product per degree."""
+    total = d(form_mul(a, b, ctx), ctx) - form_mul(d(a, ctx), b, ctx)
+    for p in a.degrees():
+        part = DifferentialForm(
+            {m: c for m, c in a.items() if bin(m).count("1") == p})
+        term = form_mul(part, d(b, ctx), ctx)
+        total = total - (-term if p & 1 else term)
+    return total
+
+
+def _without_dt_correction(g, mask, ctx):
+    """move_left with its dt correction dropped: W g = g W."""
+    return DifferentialForm({mask: ctx.reduce(g)})
+
+
+@pytest.mark.parametrize("move", ["real", "no-dt-correction"])
+def test_signed_product_matches_the_per_degree_formula(move, monkeypatch):
+    # form_mul is bilinear whatever move_left does, so the one signed
+    # product equals the per-degree sum even where the defect is not zero
+    if move != "real":
+        monkeypatch.setattr(forms, "move_left", _without_dt_correction)
+    rng = random.Random(1408)
+    nonzero = mixed = 0
+    for _ in range(50):
+        theta = rand_theta(rng)
+        while theta.theta_dot().is_zero():
+            theta = rand_theta(rng)
+        ctx = StarContext(theta)
+        a, b = (rand_form(rng, max_masks=4, max_terms=3, degrees=(0, 1, 2))
+                for _ in range(2))
+        got = d_leibniz_defect(a, b, ctx)
+        assert got == _leibniz_by_degree(a, b, ctx)
+        nonzero += not got.is_zero()
+        mixed += len(a.degrees()) > 1
+    assert mixed > 0  # a's of several degrees, where the signs differ
+    assert (nonzero > 0) == (move != "real")
 
 
 def test_d_leibniz_functions_reproduce_time_defect():

@@ -1,5 +1,6 @@
 """Plane wave sector: closed forms, action accounting, harmonics."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -320,6 +321,18 @@ def test_report_structure_and_diagnostics():
     assert "mixed-strength-correction-sign" in names
     assert "quadratic-reference-mismatch" not in names
     assert "cubic-reference-mismatch" not in names
+
+
+@pytest.mark.parametrize("change", [
+    {"cubic_relative_sign": None},  # matches under neither sign
+    {"cubic_relative_sign": 1},
+    {"quad_matches_reference": False},
+])
+def test_report_passes_only_on_the_documented_signs(change):
+    spec, ctx = spec_and_ctx()
+    report = effective_action(spec, ctx)
+    assert report.passed
+    assert not dataclasses.replace(report, **change).passed
 
 
 def test_contracted_numbers_pinned():

@@ -47,3 +47,28 @@ def test_only_grid_imports_numpy_at_module_level():
     assert offenders == []
     assert "numpy" in _import_time_modules(
         ast.parse((src / "grid.py").read_text(encoding="utf-8")))
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by the module-level imports of tree that nothing else in
+    the module reads; `from __future__` imports are directives."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # a dotted use such as `np.fft` reads the bound name `np` as a Name
+    return sorted(name for name in bound if name not in used)
+
+
+def test_every_module_level_import_is_used():
+    # the package's __init__ imports to re-export: those are its surface
+    src = pathlib.Path(nckit.__file__).parent
+    unused = {f.name: names for f in sorted(src.glob("*.py"))
+              if f.name != "__init__.py"
+              and (names := _unused_imports(
+                  ast.parse(f.read_text(encoding="utf-8"))))}
+    assert unused == {}

@@ -6,7 +6,7 @@ import json
 import pytest
 
 import nckit.suites
-from nckit.config import load_config
+from nckit.config import load_config, theta_to_text
 from nckit.expr import evaluate, parse_expression
 from nckit.forms import DifferentialForm, form_mul
 from nckit.gauge import (GaugePotential, complete_time_component,
@@ -14,8 +14,7 @@ from nckit.gauge import (GaugePotential, complete_time_component,
 from nckit.poly import t
 from nckit.star import (StarContext, ThetaProfile, spatial_derivation_defect,
                         star, star_conj_defect)
-from nckit.suites import (PropertyResult, SuiteReport, run_suite,
-                          theta_to_text)
+from nckit.suites import PropertyResult, SuiteReport, run_suite
 
 
 def test_all_suites_pass_smoke():
