@@ -17,7 +17,7 @@ import numpy as np
 
 from nckit import (band_limited_field, cross_validate_symbolic,
                    grid_cyclicity_defect, grid_star, grid_trace_defect,
-                   load_grid, phase_law_defect, plane_wave, save_grid)
+                   load_grid, phase_law_defect, save_grid)
 
 BOX = 2.0 * math.pi
 

@@ -94,16 +94,13 @@ def _cmd_planewave(args) -> int:
         harmonics = {str(n): str(c) for n, c in sorted(spectrum.items())}
     except ValueError as exc:
         harmonics, spectrum_note = None, str(exc)
+    items = planewave_items(spec)
     doc = {
         "schema": REPORT_SCHEMA,
         "kind": "planewave",
-        "spec": {
-            "omega": str(spec.omega),
-            "k": [str(v) for v in spec.k],
-            "p": [str(v) for v in spec.p],
-            "profile": (spec.profile if isinstance(spec.profile, str)
-                        else [str(c) for c in spec.profile]),
-        },
+        # config.planewave_items' values, every list split into its words
+        "spec": {key: text if key == "omega" or text == "cos" else text.split()
+                 for key, text in items},
         "theta": theta_to_text(theta),
         "null": spec.is_null(),
         "quad_matches_reference": report.quad_matches_reference,
@@ -118,7 +115,7 @@ def _cmd_planewave(args) -> int:
 
     sign = doc["cubic_relative_sign"]
     rows = [
-        *planewave_items(spec),
+        *items,
         ("null wave", "yes" if doc["null"] else "no"),
         ("quadratic identity", "pass" if doc["quad_matches_reference"]
                                else "FAIL"),

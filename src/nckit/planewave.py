@@ -32,22 +32,22 @@ the literal integrand built here, and the reference cubic listed for
 comparison differs from the derivation by an overall sign traceable to a
 transposed contraction in the mixed correction term of the reference.
 
-Built once per process (``_accounting``): the density, its split by the
-s-grading, the stripped quadratic and cubic coefficients, the residual,
-both references, their comparison and the diagnostics, and per
-coefficient its terms unpacked for evaluation.  Each spec then only
-evaluates the four coefficients at its (w, k, p), exactly over ints with
-every value over one common denominator, contracts the cubic ones with
-thetadot and tests polarisation.
+Built once per process (``_accounting``), as a report template: the
+density, its split by the s-grading, the stripped quadratic and cubic
+coefficients, the residual, both references, their comparison and the
+diagnostics, and per coefficient its terms unpacked for evaluation.  Each
+spec then only evaluates the four coefficients at its (w, k, p), exactly
+over ints with every value over one common denominator, contracts the
+cubic ones with thetadot and tests polarisation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .rationals import HALF_I, CRat, I, RatLike
 from .poly import BasePoly, Poly
@@ -324,18 +324,21 @@ def is_theta_polarised(spec: PlaneWaveSpec, ctx: StarContext) -> bool:
     return coupling_scalar(spec, ctx).is_zero()
 
 
-_DIAG_ORIENTATION = {
-    "name": "action-quadratic-orientation",
-    "detail": ("reported coefficients follow the action orientation, the "
-               "negative of the literal density integrand; the integrand "
-               "field carries the unflipped value"),
-}
-_DIAG_CUBIC_SIGN = {
-    "name": "mixed-strength-correction-sign",
-    "detail": ("the derived cubic coefficient is the negative of the listed "
-               "reference; the discrepancy is an overall transposition of "
-               "the contraction in the reference's mixed correction term, "
-               "and the derivation is kept"),
+# name -> detail of every diagnostic a report can carry, in report order
+_DIAGNOSTICS = {
+    "action-quadratic-orientation": (
+        "reported coefficients follow the action orientation, the negative "
+        "of the literal density integrand; the integrand field carries the "
+        "unflipped value"),
+    "mixed-strength-correction-sign": (
+        "the derived cubic coefficient is the negative of the listed "
+        "reference; the discrepancy is an overall transposition of the "
+        "contraction in the reference's mixed correction term, and the "
+        "derivation is kept"),
+    "quadratic-reference-mismatch": "derived quadratic coefficient differs "
+                                    "from the reference beyond orientation",
+    "cubic-reference-mismatch": "derived cubic coefficients differ from the "
+                                "reference beyond an overall sign",
 }
 
 
@@ -344,8 +347,10 @@ class ActionReport:
     """Exact accounting of the plane wave action density by twist order.
 
     Symbolic fields are polynomials in the generic wave data; contracted
-    fields substitute the concrete spec and deformation.  orientation is
-    the factor relating reported coefficients to the literal integrand.
+    fields substitute the concrete spec and deformation (None in the
+    template of ``_accounting``).  orientation is the factor relating
+    reported coefficients to the literal integrand.  diagnostics holds the
+    entries of ``_DIAGNOSTICS`` that apply, in its order.
     ``passed``, the ``nckit planewave`` verdict, needs quad_matches_reference
     and cubic_relative_sign == -1: a cubic matching under neither sign fails.
     """
@@ -413,28 +418,14 @@ def _over_one_den(vals: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in vals], d
 
 
-class _Accounting(NamedTuple):
-    """Everything in an ActionReport that no spec or deformation changes,
-    with the coefficients prepared for evaluation."""
-
-    integrand: PwPoly
-    quad: PwPoly
-    cubic: dict[tuple[int, int], PwPoly]
-    residual: PwPoly
-    reference_quad: PwPoly
-    reference_cubic: dict[tuple[int, int], PwPoly]
-    quad_ok: bool
-    rel_sign: int | None
-    diagnostics: tuple[dict, ...]
-    quad_value: _WkpValue
-    cubic_values: tuple[tuple[tuple[int, int], _WkpValue], ...]
-
-
 @lru_cache(maxsize=1)
-def _accounting() -> _Accounting:
+def _accounting() -> tuple[ActionReport, _WkpValue, tuple]:
     """Split the symbolic density by twist order and compare each
-    coefficient with its reference, once per process.  A structural
-    ValueError propagates and, being no result, is not memoised."""
+    coefficient with its reference, once per process: the report template
+    (contracted fields None, diagnostics picked from ``_DIAGNOSTICS``),
+    then the quadratic and per pair cubic coefficients prepared for
+    evaluation.  A structural ValueError propagates and, being no result,
+    is not memoised."""
     dens = _symbolic_density()
     parts = dens._split("s")
 
@@ -464,26 +455,18 @@ def _accounting() -> _Accounting:
     else:
         rel_sign = None
 
-    diagnostics = [_DIAG_ORIENTATION]
-    if rel_sign == -1:
-        diagnostics.append(_DIAG_CUBIC_SIGN)
-    if not quad_ok:
-        diagnostics.append({
-            "name": "quadratic-reference-mismatch",
-            "detail": "derived quadratic coefficient differs from the "
-                      "reference beyond orientation",
-        })
-    if rel_sign is None:
-        diagnostics.append({
-            "name": "cubic-reference-mismatch",
-            "detail": "derived cubic coefficients differ from the reference "
-                      "beyond an overall sign",
-        })
+    kept = (True, rel_sign == -1, not quad_ok, rel_sign is None)
+    diagnostics = tuple({"name": name, "detail": detail} for (name, detail), keep
+                        in zip(_DIAGNOSTICS.items(), kept) if keep)
 
-    return _Accounting(
-        dens, quad, cubic, residual, ref_quad, ref_cubic, quad_ok, rel_sign,
-        tuple(diagnostics), _WkpValue(quad),
-        tuple((pair, _WkpValue(coeff)) for pair, coeff in cubic.items()))
+    template = ActionReport(
+        orientation=-1, integrand=dens, quad_coeff=quad, cubic_coeff=cubic,
+        residual=residual, residual_order=2, reference_quad=ref_quad,
+        reference_cubic=ref_cubic, quad_matches_reference=quad_ok,
+        cubic_relative_sign=rel_sign, quad_value=None, cubic_contracted=None,
+        polarised=None, diagnostics=diagnostics)
+    return template, _WkpValue(quad), tuple(
+        (pair, _WkpValue(coeff)) for pair, coeff in cubic.items())
 
 
 def effective_action(spec: PlaneWaveSpec, ctx: StarContext) -> ActionReport:
@@ -492,34 +475,24 @@ def effective_action(spec: PlaneWaveSpec, ctx: StarContext) -> ActionReport:
     The s^0 (classical) part is a pure multiple of f'^2 and the s^1 part a
     combination of d_jk f f'^2; anything else at those orders is an error.
     Orientation and the cubic reference sign are applied as documented in
-    the diagnostics.  The symbolic fields come from one build per process;
-    the report's dicts are its own copies.
+    the diagnostics.  The report is the per-process template of
+    ``_accounting`` with its contracted fields set by ``replace``, and
+    copies of its dicts, so the template never escapes.
     """
-    acc = _accounting()
+    template, quad, cubic = _accounting()
     nums, d = _over_one_den((spec.omega, *spec.k, *spec.p))
     dot = ctx.theta.theta_dot()
     contracted = Poly.zero()
-    for (j, kk), coeff in acc.cubic_values:
+    for (j, kk), coeff in cubic:
         num = coeff.at(nums, d)
         if num:
             contracted = contracted + dot.entry(j, kk) * num
-
-    return ActionReport(
-        orientation=-1,
-        integrand=acc.integrand,
-        quad_coeff=acc.quad,
-        cubic_coeff=dict(acc.cubic),
-        residual=acc.residual,
-        residual_order=2,
-        reference_quad=acc.reference_quad,
-        reference_cubic=dict(acc.reference_cubic),
-        quad_matches_reference=acc.quad_ok,
-        cubic_relative_sign=acc.rel_sign,
-        quad_value=acc.quad_value.at(nums, d),
-        cubic_contracted=contracted,
+    return replace(
+        template, cubic_coeff=dict(template.cubic_coeff),
+        reference_cubic=dict(template.reference_cubic),
+        quad_value=quad.at(nums, d), cubic_contracted=contracted,
         polarised=is_theta_polarised(spec, ctx),
-        diagnostics=tuple(dict(diag) for diag in acc.diagnostics),
-    )
+        diagnostics=tuple(map(dict, template.diagnostics)))
 
 
 # -- harmonic content of the cubic term --------------------------------------

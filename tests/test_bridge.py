@@ -10,6 +10,10 @@ symbolic side sums the constant terms of star(x^a, x^b) exactly, the grid
 side divides grid_star of two plane waves by the plane wave of k + l.  For
 a time-dependent theta12(t) each constant-in-x coefficient is a polynomial
 in t, read exactly at t0 and compared with the grid at theta12(t0).
+
+Off the origin every monomial pair takes part: the truncated exponentials
+P_k = sum_{|a| <= DEGREE} (ik)^a x^a / a! are multiplied in one star
+product, which is read at t0 and at grid points near the origin.
 """
 
 import functools
@@ -59,13 +63,17 @@ def exponents(degree):
     return [(a1, degree - a1) for a1 in range(degree + 1)]
 
 
+def at_t0(p, t0):
+    """{(a1, a2): exact coefficient of x1^a1 x2^a2} of p with t = t0."""
+    out = {}
+    for (te, a1, a2, *_), c in p.items():
+        out[a1, a2] = out.get((a1, a2), CRat(0)) + c * t0 ** te
+    return out
+
+
 def constant_term(a, b, profile):
     """The constant-in-x coefficient of x^a * x^b, a polynomial in t, at t0."""
-    total = CRat(0)
-    for (te, *rest), c in star(x(a), x(b), profile.ctx).items():
-        if not any(rest):
-            total = total + c * profile.t0 ** te
-    return total
+    return at_t0(star(x(a), x(b), profile.ctx), profile.t0).get((0, 0), CRat(0))
 
 
 def test_only_transposed_pairs_have_a_constant_term():
@@ -104,11 +112,15 @@ def grid_ratio(k, l, theta):
     return product.values / plane_wave(N, BOX, *kl).values
 
 
-def tolerance(k, l, theta):
-    """A priori bound on |series - grid ratio|, fitted to no measurement."""
-    phi = abs(theta / 2 * (k[0] * l[1] - k[1] * l[0]))
-    # the series drops the orders above DEGREE of exp(-i phi)
-    tail = phi ** (DEGREE + 1) / math.factorial(DEGREE + 1) / (1 - phi / (DEGREE + 2))
+def taylor_tail(z):
+    """An upper bound on sum_{n > DEGREE} z^n / n! for 0 <= z < DEGREE + 2:
+    the geometric series with ratio z / (DEGREE + 2) from its first term."""
+    return z ** (DEGREE + 1) / math.factorial(DEGREE + 1) / (1 - z / (DEGREE + 2))
+
+
+def grid_error(k, l, theta):
+    """A priori bound on the error of one sample of grid_star of the plane
+    waves k and l, also when divided by the plane wave of k + l."""
     # grid_star passes 7 log2 N FFT stages: two 2-d input transforms, two
     # 1-d slice transforms and the 1-d output one.  A stage errs by at most
     # 7u in relative 2-norm (Higham, Accuracy and Stability of Numerical
@@ -121,8 +133,16 @@ def tolerance(k, l, theta):
     q_max = max(abs(m) for m in (*k, *l))
     phases = 4 * (2 * math.pi * modes + abs(theta) * q_max ** 2)
     # a relative 2-norm error of N^2 unit-modulus samples is at most N
-    # times as large in one sample; the series adds its one rounding
-    return tail + N * U * (stages + phases) + U
+    # times as large in one sample
+    return N * U * (stages + phases)
+
+
+def tolerance(k, l, theta):
+    """A priori bound on |series - grid ratio|, fitted to no measurement:
+    the series drops the orders above DEGREE of exp(-i phi) and adds its
+    one rounding."""
+    phi = abs(theta / 2 * (k[0] * l[1] - k[1] * l[0]))
+    return taylor_tail(phi) + grid_error(k, l, theta) + U
 
 
 # the constant profile keeps the ids of its cases from before the ramp
@@ -143,3 +163,74 @@ def test_star_series_matches_grid_star_at_the_origin(name, k, l):
     # the opposite sign of theta misses by 2 |sin phi|: the test can fail
     # on a sign flip in either route
     assert np.min(np.abs(grid_ratio(k, l, -theta) - series)) > 1e6 * tol
+
+
+# -- off the origin -------------------------------------------------------------
+
+# small modes only: the tail of P_k grows with |k| |x|, and a mode near
+# Nyquist would need a far higher DEGREE
+X_PAIRS = [((1, 2), (-1, 1)), ((1, -1), (1, 1)), ((-2, 0), (1, -1))]
+# grid steps from the origin; the diagonal ones see every output monomial
+STEPS = [(1, 1), (1, -1), (-1, 1), (-1, -1), (2, 0), (0, -2)]
+
+
+def taylor(k):
+    """P_k = sum_{|a| <= DEGREE} (ik)^a x^a / a!, exactly."""
+    i = CRat(0, 1)
+    return Poly({(0, *a, 0, 0): (i * k[0]) ** a[0] * (i * k[1]) ** a[1]
+                 / (math.factorial(a[0]) * math.factorial(a[1]))
+                 for d in range(DEGREE + 1) for a in exponents(d)})
+
+
+def value_at(coeffs, x):
+    """The polynomial {(a1, a2): c} at the float point x, exact, rounded
+    once."""
+    x1, x2 = map(Fraction, x)
+    total = CRat(0)
+    for (a1, a2), c in coeffs.items():
+        total = total + c * (x1 ** a1 * x2 ** a2)
+    return complex(total)
+
+
+def tolerance_at(k, l, theta, x):
+    """A priori bound on |P_k * P_l - grid_star| at the grid point x.
+
+    Summed over b, the pairs give x^a * e^{il.x} = (x + s)^a e^{il.x} with
+    s = -theta l / 2.  With every sign made positive and read at X = |x|,
+    the terms with |a| = n then sum to exp(|l|.X) alpha^n / n!, where
+    alpha = |k|.X + c q, c = |theta| / 2 and q = |k1 l2| + |k2 l1|; the
+    same holds with k and l swapped.  The pairs that P_k * P_l drops have
+    |a| or |b| above DEGREE, so they sum to at most two exponential tails,
+    and all pairs together to at most exp(|k|.X + |l|.X + c q).
+    """
+    big_x = [abs(v) for v in x]
+    kx = sum(abs(m) * v for m, v in zip(k, big_x))
+    lx = sum(abs(m) * v for m, v in zip(l, big_x))
+    cq = abs(theta) / 2 * (abs(k[0] * l[1]) + abs(k[1] * l[0]))
+    tail = (math.exp(lx) * taylor_tail(kx + cq)
+            + math.exp(kx) * taylor_tail(lx + cq))
+    # the float point is off by at most u |x| per coordinate, which moves a
+    # term of degree m <= 2 DEGREE by at most 1.01 m u of its size; the
+    # sizes sum to at most the majorant, and the exact sum is rounded once
+    evaluation = (2 * DEGREE + 1) * 1.01 * U * math.exp(kx + lx + cq)
+    return tail + evaluation + grid_error(k, l, theta)
+
+
+@pytest.mark.parametrize("name, k, l", [
+    pytest.param(name, k, l, id=f"{name}-k{n}-l{n}")
+    for name in PROFILES for n, (k, l) in enumerate(X_PAIRS)])
+def test_taylor_star_matches_grid_star_off_the_origin(name, k, l):
+    profile = PROFILES[name]
+    product = at_t0(star(taylor(k), taylor(l), profile.ctx), profile.t0)
+    theta = float(profile.theta)
+    waves = plane_wave(N, BOX, *k), plane_wave(N, BOX, *l)
+    grid = grid_star(*waves, theta).values
+    flipped = grid_star(*waves, -theta).values
+    for step in STEPS:
+        x = [j * BOX / N for j in step]
+        value = value_at(product, x)
+        tol = tolerance_at(k, l, theta, x)
+        assert tol < 1e-7
+        assert abs(grid[step[0] % N, step[1] % N] - value) <= tol, step
+        # the opposite sign of theta misses by 2 |sin phi| here too
+        assert abs(flipped[step[0] % N, step[1] % N] - value) > 1e6 * tol

@@ -216,12 +216,32 @@ def test_d_squared_zero():
         assert d(d(w, ctx), ctx).is_zero()
 
 
+def _leibniz_pair(rng):
+    """(a, b, ctx) where the dt correction of move_left acts: every entry
+    of theta present, thetadot not zero, both forms of degree 0 or 1 and
+    not zero."""
+    while True:
+        entries = {pair: rand_t_poly(rng) for pair in ((1, 2), (1, 3), (2, 3))}
+        theta = ThetaProfile(entries)
+        if all(entries.values()) and not theta.theta_dot().is_zero():
+            break
+    a, b = DifferentialForm(), DifferentialForm()
+    while a.is_zero():
+        a = rand_form(rng, degrees=(0, 1), max_spatial=3)
+    while b.is_zero():
+        b = rand_form(rng, degrees=(0, 1), max_spatial=3)
+    return a, b, StarContext(theta)
+
+
 def test_d_graded_leibniz():
     rng = random.Random(1405)
     for _ in range(40):
         ctx = StarContext(rand_theta(rng))
         a = rand_form(rng)
         b = rand_form(rng)
+        assert d_leibniz_defect(a, b, ctx).is_zero()
+    for _ in range(40):
+        a, b, ctx = _leibniz_pair(rng)
         assert d_leibniz_defect(a, b, ctx).is_zero()
 
 

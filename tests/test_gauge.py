@@ -11,7 +11,6 @@ from nckit.rationals import CRat
 from nckit.star import (StarContext, ThetaProfile, star, star_commutator,
                          star_exp)
 from nckit.gauge import (
-    FieldStrength,
     GaugePotential,
     action_density,
     complete_time_component,
@@ -23,7 +22,7 @@ from nckit.gauge import (
     time_component_defect,
     _transformed_strength,
 )
-from util import rand_fraction, rand_imag_poly, rand_theta
+from util import rand_imag_poly, rand_theta
 
 I = CRat(0, 1)
 HALF_I = CRat(0, Fraction(1, 2))

@@ -1,5 +1,6 @@
 """Plane wave sector: closed forms, action accounting, harmonics."""
 
+import contextlib
 import dataclasses
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nckit.cli import main
 from nckit.poly import Poly, t
 from nckit.rationals import CRat
 from nckit.star import StarContext, ThetaProfile
@@ -243,7 +245,7 @@ def test_pw_substitute_matches_crat_reference():
 def test_pw_substitute_matches_crat_reference_on_the_integrand():
     # the full integrand, its wave data over non-unit denominators and
     # thetadot constant in one entry, linear in another, zero in the third
-    integrand = _accounting().integrand
+    integrand = _accounting()[0].integrand
     rng = random.Random(2203)
     u = t + Poly.const(Fraction(1, 3))
     for _ in range(3):
@@ -333,6 +335,80 @@ def test_report_passes_only_on_the_documented_signs(change):
     report = effective_action(spec, ctx)
     assert report.passed
     assert not dataclasses.replace(report, **change).passed
+
+
+_MISMATCH_DETAILS = {
+    "quadratic-reference-mismatch": "derived quadratic coefficient differs "
+                                    "from the reference beyond orientation",
+    "cubic-reference-mismatch": "derived cubic coefficients differ from the "
+                                "reference beyond an overall sign",
+}
+
+# (quadratic reference, cubic reference) put in place of the real ones
+_MISMATCHES = {
+    "negated-cubic": (
+        reference_quad_coefficient,
+        lambda: {p: -c for p, c in reference_cubic_coefficients().items()}),
+    "one-pair-off": (
+        reference_quad_coefficient,
+        lambda: {**reference_cubic_coefficients(),
+                 (1, 3): -reference_cubic_coefficients()[(1, 3)]}),
+    "quadratic-off": (lambda: reference_quad_coefficient() + W * P[0],
+                      reference_cubic_coefficients),
+}
+
+
+@contextlib.contextmanager
+def _references(monkeypatch, case):
+    """Build the accounting against the references of _MISMATCHES[case];
+    the real references and a fresh cache come back on exit."""
+    import nckit.planewave as pw
+
+    quad, cubic = _MISMATCHES[case]
+    monkeypatch.setattr(pw, "reference_quad_coefficient", quad)
+    monkeypatch.setattr(pw, "reference_cubic_coefficients", cubic)
+    _accounting.cache_clear()
+    try:
+        yield
+    finally:
+        monkeypatch.undo()
+        _accounting.cache_clear()
+
+
+@pytest.mark.parametrize("case, sign, quad_ok, names", [
+    ("negated-cubic", 1, True, ["action-quadratic-orientation"]),
+    ("one-pair-off", None, True,
+     ["action-quadratic-orientation", "cubic-reference-mismatch"]),
+    ("quadratic-off", -1, False,
+     ["action-quadratic-orientation", "mixed-strength-correction-sign",
+      "quadratic-reference-mismatch"]),
+])
+def test_reference_mismatch_fails_the_report(monkeypatch, case, sign,
+                                             quad_ok, names):
+    with _references(monkeypatch, case):
+        report = effective_action(*spec_and_ctx())
+    assert report.cubic_relative_sign == sign
+    assert report.quad_matches_reference == quad_ok
+    assert not report.passed
+    assert [d["name"] for d in report.diagnostics] == names
+    for diag in report.diagnostics:
+        if diag["name"] in _MISMATCH_DETAILS:
+            assert diag["detail"] == _MISMATCH_DETAILS[diag["name"]]
+    assert effective_action(*spec_and_ctx()).passed
+
+
+def test_cli_reports_a_reference_mismatch(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "wave.ini"
+    path.write_text("[planewave]\nomega = 3\nk = 1 2 2\np = 1 2 0 1\n",
+                    encoding="utf-8")
+    with _references(monkeypatch, "one-pair-off"):
+        code = main(["planewave", str(path)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert "cubic sign          n/a" in out
+    assert ("diagnostic          cubic-reference-mismatch: "
+            + _MISMATCH_DETAILS["cubic-reference-mismatch"]) in out
+    assert out[-1] == "result: FAIL"
 
 
 def test_contracted_numbers_pinned():

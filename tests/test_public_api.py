@@ -67,8 +67,10 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_every_module_level_import_is_used():
     # the package's __init__ imports to re-export: those are its surface
     src = pathlib.Path(nckit.__file__).parent
-    unused = {f.name: names for f in sorted(src.glob("*.py"))
-              if f.name != "__init__.py"
-              and (names := _unused_imports(
+    root = pathlib.Path(__file__).resolve().parents[1]
+    files = [f for f in sorted(src.glob("*.py")) if f.name != "__init__.py"]
+    files += sorted(root.glob("tests/*.py")) + sorted(root.glob("demos/*.py"))
+    unused = {str(f): names for f in files
+              if (names := _unused_imports(
                   ast.parse(f.read_text(encoding="utf-8"))))}
     assert unused == {}
