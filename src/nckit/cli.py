@@ -277,7 +277,3 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("nckit: input is nested too deeply", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

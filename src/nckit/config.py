@@ -125,10 +125,7 @@ def _parse_planewave(section) -> PlaneWaveSpec:
             raise ConfigError("[planewave] profile: expected 'cos' or at "
                               "least one coefficient")
         profile = tuple(_fraction(v, "[planewave] profile") for v in parts)
-    try:
-        return PlaneWaveSpec(omega, k, p, profile)
-    except ValueError as exc:
-        raise ConfigError(f"[planewave]: {exc}") from None
+    return PlaneWaveSpec(omega, k, p, profile)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import Union
 
 from .forms import DifferentialForm, d as exterior_d, form_conj, form_mul
-from .poly import Poly
+from .poly import BasePoly, Poly
 from .rationals import CRat, I
 from .star import StarContext, star
 
@@ -387,13 +387,13 @@ def _binary(node: Bin, a: Value, b: Value, ctx: StarContext) -> Value:
 
 # -- rendering ---------------------------------------------------------------
 
-def _term_text(exps, c: CRat, wedge: str = "") -> tuple[bool, str]:
-    """(negative, text) for one term c * monomial * wedge, the sign split
-    off c and the magnitude printed in re-parseable form."""
+def _term_text(names, exps, c: CRat, wedge: str = "") -> tuple[bool, str]:
+    """(negative, text) for c * monomial * wedge in the variables `names`,
+    the sign split off c and the magnitude printed in re-parseable form."""
     neg = c.re < 0 or (c.re == 0 and c.im < 0)
     coeff = str(-c if neg else c)
     mono = ".".join(f"{v}^{e}" if e > 1 else v
-                    for v, e in zip(Poly.VARS, exps) if e)
+                    for v, e in zip(names, exps) if e)
     factors = (mono, wedge) if coeff == "1" else (coeff, mono, wedge)
     return neg, "*".join(f for f in factors if f) or "1"
 
@@ -409,8 +409,9 @@ def _join_terms(terms) -> str:
     return out or "0"
 
 
-def poly_to_expr(p: Poly) -> str:
-    return _join_terms(_term_text(e, c) for e, c in p.sorted_terms())
+def poly_to_expr(p: BasePoly) -> str:
+    names = type(p).VARS
+    return _join_terms(_term_text(names, e, c) for e, c in p.sorted_terms())
 
 
 _BASIS_NAMES = ("dt", "dx1", "dx2", "dx3")
@@ -422,7 +423,7 @@ def _form_terms(w: DifferentialForm):
         terms = f.sorted_terms()
         wedge = "*".join(_BASIS_NAMES[mu] for mu in range(4) if mask >> mu & 1)
         if not mask or len(terms) == 1:
-            yield from (_term_text(e, c, wedge) for e, c in terms)
+            yield from (_term_text(Poly.VARS, e, c, wedge) for e, c in terms)
         else:
             yield False, f"({poly_to_expr(f)})*{wedge}"
 

@@ -148,15 +148,8 @@ class DifferentialForm:
         return hash(frozenset(self._parts.items()))
 
     def __repr__(self) -> str:
-        if not self._parts:
-            return "DifferentialForm(0)"
-        names = ("dt", "dx1", "dx2", "dx3")
-        bits = []
-        for mask in sorted(self._parts):
-            mono = "^".join(names[mu] for mu in range(4) if mask & (1 << mu))
-            c = self._parts[mask]
-            bits.append(f"({c!r}){mono}" if mono else f"({c!r})")
-        return "DifferentialForm[" + " + ".join(bits) + "]"
+        from .expr import form_to_expr  # expr imports this module
+        return f"DifferentialForm({form_to_expr(self)})"
 
     # -- linear structure ---------------------------------------------------
 

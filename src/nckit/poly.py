@@ -329,14 +329,8 @@ class BasePoly:
         return hash((self._den, frozenset(self._nums.items())))
 
     def __repr__(self) -> str:
-        if not self._nums:
-            return f"{type(self).__name__}(0)"
-        bits = []
-        for exps, c in self.sorted_terms():
-            mono = ".".join(f"{v}^{e}" if e > 1 else v
-                            for v, e in zip(type(self).VARS, exps) if e)
-            bits.append(f"{c}*{mono}" if mono else str(c))
-        return f"{type(self).__name__}({' + '.join(bits)})"
+        from .expr import poly_to_expr  # expr imports this module
+        return f"{type(self).__name__}({poly_to_expr(self)})"
 
 
 # the slot setters, bypassing the immutability guard

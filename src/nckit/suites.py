@@ -31,7 +31,7 @@ from functools import partial
 
 from . import grid as gridmod
 from .config import planewave_items, theta_to_text
-from .expr import poly_to_expr, value_to_expr
+from .expr import value_to_expr
 from .forms import (DifferentialForm, d, d_leibniz_defect, form_conj,
                     form_mul, left_mul)
 from .gauge import (GaugePotential, action_density, complete_time_component,
@@ -57,8 +57,8 @@ _MAX_COUNTEREXAMPLES = 3
 
 # -- randomized inputs ---------------------------------------------------------
 
-def _rand_fraction(rng: random.Random, lo=-4, hi=4, max_den=3) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
+def _rand_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
 
 def _rand_poly(rng: random.Random, max_terms=4, max_t=2, max_spatial=4) -> Poly:
@@ -97,11 +97,11 @@ def _rand_theta(rng: random.Random, max_deg=2) -> ThetaProfile:
     return ThetaProfile(entries)
 
 
-def _rand_form(rng: random.Random, max_masks=2, max_terms=2) -> DifferentialForm:
+def _rand_form(rng: random.Random) -> DifferentialForm:
     total = DifferentialForm.zero()
-    for _ in range(rng.randint(1, max_masks)):
+    for _ in range(rng.randint(1, 2)):
         mask = rng.randint(0, 15)
-        f = _rand_poly(rng, max_terms=max_terms, max_t=1, max_spatial=2)
+        f = _rand_poly(rng, max_terms=2, max_t=1, max_spatial=2)
         total = total + DifferentialForm({mask: f})
     return total
 
@@ -183,14 +183,22 @@ def _ctx_for(rng: random.Random, theta: ThetaProfile | None, max_deg=2,
                        eps_cutoff=order)
 
 
-def _describe(ctx: StarContext, **values) -> str:
+def _describe(ctx: StarContext | None = None, **values) -> str:
     """A counterexample as `name = expr; ...; t12 = ...`, every value and
-    theta entry rendered so that it re-parses (replay with `reduce`); an
-    int value, such as a drawn index or power, renders as itself."""
-    parts = [f"{k} = {v if isinstance(v, int) else value_to_expr(v)}"
-             for k, v in values.items()]
-    parts += [f"{key} = {text}" for key, text in theta_to_text(ctx.theta).items()]
-    return "; ".join(parts)
+    theta entry rendered so that it re-parses (replay with `reduce`).  An
+    int value, such as a drawn index or power, renders as itself, a str
+    verbatim, and a PlaneWaveSpec as its [planewave] keys:
+    `omega = 3; k = 1 -2 0; p = 0 1 0 2; profile = cos; t12 = t`."""
+    items = []
+    for key, v in values.items():
+        if isinstance(v, PlaneWaveSpec):
+            items += planewave_items(v)
+        else:
+            items.append((key, v if isinstance(v, (int, str))
+                          else value_to_expr(v)))
+    if ctx is not None:
+        items += theta_to_text(ctx.theta).items()
+    return "; ".join(f"{key} = {text}" for key, text in items)
 
 
 # -- star suite ----------------------------------------------------------------
@@ -328,7 +336,7 @@ def _case_null_solutions(rng, theta, order, k):
     u = _rand_null_phase(rng)
     n = rng.randint(1, 6)
     return (kg_operator(u ** n).is_zero(),
-            lambda: f"profile = u^{n}; u = {poly_to_expr(u)}")
+            lambda: _describe(profile=f"u^{n}", u=u))
 
 
 def _case_star_power_collapse(rng, theta, order, k):
@@ -376,16 +384,9 @@ def _rand_spec(rng, theta, profile="cos") -> tuple[StarContext, PlaneWaveSpec]:
     return ctx, PlaneWaveSpec(*_rand_wave_numbers(rng), profile)
 
 
-def _spec_text(ctx: StarContext, spec: PlaneWaveSpec) -> str:
-    """A counterexample as the [planewave] keys, then the [theta] entries:
-    `omega = 3; k = 1 -2 0; p = 0 1 0 2; profile = cos; t12 = t`."""
-    items = [*planewave_items(spec), *theta_to_text(ctx.theta).items()]
-    return "; ".join(f"{key} = {text}" for key, text in items)
-
-
 def _case_quad_identity(rng, theta, order, k):
     ctx, spec = _rand_spec(rng, theta)
-    return effective_action(spec, ctx).passed, lambda: _spec_text(ctx, spec)
+    return effective_action(spec, ctx).passed, lambda: _describe(ctx, spec=spec)
 
 
 def _case_polarisation(rng, theta, order, k):
@@ -397,7 +398,7 @@ def _case_polarisation(rng, theta, order, k):
     pref = (spec.omega * sum(v * v for v in p[1:])
             - p[0] * sum(a * b for a, b in zip(spec.k, p[1:])))
     vanishes = is_theta_polarised(spec, ctx) or pref == 0
-    return cubic_zero == vanishes, lambda: _spec_text(ctx, spec)
+    return cubic_zero == vanishes, lambda: _describe(ctx, spec=spec)
 
 
 def _case_harmonics(rng, theta, order, k):
@@ -408,14 +409,14 @@ def _case_harmonics(rng, theta, order, k):
         want = {}
     else:
         want = {1: Fraction(1, 4), 3: Fraction(-1, 4)}
-    return spectrum == want, lambda: _spec_text(ctx, spec)
+    return spectrum == want, lambda: _describe(ctx, spec=spec)
 
 
 def _case_route_equality(rng, theta, order, k):
     ctx, spec = _rand_spec(rng, theta, (0, 0, 1))
     direct = action_density(field_strength(build_ansatz(spec, ctx), ctx), ctx)
     contracted = _contract_integrand(effective_action(spec, ctx), spec, ctx)
-    return direct == contracted, lambda: _spec_text(ctx, spec)
+    return direct == contracted, lambda: _describe(ctx, spec=spec)
 
 
 def _contract_integrand(report, spec, ctx):

@@ -14,6 +14,14 @@ in t, read exactly at t0 and compared with the grid at theta12(t0).
 Off the origin every monomial pair takes part: the truncated exponentials
 P_k = sum_{|a| <= DEGREE} (ik)^a x^a / a! are multiplied in one star
 product, which is read at t0 and at grid points near the origin.
+
+The time-dependent sector reaches the grid through theta itself: for
+t-independent f and g, d_t(f * g) = thetadot d_theta(f * g), and the
+symbolic identity (i/2) thetadot^{ij} (d_i f) * (d_j g) reads on the grid
+
+    d_theta grid_star(f, g) = (i/2) (grid_star(d1 f, d2 g) - grid_star(d2 f, d1 g)),
+
+checked on band limited fields, which the symbolic side cannot hold.
 """
 
 import functools
@@ -24,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from nckit.grid import grid_star, plane_wave
+from nckit.grid import band_limited_field, grid_star, plane_wave
 from nckit.poly import Poly, t
 from nckit.rationals import CRat
 from nckit.star import StarContext, ThetaProfile, star
@@ -234,3 +242,84 @@ def test_taylor_star_matches_grid_star_off_the_origin(name, k, l):
         assert abs(grid[step[0] % N, step[1] % N] - value) <= tol, step
         # the opposite sign of theta misses by 2 |sin phi| here too
         assert abs(flipped[step[0] % N, step[1] % N] - value) > 1e6 * tol
+
+
+# -- the theta derivative ---------------------------------------------------------
+
+H = 1e-5  # the central difference step in theta
+
+
+def wavenumbers(field):
+    return 2 * np.pi * np.fft.fftfreq(field.n, d=field.box_length / field.n)
+
+
+def spectral_partial(field, axis):
+    q = wavenumbers(field).reshape((-1, 1) if axis == 0 else (1, -1))
+    return field.with_values(np.fft.ifft2(1j * q * np.fft.fft2(field.values)))
+
+
+def moment(field, j, k):
+    """sum_a |fhat_a| |q_a1|^j |q_a2|^k over the field's spectrum fhat."""
+    q = np.abs(wavenumbers(field))
+    hat = np.abs(np.fft.fft2(field.values, norm="forward"))
+    return float(np.einsum("ab,a,b->", hat, q ** j, q ** k))
+
+
+def theta_derivative_tolerance(f, g, theta, step):
+    """A priori bound on |central difference - (i/2)(...)| in one sample.
+
+    grid_star(f, g, theta) is sum_{a,b} fhat_a ghat_b exp(-i theta phi / 2)
+    e^{i(a+b).x} with phi = q_a1 q_b2 - q_a2 q_b1 and |phi| <= |q_a1 q_b2|
+    + |q_a2 q_b1|, so its n-th theta derivative is at most M_n = sum_{a,b}
+    |fhat_a| |ghat_b| (|q_a1 q_b2| + |q_a2 q_b1|)^n / 2^n, a sum of products
+    of the spectra's moments.  The central difference over step = 2h errs
+    by at most h^2 / 6 M_3 (the h^2 truncation term of the twist phases).
+
+    Each grid_star call errs by at most N u (stages + phases) M_0 in one
+    sample: the 7 log2 N FFT stages of 7u each (see grid_error), the two
+    dropped-row budgets of u log2(N^2) each, and the twist factors
+    exp(i arg) with |arg| <= |theta| (N/2)^2 / 2, each off by 4u |arg|.
+    The FFT bounds are relative to an output's 2-norm, which the triangle
+    inequality splits over the pairs (a, b), each a plane wave of 2-norm
+    N.  The difference of two calls divided by step carries that error
+    twice over step: the roundoff over h.  The right side adds the
+    spectral derivatives' 4 log2 N stages and the (i/2)(... - ...)
+    roundings, on the scale M_1; the division rounds once.
+    """
+    n = f.n
+    log_n = math.log2(n)
+    phases = 4 * abs(theta) * (n / 2) ** 2
+    grid_bound = n * U * (7 * 7 * log_n + 4 * log_n + phases)
+    rhs_bound = n * U * (7 * 7 * log_n + 4 * log_n + 7 * 4 * log_n + 3 + phases)
+    m0 = moment(f, 0, 0) * moment(g, 0, 0)
+    m1 = (moment(f, 1, 0) * moment(g, 0, 1) + moment(f, 0, 1) * moment(g, 1, 0)) / 2
+    m3 = sum(math.comb(3, k) * moment(f, k, 3 - k) * moment(g, 3 - k, k)
+             for k in range(4)) / 8
+    h = step / 2
+    return (h * h / 6 * m3 + 2 * grid_bound * m0 / step
+            + rhs_bound * m1 + U * m1)
+
+
+@pytest.mark.parametrize("n, theta", [(32, 0.3), (32, -1.1), (64, 0.3),
+                                      (64, -0.7)])
+def test_theta_derivative_of_grid_star(n, theta):
+    f = band_limited_field(n, BOX, n // 4 - 1, seed=11)
+    g = band_limited_field(n, BOX, n // 4 - 1, seed=12)
+    d1f, d2f = spectral_partial(f, 0), spectral_partial(f, 1)
+    d1g, d2g = spectral_partial(g, 0), spectral_partial(g, 1)
+    # hi - lo is exact (Sterbenz), so the difference quotient has no step
+    # error of its own
+    hi, lo = theta + H, theta - H
+    tol = theta_derivative_tolerance(f, g, theta, hi - lo)
+    for sign in (1, -1):  # -1 puts -theta into the grid's twist
+        def product(a, b, th):
+            return grid_star(a, b, sign * th).values
+        lhs = (product(f, g, hi) - product(f, g, lo)) / (hi - lo)
+        rhs = 0.5j * (product(d1f, d2g, theta) - product(d2f, d1g, theta))
+        gap = np.max(np.abs(lhs - rhs))
+        if sign == 1:
+            assert tol < 1e-4 * np.max(np.abs(rhs))
+            assert gap <= tol
+        else:
+            # the flipped twist turns the left side into minus the right
+            assert gap > 1e3 * tol

@@ -18,11 +18,12 @@ from nckit.expr import (
     value_to_expr,
 )
 from nckit.forms import DifferentialForm
+from nckit.planewave import PwPoly
 from nckit.poly import Poly, t, x1, x2, x3
 from nckit.rationals import CRat
 from nckit.star import StarContext, ThetaProfile, star
 
-from util import rand_form, rand_poly, rand_theta
+from util import rand_form, rand_fraction, rand_poly, rand_theta
 
 FLAT = StarContext(ThetaProfile.zero())
 TW = StarContext(ThetaProfile.constant(t12=t))
@@ -154,6 +155,35 @@ def test_form_round_trip_random():
             # a vanishing form renders as the scalar "0"
             back = DifferentialForm.from_function(back)
         assert back == w
+
+
+def _rand_pw_poly(rng):
+    n = len(PwPoly.VARS)
+    return sum((PwPoly.monomial([rng.randint(0, 2) for _ in range(n)],
+                                rand_fraction(rng))
+                for _ in range(rng.randint(0, 3))), PwPoly.zero())
+
+
+def test_reprs_print_the_renderer_text():
+    rng = random.Random(1803)
+    for k in range(60):
+        p = rand_poly(rng, max_terms=4, max_t=2, max_spatial=3, max_eps=2)
+        assert repr(p) == f"Poly({poly_to_expr(p)})"
+        assert ev(poly_to_expr(p)) == p
+        q = _rand_pw_poly(rng)
+        assert repr(q) == f"PwPoly({poly_to_expr(q)})"
+        # every third form has degree 0, so it renders as a scalar
+        w = rand_form(rng, max_masks=3, degrees=(0,) if k % 3 == 0 else None)
+        text = form_to_expr(w)
+        assert repr(w) == f"DifferentialForm({text})"
+        back = evaluate(parse_expression(text), FLAT)
+        if isinstance(back, Poly):
+            back = DifferentialForm.from_function(back)
+        assert back == w
+        assert hash(back) == hash(w)
+        assert bool(w) is not w.is_zero()
+    assert repr(star(x1, x2, TW)) == "Poly(x1.x2 + 1/2*i*t)"
+    assert repr(DifferentialForm.zero()) == "DifferentialForm(0)"
 
 
 def test_render_zero_values():

@@ -693,7 +693,7 @@ def test_cross_validation_divergence_guard():
     for theta in (0.5, -0.5):
         with pytest.raises(ValueError):
             cross_validate_symbolic({(0, 0): 1.0}, {(0, 0): 1.0},
-                                    theta=theta, sigma=0.3)
+                                    theta=theta)
     assert cross_validate_symbolic({(1, 0): 1.0, (0, 1): 0.5},
                                    {(0, 2): 1.0, (0, 0): -0.25},
                                    theta=-0.02) < SERIES_TOL

@@ -74,3 +74,60 @@ def test_every_module_level_import_is_used():
               if (names := _unused_imports(
                   ast.parse(f.read_text(encoding="utf-8"))))}
     assert unused == {}
+
+
+def _defaulted_parameters(tree: ast.Module) -> dict[str, dict[str, int | None]]:
+    """{function: {parameter: position or None if keyword-only}} for every
+    parameter with a default of the module-level functions of tree."""
+    found = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        params = {p.arg: i for i, p in enumerate(positional)
+                  if i >= len(positional) - len(a.defaults)}
+        params.update({p.arg: None for p, v in zip(a.kwonlyargs, a.kw_defaults)
+                       if v is not None})
+        if params:
+            found[node.name] = params
+    return found
+
+
+def _passed_parameters(tree: ast.Module, defaulted) -> set[tuple[str, str]]:
+    """(function, parameter) pairs that some call in tree passes, by keyword
+    or by position; a callee is known by its name or attribute, with import
+    aliases (`main as cli_main`) resolved."""
+    alias = {a.asname: a.name for n in ast.walk(tree)
+             if isinstance(n, ast.ImportFrom) for a in n.names if a.asname}
+    passed = set()
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        params = defaulted.get(alias.get(name, name), {})
+        keywords = {k.arg for k in call.keywords}
+        for param, pos in params.items():
+            if param in keywords or (pos is not None and pos < len(call.args)):
+                passed.add((alias.get(name, name), param))
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default that no caller overrides is a constant: write it as one
+    src = pathlib.Path(nckit.__file__).parent
+    root = pathlib.Path(__file__).resolve().parents[1]
+    defaulted = {}
+    for f in sorted(src.glob("*.py")):
+        defaulted.update(_defaulted_parameters(
+            ast.parse(f.read_text(encoding="utf-8"))))
+    assert ("cross_validate_symbolic" in defaulted
+            and "n" in defaulted["cross_validate_symbolic"])
+    passed = set()
+    for f in [*src.glob("*.py"), *(root / "tests").glob("*.py"),
+              *(root / "demos").glob("*.py"), *(root / "perfbench").glob("*.py")]:
+        passed |= _passed_parameters(ast.parse(f.read_text(encoding="utf-8")),
+                                     defaulted)
+    unused = sorted((fn, p) for fn, params in defaulted.items()
+                    for p in params if (fn, p) not in passed)
+    assert unused == []

@@ -9,11 +9,12 @@ import nckit.suites
 from nckit.config import load_config, theta_to_text
 from nckit.expr import evaluate, parse_expression
 from nckit.forms import DifferentialForm, form_mul
-from nckit.gauge import (GaugePotential, complete_time_component,
-                         time_component_defect)
-from nckit.poly import t
+from nckit.gauge import (FieldStrength, GaugePotential,
+                         complete_time_component, covariance_defect,
+                         gauge_transform_potential, time_component_defect)
+from nckit.poly import Poly, t
 from nckit.star import (StarContext, ThetaProfile, spatial_derivation_defect,
-                        star, star_conj_defect)
+                        star, star_conj_defect, star_exp)
 from nckit.suites import PropertyResult, SuiteReport, run_suite
 
 
@@ -162,6 +163,37 @@ def test_gauge_counterexamples_replay(monkeypatch):
         pot = complete_time_component(GaugePotential(v["a1"], v["a2"], v["a3"]), ctx)
         assert not broken(pot, ctx).is_zero()
         assert time_component_defect(pot, ctx).is_zero()
+
+
+def test_gauge_counterexamples_with_lambda_replay(monkeypatch):
+    real = nckit.suites.covariance_defect
+
+    def broken(pot, u, ctx):  # transforms by 2U, which is not unitary
+        return real(pot, 2 * u, ctx)
+
+    def not_flat(pot, ctx):  # reports A_1 as F_12
+        return FieldStrength({(1, 2): pot.a1}, {}, {})
+
+    def vanishes(defects):
+        return all(v.is_zero() for part in defects for v in part.values())
+
+    monkeypatch.setattr(nckit.suites, "covariance_defect", broken)
+    monkeypatch.setattr(nckit.suites, "field_strength", not_flat)
+    report = run_suite("gauge", seed=3, cases=2, order=2)
+    for text in _failing(report, "field-strength-covariance"):
+        names, v, ctx = _replay(text, order=2)
+        assert names[:4] == ["a1", "a2", "a3", "lambda"]
+        pot = complete_time_component(GaugePotential(v["a1"], v["a2"], v["a3"]), ctx)
+        u = star_exp(v["lambda"], 2, ctx)
+        assert not vanishes(broken(pot, u, ctx))
+        assert vanishes(covariance_defect(pot, u, ctx))
+    for text in _failing(report, "pure-gauge-flatness"):
+        names, v, ctx = _replay(text, order=2)
+        assert names[:4] == ["a1", "a2", "a3", "lambda"]
+        zero = Poly.zero()
+        pure = gauge_transform_potential(GaugePotential(zero, zero, zero),
+                                         star_exp(v["lambda"], 2, ctx), ctx)
+        assert pure.spatial() == (v["a1"], v["a2"], v["a3"])
 
 
 def test_spatial_derivation_counterexamples_print_the_index(monkeypatch):
