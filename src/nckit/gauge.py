@@ -15,21 +15,30 @@ covariantly and enters the action density.
 Each thetadot^{ij} term(i, j) sum here is one ``star.theta_dot_sum`` call,
 and ``_with_tilde`` is the one place Ftilde_0i is built.
 
-Gauge transformations use unitaries U = star_exp(lam) truncated at a fixed
-order in the formal expansion parameter eps, so every covariance statement
-here holds modulo eps^{N+1}; with a StarContext whose eps_cutoff is N the
-defects come out as the exact zero polynomial.
+Gauge transformations use unitaries U = star_exp(lam, N) truncated at the
+context's eps cutoff N, so every covariance statement here holds modulo
+eps^{N+1} and the defects come out as the exact zero polynomial.  The
+three functions that take u accept only that U: they read lam as u's
+eps^1 coefficient and raise ValueError unless the context has a cutoff N
+and u == star_exp(lam, N).  No product by U is then formed.  With
+ad_lam X = [lam, X] (a star commutator; lam has no eps):
+
+    U~ * X * U = sum_{n<=N} (-eps)^n / n! ad_lam^n X          (Hadamard)
+    U~ * d_k U = sum_{n<N} (-1)^n eps^{n+1} / (n+1)! ad_lam^n (d_k lam)
+
+the second because d_k is a star derivation, theta depending on t only.
+The n-th term carries eps^n, so it is formed under cutoff N - n and no
+order above N is built (``_adjoint_series``).  Since U * U~ = 1 mod
+eps^{N+1}, U~ * F_ij * d_k U = (U~ * F_ij * U) * (U~ * d_k U), and the
+invariance witness [U~, density * U] is U~ * density * U - density, again
+a series of commutators with lam.
 
 ``covariance_defect`` and ``invariance_witness`` both start from the pair
 (F, F') of a potential and its transform.  A one-entry memo keyed on the
 value of (pot, u, ctx) builds it once when the two are called on equal
-inputs, as every caller does; it holds at most one (F, F') pair, and
-callers treat it as read-only.
-
-``invariance_witness`` takes its commutator in one pass, on density(A) * U
-truncated to the eps orders that commutator can see (the proof is in its
-docstring), and builds density(A') only after it, so the two largest
-intermediates are never held together.
+inputs, as every caller does; it holds at most one (F, F') pair, with lam
+and the conjugated U~ F_ij U that the time sector and the covariance
+defect share, and callers treat it as read-only.
 """
 
 from __future__ import annotations
@@ -40,9 +49,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from .rationals import HALF_I, CRat
-from .poly import Poly
+from .poly import Poly, eps
 from .star import (PAIRS, StarContext, signed_entry, star, star_commutator,
-                   theta_dot_sum)
+                   star_exp, theta_dot_sum)
 
 _QUARTER_I = CRat(0, Fraction(1, 4))
 
@@ -168,51 +177,89 @@ def field_strength(pot: GaugePotential, ctx: StarContext) -> FieldStrength:
     return _with_tilde(FieldStrength(spatial, time, {}), a, ctx)
 
 
+def _generator(u: Poly, ctx: StarContext) -> Poly:
+    """lam with u == star_exp(lam, N, ctx), N the context's eps cutoff,
+    read as u's eps^1 coefficient; ValueError for any other u."""
+    lam = Poly({(*e[:4], 0): c for e, c in u.items() if e[4] == 1})
+    n = ctx.eps_cutoff
+    if (n is None or n < 0 or not lam.is_imaginary_valued()
+            or u != star_exp(lam, n, ctx)):
+        raise ValueError("gauge: u must be star_exp(lam, N, ctx) with N the "
+                         "context's eps cutoff")
+    return lam
+
+
+def _adjoint_series(lam: Poly, x: Poly, ctx: StarContext,
+                    first: int = 0) -> Poly:
+    """sum_n (-1)^n eps^{n+first} / (n+first)! ad_lam^n x over the orders
+    n + first <= N: U~ * x * U for first = 0, U~ * d_k U for first = 1 and
+    x = d_k lam (see the module docstring).  ad_lam^n x is formed under
+    cutoff N - first - n, where eps^{n+first} takes it to order N."""
+    top = ctx.eps_cutoff - first
+    y = x.truncate_eps(top)
+    acc = Poly.zero()
+    coeff = eps ** first  # first is 0 or 1, so first! = 1
+    for n in range(top + 1):
+        if n:
+            y = star_commutator(lam, y, StarContext(ctx.theta, top - n))
+            if not y:
+                break
+            coeff = coeff * (Fraction(-1, n + first) * eps)
+        acc = acc + y * coeff
+    return acc
+
+
+def _transform(pot: GaugePotential, lam: Poly, ctx: StarContext
+               ) -> tuple[tuple[Poly, Poly, Poly], tuple[Poly, Poly, Poly]]:
+    """(A'_k, U~ * d_k U) for k = 1..3, A'_k = U~ * A_k * U + U~ * d_k U."""
+    pure = tuple(_adjoint_series(lam, lam.partial(k), ctx, 1) for k in _SPATIAL)
+    return tuple(_adjoint_series(lam, ak, ctx) + g
+                 for ak, g in zip(pot.spatial(), pure)), pure
+
+
 def gauge_transform_potential(pot: GaugePotential, u: Poly,
                               ctx: StarContext) -> GaugePotential:
     """A'_k = U~ * A_k * U + U~ * d_k U with U~ = conj(U).
 
-    Only the spatial components transform this simply; the returned
-    potential has no time component.  The transformed time sector is
-    reached through the field strength rule in ``covariance_defect``.
+    u must be star_exp(lam, N, ctx) under the context's eps cutoff N
+    (ValueError otherwise; see the module docstring).  Only the spatial
+    components transform this simply; the returned potential has no time
+    component.  The transformed time sector is reached through the field
+    strength rule in ``covariance_defect``.
     """
-    udag = u.conj()
-    return GaugePotential(*(
-        ctx.reduce(_sandwich(u, ak, ctx) + star(udag, u.partial(k), ctx))
-        for k, ak in zip(_SPATIAL, pot.spatial())))
-
-
-def _sandwich(u: Poly, f: Poly, ctx: StarContext) -> Poly:
-    return star(u.conj(), star(f, u, ctx), ctx)
+    return GaugePotential(*_transform(pot, _generator(u, ctx), ctx)[0])
 
 
 @functools.lru_cache(maxsize=1)
-def _transformed_strength(pot: GaugePotential, u: Poly,
-                          ctx: StarContext) -> tuple[FieldStrength,
-                                                     FieldStrength]:
-    """(F, F') where F' is built from A' spatially and from the
-    transformation rule in the time sector:
+def _transformed_strength(pot: GaugePotential, u: Poly, ctx: StarContext
+                          ) -> tuple[Poly, FieldStrength, FieldStrength,
+                                     dict[tuple[int, int], Poly]]:
+    """(lam, F, F', {(i, j): U~ F_ij U}) where F' is built from A'
+    spatially and from the transformation rule in the time sector:
 
-        F'_0i = U~ F_0i U + (1/2) i thetadot^{kj} U~ * F_ij * (d_k U)
+        F'_0i = U~ F_0i U + (1/2) i thetadot^{kj} (U~ F_ij U) * (U~ d_k U)
         Ftilde'_0i = F'_0i - (1/2) i thetadot^{kj} F'_ij * A'_k
 
     Memoized on the value of (pot, u, ctx), which are immutable and hash
     by value, with room for one entry: ``covariance_defect`` and
-    ``invariance_witness`` on equal inputs build (F, F') once, any other
-    input recomputes and evicts it, and at most one (F, F') pair is held.
+    ``invariance_witness`` on equal inputs build it once, any other input
+    recomputes and evicts it, and at most one (F, F') pair is held.
     Callers share the result and treat it as read-only.
     """
+    lam = _generator(u, ctx)
     f = field_strength(pot, ctx)
-    ap = gauge_transform_potential(pot, u, ctx).spatial()
-    spatial_p = _spatial_strength(ap, ctx)
-    udag = u.conj()
-    du = {k: u.partial(k) for k in _SPATIAL}
+    ap, pure = _transform(pot, lam, ctx)
+    conj_spatial = {pair: _adjoint_series(lam, f.spatial[pair], ctx)
+                    for pair in PAIRS}
+    zero = Poly.zero()
     time_p = {}
     for i in _SPATIAL:
         corr = theta_dot_sum(ctx, lambda k, j: star(
-            udag, star(f.spatial_entry(i, j), du[k], ctx), ctx))
-        time_p[i] = ctx.reduce(_sandwich(u, f.time[i], ctx) + HALF_I * corr)
-    return f, _with_tilde(FieldStrength(spatial_p, time_p, {}), ap, ctx)
+            signed_entry(conj_spatial, i, j, zero), pure[k - 1], ctx))
+        time_p[i] = _adjoint_series(lam, f.time[i], ctx) + HALF_I * corr
+    fp = _with_tilde(FieldStrength(_spatial_strength(ap, ctx), time_p, {}),
+                     ap, ctx)
+    return lam, f, fp, conj_spatial
 
 
 def covariance_defect(pot: GaugePotential, u: Poly,
@@ -221,12 +268,12 @@ def covariance_defect(pot: GaugePotential, u: Poly,
     """How far the transformed strengths are from conjugated originals.
 
     Returns ({(i,j): F'_ij - U~ F_ij U}, {i: Ftilde'_0i - U~ Ftilde_0i U}).
-    Both vanish modulo eps^{N+1}; with eps_cutoff = N they are exactly zero.
+    Both vanish modulo eps^{N+1}, so under the cutoff N they are exactly
+    zero.  u must be star_exp(lam, N, ctx) (ValueError otherwise).
     """
-    f, fp = _transformed_strength(pot, u, ctx)
-    spatial = {pair: ctx.reduce(fp.spatial[pair] - _sandwich(u, f.spatial[pair], ctx))
-               for pair in PAIRS}
-    tilde = {i: ctx.reduce(fp.tilde[i] - _sandwich(u, f.tilde[i], ctx))
+    lam, f, fp, conj_spatial = _transformed_strength(pot, u, ctx)
+    spatial = {pair: fp.spatial[pair] - conj_spatial[pair] for pair in PAIRS}
+    tilde = {i: fp.tilde[i] - _adjoint_series(lam, f.tilde[i], ctx)
              for i in _SPATIAL}
     return spatial, tilde
 
@@ -255,34 +302,16 @@ def invariance_witness(pot: GaugePotential, u: Poly,
                        ctx: StarContext) -> tuple[Poly, Poly]:
     """Split density(A') - density(A) into commutator + remainder.
 
-    Returns (w, r) with w = [conj(U), density(A) * U] and r the rest;
-    r vanishes modulo eps^{N+1}.  Since the witness is a star commutator,
-    the density change integrates to zero by the trace property.
-
-    density(A) * U is built only to the eps orders w can see.  Every term
-    of a commutator is an odd node r of the series, |r| >= 1, and carries
-    d^r on one factor and D^r on the other, D_i = theta^{ij} d_j; so it
-    takes at least one spatial derivative of each.  The spatially constant
-    terms of conj(U) (the eps^0 term 1 among them) therefore never act,
-    and w = [V, density(A) * U] with V the spatially non-constant terms of
-    conj(U) at eps order <= N (all of them when N is None).  Eps orders
-    add in a star product, so with lo the lowest eps order of V, a term of
-    density(A) * U above order N - lo lands above N with every term of V,
-    where the cutoff drops it.  The orders <= N - lo of density(A) * U are
-    those of the product under cutoff N - lo, again because orders add.
-    With no such V, w = 0.
+    Returns (w, r) with w = [conj(U), density(A) * U] and r the rest; r
+    vanishes modulo eps^{N+1}, so under the cutoff N it is exactly zero.
+    u must be star_exp(lam, N, ctx) (ValueError otherwise).  Since
+    U * U~ = 1 mod eps^{N+1}, w = U~ * density(A) * U - density(A), which
+    is sum_{n>=1} (-eps)^n / n! ad_lam^n density(A) (see the module
+    docstring): a star commutator with lam, so the density change
+    integrates to zero by the trace property.
     """
-    f, fp = _transformed_strength(pot, u, ctx)
+    lam, f, fp, _ = _transformed_strength(pot, u, ctx)
     dens = action_density(f, ctx)
-    udag = u.conj()
-    cutoff = ctx.eps_cutoff
-    lo = min((e[4] for e, _ in u.items() if any(e[1:4])), default=None)
-    if lo is None or (cutoff is not None and lo > cutoff):
-        witness = Poly.zero()
-    else:
-        inner = ctx if cutoff is None else StarContext(ctx.theta, cutoff - lo)
-        witness = star_commutator(udag, star(dens, u, inner), ctx)
-    # density(A') only now, so it and density(A) * U are never held together
-    dens_p = action_density(fp, ctx)
-    remainder = ctx.reduce(dens_p - dens - witness)
+    witness = _adjoint_series(lam, dens, ctx) - dens
+    remainder = action_density(fp, ctx) - dens - witness
     return witness, remainder

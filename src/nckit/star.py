@@ -68,6 +68,16 @@ with ep < eq twice, which is exact over the ints.  The pairing holds for
 the whole series, not node by node, and every node adds into one
 accumulator, so only the sum is used.
 
+The diagonal blocks halve too, at the odd nodes.  Let B_n(a, b) =
+sum_{|r|=n} (d^r a)(D^r b) / r!; by the orientation identity above,
+B_n(a, b) = (-1)^n B_n(b, a).  In a block ep = eq, f_e = a + i b against
+conj(f_e) = a - i b, an odd node's real part comes from Pr Qi + Pi Qr =
+-(d^r a)(D^r b) + (d^r b)(D^r a), and over |r| = n the two sums are
+-B_n(a, b) = B_n(b, a), equal.  So the kernel forms only Pi Qr, twice.
+This too holds for the whole series at a fixed n, not node by node; a
+node the tree prunes has d^r f_e = 0 or D^r conj(f_e) = 0, so both its
+products are zero, and each node's weight depends on r only through 1/r!.
+
 Nothing outlives the call except what ``ThetaProfile`` keeps: its thetadot
 and the row table of D.
 """
@@ -376,7 +386,8 @@ def _node_product(out: dict, ps: dict, qs: dict, w: int, rot: int,
     Im PQ = Pr Qi + Pi Qr.  An even rot keeps each in its own accumulator,
     an odd one swaps them; rot 1 and 2 negate Im PQ, rot 2 and 3 negate
     Re PQ.  real_only forms only what lands in the real accumulator, and
-    only the eps blocks ep <= eq, the ones with ep < eq twice (see the
+    only the eps blocks ep <= eq, the ones with ep < eq twice; in a block
+    ep == eq of an odd node it forms Pi Qr twice and no Pr Qi (see the
     module docstring)."""
     odd = rot & 1
     w_re = w if rot < 2 else -w
@@ -387,10 +398,12 @@ def _node_product(out: dict, ps: dict, qs: dict, w: int, rot: int,
             if cutoff is not None and e > cutoff:
                 continue
             wr, wi = w_re, w_im
-            if real_only and ep != eq:
+            if real_only:
                 if ep > eq:
                     continue
-                wr, wi = 2 * w_re, 2 * w_im  # and block (eq, ep) is skipped
+                if ep < eq:
+                    wr = 2 * w_re  # and block (eq, ep) is skipped
+                wi = 2 * w_im  # and so is Pr Qi when ep == eq
             acc = out.get(e)
             if acc is None:
                 acc = out[e] = ({}, {})
@@ -401,7 +414,7 @@ def _node_product(out: dict, ps: dict, qs: dict, w: int, rot: int,
                 if pi and qi:
                     _mac(to_re, pi, qi, -wr)
             if not (real_only and not odd):
-                if pr and qi:
+                if pr and qi and not (real_only and ep == eq):
                     _mac(to_im, pr, qi, wi)
                 if pi and qr:
                     _mac(to_im, pi, qr, wi)

@@ -22,7 +22,7 @@ from nckit.gauge import (
     time_component_defect,
     _transformed_strength,
 )
-from util import rand_imag_poly, rand_theta
+from util import rand_imag_poly, rand_poly, rand_theta
 
 I = CRat(0, 1)
 HALF_I = CRat(0, Fraction(1, 2))
@@ -36,6 +36,14 @@ def rand_anti_hermitian_potential(rng, max_terms=2, max_t=1, max_spatial=3):
     comps = [rand_imag_poly(rng, max_terms, max_t, max_spatial)
              for _ in range(3)]
     return GaugePotential(*comps)
+
+
+def _rand_generator(rng):
+    """A gauge parameter that is not constant in x, so U acts."""
+    lam = rand_imag_poly(rng, max_terms=2, max_spatial=2)
+    while lam.spatial_degree() == 0:
+        lam = rand_imag_poly(rng, max_terms=2, max_spatial=2)
+    return lam
 
 
 # -- completion of the time component ---------------------------------------
@@ -255,16 +263,56 @@ def test_covariance_and_invariance_at_order_three():
             spatial = rand_anti_hermitian_potential(rng, max_spatial=2)
         pot = complete_time_component(
             spatial, ctx, seed=rand_imag_poly(rng, max_terms=1, max_spatial=2))
-        lam = rand_imag_poly(rng, max_terms=2, max_spatial=2)
-        while lam.spatial_degree() == 0:
-            lam = rand_imag_poly(rng, max_terms=2, max_spatial=2)
-        u = star_exp(lam, 3, ctx)
+        u = star_exp(_rand_generator(rng), 3, ctx)
         assert u.eps_degree() == 3
         dspat, dtilde = covariance_defect(pot, u, ctx)
         assert all(p.is_zero() for p in dspat.values())
         assert all(p.is_zero() for p in dtilde.values())
         _, remainder = invariance_witness(pot, u, ctx)
         assert remainder.is_zero()
+
+
+# -- the adjoint series against the unitary route ---------------------------------
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_adjoint_series_matches_products_by_u(order):
+    # U~ * X * U and U~ * d_k U by the series in lam, against the products
+    # by U = star_exp(lam, N) that the series replaces
+    rng = random.Random(f"adjoint-{order}")
+    for _ in range(6):
+        ctx = StarContext(rand_theta(rng, max_deg=1), eps_cutoff=order)
+        lam = _rand_generator(rng)
+        x = rand_poly(rng, max_terms=3, max_t=1, max_spatial=3, max_eps=order)
+        u = star_exp(lam, order, ctx)
+        udag = u.conj()
+        assert nckit.gauge._generator(u, ctx) == lam
+        conj_x = nckit.gauge._adjoint_series(lam, x, ctx)
+        assert conj_x == star(udag, star(x, u, ctx), ctx)
+        for k in (1, 2, 3):
+            assert (nckit.gauge._adjoint_series(lam, lam.partial(k), ctx, 1)
+                    == star(udag, u.partial(k), ctx))
+
+
+@pytest.mark.parametrize("order", [4, 5, 6])
+def test_gauge_identities_at_high_order(order):
+    # from order 4 on, a wrong 1/n! in U shows in U~ * U; covariance and
+    # invariance run where every coefficient of the series enters
+    rng = random.Random(f"high-order-{order}")
+    acting = 0
+    for _ in range(6):
+        ctx = StarContext(rand_theta(rng, max_deg=1), eps_cutoff=order)
+        pot = complete_time_component(
+            rand_anti_hermitian_potential(rng, max_terms=2, max_spatial=2),
+            ctx, seed=rand_imag_poly(rng, max_terms=1, max_spatial=2))
+        u = star_exp(_rand_generator(rng), order, ctx)
+        assert star(u.conj(), u, ctx) == Poly.one()
+        dspat, dtilde = covariance_defect(pot, u, ctx)
+        assert all(p.is_zero() for p in dspat.values())
+        assert all(p.is_zero() for p in dtilde.values())
+        witness, remainder = invariance_witness(pot, u, ctx)
+        assert remainder.is_zero()
+        acting += not witness.is_zero()
+    assert acting >= 3
 
 
 # -- the truncated witness ----------------------------------------------------
@@ -285,16 +333,17 @@ def test_truncated_witness_matches_full_commutator(cutoff):
         pot = complete_time_component(
             rand_anti_hermitian_potential(rng, max_terms=2, max_spatial=2),
             ctx, seed=rand_imag_poly(rng, max_terms=1, max_spatial=2))
-        lam = rand_imag_poly(rng, max_terms=2, max_spatial=2)
-        while lam.spatial_degree() == 0:
-            lam = rand_imag_poly(rng, max_terms=2, max_spatial=2)
-        u = star_exp(lam, order, ctx)
+        u = star_exp(_rand_generator(rng), order, ctx)
+        if cutoff is None:  # no cutoff N, so u is no star_exp(lam, N)
+            with pytest.raises(ValueError, match="star_exp"):
+                invariance_witness(pot, u, ctx)
+            continue
         witness, remainder = invariance_witness(pot, u, ctx)
         assert witness == _full_witness(pot, u, ctx)
-        assert cutoff is None or remainder.is_zero()
+        assert remainder.is_zero()
         nonzero += not witness.is_zero()
     # at cutoff 0 U is 1, which commutes with everything
-    assert nonzero >= (cutoff != 0)
+    assert cutoff is None or nonzero >= (cutoff != 0)
 
 
 def test_truncated_witness_with_time_only_terms():
@@ -309,21 +358,25 @@ def test_truncated_witness_with_time_only_terms():
         witness, remainder = invariance_witness(pot, u, ctx)
         assert not witness.is_zero() and remainder.is_zero()
         assert witness == _full_witness(pot, u, ctx)
-    # U acts from eps^2 on, so only eps^0 of density(A) * U is needed
+    # a unitary that is no star exponential is refused
     u = 1 + eps * I * t + eps ** 2 * (I * x1 * x2 + t)
-    witness, _ = invariance_witness(pot, u, ctx)
-    assert not witness.is_zero()
-    assert witness == _full_witness(pot, u, ctx)
+    with pytest.raises(ValueError, match="star_exp"):
+        invariance_witness(pot, u, ctx)
 
 
 def test_truncated_witness_drops_nothing_when_eps0_acts():
     ctx = StarContext(ThetaProfile({(1, 2): t, (1, 3): 1}), eps_cutoff=2)
     pot = complete_time_component(
         GaugePotential(I * x2 * x3, I * x1, eps * I * x1 * x2), ctx)
+    # A_3 holds eps, so the series truncates density(A) before each order
+    u = star_exp(I * x2 * x3 + I * x1, 2, ctx)
+    witness, remainder = invariance_witness(pot, u, ctx)
+    assert not witness.is_zero() and remainder.is_zero()
+    assert witness == _full_witness(pot, u, ctx)
+    # an eps^0 term other than 1 makes u no star exponential
     for u in (x1 + eps * I * x2 * x3, 1 + x2 * x3 + eps ** 2 * I * x1):
-        witness, _ = invariance_witness(pot, u, ctx)
-        assert not witness.is_zero()
-        assert witness == _full_witness(pot, u, ctx)
+        with pytest.raises(ValueError, match="star_exp"):
+            invariance_witness(pot, u, ctx)
 
 
 @pytest.mark.parametrize("cutoff", [None, 0, 1, 2])
@@ -333,14 +386,34 @@ def test_witness_of_spatially_constant_unitary_is_zero(cutoff):
         GaugePotential(I * x2, I * x1 * x3, I * x1 * x2), ctx)
     order = 2 if cutoff is None else cutoff
     u = star_exp(I * t ** 2 - I * t, order, ctx)
+    assert _full_witness(pot, u, ctx).is_zero()
+    if cutoff is None:  # no cutoff N, so u is no star_exp(lam, N)
+        with pytest.raises(ValueError, match="star_exp"):
+            invariance_witness(pot, u, ctx)
+        return
     witness, remainder = invariance_witness(pot, u, ctx)
-    assert witness.is_zero() and _full_witness(pot, u, ctx).is_zero()
-    assert cutoff is None or remainder.is_zero()
-    # U's only spatial term lies above the cutoff: it never acts either
-    if cutoff is not None:
-        u = 1 + eps * I * t + eps ** (cutoff + 1) * I * x1
-        assert invariance_witness(pot, u, ctx)[0].is_zero()
-        assert _full_witness(pot, u, ctx).is_zero()
+    assert witness.is_zero() and remainder.is_zero()
+    # a spatial term above the cutoff makes u no star exponential
+    u = 1 + eps * I * t + eps ** (cutoff + 1) * I * x1
+    with pytest.raises(ValueError, match="star_exp"):
+        invariance_witness(pot, u, ctx)
+
+
+def test_gauge_functions_take_only_star_exponentials():
+    ctx = lin_ctx(cutoff=2)
+    pot = complete_time_component(
+        GaugePotential(I * x2, I * x3, I * x1), ctx)
+    lam = I * x1 * x2
+    u = star_exp(lam, 2, ctx)
+    others = [(u * 2, ctx),  # read as exp(2 lam), which it is not
+              (star_exp(lam, 1, ctx), ctx),  # one order short
+              (1 + eps * x1, ctx),  # a real generator
+              (u, lin_ctx())]  # no cutoff N
+    for bad, bad_ctx in others:
+        for fn in (gauge_transform_potential, covariance_defect,
+                   invariance_witness):
+            with pytest.raises(ValueError, match="star_exp"):
+                fn(pot, bad, bad_ctx)
 
 
 def test_gauge_identity_transformation():

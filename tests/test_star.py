@@ -792,6 +792,44 @@ def test_star_exp_randomized_unitarity():
         assert star(u.conj(), u, ctx) == Poly.one()
 
 
+def _exp_series(z: Poly, order: int) -> Poly:
+    """sum_{n<=order} z^n / n! with plain powers and the test's own
+    factorials; exact mod eps^(order+1) when every term of z holds eps."""
+    out, power = Poly.one(), Poly.one()
+    for n in range(1, order + 1):
+        power = power * z
+        out = out + power * Fraction(1, math.factorial(n))
+    return out
+
+
+@pytest.mark.parametrize("k, l", [
+    ((Fraction(1, 2), -1, Fraction(2, 3)), (2, Fraction(1, 3), -1)),
+    ((-1, Fraction(3, 2), 1), (Fraction(-1, 3), 0, Fraction(5, 2))),
+])
+def test_star_exp_heisenberg_bch(k, l):
+    # For linear lam_k = i k.x, k theta k = 0, so star powers are plain
+    # powers and exp_*(lam_k) = e^{i eps k.x}; the Heisenberg group's BCH
+    # formula then gives
+    #   exp_*(lam_k) * exp_*(lam_l) = e^{i eps (k+l).x} e^{-(i/2) eps^2 k theta l}
+    # mod eps^{N+1}, with k theta l = k_i theta^{ij}(t) l_j.  Every
+    # coefficient 1/n! of star_exp up to n = N enters the left side.
+    order = 7
+    th = ThetaProfile({(1, 2): Fraction(3, 10) + t, (1, 3): -t * t,
+                       (2, 3): HALF})
+    ctx = StarContext(th, eps_cutoff=order)
+    xs = (x1, x2, x3)
+    lam_k = I * sum(c * xi for c, xi in zip(k, xs))
+    lam_l = I * sum(c * xi for c, xi in zip(l, xs))
+    k_theta_l = sum(k[i - 1] * th.entry(i, j) * l[j - 1]
+                    for i in (1, 2, 3) for j in (1, 2, 3))
+    assert k_theta_l != 0
+    want = ctx.reduce(_exp_series(eps * (lam_k + lam_l), order)
+                      * _exp_series(-I * HALF * eps * eps * k_theta_l, order))
+    u_k, u_l = star_exp(lam_k, order, ctx), star_exp(lam_l, order, ctx)
+    assert u_k == ctx.reduce(_exp_series(eps * lam_k, order))
+    assert star(u_k, u_l, ctx) == want
+
+
 def test_star_exponent_limit_raises():
     ctx = StarContext(ThetaProfile({(1, 2): t ** 30}))
     near = star(t ** 90 * x1, x2, ctx)  # t^120: within the limit

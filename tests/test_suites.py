@@ -64,9 +64,10 @@ def test_deterministic_given_seed():
     assert a == b
 
 
-# sha256 of each suite's seed-0 JSON report with every `elapsed` removed;
-# a change to a generator, a draw order, a case cap or the report shape
-# moves it
+# sha256 of each suite's seed-0 JSON report with every `elapsed` removed.
+# A passing report holds names, counts and verdicts, not the drawn inputs,
+# so this pins the verdicts, the case caps and the report shape; the draws
+# themselves are pinned by PINNED_DRAWS below.
 PINNED_REPORTS = {
     ("star", 8): "87515fb4cdbef61f1599f8258163dca18d042919c2e71e156da4d49a6d3168c1",
     ("calculus", 8): "54304ee8f6e884ca3776c0436cbe2a7680cec81b3b1708d9870854be8d7e040c",
@@ -85,6 +86,100 @@ def test_reports_are_pinned(name, cases):
         prop.pop("elapsed")
     text = json.dumps(doc, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[name, cases]
+
+
+def _forced_failure_dump(monkeypatch, name, cases):
+    """run_suite(name, seed=0) with every case made to fail and every
+    counterexample kept: {property: the replay text of each case}.  The
+    checks still run, so the rng stream is the one of a real run; a grid
+    text's measured defect is cut off, since it is roundoff, not a draw."""
+    def forced(case):
+        return lambda *args: (False, case(*args)[1])
+
+    rows = tuple((prop, forced(case), cap)
+                 for prop, case, cap in nckit.suites._SUITES[name])
+    monkeypatch.setitem(nckit.suites._SUITES, name, rows)
+    monkeypatch.setattr(nckit.suites, "_MAX_COUNTEREXAMPLES", 1 << 30)
+    report = run_suite(name, seed=0, cases=cases)
+    return {p.name: [text.split(" defect=")[0] for text in p.counterexamples]
+            for p in report.properties}
+
+
+# the first 16 hex digits of the sha256 of each property's replay texts at
+# seed 0, one line per case, from the forced-failure dump; a change to a
+# generator, a draw order or a case cap moves it
+DRAW_CASES = {"star": 8, "calculus": 8, "gauge": 4, "scalar": 8,
+              "planewave": 8, "grid": 8}
+PINNED_DRAWS = {
+    ("star", "star-associativity"): "bb2d421bbb72b43c",
+    ("star", "generator-commutators"): "83d0b7e42730a437",
+    ("star", "time-derivative-correction"): "00fca01213d46ac1",
+    ("star", "conjugation-reversal"): "ead29f4ac5e9422f",
+    ("star", "spatial-derivations"): "2b9fda4730553df2",
+    ("calculus", "exterior-derivative-squared"): "9728a6f1bf0ca7d8",
+    ("calculus", "graded-leibniz"): "87a6de1bbdd9adeb",
+    ("calculus", "form-conjugation"): "c7759bdf5f17fe77",
+    ("calculus", "left-module-consistency"): "335571d8e8f0679b",
+    ("gauge", "time-component-reality"): "cb784196b6fdaf59",
+    ("gauge", "field-strength-covariance"): "8d08daf922302e89",
+    ("gauge", "action-invariance-witness"): "1c573b26f5e23cc6",
+    ("gauge", "pure-gauge-flatness"): "59196511258745a4",
+    ("scalar", "null-wave-solutions"): "de0c8c2be7f7ee4a",
+    ("scalar", "subalgebra-star-powers"): "7c1eeed47d0bcac0",
+    ("scalar", "subalgebra-defect-vector"): "992bd2a84b745682",
+    ("scalar", "energy-density-reality"): "08e4507f135da064",
+    ("scalar", "metric-pairing-route"): "66dd042fc52978f9",
+    ("planewave", "action-quadratic-identity"): "a897c868ac8f0ee3",
+    ("planewave", "polarisation-split"): "c98321d12a739583",
+    ("planewave", "harmonic-spectrum"): "4cd7d4b62922d411",
+    ("planewave", "ansatz-route-equality"): "fa2e02593b9a7f93",
+    ("grid", "plane-wave-phase-law"): "21013b7cbfe2fe68",
+    ("grid", "trace-property"): "8d3e8d268b751619",
+    ("grid", "trace-cyclicity"): "74a7b3f6bb5dc4d5",
+    ("grid", "series-cross-validation"): "9e8759a763bcd220",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_CASES))
+def test_draws_are_pinned(monkeypatch, name):
+    dump = _forced_failure_dump(monkeypatch, name, DRAW_CASES[name])
+    assert set(dump) == {prop for suite, prop in PINNED_DRAWS if suite == name}
+    for prop, texts in dump.items():
+        assert texts and all(texts), prop
+        digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16]
+        assert digest == PINNED_DRAWS[name, prop], prop
+
+
+def test_vacuous_gauge_parameter_census(monkeypatch):
+    # How many gauge parameters of `nckit verify gauge` (50 cases, order 2)
+    # make their case vacuous: lambda = 0 gives U = 1, and a lambda constant
+    # in x gives U~ d_k U = 0 and U~ X U = X.  Only the draws are needed,
+    # so the checks are stubbed; that consumes no random numbers.
+    real = nckit.suites._rand_gauge
+    drawn = []
+
+    def recorded(rng, ctx, order):
+        lam, u = real(rng, ctx, order)
+        drawn.append(lam)
+        return lam, u
+
+    zero = Poly.zero()
+    monkeypatch.setattr(nckit.suites, "_rand_gauge", recorded)
+    for name, stub in (
+            ("covariance_defect", lambda pot, u, ctx: ({}, {})),
+            ("invariance_witness", lambda pot, u, ctx: (zero, zero)),
+            ("gauge_transform_potential", lambda pot, u, ctx: pot),
+            ("field_strength", lambda pot, ctx: FieldStrength({}, {}, {}))):
+        monkeypatch.setattr(nckit.suites, name, stub)
+    census = []
+    for seed in (0, 1, 2):
+        drawn.clear()
+        run_suite("gauge", seed=seed)
+        census.append((len(drawn), sum(lam.is_zero() for lam in drawn),
+                       sum(lam.spatial_degree() == 0 for lam in drawn)))
+    # (draws, lambda = 0, lambda constant in x, zero included) per seed;
+    # 24 and 153 of 450 are vacuous, until the generator redraws them
+    assert census == [(150, 6, 44), (150, 11, 55), (150, 7, 54)]
 
 
 def test_table_rendering_with_failure():
@@ -168,8 +263,9 @@ def test_gauge_counterexamples_replay(monkeypatch):
 def test_gauge_counterexamples_with_lambda_replay(monkeypatch):
     real = nckit.suites.covariance_defect
 
-    def broken(pot, u, ctx):  # transforms by 2U, which is not unitary
-        return real(pot, 2 * u, ctx)
+    def broken(pot, u, ctx):  # reports F_12 one off
+        spatial, tilde = real(pot, u, ctx)
+        return {**spatial, (1, 2): spatial[(1, 2)] + 1}, tilde
 
     def not_flat(pot, ctx):  # reports A_1 as F_12
         return FieldStrength({(1, 2): pot.a1}, {}, {})
