@@ -38,9 +38,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .forms import DifferentialForm, d as exterior_d, form_conj, form_mul
 from .poly import BasePoly, Poly
@@ -91,8 +90,7 @@ _TOKEN = re.compile(r"""
   | (?P<BAD>.)""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # NUM, NAME, the punctuation character itself, EOF
     text: str
     line: int
@@ -119,30 +117,26 @@ def _tokenize(src: str) -> list[_Tok]:
 
 # -- syntax tree ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: Fraction
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class Sym:
+class Sym(NamedTuple):
     name: str  # i, t, x1..x3, eps, dt, dx1..dx3
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class Un:
+class Un(NamedTuple):
     op: str  # '-', '~'
     arg: "Node"
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class Bin:
+class Bin(NamedTuple):
     op: str  # '+', '-', '*', '.'
     left: "Node"
     right: "Node"
@@ -150,16 +144,14 @@ class Bin:
     col: int
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: "Node"
     exponent: int
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     fn: str  # 'd', 'D0'..'D3'
     arg: "Node"
     line: int
@@ -324,7 +316,7 @@ def evaluate(node: Node, ctx: StarContext) -> Value:
         node = (node.left if isinstance(node, Bin) else
                 node.base if isinstance(node, Pow) else node.arg)
     if isinstance(node, Num):
-        v = Poly.const(Fraction(node.value))
+        v = Poly.const(node.value)
     elif not isinstance(node, Sym):
         raise TypeError(f"not a syntax node: {node!r}")
     elif node.name == "i":

@@ -40,7 +40,7 @@ from typing import Iterable, Mapping
 
 from .rationals import HALF_I
 from .poly import Poly
-from .star import StarContext, star, theta_dot_sum
+from .star import StarContext, star, theta_dot_row
 
 
 def _degree(mask: int) -> int:
@@ -178,14 +178,12 @@ def move_left(g: Poly, mask: int, ctx: StarContext) -> DifferentialForm:
     """
     out = {mask: ctx.reduce(g)}
     if not mask & 1:
-        zero = Poly.zero()
         for j in (1, 2, 3):
             bit = 1 << j
             if mask & bit:
-                corr = theta_dot_sum(
-                    ctx, lambda i, k: g.partial(i) if k == j else zero)
+                # -thetadot^{ij} d_i g is the row Ddot_j g
                 sgn = -1 if _degree(mask & (bit - 1)) & 1 else 1
-                out[mask ^ bit | 1] = ctx.reduce(corr * (HALF_I * -sgn))
+                out[mask ^ bit | 1] = theta_dot_row(ctx, j, g) * (HALF_I * sgn)
     return DifferentialForm._raw({m: c for m, c in out.items() if c})
 
 

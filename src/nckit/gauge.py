@@ -12,8 +12,10 @@ into the time-space field strength and its gauge transformation rule; the
 "improved" combination Ftilde_0i below is the one that transforms
 covariantly and enters the action density.
 
-Each thetadot^{ij} term(i, j) sum here is one ``star.theta_dot_sum`` call,
-and ``_with_tilde`` is the one place Ftilde_0i is built.
+Each thetadot contraction here takes one star product per index, by the
+rows of ``star.theta_dot_row`` and ``star.theta_dot_rows`` (thetadot
+passes through the product; see ``nckit.star``), and ``_with_tilde`` is
+the one place Ftilde_0i is built.
 
 Gauge transformations use unitaries U = star_exp(lam, N) truncated at the
 context's eps cutoff N, so every covariance statement here holds modulo
@@ -51,7 +53,7 @@ from typing import Mapping
 from .rationals import HALF_I, CRat
 from .poly import Poly, eps
 from .star import (PAIRS, StarContext, signed_entry, star, star_commutator,
-                   star_exp, theta_dot_sum)
+                   star_exp, theta_dot_row, theta_dot_rows)
 
 _QUARTER_I = CRat(0, Fraction(1, 4))
 
@@ -91,8 +93,12 @@ def reality_defect(pot: GaugePotential, ctx: StarContext) -> list[Poly]:
 
 
 def _theta_dot_div(pot: GaugePotential, ctx: StarContext) -> Poly:
-    """thetadot^{ij} d_i A_j summed over both spatial indices."""
-    return theta_dot_sum(ctx, lambda i, j: pot.component(j).partial(i))
+    """thetadot^{ij} d_i A_j summed over both spatial indices, which is
+    -sum_j Ddot_j A_j."""
+    acc = Poly.zero()
+    for j in _SPATIAL:
+        acc = acc - theta_dot_row(ctx, j, pot.component(j))
+    return acc
 
 
 def time_component_defect(pot: GaugePotential, ctx: StarContext) -> Poly:
@@ -147,12 +153,22 @@ def _spatial_strength(a: tuple[Poly, Poly, Poly],
     return out
 
 
+def _strength_rows(spatial: Mapping[tuple[int, int], Poly],
+                   ys: tuple[Poly, Poly, Poly], ctx: StarContext) -> list[Poly]:
+    """[sum_j F_ij * R_j for i = 1, 2, 3] with R = theta_dot_rows(ctx, ys),
+    which is -thetadot^{kj} F_ij * y_k; zero rows are skipped."""
+    rows, zero = theta_dot_rows(ctx, ys), Poly.zero()
+    return [sum((star(signed_entry(spatial, i, j, zero), rows[j - 1], ctx)
+                 for j in _SPATIAL if j != i and rows[j - 1]), zero)
+            for i in _SPATIAL]
+
+
 def _with_tilde(fs: FieldStrength, a: tuple[Poly, Poly, Poly],
                 ctx: StarContext) -> FieldStrength:
     """fs completed by Ftilde_0i = F_0i - (1/2) i thetadot^{kj} F_ij * A_k,
     the one place the improved time components are built."""
-    tilde = {i: ctx.reduce(fs.time[i] - HALF_I * theta_dot_sum(
-                 ctx, lambda k, j: star(fs.spatial_entry(i, j), a[k - 1], ctx)))
+    corr = _strength_rows(fs.spatial, a, ctx)
+    tilde = {i: ctx.reduce(fs.time[i] + HALF_I * corr[i - 1])
              for i in _SPATIAL}
     return FieldStrength(fs.spatial, fs.time, tilde)
 
@@ -171,9 +187,11 @@ def field_strength(pot: GaugePotential, ctx: StarContext) -> FieldStrength:
     time = {}
     for i in _SPATIAL:
         ai = a[i - 1]
-        corr = theta_dot_sum(ctx, lambda m, n: star(a[n - 1], ai.partial(m), ctx))
+        # thetadot^{mn} A_n * (d_m A_i) = -sum_n A_n * (Ddot_n A_i)
+        corr = sum((star(a[n - 1], theta_dot_row(ctx, n, ai), ctx)
+                    for n in _SPATIAL), Poly.zero())
         time[i] = ctx.reduce(ai.partial(0) - a0.partial(i)
-                             + star_commutator(a0, ai, ctx) - HALF_I * corr)
+                             + star_commutator(a0, ai, ctx) + HALF_I * corr)
     return _with_tilde(FieldStrength(spatial, time, {}), a, ctx)
 
 
@@ -251,12 +269,9 @@ def _transformed_strength(pot: GaugePotential, u: Poly, ctx: StarContext
     ap, pure = _transform(pot, lam, ctx)
     conj_spatial = {pair: _adjoint_series(lam, f.spatial[pair], ctx)
                     for pair in PAIRS}
-    zero = Poly.zero()
-    time_p = {}
-    for i in _SPATIAL:
-        corr = theta_dot_sum(ctx, lambda k, j: star(
-            signed_entry(conj_spatial, i, j, zero), pure[k - 1], ctx))
-        time_p[i] = _adjoint_series(lam, f.time[i], ctx) + HALF_I * corr
+    corr = _strength_rows(conj_spatial, pure, ctx)
+    time_p = {i: _adjoint_series(lam, f.time[i], ctx) - HALF_I * corr[i - 1]
+              for i in _SPATIAL}
     fp = _with_tilde(FieldStrength(_spatial_strength(ap, ctx), time_p, {}),
                      ap, ctx)
     return lam, f, fp, conj_spatial

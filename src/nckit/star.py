@@ -78,8 +78,16 @@ This too holds for the whole series at a fixed n, not node by node; a
 node the tree prunes has d^r f_e = 0 or D^r conj(f_e) = 0, so both its
 products are zero, and each node's weight depends on r only through 1/r!.
 
+Thetadot rows.  The series never differentiates t, so a factor c(t) in t
+alone passes through the product: c(t)(X*Y) = X*(c(t)Y) = (c(t)X)*Y.  A
+contraction thetadot^{ij} X_i*Y_j is then sum_i X_i*(sum_j thetadot^{ij}
+Y_j), one product per index.  ``theta_dot_row`` forms the row
+Ddot_i g = sum_j thetadot^{ij} d_j g by the kernel's own D_i on
+thetadot's table, and ``theta_dot_rows`` contracts thetadot with a
+vector of three polynomials.
+
 Nothing outlives the call except what ``ThetaProfile`` keeps: its thetadot
-and the row table of D.
+and the row table of D, thetadot's own included.
 """
 
 from __future__ import annotations
@@ -87,7 +95,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .rationals import HALF_I, CRat
 from .poly import EPS_SHIFT, EXP_LIMIT, FIELD_BITS, Poly, _MASK, _check_limit
@@ -124,7 +132,8 @@ class ThetaProfile:
     D_i = theta^{ij} d_j.  Row i lists, for each j with theta^{ij} != 0,
     the pair (j, ((t-exponent, numerator), ...)) of theta^{ij} over D;
     theta is real, so one numerator suffices.  The table has at most six
-    entries, whatever the profile meets.
+    entries, whatever the profile meets.  Thetadot is a profile too, so it
+    builds its own row table once, for ``theta_dot_row``.
     """
 
     __slots__ = ("_upper", "_den", "_dot", "_table")
@@ -240,7 +249,7 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
     The series is summed in operator-split form over one shared int
     denominator (see the module docstring); nothing is kept after the call.
     """
-    if not f or not g:  # theta_dot_sum pairs terms such as F_ii = 0
+    if not f or not g:  # a thetadot row or a partial is often zero
         return Poly.zero()
     if hermitian and (commutator or g != f.conj()):
         raise ValueError(
@@ -291,6 +300,12 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
                 if dq:
                     k = run + 1 if i == last else 1
                     stack.append((i, k, rfact * k, n + 1, dp, dq))
+    return _from_sides(out, p._den * q._den * top * two_d ** n_max)
+
+
+def _from_sides(out: dict, den: int) -> Poly:
+    """The Poly of a side, {eps order: (re, im)} over den, its zero entries
+    dropped; ValueError if an exponent reaches the limit."""
     nums = {}
     for e, (re, im) in out.items():
         high = e << EPS_SHIFT
@@ -303,7 +318,7 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
             if i and k not in re:
                 nums[k | high] = (0, i)
     _check_limit(nums)
-    return Poly._make(nums, p._den * q._den * top * two_d ** n_max)
+    return Poly._make(nums, den)
 
 
 def _by_eps(p: Poly, cutoff: int | None) -> dict:
@@ -456,26 +471,34 @@ def dt_leibniz_defect(f: Poly, g: Poly, ctx: StarContext) -> Poly:
     return _leibniz_defect(f, g, (0,), ctx)[0]
 
 
-def theta_dot_sum(ctx: StarContext,
-                  term: Callable[[int, int], Poly]) -> Poly:
-    """thetadot^{ij} term(i, j) summed over both spatial indices, for the
-    thetadot of the context's profile.
+def theta_dot_row(ctx: StarContext, i: int, g: Poly) -> Poly:
+    """Ddot_i g = sum_j thetadot^{ij} d_j g, the kernel's D_i for the
+    thetadot of the context's profile; orders above its eps cutoff are left
+    out."""
+    dot = ctx.theta.theta_dot()
+    if not g or dot.is_zero():
+        return Poly.zero()
+    side = _theta_apply(_by_eps(g, ctx.eps_cutoff), dot._star_table()[1][i])
+    return _from_sides(side, g._den * dot._den)
 
-    thetadot is antisymmetric, so this is the sum over its nonzero upper
-    entries of thetadot^{ij} (term(i, j) - term(j, i)).  Every thetadot
-    contraction of the gauge sector, of ``dt_leibniz_correction`` and of
-    ``forms.move_left`` is this sum with its own term.
-    """
-    acc = Poly.zero()
-    for (i, j), ent in ctx.theta.theta_dot()._upper.items():
-        acc = acc + ent * (term(i, j) - term(j, i))
-    return acc
+
+def theta_dot_rows(ctx: StarContext, ys: Sequence[Poly]) -> list[Poly]:
+    """[sum_k thetadot^{jk} y_k for j = 1, 2, 3]: thetadot of the context's
+    profile contracted with the vector ys = (y_1, y_2, y_3)."""
+    rows = [Poly.zero()] * 3
+    for (j, k), ent in ctx.theta.theta_dot()._upper.items():
+        rows[j - 1] = rows[j - 1] + ent * ys[k - 1]
+        rows[k - 1] = rows[k - 1] - ent * ys[j - 1]
+    return rows
 
 
 def dt_leibniz_correction(f: Poly, g: Poly, ctx: StarContext) -> Poly:
-    """(1/2) i thetadot^{ij} (d_i f)*(d_j g), the closed form of the defect."""
-    return ctx.reduce(HALF_I * theta_dot_sum(
-        ctx, lambda i, j: star(f.partial(i), g.partial(j), ctx)))
+    """(1/2) i thetadot^{ij} (d_i f)*(d_j g), the closed form of the defect,
+    formed as (1/2) i sum_i (d_i f)*(Ddot_i g)."""
+    acc = Poly.zero()
+    for i in (1, 2, 3):
+        acc = acc + star(f.partial(i), theta_dot_row(ctx, i, g), ctx)
+    return ctx.reduce(HALF_I * acc)
 
 
 def star_conj_defect(f: Poly, g: Poly, ctx: StarContext) -> Poly:

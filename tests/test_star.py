@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+from nckit.forms import DifferentialForm, move_left
+from nckit.gauge import GaugePotential, complete_time_component
 from nckit.poly import Poly, t, x1, x2, x3, eps
 from nckit.rationals import CRat
 from nckit.star import (
@@ -20,9 +22,11 @@ from nckit.star import (
     star_commutator,
     star_conj_defect,
     star_exp,
+    theta_dot_row,
+    theta_dot_rows,
 )
 from util import (assert_canonical, rand_exponents, rand_fraction,
-                  rand_imag_poly, rand_poly, rand_theta)
+                  rand_imag_poly, rand_poly, rand_t_poly, rand_theta)
 
 I = CRat(0, 1)
 HALF = Fraction(1, 2)
@@ -703,6 +707,83 @@ def test_time_partial_is_derivation_for_static_theta():
         f = rand_poly(rng, max_terms=3)
         g = rand_poly(rng, max_terms=3)
         assert dt_leibniz_defect(f, g, ctx).is_zero()
+
+
+# -- thetadot rows ---------------------------------------------------------
+
+def theta_dot_sum_reference(ctx: StarContext, term) -> Poly:
+    """thetadot^{ij} term(i, j) over both indices, as the sum over the
+    upper entries of thetadot^{ij} (term(i, j) - term(j, i)), for the
+    thetadot of the context's profile."""
+    acc = Poly.zero()
+    for (i, j), ent in ctx.theta.theta_dot().upper_entries().items():
+        acc = acc + ent * (term(i, j) - term(j, i))
+    return acc
+
+
+def test_theta_dot_rows_match_the_sum_formula():
+    # time-dependent profiles, thetadot = 0 and one nonzero thetadot entry;
+    # operands carry eps and include zero
+    rng = random.Random(1310)
+    zero = Poly.zero()
+    thetas = [rand_theta(rng) for _ in range(8)]
+    thetas += [ThetaProfile.constant(t12=2, t23=Fraction(-1, 3)),
+               ThetaProfile({(1, 3): 3 * t * t - 1, (2, 3): 2})]
+    assert sum(th.theta_dot().is_zero() for th in thetas) >= 2
+    for k, th in enumerate(thetas):
+        ctx = StarContext(th, eps_cutoff=(None, 0, 1)[k % 3])
+        for _ in range(4):
+            f, g = (rand_poly(rng, max_terms=3, max_spatial=3, max_eps=2)
+                    for _ in range(2))
+            ys = (g, zero, rand_poly(rng, max_terms=3, max_eps=2))
+            for i in (1, 2, 3):
+                want = theta_dot_sum_reference(
+                    ctx, lambda a, b: g.partial(b) if a == i else zero)
+                assert theta_dot_row(ctx, i, g) == ctx.reduce(want)
+                assert theta_dot_row(ctx, i, zero) == zero
+                # the dt correction of dx^i g = g dx^i + ... dt
+                corr = theta_dot_sum_reference(
+                    ctx, lambda a, b: g.partial(a) if b == i else zero)
+                assert (move_left(g, 1 << i, ctx).coefficient(1)
+                        == ctx.reduce(corr * (CRat(0, HALF) * -1)))
+            assert theta_dot_rows(ctx, ys) == [theta_dot_sum_reference(
+                ctx, lambda a, b: ys[b - 1] if a == j else zero)
+                for j in (1, 2, 3)]
+            assert dt_leibniz_correction(f, g, ctx) == ctx.reduce(
+                CRat(0, HALF) * theta_dot_sum_reference(
+                    ctx, lambda a, b: star(f.partial(a), g.partial(b), ctx)))
+
+
+def test_time_factor_passes_through_star():
+    # the identity every row contraction rests on: the series never
+    # differentiates t, so c(t) (X*Y) = X*(c(t) Y) = (c(t) X)*Y
+    rng = random.Random(1311)
+    for k in range(30):
+        ctx = StarContext(rand_theta(rng), eps_cutoff=(None, 1)[k % 2])
+        c = rand_t_poly(rng) + (t if k % 3 else 0)
+        f = rand_poly(rng, max_terms=3, max_spatial=3, max_eps=2)
+        g = rand_poly(rng, max_terms=3, max_spatial=3, max_eps=2)
+        fg = star(f, g, ctx)
+        assert star(f, c * g, ctx) == c * fg == star(c * f, g, ctx)
+
+
+def test_theta_dot_rows_keep_the_exponent_limit():
+    # thetadot^{12} = 2t lifts the t^127 of the operand to t^128: every
+    # route through the rows raises rather than carry into x1's byte
+    ctx = StarContext(ThetaProfile({(1, 2): t ** 2}))
+    g = t ** 127 * x1
+    limit = "an exponent reaches the limit 128"
+    with pytest.raises(ValueError, match=limit):
+        theta_dot_row(ctx, 2, g)
+    with pytest.raises(ValueError, match=limit):
+        move_left(g, 0b0100, ctx)
+    with pytest.raises(ValueError, match=limit):
+        complete_time_component(GaugePotential(Poly.zero(), I * g, Poly.zero()),
+                                ctx)
+    # one t-degree lower the row reaches t^127 and nothing else
+    low = t ** 126 * x1
+    assert move_left(low, 0b0100, ctx) == DifferentialForm(
+        {0b0100: low, 0b0001: -I * t ** 127})
 
 
 def test_conjugation_reverses_star():

@@ -182,6 +182,64 @@ def test_vacuous_gauge_parameter_census(monkeypatch):
     assert census == [(150, 6, 44), (150, 11, 55), (150, 7, 54)]
 
 
+def test_vacuous_theta_dot_census(monkeypatch):
+    # How many cases leave the thetadot rows nothing to check, for each
+    # property of `nckit verify calculus` and for the star suite's
+    # time-derivative-correction (50 cases each, order 2): thetadot = 0,
+    # where every row is zero, and a zero operand (a zero form; a zero f or
+    # g for the star property).  The draws are recorded as the cases make
+    # them, so the rng stream is that of a real run.
+    suites = nckit.suites
+    real_run, real_ctx = suites._run_property, suites._ctx_for
+    real_form, real_defect = suites._rand_form, suites.dt_leibniz_defect
+    cases = []  # [property, thetadot = 0, a zero operand] per case
+    current = []
+
+    def run_property(name, *args):
+        current[:] = [name]
+        return real_run(name, *args)
+
+    def ctx_for(*args):
+        ctx = real_ctx(*args)
+        cases.append([current[0], ctx.theta.theta_dot().is_zero(), False])
+        return ctx
+
+    def rand_form(rng):
+        w = real_form(rng)
+        cases[-1][2] |= w.is_zero()
+        return w
+
+    def defect(f, g, ctx):
+        cases[-1][2] |= f.is_zero() or g.is_zero()
+        return real_defect(f, g, ctx)
+
+    for name, wrapper in (("_run_property", run_property), ("_ctx_for", ctx_for),
+                          ("_rand_form", rand_form),
+                          ("dt_leibniz_defect", defect)):
+        monkeypatch.setattr(suites, name, wrapper)
+    props = ("time-derivative-correction", "exterior-derivative-squared",
+             "graded-leibniz", "form-conjugation", "left-module-consistency")
+    census = []
+    for seed in (0, 1, 2):
+        cases.clear()
+        assert run_suite("star", seed=seed).passed
+        assert run_suite("calculus", seed=seed).passed
+        census.append({prop: (sum(c[0] == prop for c in cases),
+                              sum(c[0] == prop and c[1] for c in cases),
+                              sum(c[0] == prop and c[2] for c in cases))
+                       for prop in props})
+    # (cases, thetadot = 0, a zero operand) per property and seed: 107 of
+    # 750 cases have thetadot = 0 and 5 a zero operand, until the generators
+    # redraw them
+    assert census == [
+        dict(zip(props, ((50, 13, 1), (50, 8, 0), (50, 4, 0), (50, 6, 0),
+                         (50, 9, 0)))),
+        dict(zip(props, ((50, 6, 0), (50, 4, 0), (50, 9, 1), (50, 6, 0),
+                         (50, 10, 0)))),
+        dict(zip(props, ((50, 8, 0), (50, 5, 1), (50, 6, 0), (50, 11, 0),
+                         (50, 2, 1))))]
+
+
 def test_table_rendering_with_failure():
     bad = PropertyResult("always-broken", 5, 2,
                          ("f = x1; g = x2; t12 = t",), 0.01)
