@@ -5,10 +5,12 @@
     nckit planewave wave.ini --json report.json
     nckit grid-check field.ncg
 
+Each subcommand is a function args -> (lines, doc, passed): the lines of
+its human-readable report, the body of its JSON report and its verdict.
+`main` alone prints the lines, writes {"schema": "nckit-report/1", "kind":
+<subcommand name>, **doc} to the --json path when one is given, and exits.
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage, parse,
-or file-format error.  --json <path> writes a structured report (schema
-"nckit-report/1") next to the human-readable output; exact rationals are
-serialized as strings.
+or file-format error.  Exact rationals are serialized as strings.
 """
 
 from __future__ import annotations
@@ -26,11 +28,8 @@ from .grid import (_occupied_band, band_limited_field,
                    grid_trace_defect, load_grid, phase_law_defect)
 from .planewave import effective_action, harmonic_spectrum
 from .star import StarContext, ThetaProfile
-from .suites import REPORT_SCHEMA, SUITE_NAMES, run_suite
-
-PHASE_TOL = 1e-8
-TRACE_TOL = 1e-10
-SERIES_TOL = 1e-6
+from .suites import (PHASE_TOL, REPORT_SCHEMA, SERIES_TOL, SUITE_NAMES,
+                     TRACE_TOL, _SERIES_POOL, run_suite)
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -41,105 +40,83 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write(text)
 
 
+def _mark(ok: bool) -> str:
+    return "pass" if ok else "FAIL"
+
+
 # -- reduce -----------------------------------------------------------------
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> tuple[list[str], dict, bool]:
     theta = load_theta(args.theta) if args.theta else ThetaProfile.zero()
     ctx = StarContext(theta, eps_cutoff=args.order)
     result = reduce_expression(args.expression, ctx)
-    print(result)
-    if args.json:
-        _write_json(args.json, {
-            "schema": REPORT_SCHEMA,
-            "kind": "reduce",
-            "input": args.expression,
-            "theta": theta_to_text(theta),
-            "order": args.order,
-            "result": result,
-        })
-    return 0
+    return [result], {"input": args.expression, "theta": theta_to_text(theta),
+                      "order": args.order, "result": result}, True
 
 
 # -- verify -----------------------------------------------------------------
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[list[str], dict, bool]:
     theta = load_theta(args.theta) if args.theta else None
     report = run_suite(args.suite, seed=args.seed, cases=args.cases,
                        order=args.order, theta=theta)
-    for line in report.table():
-        print(line)
-    if args.json:
-        _write_json(args.json, report.to_json_dict())
-    return 0 if report.passed else 1
+    return report.table(), report.to_json_dict(), report.passed
 
 
 # -- planewave --------------------------------------------------------------
 
-def _cmd_planewave(args) -> int:
+def _cmd_planewave(args) -> tuple[list[str], dict, bool]:
     cfg = load_config(args.specfile)
     if cfg.planewave is None:
         raise ConfigError(f"{args.specfile} has no [planewave] section")
     spec = cfg.planewave
-    if args.theta:
-        theta = load_theta(args.theta)
-    elif cfg.theta is not None:
-        theta = cfg.theta
-    else:
+    theta = load_theta(args.theta) if args.theta else cfg.theta
+    if theta is None:
         theta = ThetaProfile.zero()
-    ctx = StarContext(theta)
-
-    report = effective_action(spec, ctx)
+    report = effective_action(spec, StarContext(theta))
     try:
         spectrum = harmonic_spectrum(spec, report)
         harmonics = {str(n): str(c) for n, c in sorted(spectrum.items())}
+        harmonics_text = ", ".join(f"{n}: {c}" for n, c in harmonics.items())
     except ValueError as exc:
-        harmonics, spectrum_note = None, str(exc)
+        harmonics, harmonics_text = None, f"unavailable ({exc})"
+    null, sign = spec.is_null(), report.cubic_relative_sign
+    quad = str(report.quad_value)
+    cubic = poly_to_expr(report.cubic_contracted)
+    # (label, JSON key, JSON value, text), in report order
+    facts = [
+        ("null wave", "null", null, "yes" if null else "no"),
+        ("quadratic identity", "quad_matches_reference",
+         report.quad_matches_reference, _mark(report.quad_matches_reference)),
+        ("cubic sign", "cubic_relative_sign", sign,
+         "n/a" if sign is None else str(sign)),
+        ("quad value", "quad_value", quad, quad),
+        ("cubic contracted", "cubic_contracted", cubic, cubic),
+        ("polarised", "polarised", report.polarised,
+         "yes" if report.polarised else "no"),
+        ("harmonics", "harmonics", harmonics, harmonics_text or "none"),
+    ]
     items = planewave_items(spec)
     doc = {
-        "schema": REPORT_SCHEMA,
-        "kind": "planewave",
         # config.planewave_items' values, every list split into its words
         "spec": {key: text if key == "omega" or text == "cos" else text.split()
                  for key, text in items},
         "theta": theta_to_text(theta),
-        "null": spec.is_null(),
-        "quad_matches_reference": report.quad_matches_reference,
-        "cubic_relative_sign": report.cubic_relative_sign,
-        "quad_value": str(report.quad_value),
-        "cubic_contracted": poly_to_expr(report.cubic_contracted),
-        "polarised": report.polarised,
-        "harmonics": harmonics,
-        "diagnostics": [dict(d) for d in report.diagnostics],
+        **{key: value for _, key, value, _ in facts},
+        "diagnostics": list(report.diagnostics),
         "passed": report.passed,
     }
-
-    sign = doc["cubic_relative_sign"]
-    rows = [
-        *items,
-        ("null wave", "yes" if doc["null"] else "no"),
-        ("quadratic identity", "pass" if doc["quad_matches_reference"]
-                               else "FAIL"),
-        ("cubic sign", "n/a" if sign is None else str(sign)),
-        ("quad value", doc["quad_value"]),
-        ("cubic contracted", doc["cubic_contracted"]),
-        ("polarised", "yes" if doc["polarised"] else "no"),
-        ("harmonics", f"unavailable ({spectrum_note})" if harmonics is None
-         else ", ".join(f"{n}: {c}" for n, c in harmonics.items()) or "none"),
-    ]
-    rows += [("diagnostic", f"{d['name']}: {d['detail']}")
-             for d in doc["diagnostics"]]
-    width = max(len(k) for k, _ in rows)
-    for key, val in rows:
-        print(f"{key:<{width}}  {val}")
-    print(f"result: {'pass' if report.passed else 'FAIL'}")
-    if args.json:
-        _write_json(args.json, doc)
-    return 0 if report.passed else 1
+    rows = [*items, *((label, text) for label, _, _, text in facts),
+            *(("diagnostic", f"{d['name']}: {d['detail']}")
+              for d in report.diagnostics)]
+    width = max(len(label) for label, _ in rows)
+    lines = [f"{label:<{width}}  {text}" for label, text in rows]
+    return [*lines, f"result: {_mark(report.passed)}"], doc, report.passed
 
 
 # -- grid-check ---------------------------------------------------------------
 
-def _cmd_grid_check(args) -> int:
+def _cmd_grid_check(args) -> tuple[list[str], dict, bool]:
     field, theta = load_grid(args.gridfile)
     n, box = field.n, field.box_length
     if n < 4:
@@ -150,48 +127,31 @@ def _cmd_grid_check(args) -> int:
 
     phase = phase_law_defect(n, box, theta, (3, -2), (5, 7))
     partner = band_limited_field(n, box, max(1, n // 4 - 1), seed=args.seed)
-    trace = grid_trace_defect(field, partner, theta)
-    cyclic = grid_cyclicity_defect(field, partner, theta)
-    series = cross_validate_symbolic({(1, 0): 1.0, (0, 1): 0.5},
-                                     {(0, 2): 1.0, (0, 0): -0.25})
-
     checks = [
-        ("phase-law defect", phase, PHASE_TOL),
-        ("trace defect", trace, TRACE_TOL),
-        ("cyclicity defect", cyclic, TRACE_TOL),
-        ("series defect", series, SERIES_TOL),
+        {"name": name, "value": value, "tolerance": tol, "passed": value <= tol}
+        for name, value, tol in (
+            ("phase-law defect", phase, PHASE_TOL),
+            ("trace defect", grid_trace_defect(field, partner, theta),
+             TRACE_TOL),
+            ("cyclicity defect", grid_cyclicity_defect(field, partner, theta),
+             TRACE_TOL),
+            ("series defect", cross_validate_symbolic(*_SERIES_POOL[1]),
+             SERIES_TOL),
+        )
     ]
-    passed = all(v <= tol for _, v, tol in checks)
-
-    print(f"grid file        {args.gridfile}")
-    print(f"n                {n}")
-    print(f"box length       {box!r}")
-    print(f"theta            {theta!r}")
-    print(f"occupied band    {band} "
-          f"({'within' if in_quarter else 'beyond'} n/4 = {n // 4})")
-    for name, value, tol in checks:
-        mark = "pass" if value <= tol else "FAIL"
-        print(f"{name:<16} {value:.3e}  (tol {tol:.0e})  {mark}")
-    print(f"result: {'pass' if passed else 'FAIL'}")
-
-    if args.json:
-        _write_json(args.json, {
-            "schema": REPORT_SCHEMA,
-            "kind": "grid-check",
-            "gridfile": args.gridfile,
-            "n": n,
-            "box_length": box,
-            "theta": theta,
-            "occupied_band": band,
-            "band_within_quarter": in_quarter,
-            "checks": [
-                {"name": name, "value": value, "tolerance": tol,
-                 "passed": value <= tol}
-                for name, value, tol in checks
-            ],
-            "passed": passed,
-        })
-    return 0 if passed else 1
+    passed = all(c["passed"] for c in checks)
+    rows = [("grid file", args.gridfile), ("n", n), ("box length", repr(box)),
+            ("theta", repr(theta)),
+            ("occupied band", f"{band} ({'within' if in_quarter else 'beyond'}"
+                              f" n/4 = {n // 4})"),
+            *((c["name"], f"{c['value']:.3e}  (tol {c['tolerance']:.0e})  "
+                          f"{_mark(c['passed'])}") for c in checks)]
+    lines = [f"{label:<16} {text}" for label, text in rows]
+    doc = {"gridfile": args.gridfile, "n": n, "box_length": box,
+           "theta": theta, "occupied_band": band,
+           "band_within_quarter": in_quarter, "checks": checks,
+           "passed": passed}
+    return [*lines, f"result: {_mark(passed)}"], doc, passed
 
 
 # -- argument plumbing ----------------------------------------------------------
@@ -222,8 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_red.add_argument("--order", type=_int_at_least(0), default=None,
                        metavar="N",
                        help="eps truncation order")
-    p_red.add_argument("--json", metavar="PATH",
-                       help="also write a JSON report here")
     p_red.set_defaults(fn=_cmd_reduce)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
@@ -234,7 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--cases", type=_int_at_least(1), default=50)
     p_ver.add_argument("--order", type=_int_at_least(0), default=2, metavar="N",
                        help="eps truncation order for the gauge sector")
-    p_ver.add_argument("--json", metavar="PATH")
     p_ver.set_defaults(fn=_cmd_verify)
 
     p_pw = sub.add_parser("planewave",
@@ -242,7 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pw.add_argument("specfile")
     p_pw.add_argument("--theta", metavar="FILE",
                       help="override the spec file's [theta] section")
-    p_pw.add_argument("--json", metavar="PATH")
     p_pw.set_defaults(fn=_cmd_planewave)
 
     p_gc = sub.add_parser("grid-check",
@@ -250,8 +206,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("gridfile")
     p_gc.add_argument("--seed", type=int, default=0,
                       help="seed for the band-limited partner field")
-    p_gc.add_argument("--json", metavar="PATH")
     p_gc.set_defaults(fn=_cmd_grid_check)
+    for p in sub.choices.values():
+        p.add_argument("--json", metavar="PATH",
+                       help="also write a JSON report here")
     return parser
 
 
@@ -270,7 +228,13 @@ def main(argv: list[str] | None = None) -> int:
     if extra:
         _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        return args.fn(args)
+        lines, doc, passed = args.fn(args)
+        for line in lines:
+            print(line)
+        if args.json:
+            _write_json(args.json,
+                        {"schema": REPORT_SCHEMA, "kind": args.command, **doc})
+        return 0 if passed else 1
     except (ParseError, GradingError, ConfigError, ValueError, OSError) as exc:
         print(f"nckit: {exc}", file=sys.stderr)
         return 2

@@ -446,6 +446,13 @@ def _contract_integrand(report, spec, ctx):
 
 _TWO_PI = 6.283185307179586
 
+# Bounds on the grid defects, shared with `nckit grid-check`, which prints
+# them.  The phase law's 1e-8 covers any N a grid file holds; the suite's
+# own phase-law property keeps 1e-10, since its N is at most 64.
+PHASE_TOL = 1e-8
+TRACE_TOL = 1e-10
+SERIES_TOL = 1e-6
+
 
 def _case_phase_law(rng, theta, order, k):
     n = rng.choice((32, 64))
@@ -466,7 +473,7 @@ def _case_trace(defect_name, rng, theta, order, k):
     g = gridmod.band_limited_field(n, _TWO_PI, n // 4 - 1, seed=rng.randrange(1 << 30))
     theta_val = rng.uniform(-1.5, 1.5)
     defect = getattr(gridmod, defect_name)(f, g, theta_val)
-    return defect < 1e-10, lambda: f"n={n} theta={theta_val} defect={defect:.3e}"
+    return defect < TRACE_TOL, lambda: f"n={n} theta={theta_val} defect={defect:.3e}"
 
 
 _SERIES_POOL = (
@@ -478,7 +485,7 @@ _SERIES_POOL = (
 
 def _case_series_cross_check(rng, theta, order, k):
     defect = gridmod.cross_validate_symbolic(*_SERIES_POOL[k])
-    return defect < 1e-6, lambda: f"case {k} defect={defect:.3e}"
+    return defect < SERIES_TOL, lambda: f"case {k} defect={defect:.3e}"
 
 
 # -- entry point ---------------------------------------------------------------------

@@ -4,8 +4,10 @@ import dataclasses
 import itertools
 import json
 import pathlib
+import re
 import shlex
 import struct
+import sys
 import time
 from fractions import Fraction
 
@@ -241,6 +243,31 @@ def test_reduce_nesting_limit(capsys):
     wide = "+".join(["(" * 100 + "x1" + ")" * 100] * 3)
     assert main(["reduce", wide]) == 0
     assert capsys.readouterr().out == "3*x1\n"
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_recursion_error_is_a_usage_error(capsys):
+    # an input within MAX_NESTING, under a recursion limit too low for its
+    # parse but high enough for argparse, reaches main's RecursionError arm
+    nested = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        code = main(["reduce", nested])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "nckit: input is nested too deeply\n"
+    assert main(["reduce", nested]) == 0
+    assert capsys.readouterr().out == "x1\n"
 
 
 # (id, expression of n links, expected output); n is even
@@ -604,7 +631,67 @@ def test_unwritable_json_path_is_a_usage_error(tmp_path, capsys, cmd):
         assert str(target) in err
 
 
+# -- report layout ----------------------------------------------------------------
+
+REPORT_KEYS = {
+    "reduce": ["schema", "kind", "input", "theta", "order", "result"],
+    "verify": ["schema", "kind", "suite", "seed", "cases", "order", "theta",
+               "passed", "elapsed", "properties"],
+    "planewave": ["schema", "kind", "spec", "theta", "null",
+                  "quad_matches_reference", "cubic_relative_sign",
+                  "quad_value", "cubic_contracted", "polarised", "harmonics",
+                  "diagnostics", "passed"],
+    "grid-check": ["schema", "kind", "gridfile", "n", "box_length", "theta",
+                   "occupied_band", "band_within_quarter", "checks",
+                   "passed"],
+}
+
+
+@pytest.mark.parametrize("cmd, profile", [
+    ("reduce", None), ("verify", None), ("planewave", "cos"),
+    ("planewave", "0 0 1"), ("grid-check", None),
+])
+def test_report_key_order_is_pinned(tmp_path, capsys, cmd, profile):
+    argv = _json_argv(cmd, tmp_path)
+    if profile is not None:  # rewrite _json_argv's spec file
+        write(tmp_path / "w.ini",
+              WAVE_INI.replace("profile = cos", f"profile = {profile}"))
+    out = tmp_path / "o.json"
+    assert main([*argv, "--json", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert list(doc) == REPORT_KEYS[cmd]
+    assert (doc["schema"], doc["kind"]) == ("nckit-report/1", cmd)
+    if cmd == "verify":
+        assert list(doc["properties"][0]) == ["name", "cases", "failures",
+                                              "passed", "elapsed",
+                                              "counterexamples"]
+    if cmd == "grid-check":
+        assert [list(c) for c in doc["checks"]] == [
+            ["name", "value", "tolerance", "passed"]] * 4
+
+
 # -- grid-check -------------------------------------------------------------------
+
+def test_grid_check_stdout_is_pinned(tmp_path, capsys):
+    path = tmp_path / "f.ncg"
+    save_grid(path, band_limited_field(32, 6.283185307179586, 7, seed=2), 0.3)
+    assert main(["grid-check", str(path)]) == 0
+    defect = r"\d\.\d{3}e[+-]\d{2}"
+    text = capsys.readouterr().out
+    assert re.sub(rf"(?m)^(.{{17}}){defect}  ", r"\1<defect>  ", text) == f"""\
+grid file        {path}
+n                32
+box length       6.283185307179586
+theta            0.3
+occupied band    7 (within n/4 = 8)
+phase-law defect <defect>  (tol 1e-08)  pass
+trace defect     <defect>  (tol 1e-10)  pass
+cyclicity defect <defect>  (tol 1e-10)  pass
+series defect    <defect>  (tol 1e-06)  pass
+result: pass
+"""
+
 
 def test_grid_check_pass(tmp_path, capsys):
     field = band_limited_field(32, 6.283185307179586, 7, seed=2)

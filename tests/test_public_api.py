@@ -131,3 +131,15 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     unused = sorted((fn, p) for fn, params in defaulted.items()
                     for p in params if (fn, p) not in passed)
     assert unused == []
+
+
+def test_only_cli_main_prints_or_writes_reports():
+    # every subcommand returns its lines, JSON body and verdict; main alone
+    # prints them, writes the report and picks the exit code
+    tree = ast.parse(pathlib.Path(nckit.__file__).with_name("cli.py")
+                     .read_text(encoding="utf-8"))
+    callers = {getattr(top, "name", "<module>")
+               for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) in ("print", "_write_json")}
+    assert callers == {"main"}
