@@ -27,6 +27,7 @@ from .grid import (_occupied_band, band_limited_field,
                    cross_validate_symbolic, grid_cyclicity_defect,
                    grid_trace_defect, load_grid, phase_law_defect)
 from .planewave import effective_action, harmonic_spectrum
+from .poly import EXP_LIMIT
 from .star import StarContext, ThetaProfile
 from .suites import (PHASE_TOL, REPORT_SCHEMA, SERIES_TOL, SUITE_NAMES,
                      TRACE_TOL, _SERIES_POOL, run_suite)
@@ -57,6 +58,9 @@ def _cmd_reduce(args) -> tuple[list[str], dict, bool]:
 # -- verify -----------------------------------------------------------------
 
 def _cmd_verify(args) -> tuple[list[str], dict, bool]:
+    if args.suite == "gauge" and args.order >= EXP_LIMIT:  # eps^N overflows
+        raise ValueError(f"verify gauge: --order {args.order} reaches the "
+                         f"eps exponent limit of {EXP_LIMIT}")
     theta = load_theta(args.theta) if args.theta else None
     report = run_suite(args.suite, seed=args.seed, cases=args.cases,
                        order=args.order, theta=theta)

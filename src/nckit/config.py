@@ -25,6 +25,7 @@ from __future__ import annotations
 import configparser
 import os
 import re
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -134,26 +135,36 @@ class Config:
     planewave: PlaneWaveSpec | None = None
 
 
+# one reader per process: a ConfigParser costs more to build than a small
+# file to read.  No interpolation: % is left for the value parsers to
+# reject; and no header line can name the default section, so [DEFAULT]
+# is an ordinary, hence unknown, section
+_READER = configparser.ConfigParser(interpolation=None, default_section="\n")
+_READER.optionxform = str  # keys are case-sensitive: T12 is not t12
+_READER_LOCK = threading.Lock()
+
+
 def load_config(path) -> Config:
     if not os.path.exists(path):
         raise ConfigError(f"no such config file: {path}")
-    # no interpolation: % is an ordinary character, left for the value
-    # parsers to reject; and no header line can name the default section,
-    # so [DEFAULT] is an ordinary, hence unknown, section
-    cp = configparser.ConfigParser(interpolation=None, default_section="\n")
-    cp.optionxform = str  # keys are case-sensitive: T12 is not t12
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cp.read_file(fh)
-    except (configparser.Error, OSError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    for name in cp.sections():
-        if name not in ("theta", "planewave"):
-            raise ConfigError(f"unknown section [{name}]")
-    theta = _parse_theta(cp["theta"]) if cp.has_section("theta") else None
-    wave = (_parse_planewave(cp["planewave"])
-            if cp.has_section("planewave") else None)
-    return Config(theta, wave)
+    with _READER_LOCK:
+        cp = _READER
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                cp.read_file(fh)
+            for name in cp.sections():
+                if name not in ("theta", "planewave"):
+                    raise ConfigError(f"unknown section [{name}]")
+            theta = (_parse_theta(cp["theta"]) if cp.has_section("theta")
+                     else None)
+            wave = (_parse_planewave(cp["planewave"])
+                    if cp.has_section("planewave") else None)
+            return Config(theta, wave)
+        except (configparser.Error, OSError) as exc:  # raised by the read
+            raise ConfigError(f"{path}: {exc}") from None
+        finally:
+            for name in cp.sections():  # a failed read leaves some too
+                cp.remove_section(name)
 
 
 def load_theta(path) -> ThetaProfile:

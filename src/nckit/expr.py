@@ -43,7 +43,7 @@ from typing import NamedTuple, Union
 
 from .forms import DifferentialForm, d as exterior_d, form_conj, form_mul
 from .poly import BasePoly, Poly
-from .rationals import CRat, I
+from .rationals import I, _text
 from .star import StarContext, star
 
 Value = Union[Poly, DifferentialForm]
@@ -90,18 +90,17 @@ _TOKEN = re.compile(r"""
   | (?P<BAD>.)""", re.VERBOSE | re.DOTALL)
 
 
-class _Tok(NamedTuple):
-    kind: str  # NUM, NAME, the punctuation character itself, EOF
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(src: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, line_start = 1, 0
+def _tokenize(src: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, col) tuples, kind NUM, NAME, the punctuation
+    character itself or, last, EOF.  Lexer errors come first, then the
+    first parenthesis nested deeper than MAX_NESTING."""
+    toks, too_deep = [], None
+    line, line_start, depth = 1, 0, 0
     for m in _TOKEN.finditer(src):
-        kind, text, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        kind, text = m.lastgroup, m.group()
+        if kind == "WS":
+            continue
+        col = m.start() - line_start + 1
         if kind == "NL":
             line, line_start = line + 1, m.end()
         elif kind == "DEC":
@@ -109,9 +108,15 @@ def _tokenize(src: str) -> list[_Tok]:
                 "decimal literals are not supported; write p/q", line, col)
         elif kind == "BAD":
             raise ParseError(f"unexpected character {text!r}", line, col)
-        elif kind != "WS":
-            toks.append(_Tok(text if kind == "PUNCT" else kind, text, line, col))
-    toks.append(_Tok("EOF", "", line, len(src) - line_start + 1))
+        else:
+            depth += (text == "(") - (text == ")")
+            if depth > MAX_NESTING and too_deep is None:
+                too_deep = (line, col)
+            toks.append((text if kind == "PUNCT" else kind, text, line, col))
+    if too_deep:
+        raise ParseError("parentheses nested deeper than the limit of "
+                         f"{MAX_NESTING}", *too_deep)
+    toks.append(("EOF", "", line, len(src) - line_start + 1))
     return toks
 
 
@@ -165,117 +170,96 @@ _CALLS = {"d", "D0", "D1", "D2", "D3"}
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok]):
+    def __init__(self, toks: list[tuple[str, str, int, int]]):
         self.toks = toks
         self.pos = 0
+        self.kind = toks[0][0]  # the kind of toks[self.pos]
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
-
-    def next(self) -> _Tok:
+    def next(self) -> tuple[str, str, int, int]:
         tok = self.toks[self.pos]
-        self.pos += 1
+        self.pos += 1  # never past EOF, which no rule consumes
+        self.kind = self.toks[self.pos][0]
         return tok
 
-    def expect(self, kind: str) -> _Tok:
-        tok = self.peek()
-        if tok.kind != kind:
-            what = tok.text or "end of input"
-            raise ParseError(f"expected {kind!r}, found {what!r}",
-                             tok.line, tok.col)
+    def expect(self, kind: str) -> tuple[str, str, int, int]:
+        if self.kind != kind:
+            _, text, line, col = self.toks[self.pos]
+            raise ParseError(f"expected {kind!r}, found "
+                             f"{text or 'end of input'!r}", line, col)
         return self.next()
 
     def parse(self) -> Node:
         node = self.expr()
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"unexpected trailing input {tok.text!r}",
-                             tok.line, tok.col)
+        if self.kind != "EOF":
+            _, text, line, col = self.toks[self.pos]
+            raise ParseError(f"unexpected trailing input {text!r}", line, col)
         return node
 
     def expr(self) -> Node:
         node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next()
-            node = Bin(op.kind, node, self.term(), op.line, op.col)
+        while self.kind in ("+", "-"):
+            op, _, line, col = self.next()
+            node = Bin(op, node, self.term(), line, col)
         return node
 
     def term(self) -> Node:
         node = self.unary()
-        while self.peek().kind in ("*", "."):
-            op = self.next()
-            node = Bin(op.kind, node, self.unary(), op.line, op.col)
+        while self.kind in ("*", "."):
+            op, _, line, col = self.next()
+            node = Bin(op, node, self.unary(), line, col)
         return node
 
     def unary(self) -> Node:
         # prefix signs are collected in a loop: a run of them costs no depth
         signs = []
-        while self.peek().kind == "-":
+        while self.kind == "-":
             signs.append(self.next())
-        while self.peek().kind == "~":
+        while self.kind == "~":
             signs.append(self.next())
         node = self.power()
-        for tok in reversed(signs):
-            node = Un(tok.kind, node, tok.line, tok.col)
+        for op, _, line, col in reversed(signs):
+            node = Un(op, node, line, col)
         return node
 
     def power(self) -> Node:
         node = self.atom()
-        while self.peek().kind == "^":
-            op = self.next()
-            num = self.expect("NUM")
-            node = Pow(node, int(num.text), op.line, op.col)
+        while self.kind == "^":
+            _, _, line, col = self.next()
+            node = Pow(node, int(self.expect("NUM")[1]), line, col)
         return node
 
     def atom(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "NUM":
+        kind, text, line, col = self.toks[self.pos]
+        if kind == "NUM":
             self.next()
-            numer = int(tok.text)
-            if self.peek().kind == "/":
-                self.next()
-                den_tok = self.expect("NUM")
-                denom = int(den_tok.text)
-                if denom == 0:
-                    raise ParseError("zero denominator",
-                                     den_tok.line, den_tok.col)
-                return Num(Fraction(numer, denom), tok.line, tok.col)
-            return Num(Fraction(numer), tok.line, tok.col)
-        if tok.kind == "NAME":
+            if self.kind != "/":
+                return Num(Fraction(int(text)), line, col)
             self.next()
-            if tok.text in _CALLS:
+            _, den, *where = self.expect("NUM")
+            if not int(den):
+                raise ParseError("zero denominator", *where)
+            return Num(Fraction(int(text), int(den)), line, col)
+        if kind == "NAME":
+            self.next()
+            if text in _CALLS:
                 self.expect("(")
                 arg = self.expr()
                 self.expect(")")
-                return Call(tok.text, arg, tok.line, tok.col)
-            if tok.text in _ATOMS:
-                return Sym(tok.text, tok.line, tok.col)
-            raise ParseError(f"unknown symbol {tok.text!r}", tok.line, tok.col)
-        if tok.kind == "(":
+                return Call(text, arg, line, col)
+            if text in _ATOMS:
+                return Sym(text, line, col)
+            raise ParseError(f"unknown symbol {text!r}", line, col)
+        if kind == "(":
             self.next()
             node = self.expr()
             self.expect(")")
             return node
-        what = tok.text or "end of input"
-        raise ParseError(f"expected a value, found {what!r}", tok.line, tok.col)
-
-
-def _check_nesting(toks: list[_Tok]) -> None:
-    depth = 0
-    for tok in toks:
-        if tok.kind == "(":
-            depth += 1
-            if depth > MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than the limit "
-                                 f"of {MAX_NESTING}", tok.line, tok.col)
-        elif tok.kind == ")":
-            depth -= 1
+        raise ParseError(f"expected a value, found {text or 'end of input'!r}",
+                         line, col)
 
 
 def parse_expression(src: str) -> Node:
-    toks = _tokenize(src)
-    _check_nesting(toks)
-    return _Parser(toks).parse()
+    return _Parser(_tokenize(src)).parse()
 
 
 # -- evaluation --------------------------------------------------------------
@@ -379,15 +363,23 @@ def _binary(node: Bin, a: Value, b: Value, ctx: StarContext) -> Value:
 
 # -- rendering ---------------------------------------------------------------
 
-def _term_text(names, exps, c: CRat, wedge: str = "") -> tuple[bool, str]:
-    """(negative, text) for c * monomial * wedge in the variables `names`,
-    the sign split off c and the magnitude printed in re-parseable form."""
-    neg = c.re < 0 or (c.re == 0 and c.im < 0)
-    coeff = str(-c if neg else c)
-    mono = ".".join(f"{v}^{e}" if e > 1 else v
-                    for v, e in zip(names, exps) if e)
-    factors = (mono, wedge) if coeff == "1" else (coeff, mono, wedge)
-    return neg, "*".join(f for f in factors if f) or "1"
+def _term_texts(p: BasePoly, wedge: str = ""):
+    """(negative, text) for each term of p times wedge, by total degree,
+    then exponents with the first variable most significant, highest first;
+    the sign is split off the coefficient, whose magnitude is printed in
+    re-parseable form."""
+    names, den, n = type(p).VARS, p._den, len(type(p).VARS)
+    for _, exps, re, im in sorted(
+            ((sum(b := k.to_bytes(n, "little")), b, r, i)
+             for k, (r, i) in p._nums.items()), reverse=True):
+        neg = re < 0 or (not re and im < 0)
+        if neg:
+            re, im = -re, -im
+        mono = ".".join(f"{v}^{e}" if e > 1 else v
+                        for v, e in zip(names, exps) if e)
+        factors = ((mono, wedge) if re == den and not im
+                   else (_text(re, im, den), mono, wedge))
+        yield neg, "*".join(f for f in factors if f) or "1"
 
 
 def _join_terms(terms) -> str:
@@ -402,8 +394,7 @@ def _join_terms(terms) -> str:
 
 
 def poly_to_expr(p: BasePoly) -> str:
-    names = type(p).VARS
-    return _join_terms(_term_text(names, e, c) for e, c in p.sorted_terms())
+    return _join_terms(_term_texts(p))
 
 
 _BASIS_NAMES = ("dt", "dx1", "dx2", "dx3")
@@ -412,10 +403,9 @@ _BASIS_NAMES = ("dt", "dx1", "dx2", "dx3")
 def _form_terms(w: DifferentialForm):
     for mask, f in sorted(w.items(),
                           key=lambda kv: (bin(kv[0]).count("1"), kv[0])):
-        terms = f.sorted_terms()
         wedge = "*".join(_BASIS_NAMES[mu] for mu in range(4) if mask >> mu & 1)
-        if not mask or len(terms) == 1:
-            yield from (_term_text(Poly.VARS, e, c, wedge) for e, c in terms)
+        if not mask or len(f) == 1:
+            yield from _term_texts(f, wedge)
         else:
             yield False, f"({poly_to_expr(f)})*{wedge}"
 

@@ -174,19 +174,24 @@ class CRat:
         return f"CRat({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
-        re, im = self.re, self.im
-        if not im:
-            return str(re)
-        if not re:
-            if im == 1:
-                return "i"
-            if im == -1:
-                return "-i"
-            return f"{im}*i"
-        sign = "+" if im >= 0 else "-"
-        im = abs(im)
-        imtxt = "i" if im == 1 else f"{im}*i"
-        return f"({re}{sign}{imtxt})"
+        return _text(self._re, self._im, self._den)
+
+
+def _part(n: int, den: int) -> str:
+    """n / den in lowest terms, as Fraction prints it."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
+def _text(re: int, im: int, den: int) -> str:
+    """The text of (re + im*i) / den for den > 0, with no gcd assumed:
+    "3/2", "-i", "2*i", "(1/2-i)"."""
+    if not im:
+        return _part(re, den)
+    imtxt = "i" if abs(im) == den else f"{_part(abs(im), den)}*i"
+    if not re:
+        return "-" + imtxt if im < 0 else imtxt
+    return f"({_part(re, den)}{'-' if im < 0 else '+'}{imtxt})"
 
 
 _new = object.__new__

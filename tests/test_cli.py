@@ -1,5 +1,6 @@
 """Command surface and config files: exit codes, reports, round trips."""
 
+import configparser
 import dataclasses
 import itertools
 import json
@@ -8,13 +9,14 @@ import re
 import shlex
 import struct
 import sys
+import threading
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nckit import cli
+from nckit import cli, config
 from nckit.cli import _build_parser, main
 from nckit.config import (ConfigError, load_config, load_theta,
                           planewave_items, theta_to_text)
@@ -183,6 +185,87 @@ def test_grid_section_is_unknown(tmp_path, capsys):
         load_config(p)
     assert main(["planewave", p]) == 2
     assert capsys.readouterr().err == "nckit: unknown section [grid]\n"
+
+
+
+# -- one INI reader per process ---------------------------------------------------
+
+# In load order: a good [theta]; files that fail after a section has been
+# read, on a missing header, a duplicate key or section, or a bad value; a
+# [planewave]-only file; and the verdicts that configparser's defaults
+# would change ([DEFAULT], a literal %, case-sensitive keys).
+REUSE_FILES = {
+    "theta.ini": "[theta]\nt12 = t^2\nt23 = 1/2\n",
+    "no-header.ini": "t12 = t\n",
+    "dup-key.ini": "[theta]\nt12 = t\nt13 = 1\nt13 = 2\n",
+    "dup-section.ini": "[theta]\nt12 = t\n[theta]\nt23 = 1\n",
+    "bad-value.ini": ("[theta]\nt13 = 1\n[planewave]\nomega = x\n"
+                      "k = 1 2 2\np = 1 2 0 1\n"),
+    "planewave.ini": "[planewave]\nomega = 3\nk = 1 2 2\np = 1 2 0 1\n",
+    "default.ini": "[DEFAULT]\nt12 = t\n",
+    "percent.ini": "[theta]\nt12 = 50%\n",
+    "upper.ini": "[theta]\nT12 = t\n",
+    "theta-again.ini": "[theta]\nt23 = t\n",
+}
+
+
+def _load_outcome(path):
+    try:
+        return load_config(path)
+    except ConfigError as exc:
+        return str(exc).replace(path, "<path>")
+
+
+def test_reused_reader_reads_like_a_fresh_one(tmp_path, monkeypatch):
+    paths = [write(tmp_path / name, body) for name, body in REUSE_FILES.items()]
+    reused = [_load_outcome(p) for p in paths]
+    assert not config._READER.sections()  # nothing held between calls
+    fresh = []
+    for p in paths:
+        cp = configparser.ConfigParser(interpolation=None, default_section="\n")
+        cp.optionxform = str
+        monkeypatch.setattr(config, "_READER", cp)
+        fresh.append(_load_outcome(p))
+    assert reused == fresh
+    theta = ThetaProfile({(1, 2): t * t, (2, 3): Fraction(1, 2)})
+    assert reused[0] == config.Config(theta, None)
+    assert reused[1].startswith("<path>: File contains no section headers")
+    assert "option 't13' in section 'theta' already exists" in reused[2]
+    assert "section 'theta' already exists" in reused[3]
+    assert reused[4] == "[planewave] omega: not a rational: 'x'"
+    assert reused[5] == config.Config(None, PlaneWaveSpec(
+        Fraction(3), (1, 2, 2), (1, 2, 0, 1), "cos"))
+    assert reused[6:9] == ["unknown section [DEFAULT]",
+                           "[theta] t12: line 1, column 3: unexpected "
+                           "character '%'", "unknown key 'T12' in [theta]"]
+    assert reused[9] == config.Config(ThetaProfile({(2, 3): t}), None)
+
+
+def test_concurrent_loads_each_get_their_own_config(tmp_path):
+    bodies = [f"[theta]\nt12 = {n}*t\n" if n % 2 else
+              f"[planewave]\nomega = {n}\nk = 1 2 2\np = 1 2 0 1\n"
+              for n in range(1, 5)]
+    paths = [write(tmp_path / f"c{n}.ini", b) for n, b in enumerate(bodies)]
+    want = [load_config(p) for p in paths]
+    got: dict = {}
+
+    def worker(k):
+        got[k] = [load_config(paths[k]) for _ in range(40)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(len(paths))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert got == {k: [want[k]] * 40 for k in range(len(paths))}
+    assert not config._READER.sections()
 
 
 # -- reduce ------------------------------------------------------------------------
@@ -438,6 +521,35 @@ def test_smallest_counts_and_orders_still_run(capsys):
         main(["reduce", "x1", "--order", "x"])
     assert "invalid int value: 'x'" in capsys.readouterr().err
 
+
+
+GAUGE_127_SEED_3 = """\
+PASS  time-component-reality        1 cases    0 failures     <t>
+PASS  field-strength-covariance     1 cases    0 failures     <t>
+PASS  action-invariance-witness     1 cases    0 failures     <t>
+PASS  pure-gauge-flatness           1 cases    0 failures     <t>
+suite gauge: pass (4 properties, <t>)
+"""
+
+
+def test_gauge_order_127_still_runs(capsys):
+    assert main(["verify", "gauge", "--order", "127", "--cases", "1",
+                 "--seed", "3"]) == 0
+    out = re.sub(r"\d+\.\d\ds", "<t>", capsys.readouterr().out)
+    assert out == GAUGE_127_SEED_3
+    # the other suites take no eps order from --order
+    assert main(["verify", "star", "--order", "128", "--cases", "1"]) == 0
+
+
+@pytest.mark.parametrize("order", ["128", "1000"])
+def test_gauge_order_at_the_eps_limit_exits_before_any_case(order, capsys):
+    # eps^order cannot be stored once order reaches the exponent limit
+    # 128, so every case with a nonzero lambda would fail there
+    start = time.monotonic()
+    assert main(["verify", "gauge", "--order", order, "--cases", "3"]) == 2
+    assert time.monotonic() - start < 1.0
+    assert capsys.readouterr() == ("", f"nckit: verify gauge: --order {order} "
+                                   "reaches the eps exponent limit of 128\n")
 
 def _readme_command_lines():
     readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"

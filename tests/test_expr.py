@@ -8,7 +8,6 @@ import pytest
 from nckit.expr import (
     GradingError,
     ParseError,
-    _Tok,
     _tokenize,
     evaluate,
     form_to_expr,
@@ -321,15 +320,117 @@ def test_renderers_match_reference_on_seeded_inputs():
         assert form_to_expr(w) == form_to_expr_reference(w)
 
 
+# The renderer as it stood when every term built a CRat, and CRat.__str__
+# printed its two Fraction parts: the int-pair renderer must match it.
+
+def _crat_text_fraction(re: Fraction, im: Fraction) -> str:
+    if not im:
+        return str(re)
+    if not re:
+        if im == 1:
+            return "i"
+        if im == -1:
+            return "-i"
+        return f"{im}*i"
+    sign = "+" if im >= 0 else "-"
+    im = abs(im)
+    imtxt = "i" if im == 1 else f"{im}*i"
+    return f"({re}{sign}{imtxt})"
+
+
+def _term_text_fraction(names, exps, c, wedge=""):
+    re, im = c.re, c.im
+    neg = re < 0 or (re == 0 and im < 0)
+    coeff = _crat_text_fraction(-re, -im) if neg else _crat_text_fraction(re, im)
+    mono = ".".join(f"{v}^{e}" if e > 1 else v
+                    for v, e in zip(names, exps) if e)
+    factors = (mono, wedge) if coeff == "1" else (coeff, mono, wedge)
+    return neg, "*".join(f for f in factors if f) or "1"
+
+
+def _join_fraction(terms):
+    out = ""
+    for neg, text in terms:
+        if out:
+            out += f" - {text}" if neg else f" + {text}"
+        else:
+            out = f"-{text}" if neg else text
+    return out or "0"
+
+
+def _poly_text_fraction(p):
+    return _join_fraction(_term_text_fraction(type(p).VARS, e, c)
+                          for e, c in p.sorted_terms())
+
+
+def _form_text_fraction(w):
+    names = ("dt", "dx1", "dx2", "dx3")
+
+    def terms():
+        for mask, f in sorted(w.items(),
+                              key=lambda kv: (bin(kv[0]).count("1"), kv[0])):
+            wedge = "*".join(names[mu] for mu in range(4) if mask >> mu & 1)
+            if not mask or len(f) == 1:
+                yield from (_term_text_fraction(Poly.VARS, e, c, wedge)
+                            for e, c in f.sorted_terms())
+            else:
+                yield False, f"({_poly_text_fraction(f)})*{wedge}"
+
+    return _join_fraction(terms())
+
+
+def _mixed_coeff(rng):
+    """Zero, +-1, +-i, pure real or imaginary, or complex, over mixed
+    denominators, now and then with a large numerator."""
+    def part():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        top = rng.choice((1, 2, 3, 6, 7, 10 ** rng.randint(1, 30)))
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, top),
+                        rng.choice((1, 2, 3, 4, 6, 9, 12, 35)))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.choice((CRat(1), CRat(-1), CRat(0, 1), CRat(0, -1)))
+    return CRat(part() if kind != 1 else 0, part() if kind != 2 else 0)
+
+
+def _mixed_poly(cls, rng, n_terms, top):
+    n = len(cls.VARS)
+    return sum((cls.monomial([rng.randint(0, top) if rng.random() < 0.5
+                              else 0 for _ in range(n)], _mixed_coeff(rng))
+                for _ in range(n_terms)), cls.zero())
+
+
+def test_int_pair_renderer_matches_the_fraction_one():
+    rng = random.Random(3606)
+    for _ in range(250):
+        p = _mixed_poly(Poly, rng, rng.randint(0, 6), 3)
+        assert poly_to_expr(p) == _poly_text_fraction(p), p
+        q = _mixed_poly(PwPoly, rng, rng.randint(0, 4), 2)
+        assert poly_to_expr(q) == _poly_text_fraction(q), q
+        w = DifferentialForm({m: _mixed_poly(Poly, rng, rng.choice((1, 1, 2, 4)), 2)
+                              for m in rng.sample(range(16), rng.randint(1, 5))})
+        assert form_to_expr(w) == _form_text_fraction(w), w
+
+
+def test_crat_str_matches_fraction_formatting():
+    values = sorted({Fraction(n, d) for n in range(-13, 14)
+                     for d in (1, 2, 3, 4, 6, 7, 12)})
+    values += [Fraction(10 ** 25 + 1, 3), Fraction(-(10 ** 25), 7)]
+    for re in values:
+        for im in values:
+            assert str(CRat(re, im)) == _crat_text_fraction(re, im), (re, im)
+
 # The hand-written lexer that the one-regex ``_tokenize`` replaced, kept
-# verbatim as a reference; it differs only on non-ASCII input, where its
-# str.isdigit and str.isalpha accept Unicode digits and letters.
+# as a reference with its tokens as plain tuples; it differs only on
+# non-ASCII input, where its str.isdigit and str.isalpha accept Unicode
+# digits and letters.
 
 _PUNCT = set("+-*./()^~")
 
 
-def _tokenize_reference(src: str) -> list[_Tok]:
-    toks: list[_Tok] = []
+def _tokenize_reference(src: str) -> list[tuple[str, str, int, int]]:
+    toks = []
     line, col = 1, 1
     i, n = 0, len(src)
     while i < n:
@@ -351,7 +452,7 @@ def _tokenize_reference(src: str) -> list[_Tok]:
             if j < n - 1 and src[j] == "." and src[j + 1].isdigit():
                 raise ParseError(
                     "decimal literals are not supported; write p/q", line, start_col)
-            toks.append(_Tok("NUM", src[i:j], line, start_col))
+            toks.append(("NUM", src[i:j], line, start_col))
             col += j - i
             i = j
             continue
@@ -359,17 +460,17 @@ def _tokenize_reference(src: str) -> list[_Tok]:
             j = i
             while j < n and (src[j].isalnum() or src[j] == "_"):
                 j += 1
-            toks.append(_Tok("NAME", src[i:j], line, start_col))
+            toks.append(("NAME", src[i:j], line, start_col))
             col += j - i
             i = j
             continue
         if ch in _PUNCT:
-            toks.append(_Tok(ch, ch, line, start_col))
+            toks.append((ch, ch, line, start_col))
             i += 1
             col += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    toks.append(_Tok("EOF", "", line, col))
+    toks.append(("EOF", "", line, col))
     return toks
 
 

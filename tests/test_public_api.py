@@ -2,6 +2,9 @@
 only the grid module loads numpy when the package is imported."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import pathlib
 
 import nckit
@@ -143,3 +146,45 @@ def test_only_cli_main_prints_or_writes_reports():
                if isinstance(node, ast.Call)
                and getattr(node.func, "id", None) in ("print", "_write_json")}
     assert callers == {"main"}
+
+
+def _tracing_module():
+    """perfbench/tracing.py, loaded by path and left unregistered."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    path = root / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_are_module_level_functions():
+    # the benchmark's tracer wraps each name by rebinding it wherever the
+    # function object is bound, so each must stay a plain function defined
+    # at the top of its module
+    spans = _tracing_module().SPANS
+    assert "nckit.expr" in spans and "nckit.cli" in spans
+    missing = []
+    for modname, names in spans.items():
+        module = importlib.import_module(modname)
+        for name in names:
+            fn = vars(module).get(name)
+            if not (inspect.isfunction(fn) and fn.__module__ == modname
+                    and fn.__qualname__ == name):
+                missing.append(f"{modname}.{name}")
+    assert missing == []
+    from nckit.poly import BasePoly
+    from nckit.rationals import CRat
+    # the operators it counts are the classes' own
+    assert all(inspect.isfunction(vars(CRat).get(op))
+               for op in ("__mul__", "__add__", "__sub__"))
+    assert inspect.isfunction(vars(BasePoly).get("__mul__"))
+
+
+def test_star_takes_f_g_ctx_first():
+    # the tracer's star hook reads its operands and context by position
+    from nckit.star import star
+    params = list(inspect.signature(star).parameters.values())[:3]
+    assert [(p.name, p.kind) for p in params] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+        for name in ("f", "g", "ctx")]
