@@ -47,6 +47,11 @@ and about 0.5 from 130560 on.  On that VM band limited products take
 N = 512 (0.83-1.16 s in one part).  Full band ones take 0.27-0.31 s at
 N = 256 and 2.3 s at N = 512 (0.32-0.47 s and 4.7 s in one part).
 
+The trace and cyclicity defects integrate a product, and summing over x1
+keeps only its first-axis mode 0.  So they run the same row loop over
+output row 0 alone: at most one window row per live row a1, F slices,
+O(F N log N) after the two input FFTs, O(N^2 log N) in all.
+
 The series cross-check holds each polynomial of its derivative
 bookkeeping as a coefficient matrix C.  Differentiating q times the
 Gaussian window is one fixed matrix S acting on C (S C along x1, C S^T
@@ -203,6 +208,16 @@ def grid_star(f: GridField, g: GridField, theta: float) -> GridField:
     core starts to pay for the threads' hand-offs (see the module
     docstring).  The helper is joined before the call returns or raises.
     """
+    # the spectra die with the helper's frame, before this peak transform
+    modes = _spectrum_rows(f, g, theta, 0, f.n)
+    return f.with_values(np.fft.ifft(modes, axis=0, norm="forward"))
+
+
+def _spectrum_rows(f: GridField, g: GridField, theta: float, lo: int,
+                   hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of grid_star's accumulation: the product's first-axis
+    modes c1 = lo..hi-1 over x2, before the last transform.  Each row has
+    the bytes it has in the whole grid's accumulation."""
     if f.n != g.n or f.box_length != g.box_length:
         raise ValueError("grid fields must share size and box length")
     n = f.n
@@ -232,17 +247,18 @@ def grid_star(f: GridField, g: GridField, theta: float) -> GridField:
         twist = left[row] if row < size else np.exp(0.5j * theta * (q[a1] * q))
         return twist.conj()
 
-    out_modes = np.zeros((n, n), dtype=np.complex128)
-    parts = _parts(size * n) if len(f_rows) else 1
+    out_modes = np.zeros((hi - lo, n), dtype=np.complex128)
+    # at most min(W, hi - lo) window rows land in the range per slice
+    parts = _parts(min(size, hi - lo) * n) if len(f_rows) else 1
     # window rows per transform: the whole window in one part; range()
     # needs a step of at least 1 even for an empty window
     piece = max(1, -(-size // (2 * parts)) if parts > 1 else size)
 
-    def add_rows(lo, hi, stop):
-        # window row j lands on output row (s + j) mod n, so rows lo..hi-1
-        # take j in [lo - s, hi - s) and [lo + n - s, hi + n - s), clipped
+    def add_rows(r0, r1, stop):
+        # window row j lands on output row (s + j) mod n, so rows r0..r1-1
+        # take j in [r0 - s, r1 - s) and [r0 + n - s, r1 + n - s), clipped
         # to the window; for the whole grid the two runs join into one
-        runs = ((lo, hi + n),) if hi - lo == n else ((lo, hi), (lo + n, hi + n))
+        runs = ((r0, r1 + n),) if r1 - r0 == n else ((r0, r1), (r0 + n, r1 + n))
         buf = np.empty((piece, n), dtype=np.complex128)
         for a1 in f_rows:
             if stop.is_set():
@@ -259,17 +275,14 @@ def grid_star(f: GridField, g: GridField, theta: float) -> GridField:
                     np.multiply(ghat[j:k], twist, out=b)
                     a_slice *= np.fft.ifft(b, axis=1, norm="forward")
                     # rows up to the end of the grid, then the wrapped
-                    # rest from row 0
+                    # rest from row 0 (which only the whole grid has)
                     r = (s + j) % n
                     head = min(k - j, n - r)
-                    out_modes[r:r + head] += a_slice[:head]
+                    out_modes[r - lo:r - lo + head] += a_slice[:head]
                     out_modes[:k - j - head] += a_slice[head:]
 
-    _split_rows(n, parts, add_rows)
-    # the last transform is the call's peak in memory: hold no spectrum
-    # through it (the helpers' freed buffers may stay resident)
-    del fhat, ghat, left
-    return f.with_values(np.fft.ifft(out_modes, axis=0, norm="forward"))
+    _split_rows(lo, hi, parts, add_rows)
+    return out_modes
 
 
 def _parts(work: int) -> int:
@@ -284,12 +297,12 @@ def _parts(work: int) -> int:
         return 1
 
 
-def _split_rows(n: int, parts: int, add_rows) -> None:
-    """Call add_rows(lo, hi, stop) on `parts` contiguous ranges of the n
-    output rows, the first in the calling thread and the rest in helper
-    threads, and return when every helper has finished.  One part is the
-    whole grid, run in the calling thread with no thread started and no
-    signal mask touched.
+def _split_rows(lo: int, hi: int, parts: int, add_rows) -> None:
+    """Call add_rows(r0, r1, stop) on `parts` contiguous ranges of the
+    output rows lo..hi-1, the first in the calling thread and the rest in
+    helper threads, and return when every helper has finished.  One part
+    is the whole range, run in the calling thread with no thread started
+    and no signal mask touched.
 
     Helpers start with the timer and interrupt signals blocked, so those
     reach the calling thread.  If a part raises, `stop` is set and the
@@ -299,13 +312,13 @@ def _split_rows(n: int, parts: int, add_rows) -> None:
     """
     stop = threading.Event()
     if parts == 1:  # Windows has no pthread_sigmask
-        return add_rows(0, n, stop)
-    bounds = [n * k // parts for k in range(parts + 1)]
+        return add_rows(lo, hi, stop)
+    bounds = [lo + (hi - lo) * k // parts for k in range(parts + 1)]
     errors = []
 
-    def helper(lo, hi):
+    def helper(r0, r1):
         try:
-            add_rows(lo, hi, stop)
+            add_rows(r0, r1, stop)
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
             stop.set()
@@ -364,20 +377,26 @@ def _normalised_gap(f: GridField, g: GridField, a: complex, b: complex) -> float
     return abs(a - b) / denom if denom else 0.0
 
 
+def _star_integral(f: GridField, g: GridField, theta: float) -> complex:
+    """integral(f*g): summing over x1 keeps only the first-axis mode 0, so
+    only output row 0 of grid_star's accumulation is formed."""
+    return complex(f.n * f.cell_area * _spectrum_rows(f, g, theta, 0, 1).sum())
+
+
 def grid_trace_defect(f: GridField, g: GridField, theta: float) -> float:
     """|integral(f*g) - integral(fg)| / (||f|| ||g||).
 
     The trace property: integrating a star product erases the twist.
     """
-    s = grid_star(f, g, theta)
+    s = _star_integral(f, g, theta)  # rejects mismatched grids first
     plain = complex((f.values * g.values).sum() * f.cell_area)
-    return _normalised_gap(f, g, s.integral(), plain)
+    return _normalised_gap(f, g, s, plain)
 
 
 def grid_cyclicity_defect(f: GridField, g: GridField, theta: float) -> float:
     """|integral(f*g) - integral(g*f)| / (||f|| ||g||)."""
-    return _normalised_gap(f, g, grid_star(f, g, theta).integral(),
-                           grid_star(g, f, theta).integral())
+    return _normalised_gap(f, g, _star_integral(f, g, theta),
+                           _star_integral(g, f, theta))
 
 
 # -- independent series evaluator for poly x Gaussian inputs -------------------

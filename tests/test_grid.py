@@ -19,6 +19,8 @@ from nckit.grid import (
     GridField,
     _cyclic_window,
     _live_rows,
+    _spectrum_rows,
+    _star_integral,
     band_limited_field,
     cross_validate_symbolic,
     grid_cyclicity_defect,
@@ -239,6 +241,7 @@ def test_grid_star_zero_operand():
     assert _cyclic_window(_live_rows(spectrum(zero)), n) == (0, 0)
     for lhs, rhs in ((zero, f), (f, zero), (zero, zero)):
         assert not np.any(grid_star(lhs, rhs, 0.7).values)
+        assert _star_integral(lhs, rhs, 0.7) == 0.0
 
 
 def test_grid_star_bytes_do_not_depend_on_the_part_count(monkeypatch):
@@ -267,13 +270,30 @@ def test_grid_star_bytes_do_not_depend_on_the_part_count(monkeypatch):
     assert _cyclic_window(_live_rows(spectrum(pairs[2][1])), n) == (150, 136)
     assert _cyclic_window(_live_rows(spectrum(pairs[5][1])), n) == (0, 0)
     assert _cyclic_window(_live_rows(spectrum(pairs[6][1])), 15) == (13, 5)
+    # a range of output rows has the bytes of the same rows of the whole
+    # grid's accumulation: the first row, the last, and rows across the
+    # boundary n // 2 of two parts.  Only a NaN's sign bit may differ: it
+    # depends on how many rows numpy's FFT transforms at once
+    def ranges(n):
+        return ((0, 1), (n - 1, n), (n // 2 - 3, n // 2 + 3))
+
+    def bits(rows):
+        flat = rows.view(np.float64).copy()
+        flat[np.isnan(flat)] = np.nan
+        return flat.tobytes()
+
     for parts in (1, 2, 3):
         monkeypatch.setattr(nckit.grid, "_parts", lambda work, p=parts: p)
         with np.errstate(invalid="ignore"):
             got = [grid_star(f, g, 0.37).values.tobytes() for f, g in pairs]
-        if parts == 1:
-            want = got
+            rows = [[bits(_spectrum_rows(f, g, 0.37, lo, hi))
+                     for lo, hi in ranges(f.n)] for f, g in pairs]
+            if parts == 1:
+                want = got
+                whole = [_spectrum_rows(f, g, 0.37, 0, f.n) for f, g in pairs]
         assert got == want
+        assert rows == [[bits(w[lo:hi]) for lo, hi in ranges(len(w))]
+                        for w in whole]
 
 
 def test_one_part_starts_no_thread_and_sets_no_signal_mask(monkeypatch):
@@ -413,6 +433,11 @@ def test_grid_star_propagates_non_finite_samples_like_dense(bad):
                 want = star_dense_reference(lhs, rhs, 0.37).values
                 assert np.isnan(want).any()
                 assert np.array_equal(np.isnan(got), np.isnan(want))
+                # the integrals are NaN too, so a `defect <= tol` verdict
+                # fails rather than passes
+                assert cmath.isnan(_star_integral(lhs, rhs, 0.37))
+                assert not grid_trace_defect(lhs, rhs, 0.37) <= 1e-10
+                assert not grid_cyclicity_defect(lhs, rhs, 0.37) <= 1e-10
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -519,6 +544,64 @@ def test_trace_and_cyclicity_defects():
     zero = f.with_values(np.zeros_like(f.values))
     assert grid_trace_defect(zero, g, 0.5) == 0.0
     assert grid_cyclicity_defect(zero, g, 0.5) == 0.0
+
+
+def _integral_pairs():
+    """The fixtures of the dense-match tests above, as (f, g) pairs."""
+    pairs = [(random_field(n, 1730 + n), random_field(n, 1740 + n))
+             for n in (5, 9, 12, 64)]
+    pairs += [(band_limited_field(n, 2 * np.pi, n // 4 - 1, seed=1750 + n),
+               band_limited_field(n, 2 * np.pi, n // 4 - 1, seed=1760 + n))
+              for n in (64, 128)]
+    pairs += [(plane_wave(n, box, *a), plane_wave(n, box, *b))
+              for n, box, a, b in [(64, 1.0, (-31, 4), (30, -9)),
+                                   (27, 5.0, (13, 1), (-13, 0))]]
+    pairs += [(band_limited_field(n, 3.0, n // 4, seed=1770 + n),
+               band_limited_field(n, 3.0, n // 4, seed=1780 + n))
+              for n in (15, 27)]
+    pairs += [(band_limited_field(n, 2.0, 3, seed=1795 + n),
+               rows_field(n, rows, seed=1790 + n))
+              for n, rows in [(16, [14, 15, 0, 1]), (15, [13, 14, 0, 1, 2])]]
+    pairs.append((rows_field(16, [0, 5, 6, 13], seed=1801),
+                  rows_field(16, [2, 3, 10, 11], seed=1800)))
+    return pairs
+
+
+def test_zero_row_integral_matches_the_whole_product():
+    # the defects integrate from output row 0 alone; the whole product,
+    # transformed and summed, must give the same integral to roundoff
+    for f, g in _integral_pairs():
+        for lhs, rhs in ((f, g), (g, f)):
+            for theta in (0.37, -1.1):
+                got = _star_integral(lhs, rhs, theta)
+                want = grid_star(lhs, rhs, theta).integral()
+                assert abs(got - want) <= 1e-14 * f.l2_norm() * g.l2_norm()
+
+
+def test_defects_form_only_output_row_zero(monkeypatch):
+    # the cost guard: a defect forms one output row of the accumulation, in
+    # the calling thread, and never the whole product.  _parts splits as on
+    # two CPUs, where this window of 201 rows would split the whole grid
+    n = 256
+    f = band_limited_field(n, 2.0, 100, seed=1960)
+    g = band_limited_field(n, 2.0, 100, seed=1961)
+    split_rows, requested = nckit.grid._split_rows, []
+    monkeypatch.setattr(nckit.grid, "_parts",
+                        lambda work: 1 if work < nckit.grid._SPLIT_MIN_WORK else 2)
+
+    def recording(lo, hi, parts, add_rows):
+        requested.append((lo, hi, parts))
+        return split_rows(lo, hi, parts, add_rows)
+
+    def refuse(*args):
+        raise AssertionError("a defect must not form the whole product")
+
+    monkeypatch.setattr(nckit.grid, "_split_rows", recording)
+    monkeypatch.setattr(nckit.grid, "grid_star", refuse)
+    assert grid_trace_defect(f, g, 0.37) < 1e-12
+    assert requested == [(0, 1, 1)]
+    assert grid_cyclicity_defect(f, g, 0.37) < 1e-12
+    assert requested == [(0, 1, 1)] * 3
 
 
 def test_star_noncommutative_pointwise():

@@ -52,6 +52,20 @@ def test_only_grid_imports_numpy_at_module_level():
         ast.parse((src / "grid.py").read_text(encoding="utf-8")))
 
 
+def test_grid_imports_no_nckit_module():
+    # the grid oracle is an independent route: it reaches neither star.py
+    # nor any other nckit module, at import time or inside a function
+    tree = ast.parse(pathlib.Path(nckit.__file__).with_name("grid.py")
+                     .read_text(encoding="utf-8"))
+    imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                for a in n.names]
+    imported += ["." * n.level + (n.module or "") for n in ast.walk(tree)
+                 if isinstance(n, ast.ImportFrom)]
+    assert "numpy" in imported
+    assert [m for m in imported
+            if m.startswith(".") or m.split(".")[0] == "nckit"] == []
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     """Names bound by the module-level imports of tree that nothing else in
     the module reads; `from __future__` imports are directives."""
