@@ -31,8 +31,8 @@ the window rows that land in its range.  It runs over the whole grid
 with the whole window as one piece, or, for slices of W N >= 2^15
 samples when the process may run on two CPUs (its affinity mask, which
 taskset sets), over two contiguous ranges of output rows with pieces of
-ceil(W / 4) rows: the calling thread runs one and a helper thread the
-other.  numpy's FFTs release the interpreter lock, so the two ranges
+ceil(W / 4) rows: the calling thread runs one and one helper thread
+the other.  numpy's FFTs release the interpreter lock, so the two ranges
 are transformed at once.  Every output row adds the same terms in the
 same order whatever the ranges, and a row's FFT does not depend on the
 rows transformed with it, so the product has the same bytes for one
@@ -235,24 +235,26 @@ def _spectrum_rows(f: GridField, g: GridField, theta: float, lo: int,
     if size < n:
         ghat = np.take(ghat, window, axis=0)
 
-    # left factor of the twist: exp(+i theta/2 q_{a2} q_{b1}) over the
-    # window's b1, hoisted; the right factor exp(-i theta/2 q_{a1} q_{b2})
-    # is the conjugate of its row b1 = a1, or of the same formula when a1
-    # lies outside the window (the formula alone for every a1 gave the same
-    # bytes but made band limited products 4-7% slower at N = 32-256)
-    left = np.exp(0.5j * theta * np.outer(q[window], q))  # [j, a2]
+    def twist(qb):  # exp(+i theta/2 q_b q_{a2}) for each q_b of qb, over a2
+        return np.exp(0.5j * theta * np.multiply.outer(qb, q))
+
+    # left factor of the twist over the window's b1, hoisted; the right
+    # factor exp(-i theta/2 q_{a1} q_{b2}) is the conjugate of its row
+    # b1 = a1, or of the same formula when a1 lies outside the window (the
+    # formula alone for every a1 gave the same bytes but made band limited
+    # products 4-7% slower at N = 32-256)
+    left = twist(q[window])  # [j, a2]
 
     def right_twist(a1):
         row = (a1 - start) % n
-        twist = left[row] if row < size else np.exp(0.5j * theta * (q[a1] * q))
-        return twist.conj()
+        return (left[row] if row < size else twist(q[a1])).conj()
 
     out_modes = np.zeros((hi - lo, n), dtype=np.complex128)
     # at most min(W, hi - lo) window rows land in the range per slice
     parts = _parts(min(size, hi - lo) * n) if len(f_rows) else 1
-    # window rows per transform: the whole window in one part; range()
-    # needs a step of at least 1 even for an empty window
-    piece = max(1, -(-size // (2 * parts)) if parts > 1 else size)
+    # window rows per transform: the whole window in one part, a quarter
+    # in two; range() needs a step of at least 1 even for an empty window
+    piece = max(1, -(-size // 4) if parts > 1 else size)
 
     def add_rows(r0, r1, stop):
         # window row j lands on output row (s + j) mod n, so rows r0..r1-1
@@ -298,53 +300,47 @@ def _parts(work: int) -> int:
 
 
 def _split_rows(lo: int, hi: int, parts: int, add_rows) -> None:
-    """Call add_rows(r0, r1, stop) on `parts` contiguous ranges of the
-    output rows lo..hi-1, the first in the calling thread and the rest in
-    helper threads, and return when every helper has finished.  One part
+    """Call add_rows(r0, r1, stop) over the output rows lo..hi-1.  One part
     is the whole range, run in the calling thread with no thread started
-    and no signal mask touched.
+    and no signal mask touched.  Two parts run rows lo..mid-1 in the
+    calling thread and mid..hi-1 in one helper, mid = (lo + hi) // 2, and
+    return when the helper has finished.
 
-    Helpers start with the timer and interrupt signals blocked, so those
-    reach the calling thread.  If a part raises, `stop` is set and the
-    other parts return at their next row.  Once the helpers are joined,
-    the caller's exception propagates, or else the first helper's is
-    raised here.
+    The helper starts with the timer and interrupt signals blocked, so
+    those reach the calling thread.  If either half raises, `stop` is set
+    and the other returns at its next row.  Once the helper is joined, the
+    caller's exception propagates, or else the helper's is raised here.
     """
     stop = threading.Event()
     if parts == 1:  # Windows has no pthread_sigmask
         return add_rows(lo, hi, stop)
-    bounds = [lo + (hi - lo) * k // parts for k in range(parts + 1)]
-    errors = []
+    mid, failure = (lo + hi) // 2, None
 
-    def helper(r0, r1):
+    def helper():
+        nonlocal failure
         try:
-            add_rows(r0, r1, stop)
+            add_rows(mid, hi, stop)
         except BaseException as exc:  # re-raised in the calling thread
-            errors.append(exc)
+            failure = exc
             stop.set()
 
-    threads = [threading.Thread(target=helper, args=bounds[k:k + 2],
-                                name="grid_star")
-               for k in range(1, parts)]
-    started = []
+    thread = threading.Thread(target=helper, name="grid_star")
     try:
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {
             signal.SIGALRM, signal.SIGPROF, signal.SIGVTALRM, signal.SIGINT})
         try:
-            for t in threads:
-                t.start()
-                started.append(t)
+            thread.start()
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        add_rows(bounds[0], bounds[1], stop)
+        add_rows(lo, mid, stop)
     except BaseException:  # such as a timeout that the caller's alarm raised
         stop.set()
         raise
     finally:
-        for t in started:
-            t.join()
-    if errors:
-        raise errors[0]
+        if thread.is_alive():  # else it never started, or has ended
+            thread.join()
+    if failure is not None:
+        raise failure
 
 
 def phase_law_defect(n: int, box_length: float, theta: float,

@@ -534,7 +534,7 @@ _SUITES = {
 
 def _run_property(name, case, cap, rng, cases, order, theta) -> PropertyResult:
     t0 = time.perf_counter()
-    n = max(0, cases if cap is None else min(cases, cap))
+    n = cases if cap is None else min(cases, cap)
     failures, examples = 0, []
     for k in range(n):
         ok, describe = case(rng, theta, order, k)
@@ -552,11 +552,14 @@ def run_suite(name: str, seed: int = 0, cases: int = 50, order: int = 2,
 
     theta=None draws a fresh random profile per case; passing a profile
     pins it for every case.  order is the eps truncation for the gauge
-    sector.  Raises ValueError for an unknown suite name.
+    sector.  Raises ValueError for an unknown suite name or fewer than
+    one case.
     """
     if name not in _SUITES:
         raise ValueError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    if cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
     rng = random.Random(seed)
     t0 = time.perf_counter()
     results = tuple(_run_property(prop, case, cap, rng, cases, order, theta)

@@ -203,123 +203,6 @@ def test_deterministic_ordering():
     assert poly_to_expr(p) == "2*t^3 + x1.x2 + x3"
 
 
-# -- the renderers against the earlier, separately written ones -----------------
-
-def _coeff_text_reference(c):
-    neg = c.re < 0 or (c.re == 0 and c.im < 0)
-    if neg:
-        c = -c
-    return neg, str(c)
-
-
-def _mono_text_reference(exps):
-    return ".".join(f"{v}^{e}" if e > 1 else v
-                    for v, e in zip(Poly.VARS, exps) if e)
-
-
-def poly_to_expr_reference(p: Poly) -> str:
-    """The renderer as it stood before poly and form terms shared one
-    term renderer and one joiner."""
-    if p.is_zero():
-        return "0"
-    chunks = []
-    for exps, c in p.sorted_terms():
-        neg, coeff = _coeff_text_reference(c)
-        mono = _mono_text_reference(exps)
-        if not mono:
-            body = coeff
-        elif coeff == "1":
-            body = mono
-        else:
-            body = f"{coeff}*{mono}"
-        if not chunks:
-            chunks.append(f"-{body}" if neg else body)
-        else:
-            chunks.append(f" - {body}" if neg else f" + {body}")
-    return "".join(chunks)
-
-
-def form_to_expr_reference(w: DifferentialForm) -> str:
-    if w.is_zero():
-        return "0"
-    names = ("dt", "dx1", "dx2", "dx3")
-    parts = sorted(w.items(), key=lambda kv: (bin(kv[0]).count("1"), kv[0]))
-    chunks = []
-    for mask, f in parts:
-        if mask == 0:
-            body = poly_to_expr_reference(f)
-            neg = False
-        else:
-            wedge = "*".join(names[mu] for mu in range(4) if mask >> mu & 1)
-            terms = f.sorted_terms()
-            if len(terms) == 1:
-                exps, c = terms[0]
-                neg, coeff = _coeff_text_reference(c)
-                mono = _mono_text_reference(exps)
-                if not mono and coeff == "1":
-                    body = wedge
-                else:
-                    scalar = mono if coeff == "1" else (
-                        f"{coeff}*{mono}" if mono else coeff)
-                    body = f"{scalar}*{wedge}"
-            else:
-                neg = False
-                body = f"({poly_to_expr_reference(f)})*{wedge}"
-        if not chunks:
-            chunks.append(f"-{body}" if neg else body)
-        else:
-            chunks.append(f" - {body}" if neg else f" + {body}")
-    return "".join(chunks)
-
-
-_UNITS = (CRat(1), CRat(-1), CRat(0, 1), CRat(0, -1))
-
-
-def _render_coeff(rng):
-    """Unit, negative real, purely imaginary or complex, about equally."""
-    kind = rng.randrange(4)
-    num = Fraction(rng.choice((1, 2, 3, 5)), rng.randint(1, 3))
-    if kind == 0:
-        return rng.choice(_UNITS)
-    if kind == 1:
-        return CRat(-num)
-    if kind == 2:
-        return CRat(0, rng.choice((num, -num)))
-    return CRat(rng.choice((num, -num)), rng.choice((1, -1, Fraction(1, 2))))
-
-
-def _render_poly(rng, n_terms):
-    p = Poly.zero()
-    while len(p) < n_terms:
-        exps = (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1),
-                rng.randint(0, 1), rng.randint(0, 1))
-        p = p + Poly.monomial(exps, _render_coeff(rng))
-    return p
-
-
-def test_renderers_match_reference_on_seeded_inputs():
-    rng = random.Random(4242)
-    assert poly_to_expr(Poly.zero()) == poly_to_expr_reference(Poly.zero()) == "0"
-    assert form_to_expr(DifferentialForm()) == "0"
-    for c in _UNITS:
-        for exps in ((0,) * 5, (1, 0, 2, 0, 1)):
-            p = Poly.monomial(exps, c)
-            assert poly_to_expr(p) == poly_to_expr_reference(p)
-            for mask in (0, 1, 6, 15):
-                w = DifferentialForm({mask: p})
-                assert form_to_expr(w) == form_to_expr_reference(w)
-    for _ in range(300):
-        p = _render_poly(rng, rng.randint(0, 4))
-        assert poly_to_expr(p) == poly_to_expr_reference(p)
-        masks = rng.sample(range(16), rng.randint(1, 4))
-        if rng.random() < 0.5 and 0 not in masks:
-            masks.append(0)
-        # one-term and multi-term coefficients, the mask-0 part included
-        w = DifferentialForm({m: _render_poly(rng, rng.choice((1, 1, 2, 3)))
-                              for m in masks})
-        assert form_to_expr(w) == form_to_expr_reference(w)
-
-
 # The renderer as it stood when every term built a CRat, and CRat.__str__
 # printed its two Fraction parts: the int-pair renderer must match it.
 
@@ -379,6 +262,31 @@ def _form_text_fraction(w):
     return _join_fraction(terms())
 
 
+_UNITS = (CRat(1), CRat(-1), CRat(0, 1), CRat(0, -1))
+
+
+def _render_coeff(rng):
+    """Unit, negative real, purely imaginary or complex, about equally."""
+    kind = rng.randrange(4)
+    num = Fraction(rng.choice((1, 2, 3, 5)), rng.randint(1, 3))
+    if kind == 0:
+        return rng.choice(_UNITS)
+    if kind == 1:
+        return CRat(-num)
+    if kind == 2:
+        return CRat(0, rng.choice((num, -num)))
+    return CRat(rng.choice((num, -num)), rng.choice((1, -1, Fraction(1, 2))))
+
+
+def _render_poly(rng, n_terms):
+    p = Poly.zero()
+    while len(p) < n_terms:
+        exps = (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1),
+                rng.randint(0, 1), rng.randint(0, 1))
+        p = p + Poly.monomial(exps, _render_coeff(rng))
+    return p
+
+
 def _mixed_coeff(rng):
     """Zero, +-1, +-i, pure real or imaginary, or complex, over mixed
     denominators, now and then with a large numerator."""
@@ -390,7 +298,7 @@ def _mixed_coeff(rng):
                         rng.choice((1, 2, 3, 4, 6, 9, 12, 35)))
     kind = rng.randrange(5)
     if kind == 0:
-        return rng.choice((CRat(1), CRat(-1), CRat(0, 1), CRat(0, -1)))
+        return rng.choice(_UNITS)
     return CRat(part() if kind != 1 else 0, part() if kind != 2 else 0)
 
 
@@ -399,6 +307,29 @@ def _mixed_poly(cls, rng, n_terms, top):
     return sum((cls.monomial([rng.randint(0, top) if rng.random() < 0.5
                               else 0 for _ in range(n)], _mixed_coeff(rng))
                 for _ in range(n_terms)), cls.zero())
+
+
+def test_renderers_match_reference_on_seeded_inputs():
+    assert poly_to_expr(Poly.zero()) == _poly_text_fraction(Poly.zero()) == "0"
+    assert form_to_expr(DifferentialForm()) == "0"
+    for c in _UNITS:
+        for exps in ((0,) * 5, (1, 0, 2, 0, 1)):
+            p = Poly.monomial(exps, c)
+            assert poly_to_expr(p) == _poly_text_fraction(p), p
+            for mask in (0, 1, 6, 15):
+                w = DifferentialForm({mask: p})
+                assert form_to_expr(w) == _form_text_fraction(w), w
+    rng = random.Random(4242)
+    for _ in range(300):
+        p = _render_poly(rng, rng.randint(0, 4))
+        assert poly_to_expr(p) == _poly_text_fraction(p), p
+        masks = rng.sample(range(16), rng.randint(1, 4))
+        if rng.random() < 0.5 and 0 not in masks:
+            masks.append(0)
+        # one-term and multi-term coefficients, the mask-0 part included
+        w = DifferentialForm({m: _render_poly(rng, rng.choice((1, 1, 2, 3)))
+                              for m in masks})
+        assert form_to_expr(w) == _form_text_fraction(w), w
 
 
 def test_int_pair_renderer_matches_the_fraction_one():

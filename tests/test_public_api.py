@@ -202,3 +202,57 @@ def test_star_takes_f_g_ctx_first():
     assert [(p.name, p.kind) for p in params] == [
         (name, inspect.Parameter.POSITIONAL_OR_KEYWORD)
         for name in ("f", "g", "ctx")]
+
+
+def test_traced_runs_make_the_rationals_calls_the_tracer_counts(monkeypatch):
+    # perfbench/run.py's traced self-check fails a calculus-cli,
+    # gauge-order2 or wave-algebra run whose `rationals` layer counts no
+    # CRat `*`, `+` or `-` (the operators perfbench/tracing.py patches, with
+    # the reflected ones bound to the same counters).  These are the calls
+    # where those runs make them: folding their constants into int pairs
+    # would read as a broken run with every output right.  This check goes
+    # when the benchmark's self-check drops that rule.
+    from nckit.forms import DifferentialForm, form_mul
+    from nckit.gauge import (GaugePotential, action_density,
+                             complete_time_component, covariance_defect,
+                             field_strength, invariance_witness)
+    from nckit.planewave import PlaneWaveSpec, build_ansatz
+    from nckit.poly import t, x1, x2, x3
+    from nckit.rationals import CRat
+    from nckit.star import StarContext, ThetaProfile, star_exp
+
+    calls = [0]
+
+    def counted(fn):
+        def wrapped(a, b):
+            calls[0] += 1
+            return fn(a, b)
+        return wrapped
+
+    def count(run):
+        calls[0] = 0
+        run()
+        return calls[0]
+
+    i = CRat(0, 1)
+    ctx = StarContext(ThetaProfile({(1, 2): t, (2, 3): t * t}))
+    gauge_ctx = StarContext(ctx.theta, eps_cutoff=2)
+    pot = complete_time_component(
+        GaugePotential(i * x2, i * x1 * x3, i * t * x1), gauge_ctx)
+    u = star_exp(i * x1 * x2 + i * x3, 2, gauge_ctx)
+    spec = PlaneWaveSpec(omega=3, k=(1, 2, 2), p=(1, 2, 0, 1),
+                         profile=(0, 0, 1))
+    mul, add = counted(CRat.__mul__), counted(CRat.__add__)
+    for op, fn in (("__mul__", mul), ("__rmul__", mul), ("__add__", add),
+                   ("__radd__", add), ("__sub__", counted(CRat.__sub__))):
+        monkeypatch.setattr(CRat, op, fn)
+    # calculus-cli: the dx term of the left form meets the right one's
+    # coefficient in forms.move_left
+    assert count(lambda: form_mul(DifferentialForm({2: x1 + t}),
+                                  DifferentialForm({4: x2 * x3}), ctx))
+    # gauge-order2
+    assert count(lambda: (covariance_defect(pot, u, gauge_ctx),
+                          invariance_witness(pot, u, gauge_ctx)))
+    # wave-algebra: the plane-wave direct route
+    assert count(lambda: action_density(
+        field_strength(build_ansatz(spec, ctx), ctx), ctx))

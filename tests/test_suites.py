@@ -15,7 +15,7 @@ from nckit.gauge import (FieldStrength, GaugePotential,
 from nckit.poly import Poly, t
 from nckit.star import (StarContext, ThetaProfile, spatial_derivation_defect,
                         star, star_conj_defect, star_exp)
-from nckit.suites import PropertyResult, SuiteReport, run_suite
+from nckit.suites import SUITE_NAMES, PropertyResult, SuiteReport, run_suite
 
 
 def test_all_suites_pass_smoke():
@@ -31,6 +31,14 @@ def test_all_suites_pass_smoke():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("bogus", seed=0, cases=1)
+
+
+@pytest.mark.parametrize("cases", [0, -3])
+def test_fewer_than_one_case_rejected(cases):
+    # a suite of no cases would pass having checked nothing
+    for name in SUITE_NAMES:
+        with pytest.raises(ValueError, match="cases must be at least 1"):
+            run_suite(name, seed=0, cases=cases)
 
 
 def test_pinned_theta_is_reported():
