@@ -54,10 +54,25 @@ O(F N log N) after the two input FFTs, O(N^2 log N) in all.
 
 The series cross-check holds each polynomial of its derivative
 bookkeeping as a coefficient matrix C.  Differentiating q times the
-Gaussian window is one fixed matrix S acting on C (S C along x1, C S^T
-along x2), and the grid values are V C V^T with V the Vandermonde matrix
-of the grid axis: x1 varies only along rows and x2 only along columns,
-so no N^2-sized power table is built.
+Gaussian window w is one fixed matrix S acting on C (S C along x1, C S^T
+along x2).  x1 varies only along rows and x2 only along columns, so the
+windowed grid values of q differentiated m times in x1 and k in x2 are
+D_m C D_k^T, with D_k = diag(w) V S^k and V the Vandermonde matrix of the
+grid axis: a sum of |q| rank-one outer products D_m[:, e1] D_k[:, e2]^T,
+one per term c_e x1^e1 x2^e2.  Only the columns of the exponents in use
+are formed, once, as one stack over k <= max_terms.  The pointwise
+product of an f and a g factor is then a sum of |f||g| outer products,
+so order o of the series, o + 1 factor pairs, is one n x K x n matmul
+with K = (o + 1)|f||g|, w^2 folded into the columns.  Evaluating each
+factor densely as V C V^T costs 2 n s (n + s) multiply-adds per pair
+(s = deg + max_terms + 1) against n^2 |f||g| for the outer products, so
+the term-pair form is the cheaper one while |f||g| < 2 (s + s^2/n),
+about 68 at n = 128 and s = 28; every caller passes polynomials of at
+most 3 terms, |f||g| <= 9.  At the default n = 128 the series takes
+2-3 ms of a cross-check of the suite's pairs, against 12-13 ms in the
+dense form (shared 2-core VM, Python 3.11, numpy 2.4).  Their grid_star
+product takes the rest, 7-29 ms, because the window leaves most spectral
+rows live (see cross_validate_symbolic).
 
 Frequencies add modulo the grid, so a product of two fields is only
 faithful to the continuum when the inputs are band limited: keep all
@@ -406,69 +421,93 @@ def cross_validate_symbolic(poly_f: dict[tuple[int, int], float],
     """Compare grid_star against the derivative series on localized fields.
 
     Both inputs are q(x) w(x) with a shared Gaussian window w centered in
-    the box of side 2 pi (width sigma = box/16, small enough that the
-    periodic wrap-around sits far below roundoff).  The reference is the 2d
-    product series evaluated through exact derivative bookkeeping in the
-    polynomial-times-Gaussian family, truncated when a term falls below
-    series_tol relative to the leading one.  Returns the relative
-    sup-norm disagreement.
+    the box of side 2 pi.  Its width sigma = box/16 puts w at e^-32, about
+    1.3e-14, on the box edge, where the suite's fields reach 3.4e-14 to
+    1.3e-13 of their peak.  That keeps the periodic wrap-around far below
+    the check's tolerance, but not below roundoff: the spectra are not
+    band limited, and grid_star keeps 55, 106 and 125 of 128 rows live
+    for the left factors 1, x1 + 0.5 x2 and x1^2 x2.  The reference is
+    the 2d product series evaluated through exact derivative bookkeeping
+    in the polynomial-times-Gaussian family, truncated when a term falls
+    below series_tol relative to the leading one.  Returns the relative
+    sup-norm disagreement.  Exponents must be non-negative ints.
 
     A polynomial q is its coefficient matrix C, C[e1, e2] the coefficient
     of x1^e1 x2^e2.  d/dx1 (q w) = (dq/dx1 - q (x1 - c) / sigma^2) w maps
     C to S C with S = diag(1, 2, ..) above the diagonal, c / sigma^2 on
     it and -1 / sigma^2 below it; d/dx2 maps C to C S^T.  Each derivative
     raises a degree by at most one, so matrices of size deg + max_terms
-    + 1 hold every derivative the series takes.
+    + 1 hold every derivative the series takes.  On the grid they are sums
+    of rank-one outer products, one per term (see the module docstring).
 
     The series only converges while theta stays small against sigma
-    squared; derivatives of the window grow like Hermite functions, so
-    terms scale roughly like (2 theta / sigma^2)^order.  The default
-    theta keeps that ratio near 1/4, which reaches the truncation
-    threshold in about twenty orders.
+    squared: derivatives of the window grow like Hermite functions, and
+    on the suite's pairs each order shrinks the terms by about
+    theta / (2 sigma^2).  That is 0.065 at the default theta, where the
+    series stops after 13 orders, and 0.25 at the guard's edge.
     """
     box_length = 2.0 * math.pi
     sigma = box_length / 16.0
     if 2.0 * abs(theta) >= sigma * sigma:
         raise ValueError("series diverges: need |theta| << sigma^2 / 2")
+    if not all(isinstance(e, int) and e >= 0
+               for p in (poly_f, poly_g) for key in p for e in key):
+        raise ValueError("exponents must be non-negative ints")
     center = box_length / 2.0
     inv = 1.0 / (sigma * sigma)
     x = np.arange(n) * (box_length / n)
     w = np.exp(-0.5 * inv * (x - center) ** 2)
-    window = np.outer(w, w)
 
-    deg = max((e1 + e2 for p in (poly_f, poly_g) for e1, e2 in p), default=0)
-    size = deg + max_terms + 1
-    cf, cg = np.zeros((2, size, size))
-    for c, poly in ((cf, poly_f), (cg, poly_g)):
-        for (e1, e2), v in poly.items():
-            c[e1, e2] = v
-    # x1 varies along rows and x2 along columns, so a polynomial's values
-    # are V C V^T with V the axis Vandermonde matrix
-    vander = x[:, None] ** np.arange(size)
-
-    def values(c):
-        return vander @ c @ vander.T
-
-    product = grid_star(GridField(values(cf) * window, box_length),
-                        GridField(values(cg) * window, box_length), theta)
+    keys = [(e1, e2) for p in (poly_f, poly_g) for e1, e2 in p]
+    size = max(map(sum, keys), default=0) + max_terms + 1
+    # each exponent in use gets one column: used[j] is the exponent of
+    # column j, and cols holds every term's pair of columns
+    used = sorted({e for key in keys for e in key})
+    cols = np.array([[used.index(e) for e in key] for key in keys],
+                    dtype=np.intp).reshape(-1, 2)
+    (f1, f2), (g1, g2) = cols[:len(poly_f)].T, cols[len(poly_f):].T
+    fc = np.array(list(poly_f.values()), dtype=float)
+    gc = np.array(list(poly_g.values()), dtype=float)
     shift = (np.diag(np.arange(1.0, size), k=1) + center * inv * np.eye(size)
              - inv * np.eye(size, k=-1))
-    powers = [np.linalg.matrix_power(shift, k) for k in range(max_terms + 1)]
+    basis = np.empty((size, max_terms + 1, len(used)))
+    basis[:, 0] = np.eye(size)[:, used]
+    for k in range(max_terms):
+        basis[:, k + 1] = shift @ basis[:, k]
+    # d[:, k, j] = diag(w) V S^k e_used[j]: the windowed grid values of
+    # x^used[j] differentiated k times, over k = 0..max_terms
+    d = (x[:, None] ** np.arange(size)) @ basis.reshape(size, -1)
+    d = d.reshape(n, max_terms + 1, len(used)) * w[:, None, None]
 
-    series = np.zeros((n, n), dtype=np.complex128)
-    win2 = window * window
+    def field(e1, e2, c):  # q w on the grid, one outer product per term
+        return GridField((d[:, 0, e1] * c) @ d[:, 0, e2].T, box_length)
+
+    product = grid_star(field(f1, f2, fc), field(g1, g2, gc), theta)
+    pair_c = np.outer(fc, gc)  # c_e c_h for each (f term e, g term h)
+
+    # the real part of the series sums the even orders, the imaginary
+    # part the odd ones
+    series = np.zeros((2, n, n))
     scale = None
     quiet = 0
     for order in range(max_terms + 1):
-        coeff = (0.5j * theta) ** order / math.factorial(order)
-        # f differentiated m times in x1 and order - m in x2, g the reverse
-        term = sum((-1) ** (order - m) * math.comb(order, m)
-                   * values(powers[m] @ cf @ powers[order - m].T)
-                   * values(powers[order - m] @ cg @ powers[m].T)
-                   for m in range(order + 1))
-        full = coeff * (term * win2)
-        series = series + full
-        mag = float(np.max(np.abs(full)))
+        # (i theta / 2)^order / order! is coeff times i^order, which is
+        # (-1)^(order // 2) at even orders and that times i at odd ones
+        coeff = (0.5 * theta) ** order / math.factorial(order)
+        weight = [(-1) ** (order // 2 + order - m) * math.comb(order, m) * coeff
+                  for m in range(order + 1)]
+        # f differentiated m = 0..order times in x1 and order - m in x2, g
+        # the reverse: for each m and term pair (e, h) the product is the
+        # outer product of rows d_m[e1] d_{order-m}[h1] and columns
+        # d_{order-m}[e2] d_m[h2], w^2 included, so the whole order is one
+        # matmul over (m, e, h)
+        up, down = slice(0, order + 1), slice(order, None, -1)
+        rows = (d[:, up, f1, None] * d[:, down, None, g1]
+                * np.multiply.outer(weight, pair_c))
+        right = d[:, down, f2, None] * d[:, up, None, g2]
+        full = rows.reshape(n, -1) @ right.reshape(n, -1).T
+        series[order % 2] += full
+        mag = max(float(full.max()), -float(full.min()))
         if scale is None:
             scale = mag if mag > 0 else 1.0
         # equal arguments kill every odd order, so one quiet term
@@ -476,8 +515,9 @@ def cross_validate_symbolic(poly_f: dict[tuple[int, int], float],
         quiet = quiet + 1 if (order and mag < series_tol * scale) else 0
         if quiet >= 2:
             break
-    denom = float(np.max(np.abs(series))) or 1.0
-    return float(np.max(np.abs(product.values - series)) / denom)
+    denom = float(np.hypot(*series).max()) or 1.0
+    return float(np.hypot(product.values.real - series[0],
+                          product.values.imag - series[1]).max() / denom)
 
 
 # -- file format ---------------------------------------------------------------

@@ -31,6 +31,7 @@ from nckit.grid import (
     plane_wave,
     save_grid,
 )
+from nckit.suites import _SERIES_POOL
 
 
 def star_modes_reference(f, g, theta):
@@ -763,6 +764,34 @@ def test_cross_validation_matches_dict_reference(max_terms):
         want = series_defect_reference(pf, pg, n=64, max_terms=max_terms,
                                        series_tol=0.0)
         assert abs(got - want) <= 1e-9 * abs(want) + 1e-14
+
+
+@pytest.mark.parametrize("pf, pg, theta", [
+    *((pf, pg, 0.02) for pf, pg in _SERIES_POOL),
+    (*_SERIES_POOL[1], -0.02),
+    ({}, {(1, 0): 1.0}, 0.02),
+    ({(1, 0): 1.0, (0, 1): 0.0}, {(0, 2): 1.0, (0, 0): -0.25}, 0.02),
+])
+def test_cross_validation_matches_dict_reference_at_the_defaults(pf, pg, theta):
+    # n = 128 and the default series_tol, so the series stops after two
+    # quiet orders in a row; stopping earlier leaves a truncation error
+    # far beyond the bound
+    got = cross_validate_symbolic(pf, pg, theta=theta)
+    want = series_defect_reference(pf, pg, theta=theta)
+    assert abs(got - want) <= 1e-9 * abs(want) + 1e-14
+    if not pf:
+        assert got == want == 0.0
+
+
+@pytest.mark.parametrize("bad", [{(-1, 0): 1.0}, {(0, -2): 1.0},
+                                 {(1.0, 0): 1.0}, {(0, 2.5): 1.0}])
+def test_cross_validation_rejects_bad_exponents(bad):
+    # a negative exponent would index the coefficient matrix from its end
+    # and check another monomial, in matrices too small for its
+    # derivatives
+    for pf, pg in ((bad, {(0, 0): 1.0}), ({(0, 0): 1.0}, bad)):
+        with pytest.raises(ValueError, match="non-negative ints"):
+            cross_validate_symbolic(pf, pg)
 
 
 def test_cross_validation_pure_window():

@@ -7,7 +7,10 @@ import importlib.util
 import inspect
 import pathlib
 
+import pytest
+
 import nckit
+from nckit.suites import SERIES_TOL
 
 
 def test_all_names_resolve_and_are_unique():
@@ -202,6 +205,25 @@ def test_star_takes_f_g_ctx_first():
     assert [(p.name, p.kind) for p in params] == [
         (name, inspect.Parameter.POSITIONAL_OR_KEYWORD)
         for name in ("f", "g", "ctx")]
+
+
+def test_cross_validation_inputs_are_pinned():
+    # a faster series cross-check must not come from a cheaper one: a
+    # coarser grid, fewer orders, a looser truncation or a narrower guard
+    empty = inspect.Parameter.empty
+    params = inspect.signature(nckit.cross_validate_symbolic).parameters
+    assert [(p.name, p.default) for p in params.values()] == [
+        ("poly_f", empty), ("poly_g", empty), ("n", 128), ("theta", 0.02),
+        ("max_terms", 24), ("series_tol", 1e-12)]
+    # the guard refuses 2 |theta| >= sigma^2, sigma = 2 pi / 16: theta up
+    # to about 0.07711 runs
+    for theta in (0.077, -0.077):
+        assert nckit.cross_validate_symbolic(
+            {(0, 0): 1.0}, {(0, 0): 1.0}, n=32, theta=theta) < SERIES_TOL
+    for theta in (0.078, -0.078):
+        with pytest.raises(ValueError, match="series diverges"):
+            nckit.cross_validate_symbolic({(0, 0): 1.0}, {(0, 0): 1.0},
+                                          n=32, theta=theta)
 
 
 def test_traced_runs_make_the_rationals_calls_the_tracer_counts(monkeypatch):
