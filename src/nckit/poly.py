@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import or_
+from operator import index, or_
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .rationals import CRat, CRatLike, _norm, binary_power
@@ -48,6 +48,7 @@ class BasePoly:
     """Shared engine; concrete classes fix the variable tuple via VARS."""
 
     VARS: tuple[str, ...] = ()
+    FORMAL: tuple[str, ...] = ()  # variables that no partial acts on
     __slots__ = ("_den", "_nums")
 
     def __init__(self, terms: Mapping[Sequence[int], CRatLike] | None = None):
@@ -304,10 +305,19 @@ class BasePoly:
     def partial(self, idx_or_name: int | str):
         """Derivative with respect to one variable, by index or name."""
         cls = type(self)
-        idx = (cls.VARS.index(idx_or_name)
-               if isinstance(idx_or_name, str) else idx_or_name)
+        if isinstance(idx_or_name, str):
+            idx = cls.VARS.index(idx_or_name)
+        else:
+            try:
+                idx = index(idx_or_name)
+            except TypeError:
+                raise TypeError(
+                    f"variable index {idx_or_name!r} is not an int") from None
         if not 0 <= idx < len(cls.VARS):
             raise ValueError(f"variable index {idx} out of range")
+        if cls.VARS[idx] in cls.FORMAL:
+            raise ValueError(f"{cls.VARS[idx]} is a formal parameter; "
+                             "partial never acts on it")
         shift = FIELD_BITS * idx
         one = 1 << shift
         out = {k - one: (r * e, i * e) for k, (r, i) in self._nums.items()
@@ -347,12 +357,8 @@ class Poly(BasePoly):
     """
 
     VARS = ("t", "x1", "x2", "x3", "eps")
+    FORMAL = ("eps",)
     __slots__ = ()
-
-    def partial(self, idx_or_name: int | str) -> "Poly":
-        if idx_or_name in (4, "eps"):
-            raise ValueError("eps is a formal parameter; partial never acts on it")
-        return super().partial(idx_or_name)
 
     def eps_degree(self) -> int:
         return max(self._nums, default=0) >> EPS_SHIFT

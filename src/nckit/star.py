@@ -451,15 +451,50 @@ def star_commutator(f: Poly, g: Poly, ctx: StarContext) -> Poly:
     return star(f, g, ctx, commutator=True)
 
 
+def _ratio(p: Poly, q: Poly) -> CRat | None:
+    """c with q == c p, or None if there is none or p or q is zero.  The
+    storage is canonical, so c exists exactly when q_k p_k0 == q_k0 p_k over
+    the Gaussian integers at every key k, k0 p's first: one numerator pair
+    fixes c = q_k0 p_den / (p_k0 q_den)."""
+    pn, qn = p._nums, q._nums
+    if not pn or len(pn) != len(qn) or (k0 := next(iter(pn))) not in qn:
+        return None
+    (pr0, pi0), (qr0, qi0) = pn[k0], qn[k0]
+    for k, (pr, pi) in pn.items():
+        qr, qi = qn.get(k, (0, 0))
+        if (qr * pr0 - qi * pi0 != qr0 * pr - qi0 * pi
+                or qr * pi0 + qi * pr0 != qr0 * pi + qi0 * pr):
+            return None
+    return CRat.from_ints((qr0 * pr0 + qi0 * pi0) * p._den,
+                          (qi0 * pr0 - qr0 * pi0) * p._den,
+                          (pr0 * pr0 + pi0 * pi0) * q._den)
+
+
 def _leibniz_defect(f: Poly, g: Poly, mus: Sequence[int],
                     ctx: StarContext) -> list[Poly]:
     """[d_mu(f*g) - (d_mu f)*g - f*(d_mu g) for mu in mus].
 
     f*g, the largest product of the check, is built once for every
-    direction; each direction then costs its two one-sided products."""
+    direction.  Star is bilinear over Q(i), so a partial that is c times
+    an earlier one of its side (``_ratio``) reuses that one-sided product
+    times c.  On the phase subalgebra each factor's partials are multiples
+    of one polynomial, so a vector of four costs 3 products of nonzero
+    operands; a generic pair costs 9, a zero partial's among them, which
+    ``star`` returns at once."""
     fg = star(f, g, ctx)
-    return [fg.partial(mu) - star(f.partial(mu), g, ctx)
-            - star(f, g.partial(mu), ctx) for mu in mus]
+    seen: tuple[list, list] = ([], [])  # per side: (partial, its product)
+
+    def one_sided(side: int, dp: Poly) -> Poly:
+        for q, prod in seen[side]:
+            c = _ratio(q, dp)
+            if c is not None:
+                return prod * c
+        prod = star(dp, g, ctx) if side == 0 else star(f, dp, ctx)
+        seen[side].append((dp, prod))
+        return prod
+
+    return [fg.partial(mu) - one_sided(0, f.partial(mu))
+            - one_sided(1, g.partial(mu)) for mu in mus]
 
 
 def dt_leibniz_defect(f: Poly, g: Poly, ctx: StarContext) -> Poly:

@@ -1,8 +1,10 @@
 """Exact polynomial substrate: pinned examples and ring axioms."""
 
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nckit.rationals import CRat, I
@@ -144,6 +146,21 @@ def test_partial_rejects_eps_in_both_spellings():
     s = PwPoly.variable("s")
     assert (s * s).partial("s") == 2 * s
     assert s.partial(len(PwPoly.VARS) - 1) == PwPoly.zero()
+
+
+def test_partial_takes_ints_bools_and_numpy_ints_only():
+    p = t * x1 * x1 + eps * x3
+    for idx in (1, True, np.int64(1), np.uint8(1)):
+        assert p.partial(idx) == partial(p, idx) == 2 * t * x1
+    assert p.partial(False) == p.partial(np.int32(0)) == x1 * x1
+    with pytest.raises(ValueError, match="eps"):
+        p.partial(np.int64(4))
+    for bad in (1.5, 2.0, 4.0, Fraction(1), None):
+        for q in (p, PwPoly.variable("s")):
+            with pytest.raises(TypeError, match=re.escape(f"index {bad!r}")):
+                q.partial(bad)
+        with pytest.raises(TypeError, match=re.escape(f"index {bad!r}")):
+            partial(p, bad)
 
 
 @pytest.mark.parametrize("cls", [Poly, PwPoly])

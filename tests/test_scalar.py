@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nckit.poly import Poly, t, x1, x2, x3
+from nckit.poly import Poly, eps, t, x1, x2, x3
 from nckit.rationals import CRat
 from nckit.star import (StarContext, ThetaProfile, dt_leibniz_defect,
                         spatial_derivation_defect, star, star_commutator)
@@ -121,6 +121,48 @@ def test_phase_subalgebra_defects_build_fg_once(monkeypatch):
         assert phase_subalgebra_defects(f, g, ctx) == want
         assert len(calls) == 9
         monkeypatch.setattr(star_module, "star", plain_star)
+
+
+@pytest.mark.parametrize("eps_cutoff", [None, 1])
+def test_phase_subalgebra_defects_share_products_on_the_subalgebra(
+        monkeypatch, eps_cutoff):
+    # on functions of one null phase every partial of a factor is a
+    # multiple of one polynomial: f*g, (d_0 f)*g and f*(d_0 g) suffice
+    import nckit.star as star_module
+    ctx = StarContext(ThetaProfile({(1, 2): t, (1, 3): 1, (2, 3): t * t - 2}),
+                      eps_cutoff)
+    plain_star = star_module.star
+    calls = []
+
+    def counting_star(f, g, *args, **kwargs):
+        if f and g:
+            calls.append(1)
+        return plain_star(f, g, *args, **kwargs)
+
+    def vector(f, g):
+        # the nine products from scratch, one direction at a time
+        want = [star(f, g, ctx).partial(mu) - star(f.partial(mu), g, ctx)
+                - star(f, g.partial(mu), ctx) for mu in range(4)]
+        monkeypatch.setattr(star_module, "star", counting_star)
+        calls.clear()
+        got = phase_subalgebra_defects(f, g, ctx)
+        monkeypatch.setattr(star_module, "star", plain_star)
+        assert got == want
+        return got
+
+    for w, k1, k2, k3 in null_quadruples():
+        u = linear_phase(w, (k1, k2, k3))
+        for a in (1, 2, 3):
+            for b in (1, 2, 3):
+                f = u ** a if eps_cutoff is None else u ** a * (1 + eps)
+                assert all(v.is_zero() for v in vector(f, u ** b))
+                assert len(calls) == 3
+        # d_t f is no multiple of the spatial partials, which are of each other
+        f = t * u ** 2 + u
+        assert all(v.is_zero() for v in vector(f, f))
+        assert len(calls) == 5
+        vector(f, u ** 2)
+        assert len(calls) == 4
 
 
 def test_kg_density_real():

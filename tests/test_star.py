@@ -25,6 +25,7 @@ from nckit.star import (
     theta_dot_row,
     theta_dot_rows,
 )
+from nckit.star import _ratio
 from util import (assert_canonical, rand_exponents, rand_fraction,
                   rand_imag_poly, rand_poly, rand_t_poly, rand_theta)
 
@@ -683,6 +684,12 @@ def test_spatial_partials_are_derivations():
             assert spatial_derivation_defect(f, g, i, ctx).is_zero()
     with pytest.raises(ValueError):
         spatial_derivation_defect(x1, x2, 0, StarContext(ThetaProfile.zero()))
+    # the index goes through operator.index: bools pass, floats are named
+    ctx = StarContext(ThetaProfile({(1, 2): t}))
+    assert spatial_derivation_defect(x1 * x2, x2, True, ctx).is_zero()
+    for bad in (2.0, 1.5):
+        with pytest.raises(TypeError, match=f"index {bad}"):
+            spatial_derivation_defect(x1 * x2, x2, bad, ctx)
 
 
 def test_time_partial_defect_closed_form():
@@ -707,6 +714,45 @@ def test_time_partial_is_derivation_for_static_theta():
         f = rand_poly(rng, max_terms=3)
         g = rand_poly(rng, max_terms=3)
         assert dt_leibniz_defect(f, g, ctx).is_zero()
+
+
+def test_ratio_of_proportional_polynomials():
+    c = CRat(Fraction(-2, 3), 1)
+    p = x1 + 2 * t * x2 + Fraction(3, 5)
+    q = c * p
+    assert p._den != q._den
+    assert _ratio(p, q) == c and _ratio(q, p) == CRat(1) / c
+    assert _ratio(p, p) == 1 and _ratio(p, -p) == -1
+    # keys that carry eps: the eps byte is part of the key like any other
+    e = eps * x1 - I * eps * eps * t + Fraction(1, 7) * x3
+    assert _ratio(e, c * e) == c
+    assert _ratio(e, e.truncate_eps(1)) is None
+    assert _ratio(eps * x1 + x2, eps * x2 + x1) is None
+    rng = random.Random(1307)
+    for _ in range(40):
+        p = rand_poly(rng, max_terms=4, max_eps=2, allow_zero=False)
+        c = CRat(rand_fraction(rng), rand_fraction(rng))
+        if c:
+            assert _ratio(p, c * p) == c
+
+
+def test_ratio_rejects_what_is_no_multiple():
+    p = x1 + x2 + t
+    # the same keys, one numerator off: real, then imaginary; (1 + i) x2
+    # against x2 agrees in the real part of the cross-multiplication
+    assert _ratio(p, x1 + 2 * x2 + t) is None
+    assert _ratio(p, x1 + (1 + I) * x2 + t) is None
+    assert _ratio(3 * p, 3 * x1 + 3 * x2 + (3 + I) * t) is None
+    # a third of the right multiple, with its denominator
+    assert _ratio(p, Fraction(1, 3) * p) == Fraction(1, 3)
+    # different key sets: overlapping, disjoint, and of another size
+    assert _ratio(p, x1 + x2 + x3) is None
+    assert _ratio(x1 + x2, t + x3) is None
+    assert _ratio(p, x1 + x2) is None and _ratio(x1 + x2, p) is None
+    # a zero partial matches nothing, itself included
+    zero = Poly.zero()
+    assert _ratio(zero, p) is None and _ratio(p, zero) is None
+    assert _ratio(zero, zero) is None
 
 
 # -- thetadot rows ---------------------------------------------------------
