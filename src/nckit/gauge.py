@@ -138,10 +138,6 @@ class FieldStrength:
     time: Mapping[int, Poly]
     tilde: Mapping[int, Poly]
 
-    def spatial_entry(self, i: int, j: int) -> Poly:
-        """Signed F_ij for any i, j in 1..3."""
-        return signed_entry(self.spatial, i, j, Poly.zero())
-
 
 def _spatial_strength(a: tuple[Poly, Poly, Poly],
                       ctx: StarContext) -> dict[tuple[int, int], Poly]:

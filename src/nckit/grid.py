@@ -95,6 +95,7 @@ import signal
 import struct
 import threading
 from dataclasses import dataclass
+from stat import S_ISREG
 
 import numpy as np
 
@@ -557,6 +558,9 @@ def _check_samples(values: np.ndarray, box: float, theta: float) -> None:
 
 
 def load_grid(path) -> tuple[GridField, float]:
+    """The field and theta of a grid file whose body is exactly N*N samples,
+    read in place.  A regular file's size is checked before they are
+    allocated, so neither a long tail nor a large N costs memory."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
@@ -565,12 +569,16 @@ def load_grid(path) -> tuple[GridField, float]:
         if magic != MAGIC:
             raise ValueError(f"not a grid file (magic {magic!r})")
         _check_header(n, box, theta)
-        body = fh.read()
-    expect = n * n * 16
-    if len(body) != expect:
-        raise ValueError(
-            f"grid file body has {len(body)} bytes, expected {expect}")
-    values = np.frombuffer(body, dtype="<c16").reshape(n, n)
+        expect = n * n * 16
+        st = os.fstat(fh.fileno())
+        body = st.st_size - _HEADER.size if S_ISREG(st.st_mode) else expect
+        if body == expect:
+            values = np.empty((n, n), dtype="<c16")
+            body = fh.readinto(values)
+            if body == expect and fh.read(1):
+                body = f"more than {expect}"
+    if body != expect:
+        raise ValueError(f"grid file body has {body} bytes, expected {expect}")
     _check_samples(values, box, theta)
-    return GridField(values.copy(), box), theta
+    return GridField(values, box), theta
 

@@ -261,26 +261,17 @@ class BasePoly:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        return self._times(o, None)
+        return self._times(o)
 
     __rmul__ = __mul__
 
-    def _times(self, o: "BasePoly", bound: int | None):
-        """self * o; with a bound, the term pairs whose key sum reaches it
-        are never formed."""
+    def _times(self, o: "BasePoly"):
+        """self * o for a polynomial o, every term pair formed; ValueError
+        if an exponent of the product reaches the limit."""
         out: dict[int, tuple[int, int]] = {}
         get = out.get
-        # under a bound, ascending keys stop each row at its first miss
-        if bound is None:
-            right = o._nums.items()
-            bound = 1 << FIELD_BITS * len(self.VARS)  # above any key sum
-        else:
-            right = sorted(o._nums.items())
         for ka, (ar, ai) in self._nums.items():
-            top = bound - ka
-            for kb, (br, bi) in right:
-                if kb >= top:
-                    break
+            for kb, (br, bi) in o._nums.items():
                 k = ka + kb
                 acc = get(k)
                 if acc is None:

@@ -50,10 +50,10 @@ order, the eps byte cleared from their keys.  ValueError is raised before
 t's byte could carry (t grows by theta's degree per order) and when the
 result reaches the exponent limit.
 
-Eps pruning.  Under an eps cutoff N, a term of eps order e meets only terms
-of order <= N - e.  d and D keep eps orders, so each side's lowest order can
-only rise down the tree, and a node drops, for its whole subtree, every term
-whose order cannot meet the other side's lowest.
+Eps cutoff.  Under an eps cutoff N the kernel drops eps orders in two
+places: the operand split leaves out every term of order above N, and a
+node's block loop skips each pair of orders whose sum exceeds N.  The
+order-0 shortcut is the pointwise product, truncated like any other.
 
 Commutator.  Swapping f and g flips the sign of the odd |r| terms, so
 f*g - g*f is twice the odd nodes.
@@ -75,7 +75,7 @@ conj(f_e) = a - i b, an odd node's real part comes from Pr Qi + Pi Qr =
 -(d^r a)(D^r b) + (d^r b)(D^r a), and over |r| = n the two sums are
 -B_n(a, b) = B_n(b, a), equal.  So the kernel forms only Pi Qr, twice.
 This too holds for the whole series at a fixed n, not node by node; a
-node the tree prunes has d^r f_e = 0 or D^r conj(f_e) = 0, so both its
+node the tree skips has d^r f_e = 0 or D^r conj(f_e) = 0, so both its
 products are zero, and each node's weight depends on r only through 1/r!.
 
 Thetadot rows.  The series never differentiates t, so a factor c(t) in t
@@ -262,9 +262,7 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
     n_max = min(q.spatial_degree(), p.spatial_degree())
     theta, cutoff = ctx.theta, ctx.eps_cutoff
     if not n_max or theta.is_zero():  # the series is its order-0 term, fg
-        if commutator:
-            return Poly.zero()
-        return p._times(q, None if cutoff is None else (cutoff + 1) << EPS_SHIFT)
+        return Poly.zero() if commutator else ctx.reduce(p._times(q))
     t_deg, rows = theta._star_table()
     # t grows by at most t_deg per order; a field holds exponents below
     # 2 * EXP_LIMIT, the final check below the limit itself
@@ -280,10 +278,6 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
     stack = [(1, 0, 1, 0, _by_eps(p, cutoff), _by_eps(q, cutoff))]
     while stack:
         last, run, rfact, n, ps, qs = stack.pop()
-        if cutoff is not None:
-            ps, qs = _prune(ps, qs, cutoff)
-            if not ps:
-                continue
         if not commutator or n & 1:
             w = scale * two_d ** (n_max - n) // rfact
             _node_product(out, ps, qs, w, (-n if flip else n) & 3, cutoff,
@@ -339,21 +333,6 @@ def _by_eps(p: Poly, cutoff: int | None) -> dict:
         if i:
             part[1][k] = i
     return sides
-
-
-def _prune(ps: dict, qs: dict, cutoff: int) -> tuple[dict, dict]:
-    """Each side without the eps orders that cannot meet the other side's
-    lowest order under the cutoff; two empty sides when none can."""
-    if not ps or not qs:
-        return {}, {}
-    lo_p, lo_q = min(ps), min(qs)
-    if lo_p + lo_q > cutoff:
-        return {}, {}
-    if max(ps) + lo_q > cutoff:
-        ps = {e: part for e, part in ps.items() if e + lo_q <= cutoff}
-    if max(qs) + lo_p > cutoff:
-        qs = {e: part for e, part in qs.items() if e + lo_p <= cutoff}
-    return ps, qs
 
 
 def _partial(side: dict, shift: int) -> dict:

@@ -883,6 +883,16 @@ def test_grid_check_bad_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_grid_check_rejects_a_long_tail(tmp_path, capsys):
+    path = tmp_path / "tail.ncg"
+    save_grid(path, band_limited_field(4, 6.283185307179586, 1, seed=1), 0.3)
+    with open(path, "r+b") as fh:
+        fh.truncate(32 + 256 + (64 << 20))  # a sparse 64 MiB tail
+    assert main(["grid-check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nckit: ") and "expected 256" in err
+
+
 @pytest.mark.parametrize("box, scale", [(6.283185307179586, 1e200),
                                         (1e300, 1.0), (1e-300, 1.0)])
 def test_grid_check_rejects_overflowing_scales(tmp_path, capsys, box, scale):

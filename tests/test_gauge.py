@@ -8,8 +8,8 @@ import pytest
 import nckit.gauge
 from nckit.poly import Poly, eps, t, x1, x2, x3
 from nckit.rationals import CRat
-from nckit.star import (StarContext, ThetaProfile, star, star_commutator,
-                         star_exp)
+from nckit.star import (StarContext, ThetaProfile, signed_entry, star,
+                         star_commutator, star_exp)
 from nckit.gauge import (
     GaugePotential,
     action_density,
@@ -101,7 +101,7 @@ def test_field_strength_pinned():
     assert fs.spatial[(1, 2)] == Poly.const(-I)
     assert fs.spatial[(1, 3)].is_zero()
     assert fs.spatial[(2, 3)].is_zero()
-    assert fs.spatial_entry(2, 1) == Poly.const(I)
+    assert signed_entry(fs.spatial, 2, 1, Poly.zero()) == Poly.const(I)
     # F_01 = -(1/2) i thetadot^{21} A_1 * (d_2 A_1) = -(1/2) i x2
     assert fs.time[1] == -HALF_I * x2
     assert fs.time[2].is_zero() and fs.time[3].is_zero()

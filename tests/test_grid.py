@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -842,6 +843,53 @@ def test_binary_load_errors(tmp_path):
     bad.write_bytes(struct.pack("<8sI4xdd", MAGIC, 4, 1.0, 0.0) + b"\0" * 10)
     with pytest.raises(ValueError):
         load_grid(bad)
+
+
+def test_binary_load_reads_no_more_than_the_body(tmp_path):
+    # a 64 MiB sparse tail, and a header whose N would need 16 TiB, are
+    # rejected from the file size alone; the short-body message names both
+    # sizes
+    path = tmp_path / "tail.ncg"
+    save_grid(path, band_limited_field(4, 1.0, 1, seed=3), 0.5)
+    with open(path, "r+b") as fh:
+        fh.truncate(32 + 256 + (64 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"has {256 + (64 << 20)} bytes"):
+            load_grid(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    path.write_bytes(struct.pack("<8sI4xdd", MAGIC, 1 << 20, 1.0, 0.0)
+                     + b"\0" * 256)
+    with pytest.raises(ValueError, match="body has 256 bytes, expected"):
+        load_grid(path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_binary_load_from_a_pipe(tmp_path):
+    # a stream has no size to check first: the samples are read in place
+    # and one byte more tells a long body
+    path = tmp_path / "f.ncg"
+    f = band_limited_field(4, 2.0, 1, seed=8)
+    save_grid(path, f, 0.25)
+    data = path.read_bytes()
+    for tail, err in ((b"", None), (b"x", "more than 256"),
+                      (-56, "has 200 bytes")):
+        r, w = os.pipe()
+        os.write(w, data[:tail] if isinstance(tail, int) else data + tail)
+        os.close(w)
+        try:
+            if err is None:
+                back, theta = load_grid(f"/dev/fd/{r}")
+                assert (theta, back.values.tobytes()) == (0.25,
+                                                         f.values.tobytes())
+            else:
+                with pytest.raises(ValueError, match=err):
+                    load_grid(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
 
 
 def test_binary_load_rejects_bad_header_values(tmp_path):

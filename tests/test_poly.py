@@ -9,7 +9,7 @@ import pytest
 
 from nckit.rationals import CRat, I
 from nckit.planewave import PwPoly
-from nckit.poly import (EPS_SHIFT, EXP_LIMIT, BasePoly, Poly, add, conj, mul,
+from nckit.poly import (EXP_LIMIT, BasePoly, Poly, add, conj, mul,
                         partial, truncate_eps, t, x1, x2, x3, eps)
 
 from util import assert_canonical, rand_poly, rand_crat
@@ -331,18 +331,6 @@ def test_packed_ops_match_crat_reference(cls):
                     key = e[:idx] + (e[idx] - 1,) + e[idx + 1:]
                     want[key] = c * e[idx]
             assert d.terms_dict() == want
-
-
-def test_eps_cutoff_product_matches_truncated_product():
-    rng = random.Random(1207)
-    for _ in range(200):
-        a = rand_poly(rng, max_terms=6, max_t=2, max_spatial=2, max_eps=3)
-        b = rand_poly(rng, max_terms=6, max_t=2, max_spatial=2, max_eps=3)
-        for cutoff in range(5):
-            got = a._times(b, (cutoff + 1) << EPS_SHIFT)
-            assert_canonical(got)
-            assert got == (a * b).truncate_eps(cutoff)
-            assert_canonical((a * b).truncate_eps(cutoff))
 
 
 def test_exponent_limit_raises():

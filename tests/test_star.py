@@ -880,6 +880,33 @@ def test_negative_cutoff_keeps_no_order():
                 assert star_commutator(f, g, ctx) == Poly.zero()
 
 
+def test_cutoff_product_is_truncated_full_product():
+    # star under a cutoff N equals the full product truncated at N, plain,
+    # as a commutator and in hermitian mode; eps orders run to 3, one side
+    # often starts at eps^1 or above, and theta = 0 or a spatially constant
+    # side sends the product down the order-0 path
+    rng = random.Random(4411)
+    for trial in range(150):
+        theta = ThetaProfile.zero() if trial % 5 == 0 else rand_theta(rng)
+        f = rand_poly(rng, max_terms=4, max_t=1,
+                      max_spatial=0 if trial % 7 == 3 else 2, max_eps=3)
+        g = rand_poly(rng, max_terms=4, max_t=1, max_spatial=2, max_eps=3)
+        if trial % 2:  # lowest eps order >= 1 on one side
+            low = eps * rand_poly(rng, max_terms=4, max_t=1, max_spatial=2,
+                                  max_eps=2)
+            f, g = (low, g) if trial % 4 == 1 else (f, low)
+        full = StarContext(theta)
+        fg, comm, herm = (star(f, g, full), star_commutator(f, g, full),
+                          star(f, f.conj(), full))
+        for n in range(-1, 5):
+            cut = StarContext(theta, eps_cutoff=n)
+            got = (star(f, g, cut), star_commutator(f, g, cut),
+                   star(f, f.conj(), cut, hermitian=True))
+            for p in got:
+                assert_canonical(p)
+            assert got == tuple(p.truncate_eps(n) for p in (fg, comm, herm))
+
+
 def test_star_exp_unitary_mod_cutoff():
     th = ThetaProfile({(1, 2): t, (2, 3): 1})
     for order in (1, 2, 3):
