@@ -23,14 +23,14 @@ from .config import (ConfigError, load_config, load_theta, planewave_items,
                      theta_to_text)
 from .expr import (GradingError, ParseError, poly_to_expr,
                    reduce_expression)
-from .grid import (_occupied_band, band_limited_field,
+from .grid import (PHASE_TOL, SERIES_TOL, TRACE_TOL, _SERIES_POOL,
+                   _occupied_band, band_limited_field,
                    cross_validate_symbolic, grid_cyclicity_defect,
                    grid_trace_defect, load_grid, phase_law_defect)
 from .planewave import effective_action, harmonic_spectrum
 from .poly import EXP_LIMIT
 from .star import StarContext, ThetaProfile
-from .suites import (PHASE_TOL, REPORT_SCHEMA, SERIES_TOL, SUITE_NAMES,
-                     TRACE_TOL, _SERIES_POOL, run_suite)
+from .suites import REPORT_SCHEMA, SUITE_NAMES, run_suite
 
 
 def _write_json(path: str, doc: dict) -> None:

@@ -109,24 +109,24 @@ def time_component_defect(pot: GaugePotential, ctx: StarContext) -> Poly:
 
 def complete_time_component(pot: GaugePotential, ctx: StarContext,
                             seed: Poly | None = None) -> GaugePotential:
-    """Fill in A_0 = seed + (1/4) i thetadot^{ij} d_i A_j.
+    """Fill in A_0 = seed + (1/4) i div, div = thetadot^{ij} d_i A_j.
 
     seed is the free anti-hermitian part (conj(seed) = -seed, default 0).
-    The added correction is hermitian whenever the spatial components are
-    anti-hermitian, which makes the reality constraint hold on the nose;
-    this is checked and a ValueError raised otherwise.
+    div is truncated at the eps cutoff, as the seed's check is, so the
+    reality defect of the result is -(1/4) i (div + conj(div)).  It
+    vanishes exactly when div is imaginary valued, as it is for
+    anti-hermitian spatial components; a ValueError is raised otherwise.
     """
     if seed is None:
         seed = Poly.zero()
     if ctx.reduce(seed + seed.conj()):
         raise ValueError("time component seed must be anti-hermitian")
-    a0 = seed + _QUARTER_I * _theta_dot_div(pot, ctx)
-    out = GaugePotential(*pot.spatial(), ctx.reduce(a0))
-    if time_component_defect(out, ctx):
+    div = _theta_dot_div(pot, ctx)
+    if not div.is_imaginary_valued():
         raise ValueError(
             "spatial components violate the reality constraint "
             "(are they anti-hermitian?)")
-    return out
+    return GaugePotential(*pot.spatial(), ctx.reduce(seed + _QUARTER_I * div))
 
 
 @dataclass(frozen=True)
@@ -164,8 +164,7 @@ def _with_tilde(fs: FieldStrength, a: tuple[Poly, Poly, Poly],
     """fs completed by Ftilde_0i = F_0i - (1/2) i thetadot^{kj} F_ij * A_k,
     the one place the improved time components are built."""
     corr = _strength_rows(fs.spatial, a, ctx)
-    tilde = {i: ctx.reduce(fs.time[i] + HALF_I * corr[i - 1])
-             for i in _SPATIAL}
+    tilde = {i: fs.time[i] + HALF_I * corr[i - 1] for i in _SPATIAL}
     return FieldStrength(fs.spatial, fs.time, tilde)
 
 
@@ -306,7 +305,7 @@ def action_density(fs: FieldStrength, ctx: StarContext) -> Poly:
     for i in _SPATIAL:
         fti = fs.tilde[i]
         acc = acc - star(fti, fti.conj(), ctx, hermitian=True)
-    return ctx.reduce(acc)
+    return acc
 
 
 def invariance_witness(pot: GaugePotential, u: Poly,

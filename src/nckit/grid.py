@@ -359,6 +359,14 @@ def _split_rows(lo: int, hi: int, parts: int, add_rows) -> None:
         raise failure
 
 
+# Bounds on the grid defects, for the grid suite and `nckit grid-check`.
+# The phase law's 1e-8 covers any N a grid file holds; the suite's phase
+# law keeps 1e-10, since its N is at most 64.
+PHASE_TOL = 1e-8
+SUITE_PHASE_TOL = 1e-10
+TRACE_TOL = 1e-10
+
+
 def phase_law_defect(n: int, box_length: float, theta: float,
                      a: tuple[int, int], b: tuple[int, int]) -> float:
     """Sup-norm error of the product of two plane waves against the law."""
@@ -412,6 +420,15 @@ def grid_cyclicity_defect(f: GridField, g: GridField, theta: float) -> float:
 
 
 # -- independent series evaluator for poly x Gaussian inputs -------------------
+
+# The bound on cross_validate_symbolic, and the pairs it is run on
+SERIES_TOL = 1e-6
+_SERIES_POOL = (
+    ({(0, 0): 1.0}, {(0, 0): 1.0}),
+    ({(1, 0): 1.0, (0, 1): 0.5}, {(0, 2): 1.0, (0, 0): -0.25}),
+    ({(2, 1): 1.0}, {(1, 1): 1.0, (0, 0): 0.5}),
+)
+
 
 def cross_validate_symbolic(poly_f: dict[tuple[int, int], float],
                             poly_g: dict[tuple[int, int], float],

@@ -74,7 +74,7 @@ def kg_density(phi: Poly, ctx: StarContext) -> Poly:
     for i in (1, 2, 3):
         di = phi.partial(i)
         acc = acc - star(di, di.conj(), ctx)
-    return ctx.reduce(acc)
+    return acc
 
 
 def metric_pairing(alpha: DifferentialForm, beta: DifferentialForm,
@@ -91,7 +91,7 @@ def metric_pairing(alpha: DifferentialForm, beta: DifferentialForm,
             continue
         term = star(am, bm, ctx)
         acc = acc + (term if MINKOWSKI[mu] > 0 else -term)
-    return ctx.reduce(acc)
+    return acc
 
 
 def kg_density_via_metric(phi: Poly, ctx: StarContext) -> Poly:

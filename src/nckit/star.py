@@ -50,10 +50,10 @@ order, the eps byte cleared from their keys.  ValueError is raised before
 t's byte could carry (t grows by theta's degree per order) and when the
 result reaches the exponent limit.
 
-Eps cutoff.  Under an eps cutoff N the kernel drops eps orders in two
-places: the operand split leaves out every term of order above N, and a
-node's block loop skips each pair of orders whose sum exceeds N.  The
-order-0 shortcut is the pointwise product, truncated like any other.
+Eps cutoff.  Under an eps cutoff N only two places drop eps orders: a
+node's block loop skips each pair of orders whose sum exceeds N, and the
+order-0 shortcut truncates the pointwise product by ``ctx.reduce``.  The
+operand split keeps every term, as an order above N meets only skips.
 
 Commutator.  Swapping f and g flips the sign of the odd |r| terms, so
 f*g - g*f is twice the odd nodes.
@@ -275,7 +275,7 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
     scale = 2 * top if commutator else top
     out: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     # nodes: (last index, its run length, r!, |r|, d^r p, D^r q)
-    stack = [(1, 0, 1, 0, _by_eps(p, cutoff), _by_eps(q, cutoff))]
+    stack = [(1, 0, 1, 0, _by_eps(p), _by_eps(q))]
     while stack:
         last, run, rfact, n, ps, qs = stack.pop()
         if not commutator or n & 1:
@@ -315,15 +315,13 @@ def _from_sides(out: dict, den: int) -> Poly:
     return Poly._make(nums, den)
 
 
-def _by_eps(p: Poly, cutoff: int | None) -> dict:
+def _by_eps(p: Poly) -> dict:
     """p's numerators as the kernel holds them, {eps order: (re, im)}, re and
     im {key without its eps byte: int} dicts of the nonzero real or imaginary
-    numerators over p's denominator; terms above the eps cutoff left out."""
+    numerators over p's denominator; every eps order is kept."""
     sides: dict = {}
     for k, (r, i) in p._nums.items():
         e = k >> EPS_SHIFT
-        if cutoff is not None and e > cutoff:
-            continue
         part = sides.get(e)
         if part is None:
             part = sides[e] = ({}, {})
@@ -487,12 +485,12 @@ def dt_leibniz_defect(f: Poly, g: Poly, ctx: StarContext) -> Poly:
 
 def theta_dot_row(ctx: StarContext, i: int, g: Poly) -> Poly:
     """Ddot_i g = sum_j thetadot^{ij} d_j g, the kernel's D_i for the
-    thetadot of the context's profile; orders above its eps cutoff are left
-    out."""
+    thetadot of the context's profile, of g truncated at its eps cutoff."""
     dot = ctx.theta.theta_dot()
     if not g or dot.is_zero():
         return Poly.zero()
-    side = _theta_apply(_by_eps(g, ctx.eps_cutoff), dot._star_table()[1][i])
+    g = ctx.reduce(g)  # before its denominator is read
+    side = _theta_apply(_by_eps(g), dot._star_table()[1][i])
     return _from_sides(side, g._den * dot._den)
 
 
@@ -509,10 +507,8 @@ def theta_dot_rows(ctx: StarContext, ys: Sequence[Poly]) -> list[Poly]:
 def dt_leibniz_correction(f: Poly, g: Poly, ctx: StarContext) -> Poly:
     """(1/2) i thetadot^{ij} (d_i f)*(d_j g), the closed form of the defect,
     formed as (1/2) i sum_i (d_i f)*(Ddot_i g)."""
-    acc = Poly.zero()
-    for i in (1, 2, 3):
-        acc = acc + star(f.partial(i), theta_dot_row(ctx, i, g), ctx)
-    return ctx.reduce(HALF_I * acc)
+    return HALF_I * sum((star(f.partial(i), theta_dot_row(ctx, i, g), ctx)
+                         for i in (1, 2, 3)), Poly.zero())
 
 
 def star_conj_defect(f: Poly, g: Poly, ctx: StarContext) -> Poly:

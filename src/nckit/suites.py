@@ -30,6 +30,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import grid as gridmod
+from .grid import SERIES_TOL, SUITE_PHASE_TOL, TRACE_TOL, _SERIES_POOL
 from .config import planewave_items, theta_to_text
 from .expr import value_to_expr
 from .forms import (DifferentialForm, d, d_leibniz_defect, form_conj,
@@ -446,13 +447,6 @@ def _contract_integrand(report, spec, ctx):
 
 _TWO_PI = 6.283185307179586
 
-# Bounds on the grid defects, shared with `nckit grid-check`, which prints
-# them.  The phase law's 1e-8 covers any N a grid file holds; the suite's
-# own phase-law property keeps 1e-10, since its N is at most 64.
-PHASE_TOL = 1e-8
-TRACE_TOL = 1e-10
-SERIES_TOL = 1e-6
-
 
 def _case_phase_law(rng, theta, order, k):
     n = rng.choice((32, 64))
@@ -461,8 +455,8 @@ def _case_phase_law(rng, theta, order, k):
     a = (rng.randint(-5, 5), rng.randint(-5, 5))
     b = (rng.randint(-5, 5), rng.randint(-5, 5))
     defect = gridmod.phase_law_defect(n, box, theta_val, a, b)
-    return defect < 1e-10, lambda: (f"n={n} box={box} theta={theta_val} "
-                                    f"a={a} b={b} defect={defect:.3e}")
+    return defect < SUITE_PHASE_TOL, lambda: (
+        f"n={n} box={box} theta={theta_val} a={a} b={b} defect={defect:.3e}")
 
 
 def _case_trace(defect_name, rng, theta, order, k):
@@ -474,13 +468,6 @@ def _case_trace(defect_name, rng, theta, order, k):
     theta_val = rng.uniform(-1.5, 1.5)
     defect = getattr(gridmod, defect_name)(f, g, theta_val)
     return defect < TRACE_TOL, lambda: f"n={n} theta={theta_val} defect={defect:.3e}"
-
-
-_SERIES_POOL = (
-    ({(0, 0): 1.0}, {(0, 0): 1.0}),
-    ({(1, 0): 1.0, (0, 1): 0.5}, {(0, 2): 1.0, (0, 0): -0.25}),
-    ({(2, 1): 1.0}, {(1, 1): 1.0, (0, 0): 0.5}),
-)
 
 
 def _case_series_cross_check(rng, theta, order, k):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import nckit.gauge
+from nckit import cli
 from nckit.poly import Poly, eps, t, x1, x2, x3
 from nckit.rationals import CRat
 from nckit.star import (StarContext, ThetaProfile, signed_entry, star,
@@ -22,7 +23,8 @@ from nckit.gauge import (
     time_component_defect,
     _transformed_strength,
 )
-from util import rand_imag_poly, rand_poly, rand_theta
+from nckit.suites import run_suite
+from util import rand_imag_poly, rand_poly, rand_theta, replay
 
 I = CRat(0, 1)
 HALF_I = CRat(0, Fraction(1, 2))
@@ -80,6 +82,57 @@ def test_completion_randomized():
         done = complete_time_component(pot, ctx, seed=rand_imag_poly(rng))
         assert time_component_defect(done, ctx).is_zero()
         assert not any(reality_defect(done, ctx))
+
+
+def test_completion_raises_exactly_when_the_divergence_is_not_imaginary():
+    # A_0's check reads the divergence it adds: anti-hermitian, general and
+    # eps-carrying spatial components under cutoffs None, 0, 1 and 2; when
+    # it passes, the reality constraint holds on the result
+    rng = random.Random(1505)
+    outcomes = {True: 0, False: 0}
+    for k in range(120):
+        ctx = StarContext(rand_theta(rng), eps_cutoff=(None, 0, 1, 2)[k % 4])
+        kind = k % 3
+        if kind == 0:
+            pot = rand_anti_hermitian_potential(rng)
+        elif kind == 1:
+            pot = GaugePotential(*(rand_poly(rng, max_terms=2, max_t=1,
+                                             max_spatial=3, max_eps=3)
+                                   for _ in range(3)))
+        else:  # anti-hermitian up to terms at eps^1..3
+            pot = GaugePotential(*(a + eps ** rng.randint(1, 3) * rand_poly(
+                rng, max_terms=1, max_t=1, max_spatial=2)
+                for a in rand_anti_hermitian_potential(rng).spatial()))
+        seed = rand_imag_poly(rng) * eps ** rng.randint(0, 3)
+        raises = not nckit.gauge._theta_dot_div(pot, ctx).is_imaginary_valued()
+        outcomes[raises] += 1
+        if raises:
+            with pytest.raises(ValueError, match="reality constraint"):
+                complete_time_component(pot, ctx, seed=seed)
+        else:
+            done = complete_time_component(pot, ctx, seed=seed)
+            assert time_component_defect(done, ctx).is_zero()
+    assert min(outcomes.values()) >= 10
+
+
+def test_completion_bug_is_a_verdict_not_a_crash(monkeypatch):
+    # A_0 = seed + (1/2) i div breaks the reality constraint wherever div is
+    # nonzero: the gauge suite reports it with counterexamples that replay,
+    # and `nckit verify` exits 1, not 2
+    monkeypatch.setattr(nckit.gauge, "_QUARTER_I", CRat(0, Fraction(1, 2)))
+    report = run_suite("gauge", seed=0, cases=5)
+    prop, = (p for p in report.properties if p.name == "time-component-reality")
+    assert prop.failures and prop.counterexamples
+    replays = [replay(text, order=2) for text in prop.counterexamples]
+    for names, v, ctx in replays:
+        assert names[:3] == ["a1", "a2", "a3"]
+        pot = GaugePotential(v["a1"], v["a2"], v["a3"])
+        assert time_component_defect(complete_time_component(pot, ctx), ctx)
+    assert cli.main(["verify", "gauge", "--cases", "5"]) == 1
+    monkeypatch.undo()
+    for names, v, ctx in replays:
+        pot = GaugePotential(v["a1"], v["a2"], v["a3"])
+        assert not time_component_defect(complete_time_component(pot, ctx), ctx)
 
 
 def test_component_access():

@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 
 from nckit.forms import DifferentialForm, move_left
-from nckit.gauge import GaugePotential, complete_time_component
+from nckit.gauge import (GaugePotential, action_density,
+                         complete_time_component, field_strength)
+from nckit.scalar import kg_density, metric_pairing
 from nckit.poly import Poly, t, x1, x2, x3, eps
 from nckit.rationals import CRat
 from nckit.star import (
@@ -777,15 +779,17 @@ def test_theta_dot_rows_match_the_sum_formula():
                ThetaProfile({(1, 3): 3 * t * t - 1, (2, 3): 2})]
     assert sum(th.theta_dot().is_zero() for th in thetas) >= 2
     for k, th in enumerate(thetas):
-        ctx = StarContext(th, eps_cutoff=(None, 0, 1)[k % 3])
+        ctx = StarContext(th, eps_cutoff=(None, 0, 1, 2)[k % 4])
         for _ in range(4):
-            f, g = (rand_poly(rng, max_terms=3, max_spatial=3, max_eps=2)
+            f, g = (rand_poly(rng, max_terms=3, max_spatial=3, max_eps=3)
                     for _ in range(2))
-            ys = (g, zero, rand_poly(rng, max_terms=3, max_eps=2))
+            ys = (g, zero, rand_poly(rng, max_terms=3, max_eps=3))
             for i in (1, 2, 3):
                 want = theta_dot_sum_reference(
                     ctx, lambda a, b: g.partial(b) if a == i else zero)
                 assert theta_dot_row(ctx, i, g) == ctx.reduce(want)
+                assert theta_dot_row(ctx, i, g) == theta_dot_row(
+                    ctx, i, ctx.reduce(g))
                 assert theta_dot_row(ctx, i, zero) == zero
                 # the dt correction of dx^i g = g dx^i + ... dt
                 corr = theta_dot_sum_reference(
@@ -898,6 +902,22 @@ def test_cutoff_product_is_truncated_full_product():
         full = StarContext(theta)
         fg, comm, herm = (star(f, g, full), star_commutator(f, g, full),
                           star(f, f.conj(), full))
+        # sums of products that return without a truncation of their own,
+        # on operands whose eps orders pass the cutoff
+        sums = trial % 3 == 0
+        if sums:
+            pot = GaugePotential(f, g, g.conj(), f.conj())
+            one_forms = (DifferentialForm({1: g, 2: f, 8: f.conj()}),
+                         DifferentialForm({1: f, 4: g.conj(), 8: g}))
+            fs = field_strength(pot, full)
+
+            def sum_values(ctx):
+                return (dt_leibniz_correction(f, g, ctx), kg_density(f, ctx),
+                        metric_pairing(*one_forms, ctx),
+                        action_density(fs, ctx),
+                        *field_strength(pot, ctx).tilde.values())
+
+            sums_full = sum_values(full)
         for n in range(-1, 5):
             cut = StarContext(theta, eps_cutoff=n)
             got = (star(f, g, cut), star_commutator(f, g, cut),
@@ -905,6 +925,9 @@ def test_cutoff_product_is_truncated_full_product():
             for p in got:
                 assert_canonical(p)
             assert got == tuple(p.truncate_eps(n) for p in (fg, comm, herm))
+            if sums and 0 <= n <= 2:
+                assert sum_values(cut) == tuple(p.truncate_eps(n)
+                                                for p in sums_full)
 
 
 def test_star_exp_unitary_mod_cutoff():

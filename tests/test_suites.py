@@ -7,15 +7,15 @@ import pytest
 
 import nckit.suites
 from nckit.config import load_config, theta_to_text
-from nckit.expr import evaluate, parse_expression
 from nckit.forms import DifferentialForm, form_mul
 from nckit.gauge import (FieldStrength, GaugePotential,
                          complete_time_component, covariance_defect,
                          gauge_transform_potential, time_component_defect)
 from nckit.poly import Poly, t
-from nckit.star import (StarContext, ThetaProfile, spatial_derivation_defect,
-                        star, star_conj_defect, star_exp)
+from nckit.star import (ThetaProfile, spatial_derivation_defect, star,
+                        star_conj_defect, star_exp)
 from nckit.suites import SUITE_NAMES, PropertyResult, SuiteReport, run_suite
+from util import replay
 
 
 def test_all_suites_pass_smoke():
@@ -265,19 +265,6 @@ def test_theta_text_rendering():
 
 # -- counterexample replay ---------------------------------------------------------
 
-def _replay(text, order=None):
-    """Parse a printed counterexample `name = expr; ...; t12 = ...` back:
-    (names in printed order, {name: value}, the context it ran in)."""
-    items = [item.split(" = ", 1) for item in text.split("; ")]
-    flat = StarContext(ThetaProfile.zero())
-    theta = ThetaProfile({(int(k[1]), int(k[2])): evaluate(parse_expression(v), flat)
-                          for k, v in items if k[:1] == "t" and len(k) == 3})
-    ctx = StarContext(theta, eps_cutoff=order)
-    values = {k: evaluate(parse_expression(v), ctx) for k, v in items
-              if not (k[:1] == "t" and len(k) == 3)}
-    return [k for k, _ in items], values, ctx
-
-
 def _failing(report, name):
     prop, = (p for p in report.properties if p.name == name)
     assert prop.failures > 0 and prop.counterexamples
@@ -291,7 +278,7 @@ def test_star_counterexamples_replay(monkeypatch):
     monkeypatch.setattr(nckit.suites, "star_conj_defect", broken)
     report = run_suite("star", seed=3, cases=6)
     for text in _failing(report, "conjugation-reversal"):
-        names, v, ctx = _replay(text)
+        names, v, ctx = replay(text)
         assert names[:2] == ["f", "g"]
         assert not broken(v["f"], v["g"], ctx).is_zero()
         assert star_conj_defect(v["f"], v["g"], ctx).is_zero()
@@ -304,7 +291,7 @@ def test_calculus_counterexamples_replay(monkeypatch):
     monkeypatch.setattr(nckit.suites, "left_mul", broken)
     report = run_suite("calculus", seed=3, cases=6)
     for text in _failing(report, "left-module-consistency"):
-        names, v, ctx = _replay(text)
+        names, v, ctx = replay(text)
         assert names[:2] == ["w", "f"]
         f, w = v["f"], v["w"]
         assert isinstance(w, DifferentialForm)
@@ -319,7 +306,7 @@ def test_gauge_counterexamples_replay(monkeypatch):
     monkeypatch.setattr(nckit.suites, "time_component_defect", broken)
     report = run_suite("gauge", seed=3, cases=3, order=2)
     for text in _failing(report, "time-component-reality"):
-        names, v, ctx = _replay(text, order=2)
+        names, v, ctx = replay(text, order=2)
         assert names[:3] == ["a1", "a2", "a3"]
         pot = complete_time_component(GaugePotential(v["a1"], v["a2"], v["a3"]), ctx)
         assert not broken(pot, ctx).is_zero()
@@ -343,14 +330,14 @@ def test_gauge_counterexamples_with_lambda_replay(monkeypatch):
     monkeypatch.setattr(nckit.suites, "field_strength", not_flat)
     report = run_suite("gauge", seed=3, cases=2, order=2)
     for text in _failing(report, "field-strength-covariance"):
-        names, v, ctx = _replay(text, order=2)
+        names, v, ctx = replay(text, order=2)
         assert names[:4] == ["a1", "a2", "a3", "lambda"]
         pot = complete_time_component(GaugePotential(v["a1"], v["a2"], v["a3"]), ctx)
         u = star_exp(v["lambda"], 2, ctx)
         assert not vanishes(broken(pot, u, ctx))
         assert vanishes(covariance_defect(pot, u, ctx))
     for text in _failing(report, "pure-gauge-flatness"):
-        names, v, ctx = _replay(text, order=2)
+        names, v, ctx = replay(text, order=2)
         assert names[:4] == ["a1", "a2", "a3", "lambda"]
         zero = Poly.zero()
         pure = gauge_transform_potential(GaugePotential(zero, zero, zero),
@@ -372,7 +359,7 @@ def test_spatial_derivation_counterexamples_print_the_index(monkeypatch):
     failing = [i for i, bad in drawn if bad]
     texts = _failing(report, "spatial-derivations")
     for text, i in zip(texts, failing):
-        names, v, ctx = _replay(text)
+        names, v, ctx = replay(text)
         assert names[:3] == ["f", "g", "index"]
         assert v["index"] == i
         assert not broken(v["f"], v["g"], i, ctx).is_zero()
@@ -397,7 +384,7 @@ def test_star_power_counterexamples_print_the_power(monkeypatch):
             drawn.append(2)
     texts = _failing(report, "subalgebra-star-powers")
     for text, n in zip(texts, drawn):
-        names, v, ctx = _replay(text)
+        names, v, ctx = replay(text)
         assert names[:2] == ["u", "power"]
         assert v["power"] == n
         u, acc = v["u"], v["u"]

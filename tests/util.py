@@ -10,9 +10,10 @@ import math
 import random
 from fractions import Fraction
 
+from nckit.expr import evaluate, parse_expression
 from nckit.rationals import CRat
 from nckit.poly import EXP_LIMIT, Poly
-from nckit.star import ThetaProfile
+from nckit.star import StarContext, ThetaProfile
 
 
 def rand_fraction(rng: random.Random, lo: int = -4, hi: int = 4,
@@ -117,3 +118,16 @@ def assert_canonical(p) -> None:
     for exps, _ in p.items():
         assert all(0 <= e < EXP_LIMIT for e in exps)
         assert p._pack(exps) in p._nums
+
+
+def replay(text: str, order: int | None = None):
+    """Parse a printed counterexample `name = expr; ...; t12 = ...` back:
+    (names in printed order, {name: value}, the context it ran in)."""
+    items = [item.split(" = ", 1) for item in text.split("; ")]
+    flat = StarContext(ThetaProfile.zero())
+    theta = ThetaProfile({(int(k[1]), int(k[2])): evaluate(parse_expression(v), flat)
+                          for k, v in items if k[:1] == "t" and len(k) == 3})
+    ctx = StarContext(theta, eps_cutoff=order)
+    values = {k: evaluate(parse_expression(v), ctx) for k, v in items
+              if not (k[:1] == "t" and len(k) == 3)}
+    return [k for k, _ in items], values, ctx
