@@ -122,6 +122,17 @@ def test_grid_field_validation():
     assert f.l2_norm() == pytest.approx(2.0)
 
 
+def test_grid_field_rejects_an_empty_grid_and_an_infinite_box():
+    # either one constructed and then failed with ZeroDivisionError in
+    # cell_area, l2_norm and every product; load_grid rejects both already
+    for values, box in ((np.zeros((0, 0)), 1.0), (np.zeros((4, 4)), math.inf),
+                        (np.zeros((4, 4)), math.nan)):
+        with pytest.raises(ValueError):
+            GridField(values, box)
+    # non-finite samples stay allowed: NaN propagates through the product
+    assert cmath.isnan(GridField(np.full((2, 2), np.nan), 1.0).integral())
+
+
 def test_plane_wave_values_and_integral():
     n, box = 16, 2 * np.pi
     w = plane_wave(n, box, 2, -3)
@@ -267,6 +278,8 @@ def test_grid_star_bytes_do_not_depend_on_the_part_count(monkeypatch):
         (band_limited_field(n, 2.0, 30, seed=1878), GridField(np.zeros((n, n)), 2.0)),
         # an odd grid whose window wraps past row 0
         (band_limited_field(15, 2.0, 3, seed=1879), rows_field(15, [13, 14, 0, 1, 2], seed=1880)),
+        # a zero left factor has no live row, F = 0
+        (GridField(np.zeros((n, n)), 2.0), band_limited_field(n, 2.0, 30, seed=1881)),
     ]
     assert _cyclic_window(_live_rows(spectrum(pairs[1][1])), n) == (230, 46)
     assert _cyclic_window(_live_rows(spectrum(pairs[2][1])), n) == (150, 136)
@@ -274,8 +287,9 @@ def test_grid_star_bytes_do_not_depend_on_the_part_count(monkeypatch):
     assert _cyclic_window(_live_rows(spectrum(pairs[6][1])), 15) == (13, 5)
     # a range of output rows has the bytes of the same rows of the whole
     # grid's accumulation: the first row, the last, and rows across the
-    # boundary n // 2 of two parts.  Only a NaN's sign bit may differ: it
-    # depends on how many rows numpy's FFT transforms at once
+    # boundary n // 2 of two parts, and the integral is row 0's sum.  Only
+    # a NaN's sign bit may differ: it depends on how many rows numpy's FFT
+    # transforms at once
     def ranges(n):
         return ((0, 1), (n - 1, n), (n // 2 - 3, n // 2 + 3))
 
@@ -284,18 +298,27 @@ def test_grid_star_bytes_do_not_depend_on_the_part_count(monkeypatch):
         flat[np.isnan(flat)] = np.nan
         return flat.tobytes()
 
-    for parts in (1, 2):
+    # single rows are formed in a batched pass whose chunks of 40 samples
+    # hold one row at n = 256 and two at n = 15, so its adds cross chunk
+    # boundaries
+    for parts, batch in ((1, nckit.grid._BATCH_SAMPLES), (2, 40)):
         monkeypatch.setattr(nckit.grid, "_parts", lambda work, p=parts: p)
+        monkeypatch.setattr(nckit.grid, "_BATCH_SAMPLES", batch)
         with np.errstate(invalid="ignore"):
             got = [grid_star(f, g, 0.37).values.tobytes() for f, g in pairs]
             rows = [[bits(_spectrum_rows(f, g, 0.37, lo, hi))
                      for lo, hi in ranges(f.n)] for f, g in pairs]
+            integrals = [bits(np.array([_star_integral(f, g, 0.37)]))
+                         for f, g in pairs]
             if parts == 1:
                 want = got
                 whole = [_spectrum_rows(f, g, 0.37, 0, f.n) for f, g in pairs]
+                sums = [bits(np.array([f.n * f.cell_area * w[0].sum()]))
+                        for (f, g), w in zip(pairs, whole)]
         assert got == want
         assert rows == [[bits(w[lo:hi]) for lo, hi in ranges(len(w))]
                         for w in whole]
+        assert integrals == sums
 
 
 def test_one_part_starts_no_thread_and_sets_no_signal_mask(monkeypatch):
@@ -581,29 +604,51 @@ def test_zero_row_integral_matches_the_whole_product():
 
 
 def test_defects_form_only_output_row_zero(monkeypatch):
-    # the cost guard: a defect forms one output row of the accumulation, in
-    # the calling thread, and never the whole product.  _parts splits as on
-    # two CPUs, where this window of 201 rows would split the whole grid
+    # the cost guard: a defect forms output row 0 of the accumulation alone,
+    # in the calling thread, and never the whole product; the cyclicity
+    # defect transforms each field once for both of its integrals, and no
+    # inverse transform holds more than _BATCH_SAMPLES samples.  _parts
+    # splits as on two CPUs, where this window of 201 rows would split the
+    # whole grid
     n = 256
     f = band_limited_field(n, 2.0, 100, seed=1960)
     g = band_limited_field(n, 2.0, 100, seed=1961)
-    split_rows, requested = nckit.grid._split_rows, []
+    spectrum_rows, rows = nckit.grid._spectrum_rows, []
+    fft2, transformed = np.fft.fft2, []
+    ifft, inverse = np.fft.ifft, []
     monkeypatch.setattr(nckit.grid, "_parts",
                         lambda work: 1 if work < nckit.grid._SPLIT_MIN_WORK else 2)
 
-    def recording(lo, hi, parts, add_rows):
-        requested.append((lo, hi, parts))
-        return split_rows(lo, hi, parts, add_rows)
+    def recording(f, g, theta, lo, hi, spectra=None):
+        rows.append((lo, hi))
+        return spectrum_rows(f, g, theta, lo, hi, spectra)
 
-    def refuse(*args):
-        raise AssertionError("a defect must not form the whole product")
+    def counting(values, *args, **kwargs):
+        transformed.append(values.shape)
+        return fft2(values, *args, **kwargs)
 
-    monkeypatch.setattr(nckit.grid, "_split_rows", recording)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a defect must not form the whole product "
+                             "or start a thread")
+
+    def sizing(values, *args, **kwargs):
+        inverse.append(values.size)
+        return ifft(values, *args, **kwargs)
+
+    monkeypatch.setattr(nckit.grid, "_spectrum_rows", recording)
     monkeypatch.setattr(nckit.grid, "grid_star", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(np.fft, "fft2", counting)
+    monkeypatch.setattr(np.fft, "ifft", sizing)
     assert grid_trace_defect(f, g, 0.37) < 1e-12
-    assert requested == [(0, 1, 1)]
+    assert rows == [(0, 1)]
+    del rows[:], transformed[:]
     assert grid_cyclicity_defect(f, g, 0.37) < 1e-12
-    assert requested == [(0, 1, 1)] * 3
+    assert rows == [(0, 1)] * 2
+    assert transformed == [(n, n)] * 2
+    # 201 live rows of 256 samples take two chunks per product
+    assert len(inverse) == 3 * 2 * 2
+    assert max(inverse) <= nckit.grid._BATCH_SAMPLES
 
 
 def test_star_noncommutative_pointwise():
