@@ -26,26 +26,33 @@ contiguous slice adds: up to the last row, then the wrapped rest from
 row 0.
 
 One loop fills a range of output rows: it walks the live rows a1 in
-ascending order and transforms, a piece of window rows at a time, only
-the window rows that land in its range.  It runs over the whole grid
-with the whole window as one piece, or, for slices of W N >= 2^15
-samples when the process may run on two CPUs (its affinity mask, which
-taskset sets), over two contiguous ranges of output rows with pieces of
-ceil(W / 4) rows: the calling thread runs one and one helper thread
-the other.  numpy's FFTs release the interpreter lock, so the two ranges
-are transformed at once.  Every output row adds the same terms in the
-same order whatever the ranges, and a row's FFT does not depend on the
-rows transformed with it, so the product has the same bytes for one
-part or two.  The threshold is the measured crossover.  Below it,
+ascending order and transforms only the window rows that land in its
+range, max(1, 2^15 // N) rows at a time.  That is the one bound on every
+inverse transform before the last, in the loop and in the zero-mode pass
+below alike, so the temporaries stay bounded at any N.  The loop runs
+over the whole grid, or, once one slice fills a transform (W N >= 2^15
+samples) and the process may run on two CPUs (its affinity mask, which
+taskset sets), over two contiguous ranges of output rows: the calling
+thread runs one and one helper thread the other.  numpy's FFTs release
+the interpreter lock, so the two ranges are transformed at once.  Every
+output row adds the same terms in the same order whatever the ranges,
+and a row's FFT does not depend on the rows transformed with it, so the
+product has the same bytes for one part or two.  For small slices,
 handing the interpreter lock back and forth around many small numpy
 calls costs more than the second core gains.  On a shared 2-core VM
-(Python 3.11, numpy 2.4) two parts took 1.66 times the one-part time at
-W N = 16384 (full band, N = 128), 1.15 at 18240 and 1.03 at 24864 and
-32512 (band limited, N = 192 to 256), but 0.77 at 36864, 0.66 at 50880
-and about 0.5 from 130560 on.  On that VM band limited products take
-0.08-0.12 s at N = 256, which stays in one part, and 0.47-0.64 s at
-N = 512 (0.83-1.16 s in one part).  Full band ones take 0.27-0.31 s at
-N = 256 and 2.3 s at N = 512 (0.32-0.47 s and 4.7 s in one part).
+(Python 3.11, numpy 2.4; two rounds of 21 alternating runs, ratios of
+the minima and of the medians) two parts took 1.01-1.27 times the
+one-part time at W N = 16384 (full band, N = 128), but 0.73-0.88 at
+18240, 0.64-0.98 at 24864 and 0.65-0.89 at 32512 (band limited, N = 192
+to 256), 0.62-0.74 at 36864 (full band, N = 192) and 0.60-0.63 at 50880.
+Two parts used to cut their window into quarters, and then read
+1.62-1.88, 1.34-1.61, 0.99-1.17 and 0.82-1.00 at the first four sizes:
+the crossover the threshold was set at.  With one transform per run the
+crossover lies between 16384 and 18240.  On that VM band limited
+products take 0.06-0.11 s at N = 256, which stays in one part, and
+0.28-0.42 s at N = 512 (0.51-0.68 s in one part).  Full band ones take
+0.13-0.20 s at N = 256 and 1.1-1.5 s at N = 512 (0.23-0.28 s and
+2.1-2.5 s in one part).
 
 The trace and cyclicity defects integrate a product, and summing over x1
 keeps only its first-axis mode 0.  So they form output row 0 alone.  That
@@ -114,12 +121,11 @@ import numpy as np
 MAGIC = b"NCGRID01"
 _HEADER = struct.Struct("<8sI4xdd")
 
-# grid_star splits a product by output row from this many samples per
-# slice (W N); the measured crossover, see the module docstring
-_SPLIT_MIN_WORK = 2 ** 15
-# a single output row's batched pass transforms at most this many samples
-# at once, so its temporaries stay bounded at any N
-_BATCH_SAMPLES = 2 ** 15
+# every inverse transform of grid_star's accumulation holds at most this
+# many samples (at least one row), so its temporaries stay bounded at any
+# N; a product splits by output row once one slice (W N samples) fills a
+# transform (the measured crossover is in the module docstring)
+_TRANSFORM_SAMPLES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -231,14 +237,15 @@ def grid_star(f: GridField, g: GridField, theta: float) -> GridField:
     worst-case error.  A full band spectrum keeps every row and gives the
     dense kernel's result bit for bit.
 
-    One row loop adds the transformed slices into the output rows.  It
-    runs once over the whole grid in the calling thread, or, for slices
-    of W N >= 2^15 samples (W the right factor's window rows) when the
-    process may run on two CPUs, over two ranges of output rows, one in
-    the calling thread and one in a helper.  Each output row adds the
-    same terms in the same order either way, so the result has the same
-    bytes.  The threshold is the measured crossover, at which the second
-    core starts to pay for the threads' hand-offs (see the module
+    One row loop adds the transformed slices into the output rows, and
+    every inverse transform but the last holds at most 2^15 samples.  The
+    loop runs once over the whole grid in the calling thread, or, once
+    one slice fills a transform (W N >= 2^15 samples, W the right
+    factor's window rows) and the process may run on two CPUs, over two
+    ranges of output rows, one in the calling thread and one in a helper.
+    Each output row adds the same terms in the same order either way, so
+    the result has the same bytes.  For small slices the threads'
+    hand-offs cost more than the second core gains (see the module
     docstring).  The helper is joined before the call returns or raises.
     """
     # the spectra die with the helper's frame, before this peak transform
@@ -265,15 +272,17 @@ def _spectrum_rows(f: GridField, g: GridField, theta: float, lo: int,
     """Rows lo..hi-1 of grid_star's accumulation: the product's first-axis
     modes c1 = lo..hi-1 over x2, before the last transform.  Each row has
     the bytes it has in the whole grid's accumulation.  `spectra` is
-    _spectra(f, g) when the caller has it already.
+    _spectra(f, g) when the caller has it already.  Every inverse
+    transform, in the pass below and in the row loop alike, holds at most
+    max(1, _TRANSFORM_SAMPLES // N) rows.
 
     A single row takes at most one window row per live left row, so it is
     formed in one batched pass rather than the row loop: the F products
     of a left row and its window row are stacked, transformed in chunks of
-    at most _BATCH_SAMPLES samples, and added into the row in ascending
-    a1, the loop's order.  A row's FFT does not depend on the rows
-    transformed with it, so the row keeps its bytes, at a few numpy calls
-    per chunk instead of about eight per live row."""
+    that many rows, and added into the row in ascending a1, the loop's
+    order.  A row's FFT does not depend on the rows transformed with it,
+    so the row keeps its bytes, at a few numpy calls per chunk instead of
+    about eight per live row."""
     (fhat, f_rows), (ghat, g_rows) = spectra or _spectra(f, g)
     n = f.n
     q = 2 * np.pi * np.fft.fftfreq(n, d=f.box_length / n)
@@ -295,15 +304,17 @@ def _spectrum_rows(f: GridField, g: GridField, theta: float, lo: int,
     # products 4-7% slower at N = 32-256)
     left = twist(q[window])  # [j, a2]
 
+    # rows per inverse transform, in the batched pass and the loop alike
+    piece = max(1, _TRANSFORM_SAMPLES // n)
+
     if hi - lo == 1:
         # live row a1 meets window row j = (lo - a1 - start) mod n, if the
         # window has it; the right twist is left's row (a1 - start) mod n
         js = (lo - f_rows - start) % n
         a1s, js = f_rows[js < size], js[js < size]
         row = np.zeros(n, dtype=np.complex128)
-        step = max(1, _BATCH_SAMPLES // n)
-        for c in range(0, len(a1s), step):
-            a1, j = a1s[c:c + step], js[c:c + step]
+        for c in range(0, len(a1s), piece):
+            a1, j = a1s[c:c + piece], js[c:c + piece]
             inside = (a1 - start) % n
             hit = inside < size
             right = np.empty((len(a1), n), dtype=np.complex128)
@@ -326,16 +337,13 @@ def _spectrum_rows(f: GridField, g: GridField, theta: float, lo: int,
     out_modes = np.zeros((hi - lo, n), dtype=np.complex128)
     # at most min(W, hi - lo) window rows land in the range per slice
     parts = _parts(min(size, hi - lo) * n) if len(f_rows) else 1
-    # window rows per transform: the whole window in one part, a quarter
-    # in two; range() needs a step of at least 1 even for an empty window
-    piece = max(1, -(-size // 4) if parts > 1 else size)
 
     def add_rows(r0, r1, stop):
         # window row j lands on output row (s + j) mod n, so rows r0..r1-1
         # take j in [r0 - s, r1 - s) and [r0 + n - s, r1 + n - s), clipped
         # to the window; for the whole grid the two runs join into one
         runs = ((r0, r1 + n),) if r1 - r0 == n else ((r0, r1), (r0 + n, r1 + n))
-        buf = np.empty((piece, n), dtype=np.complex128)
+        buf = np.empty((min(piece, size), n), dtype=np.complex128)
         for a1 in f_rows:
             if stop.is_set():
                 return
@@ -364,8 +372,9 @@ def _spectrum_rows(f: GridField, g: GridField, theta: float, lo: int,
 def _parts(work: int) -> int:
     """How many ranges of output rows grid_star's row loop runs over, for
     slices of `work` = W N samples: the CPUs this process may run on, at
-    most 2, and one below _SPLIT_MIN_WORK or off Linux."""
-    if work < _SPLIT_MIN_WORK:
+    most 2, and one while a slice holds fewer samples than one transform
+    may (_TRANSFORM_SAMPLES) or off Linux."""
+    if work < _TRANSFORM_SAMPLES:
         return 1
     try:
         return min(2, len(os.sched_getaffinity(0)))
@@ -515,7 +524,9 @@ def cross_validate_symbolic(poly_f: dict[tuple[int, int], float],
     the 2d product series evaluated through exact derivative bookkeeping
     in the polynomial-times-Gaussian family, truncated when a term falls
     below series_tol relative to the leading one.  Returns the relative
-    sup-norm disagreement.  Exponents must be non-negative ints.
+    sup-norm disagreement.  Exponents must be non-negative ints, n an int
+    >= 1, max_terms an int >= 0 and theta finite; anything else raises
+    ValueError before any work.
 
     A polynomial q is its coefficient matrix C, C[e1, e2] the coefficient
     of x1^e1 x2^e2.  d/dx1 (q w) = (dq/dx1 - q (x1 - c) / sigma^2) w maps
@@ -531,10 +542,15 @@ def cross_validate_symbolic(poly_f: dict[tuple[int, int], float],
     theta / (2 sigma^2).  That is 0.065 at the default theta, where the
     series stops after 13 orders, and 0.25 at the guard's edge.
     """
+    if not (isinstance(n, int) and n >= 1):
+        raise ValueError(f"n must be an int >= 1, got {n!r}")
+    if not (isinstance(max_terms, int) and max_terms >= 0):
+        raise ValueError(f"max_terms must be an int >= 0, got {max_terms!r}")
     box_length = 2.0 * math.pi
     sigma = box_length / 16.0
-    if 2.0 * abs(theta) >= sigma * sigma:
-        raise ValueError("series diverges: need |theta| << sigma^2 / 2")
+    if not 2.0 * abs(theta) < sigma * sigma:  # a NaN or infinite theta fails
+        raise ValueError("series diverges: need a finite |theta| << sigma^2 / 2,"
+                         f" got {theta!r}")
     if not all(isinstance(e, int) and e >= 0
                for p in (poly_f, poly_g) for key in p for e in key):
         raise ValueError("exponents must be non-negative ints")

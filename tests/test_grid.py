@@ -298,19 +298,20 @@ def test_grid_star_bytes_do_not_depend_on_the_part_count(monkeypatch):
         flat[np.isnan(flat)] = np.nan
         return flat.tobytes()
 
-    # single rows are formed in a batched pass whose chunks of 40 samples
-    # hold one row at n = 256 and two at n = 15, so its adds cross chunk
-    # boundaries
-    for parts, batch in ((1, nckit.grid._BATCH_SAMPLES), (2, 40)):
+    # transforms of 40 samples hold one row at n = 256 and two at n = 15,
+    # so the batched pass's adds cross chunk boundaries and the loop cuts
+    # its window into pieces, in one part and in two
+    rounds = ((1, nckit.grid._TRANSFORM_SAMPLES), (1, 40), (2, 40))
+    for k, (parts, samples) in enumerate(rounds):
         monkeypatch.setattr(nckit.grid, "_parts", lambda work, p=parts: p)
-        monkeypatch.setattr(nckit.grid, "_BATCH_SAMPLES", batch)
+        monkeypatch.setattr(nckit.grid, "_TRANSFORM_SAMPLES", samples)
         with np.errstate(invalid="ignore"):
-            got = [grid_star(f, g, 0.37).values.tobytes() for f, g in pairs]
+            got = [bits(grid_star(f, g, 0.37).values) for f, g in pairs]
             rows = [[bits(_spectrum_rows(f, g, 0.37, lo, hi))
                      for lo, hi in ranges(f.n)] for f, g in pairs]
             integrals = [bits(np.array([_star_integral(f, g, 0.37)]))
                          for f, g in pairs]
-            if parts == 1:
+            if k == 0:
                 want = got
                 whole = [_spectrum_rows(f, g, 0.37, 0, f.n) for f, g in pairs]
                 sums = [bits(np.array([f.n * f.cell_area * w[0].sum()]))
@@ -607,7 +608,7 @@ def test_defects_form_only_output_row_zero(monkeypatch):
     # the cost guard: a defect forms output row 0 of the accumulation alone,
     # in the calling thread, and never the whole product; the cyclicity
     # defect transforms each field once for both of its integrals, and no
-    # inverse transform holds more than _BATCH_SAMPLES samples.  _parts
+    # inverse transform holds more than _TRANSFORM_SAMPLES samples.  _parts
     # splits as on two CPUs, where this window of 201 rows would split the
     # whole grid
     n = 256
@@ -616,8 +617,9 @@ def test_defects_form_only_output_row_zero(monkeypatch):
     spectrum_rows, rows = nckit.grid._spectrum_rows, []
     fft2, transformed = np.fft.fft2, []
     ifft, inverse = np.fft.ifft, []
+    bound = nckit.grid._TRANSFORM_SAMPLES
     monkeypatch.setattr(nckit.grid, "_parts",
-                        lambda work: 1 if work < nckit.grid._SPLIT_MIN_WORK else 2)
+                        lambda work: 1 if work < bound else 2)
 
     def recording(f, g, theta, lo, hi, spectra=None):
         rows.append((lo, hi))
@@ -648,7 +650,34 @@ def test_defects_form_only_output_row_zero(monkeypatch):
     assert transformed == [(n, n)] * 2
     # 201 live rows of 256 samples take two chunks per product
     assert len(inverse) == 3 * 2 * 2
-    assert max(inverse) <= nckit.grid._BATCH_SAMPLES
+    assert max(inverse) <= bound
+
+
+def test_no_inverse_transform_exceeds_the_bound(monkeypatch):
+    # grid_star's temporaries stay bounded at any N: every inverse
+    # transform but the last (n, n) one holds at most _TRANSFORM_SAMPLES
+    # samples, in one part or two.  A window of 255 rows at n = 512 once
+    # took one transform of 130,560 samples in one part
+    ifft, inverse = np.fft.ifft, []
+
+    def sizing(values, *args, **kwargs):
+        inverse.append(values.shape)
+        return ifft(values, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", sizing)
+    band = [band_limited_field(512, 2 * np.pi, 127, seed=1962 + k)
+            for k in (0, 1)]
+    # the full band pair first, in the parts this process's CPUs give
+    cases = [([random_field(256, 1964), random_field(256, 1965)], None),
+             (band, 1), (band, 2)]
+    for (f, g), parts in cases:
+        if parts is not None:
+            monkeypatch.setattr(nckit.grid, "_parts", lambda work, p=parts: p)
+        del inverse[:]
+        grid_star(f, g, 0.37)
+        assert inverse.pop() == (f.n, f.n)
+        assert inverse
+        assert max(map(math.prod, inverse)) <= nckit.grid._TRANSFORM_SAMPLES
 
 
 def test_star_noncommutative_pointwise():
@@ -830,11 +859,20 @@ def test_cross_validation_matches_dict_reference_at_the_defaults(pf, pg, theta):
 
 
 @pytest.mark.parametrize("bad", [{(-1, 0): 1.0}, {(0, -2): 1.0},
-                                 {(1.0, 0): 1.0}, {(0, 2.5): 1.0}])
+                                 {(1.0, 0): 1.0}, {(0, 2.5): 1.0},
+                                 {"n": 0}, {"n": 31.5}, {"n": 32.0},
+                                 {"max_terms": -1}, {"max_terms": 2.0},
+                                 {"theta": math.nan}, {"theta": math.inf}])
 def test_cross_validation_rejects_bad_exponents(bad):
     # a negative exponent would index the coefficient matrix from its end
     # and check another monomial, in matrices too small for its
-    # derivatives
+    # derivatives.  Bad arguments are refused before any work: they once
+    # raised IndexError or TypeError inside numpy, built a grid of ceil(n)
+    # points, or (a NaN theta) passed the divergence guard and returned NaN
+    if all(isinstance(key, str) for key in bad):
+        with pytest.raises(ValueError, match="int >= |finite"):
+            cross_validate_symbolic({(0, 0): 1.0}, {(0, 0): 1.0}, **bad)
+        return
     for pf, pg in ((bad, {(0, 0): 1.0}), ({(0, 0): 1.0}, bad)):
         with pytest.raises(ValueError, match="non-negative ints"):
             cross_validate_symbolic(pf, pg)
