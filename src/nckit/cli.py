@@ -24,9 +24,8 @@ from .config import (ConfigError, load_config, load_theta, planewave_items,
 from .expr import (GradingError, ParseError, poly_to_expr,
                    reduce_expression)
 from .grid import (PHASE_TOL, SERIES_TOL, TRACE_TOL, _SERIES_POOL,
-                   _occupied_band, band_limited_field,
-                   cross_validate_symbolic, grid_cyclicity_defect,
-                   grid_trace_defect, load_grid, phase_law_defect)
+                   _occupied_band, _trace_defects, band_limited_field,
+                   cross_validate_symbolic, load_grid, phase_law_defect)
 from .planewave import effective_action, harmonic_spectrum
 from .poly import EXP_LIMIT
 from .star import StarContext, ThetaProfile
@@ -131,14 +130,13 @@ def _cmd_grid_check(args) -> tuple[list[str], dict, bool]:
 
     phase = phase_law_defect(n, box, theta, (3, -2), (5, 7))
     partner = band_limited_field(n, box, max(1, n // 4 - 1), seed=args.seed)
+    trace, cyclicity = _trace_defects(field, partner, theta)
     checks = [
         {"name": name, "value": value, "tolerance": tol, "passed": value <= tol}
         for name, value, tol in (
             ("phase-law defect", phase, PHASE_TOL),
-            ("trace defect", grid_trace_defect(field, partner, theta),
-             TRACE_TOL),
-            ("cyclicity defect", grid_cyclicity_defect(field, partner, theta),
-             TRACE_TOL),
+            ("trace defect", trace, TRACE_TOL),
+            ("cyclicity defect", cyclicity, TRACE_TOL),
             ("series defect", cross_validate_symbolic(*_SERIES_POOL[1]),
              SERIES_TOL),
         )

@@ -30,10 +30,30 @@ ad_lam X = [lam, X] (a star commutator; lam has no eps):
 
 the second because d_k is a star derivation, theta depending on t only.
 The n-th term carries eps^n, so it is formed under cutoff N - n and no
-order above N is built (``_adjoint_series``).  Since U * U~ = 1 mod
-eps^{N+1}, U~ * F_ij * d_k U = (U~ * F_ij * U) * (U~ * d_k U), and the
-invariance witness [U~, density * U] is U~ * density * U - density, again
-a series of commutators with lam.
+order above N is built (``_adjoint_series``); it is placed at eps^n by a
+shift of its keys' eps byte, and all terms are summed at once.  Since
+U * U~ = 1 mod eps^{N+1}, U~ * F_ij * d_k U = (U~ * F_ij * U) *
+(U~ * d_k U), and the invariance witness [U~, density * U] is
+U~ * density * U - density, the same series from n = 1 on.
+
+Eps^0 reuse.  U = 1 + O(eps), so A' and F'_0i have A's and F_0i's eps^0
+parts, and then F' has F's and density(A') has density(A)'s (eps is
+central, so the eps^0 part of a product is the product of the eps^0
+parts).  ``_transformed_strength`` checks the first by structural
+equality and then forms only the blocks from eps^1 up of F''s star
+products (``star``'s eps_floor), taking the eps^0 parts from F;
+``invariance_witness`` checks that F' and F agree at eps^0 and forms
+density(A') the same way.  A failed check, such as a wrong n = 0 term of
+the series would cause, computes in full, so the error still shows.
+
+The witness's helper.  density(A')'s six products F * conj(F) are
+independent.  When their predicted work pays for a fork, one forked
+child computes the heaviest of them, and the caller computes density(A),
+the witness series and the rest meanwhile (``_helper_share``,
+``_forked``).  Only on Linux with two CPUs in the affinity mask (which
+taskset sets), and only where os.fork raises no warning: before Python
+3.12, or in a process with one OS thread.  The sums are exact, so the
+result has the same bytes either way.
 
 ``covariance_defect`` and ``invariance_witness`` both start from the pair
 (F, F') of a potential and its transform.  A one-entry memo keyed on the
@@ -46,18 +66,32 @@ defect share, and callers treat it as read-only.
 from __future__ import annotations
 
 import functools
+import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .rationals import HALF_I, CRat
-from .poly import Poly, eps
+from .poly import Poly, _eps_series
 from .star import (PAIRS, StarContext, signed_entry, star, star_commutator,
                    star_exp, theta_dot_row, theta_dot_rows)
 
 _QUARTER_I = CRat(0, Fraction(1, 4))
 
 _SPATIAL = (1, 2, 3)
+
+# The witness's helper process predicts work in root term pairs, len(F)^2
+# for a product F * conj(F).  On a shared 2-core VM (Python 3.11) forking a
+# helper and joining it takes 3-4 ms, and 7-9 ms with a 3,000-term result:
+# the time of a product of about 25,000 root term pairs, which the work
+# that overlaps must reach.  density(A) and the witness series take about
+# 10 times density(A)'s root term pairs (read off criterion 05's case 29,
+# the one case of the benchmark's gauge pool that forks).
+_FORK_BREAK_EVEN = 25_000
+_OWN_WORK_FACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -139,32 +173,52 @@ class FieldStrength:
     tilde: Mapping[int, Poly]
 
 
-def _spatial_strength(a: tuple[Poly, Poly, Poly],
-                      ctx: StarContext) -> dict[tuple[int, int], Poly]:
-    out = {}
+def _splice(base: Poly, part: Poly) -> Poly:
+    """base's eps^0 terms plus part's terms from eps^1 up."""
+    return base.truncate_eps(0) + (part - part.truncate_eps(0))
+
+
+def _spatial_strength(a: tuple[Poly, Poly, Poly], ctx: StarContext,
+                      base: FieldStrength | None = None
+                      ) -> dict[tuple[int, int], Poly]:
+    """F_ij of the spatial components a.  With base, the strength of a
+    potential with a's eps^0 part, that part is base's and only the
+    commutators' blocks from eps^1 up are formed."""
+    out, floor = {}, 0 if base is None else 1
     for i, j in PAIRS:
         ai, aj = a[i - 1], a[j - 1]
-        out[(i, j)] = ctx.reduce(aj.partial(i) - ai.partial(j)
-                                 + star_commutator(ai, aj, ctx))
+        fij = ctx.reduce(aj.partial(i) - ai.partial(j)
+                         + star(ai, aj, ctx, commutator=True, eps_floor=floor))
+        out[(i, j)] = fij if base is None else _splice(base.spatial[(i, j)],
+                                                       fij)
     return out
 
 
 def _strength_rows(spatial: Mapping[tuple[int, int], Poly],
-                   ys: tuple[Poly, Poly, Poly], ctx: StarContext) -> list[Poly]:
+                   ys: tuple[Poly, Poly, Poly], ctx: StarContext,
+                   floor: int = 0) -> list[Poly]:
     """[sum_j F_ij * R_j for i = 1, 2, 3] with R = theta_dot_rows(ctx, ys),
-    which is -thetadot^{kj} F_ij * y_k; zero rows are skipped."""
+    which is -thetadot^{kj} F_ij * y_k, from eps^floor up; zero rows are
+    skipped."""
     rows, zero = theta_dot_rows(ctx, ys), Poly.zero()
-    return [sum((star(signed_entry(spatial, i, j, zero), rows[j - 1], ctx)
+    return [sum((star(signed_entry(spatial, i, j, zero), rows[j - 1], ctx,
+                      eps_floor=floor)
                  for j in _SPATIAL if j != i and rows[j - 1]), zero)
             for i in _SPATIAL]
 
 
 def _with_tilde(fs: FieldStrength, a: tuple[Poly, Poly, Poly],
-                ctx: StarContext) -> FieldStrength:
+                ctx: StarContext,
+                base: FieldStrength | None = None) -> FieldStrength:
     """fs completed by Ftilde_0i = F_0i - (1/2) i thetadot^{kj} F_ij * A_k,
-    the one place the improved time components are built."""
-    corr = _strength_rows(fs.spatial, a, ctx)
+    the one place the improved time components are built.  With base,
+    whose F_ij and F_0i have the eps^0 parts of fs's, Ftilde_0i's eps^0
+    part is base's and only the products' blocks from eps^1 up are
+    formed."""
+    corr = _strength_rows(fs.spatial, a, ctx, 0 if base is None else 1)
     tilde = {i: fs.time[i] + HALF_I * corr[i - 1] for i in _SPATIAL}
+    if base is not None:
+        tilde = {i: _splice(base.tilde[i], t) for i, t in tilde.items()}
     return FieldStrength(fs.spatial, fs.time, tilde)
 
 
@@ -203,23 +257,25 @@ def _generator(u: Poly, ctx: StarContext) -> Poly:
 
 
 def _adjoint_series(lam: Poly, x: Poly, ctx: StarContext,
-                    first: int = 0) -> Poly:
+                    first: int = 0, lowest: int = 0) -> Poly:
     """sum_n (-1)^n eps^{n+first} / (n+first)! ad_lam^n x over the orders
-    n + first <= N: U~ * x * U for first = 0, U~ * d_k U for first = 1 and
-    x = d_k lam (see the module docstring).  ad_lam^n x is formed under
-    cutoff N - first - n, where eps^{n+first} takes it to order N."""
+    n >= lowest, n + first <= N: U~ * x * U for first = 0, U~ * d_k U for
+    first = 1 and x = d_k lam (see the module docstring), and
+    U~ * x * U - x for lowest = 1.  ad_lam^n x is formed under cutoff
+    N - first - n, where eps^{n+first} takes it to order N; each order is
+    placed by a shift of its keys' eps byte, and all are summed at once."""
     top = ctx.eps_cutoff - first
     y = x.truncate_eps(top)
-    acc = Poly.zero()
-    coeff = eps ** first  # first is 0 or 1, so first! = 1
+    terms, fact = [], 1  # first is 0 or 1, so first! = 1
     for n in range(top + 1):
         if n:
             y = star_commutator(lam, y, StarContext(ctx.theta, top - n))
             if not y:
                 break
-            coeff = coeff * (Fraction(-1, n + first) * eps)
-        acc = acc + y * coeff
-    return acc
+            fact *= n + first
+        if n >= lowest:
+            terms.append((n + first, Fraction(-1 if n & 1 else 1, fact), y))
+    return _eps_series(terms)
 
 
 def _transform(pot: GaugePotential, lam: Poly, ctx: StarContext
@@ -241,6 +297,11 @@ def gauge_transform_potential(pot: GaugePotential, u: Poly,
     strength rule in ``covariance_defect``.
     """
     return GaugePotential(*_transform(pot, _generator(u, ctx), ctx)[0])
+
+
+def _eps0_equal(xs, ys) -> bool:
+    """Whether each pair of polynomials has equal eps^0 parts."""
+    return all(x.truncate_eps(0) == y.truncate_eps(0) for x, y in zip(xs, ys))
 
 
 @functools.lru_cache(maxsize=1)
@@ -267,8 +328,13 @@ def _transformed_strength(pot: GaugePotential, u: Poly, ctx: StarContext
     corr = _strength_rows(conj_spatial, pure, ctx)
     time_p = {i: _adjoint_series(lam, f.time[i], ctx) - HALF_I * corr[i - 1]
               for i in _SPATIAL}
-    fp = _with_tilde(FieldStrength(_spatial_strength(ap, ctx), time_p, {}),
-                     ap, ctx)
+    # U = 1 + O(eps), so A' and F'_0i have A's and F_0i's eps^0 parts, and
+    # F' has F's; checked, so that a wrong series term is computed in full
+    base = f if (_eps0_equal(ap, pot.spatial())
+                 and _eps0_equal([time_p[i] for i in _SPATIAL],
+                                 [f.time[i] for i in _SPATIAL])) else None
+    fp = _with_tilde(FieldStrength(_spatial_strength(ap, ctx, base), time_p,
+                                   {}), ap, ctx, base)
     return lam, f, fp, conj_spatial
 
 
@@ -298,13 +364,23 @@ def action_density(fs: FieldStrength, ctx: StarContext) -> Poly:
     (see ``invariance_witness``), so its integral is invariant by the
     trace property.
     """
+    return _density(_density_terms(fs), ctx)
+
+
+def _density_terms(fs: FieldStrength) -> list[tuple[int, Poly]]:
+    """The (sign, F) of the density's six products F * conj(F)."""
+    return ([(1, fs.spatial[pair]) for pair in PAIRS]
+            + [(-1, fs.tilde[i]) for i in _SPATIAL])
+
+
+def _density(terms: list[tuple[int, Poly]], ctx: StarContext,
+             floor: int = 0) -> Poly:
+    """sum of sign F * conj(F) over the (sign, F) of terms, from eps^floor
+    up."""
     acc = Poly.zero()
-    for pair in PAIRS:
-        fij = fs.spatial[pair]
-        acc = acc + star(fij, fij.conj(), ctx, hermitian=True)
-    for i in _SPATIAL:
-        fti = fs.tilde[i]
-        acc = acc - star(fti, fti.conj(), ctx, hermitian=True)
+    for sign, x in terms:
+        prod = star(x, x.conj(), ctx, hermitian=True, eps_floor=floor)
+        acc = acc + prod if sign > 0 else acc - prod
     return acc
 
 
@@ -321,7 +397,122 @@ def invariance_witness(pot: GaugePotential, u: Poly,
     integrates to zero by the trace property.
     """
     lam, f, fp, _ = _transformed_strength(pot, u, ctx)
-    dens = action_density(f, ctx)
-    witness = _adjoint_series(lam, dens, ctx) - dens
-    remainder = action_density(fp, ctx) - dens - witness
-    return witness, remainder
+    terms, base_terms = _density_terms(fp), _density_terms(f)
+    # density(A')'s eps^0 part is density(A)'s when F' has F's eps^0 part
+    floor = int(_eps0_equal((x for _, x in terms), (x for _, x in base_terms)))
+    share, rest = _helper_share(terms, base_terms)
+
+    def own():
+        dens = _density(base_terms, ctx)
+        return (dens, _adjoint_series(lam, dens, ctx, lowest=1),
+                _density(rest, ctx, floor))
+
+    if share:
+        theirs, (dens, witness, dens_p) = _forked(
+            lambda: _density(share, ctx, floor), own)
+        dens_p = dens_p + theirs
+    else:
+        dens, witness, dens_p = own()
+    if floor:
+        dens_p = dens_p + dens.truncate_eps(0)
+    return witness, dens_p - dens - witness
+
+
+def _helper_share(terms: list[tuple[int, Poly]],
+                  base_terms: list[tuple[int, Poly]]
+                  ) -> tuple[list[tuple[int, Poly]], list[tuple[int, Poly]]]:
+    """(the helper's share of density(A')'s products, the caller's rest).
+
+    The share takes the largest product, then each next largest that
+    keeps its predicted work at most the caller's, which also computes
+    density(A) and the witness series.  The share is empty, and no helper
+    starts, unless the work that overlaps the caller's reaches
+    _FORK_BREAK_EVEN, the process may run on two CPUs and forking would
+    raise no warning."""
+    cost = [len(x) ** 2 for _, x in terms]
+    order = sorted(range(len(terms)), key=cost.__getitem__, reverse=True)
+    theirs = cost[order[0]]
+    mine = (_OWN_WORK_FACTOR * sum(len(x) ** 2 for _, x in base_terms)
+            + sum(cost) - theirs)
+    share = {order[0]}
+    for i in order[1:]:
+        if theirs + cost[i] <= mine - cost[i]:
+            share.add(i)
+            theirs, mine = theirs + cost[i], mine - cost[i]
+    if min(theirs, mine) < _FORK_BREAK_EVEN or _cpus() < 2 or _fork_warns():
+        return [], terms
+    return ([t for i, t in enumerate(terms) if i in share],
+            [t for i, t in enumerate(terms) if i not in share])
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on (its affinity mask, which taskset
+    sets), at most 2; 1 off Linux."""
+    if not sys.platform.startswith("linux"):
+        return 1
+    return min(2, len(os.sched_getaffinity(0)))
+
+
+def _fork_warns() -> bool:
+    """Whether os.fork would warn: from Python 3.12 it does in a process
+    with more than one OS thread (numpy's BLAS starts some)."""
+    return (sys.version_info >= (3, 12)
+            and len(os.listdir("/proc/self/task")) > 1)
+
+
+def _forked(child: Callable[[], Poly],
+            own: Callable[[], tuple]) -> tuple[Poly, tuple]:
+    """(child(), own()), child run in one forked process while own runs
+    here.  The child sends its Poly's storage back over a pipe and leaves
+    by os._exit, so it runs no exit handler and flushes no inherited
+    buffer.  An exception in the child is raised here.  The child is
+    reaped before this returns; if own, the read or the wait raises, the
+    child is killed and reaped first, and a reaped pid is never
+    signalled.  Signals stay blocked from the fork until each process is
+    inside its try, so no handler's exception can leave the child running
+    the caller's code, or the caller without a way to kill the child.  If
+    the fork itself fails, both run here."""
+    r, w = os.pipe()
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+    try:
+        pid = os.fork()
+    except OSError:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        os.close(r)
+        os.close(w)
+        return child(), own()
+    if not pid:  # the child
+        code = 1
+        try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            os.close(r)
+            try:
+                p = child()
+                data = pickle.dumps((None, p._nums, p._den), -1)
+            except BaseException as exc:
+                data = pickle.dumps((exc, None, None), -1)
+            with open(w, "wb") as fh:
+                fh.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    reaped = False
+    try:
+        os.close(w)
+        with open(r, "rb") as fh:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            mine = own()
+            data = fh.read()
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+    finally:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    if status or not data:
+        raise RuntimeError(f"gauge helper process ended with status {status}")
+    exc, nums, den = pickle.loads(data)
+    if exc is not None:
+        raise exc
+    return Poly._raw(nums, den), mine

@@ -480,6 +480,11 @@ def grid_trace_defect(f: GridField, g: GridField, theta: float) -> float:
     The trace property: integrating a star product erases the twist.
     """
     s = _star_integral(f, g, theta)  # rejects mismatched grids first
+    return _trace_gap(f, g, s)
+
+
+def _trace_gap(f: GridField, g: GridField, s: complex) -> float:
+    """The trace defect of f and g from s = integral(f*g)."""
     plain = complex((f.values * g.values).sum() * f.cell_area)
     return _normalised_gap(f, g, s, plain)
 
@@ -493,6 +498,16 @@ def grid_cyclicity_defect(f: GridField, g: GridField, theta: float) -> float:
     fs, gs = _spectra(f, g)
     return _normalised_gap(f, g, _star_integral(f, g, theta, (fs, gs)),
                            _star_integral(g, f, theta, (gs, fs)))
+
+
+def _trace_defects(f: GridField, g: GridField,
+                   theta: float) -> tuple[float, float]:
+    """(grid_trace_defect, grid_cyclicity_defect) of f and g, each with
+    its bytes, from one _spectra and one integral(f*g)."""
+    fs, gs = _spectra(f, g)
+    fg = _star_integral(f, g, theta, (fs, gs))
+    return (_trace_gap(f, g, fg),
+            _normalised_gap(f, g, fg, _star_integral(g, f, theta, (gs, fs))))
 
 
 # -- independent series evaluator for poly x Gaussian inputs -------------------

@@ -44,6 +44,25 @@ def _check_limit(keys: Iterable[int]) -> None:
         raise ValueError(f"an exponent reaches the limit {EXP_LIMIT}")
 
 
+def _eps_series(terms: Iterable[tuple[int, Fraction, "Poly"]]) -> "Poly":
+    """sum of c eps^n p over the (n, c, p) of terms, c a nonzero rational.
+    eps is the top field of a key, so p moves up n eps orders when n is
+    added to the eps byte of its keys; it is scaled by c over its own
+    denominator, and all terms are added in one ``_sum``.  ValueError if an
+    eps exponent reaches the limit."""
+    parts = []
+    for n, c, p in terms:
+        if not p:
+            continue
+        if n + p.eps_degree() >= EXP_LIMIT:
+            raise ValueError(f"an exponent reaches the limit {EXP_LIMIT}")
+        high, a = n << EPS_SHIFT, c.numerator
+        parts.append(Poly._make({k + high: (r * a, i * a)
+                                 for k, (r, i) in p._nums.items()},
+                                p._den * c.denominator))
+    return Poly._sum(parts) if parts else Poly.zero()
+
+
 class BasePoly:
     """Shared engine; concrete classes fix the variable tuple via VARS."""
 

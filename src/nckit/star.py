@@ -50,10 +50,19 @@ order, the eps byte cleared from their keys.  ValueError is raised before
 t's byte could carry (t grows by theta's degree per order) and when the
 result reaches the exponent limit.
 
-Eps cutoff.  Under an eps cutoff N only two places drop eps orders: a
-node's block loop skips each pair of orders whose sum exceeds N, and the
-order-0 shortcut truncates the pointwise product by ``ctx.reduce``.  The
-operand split keeps every term, as an order above N meets only skips.
+Eps cutoff and floor.  Under an eps cutoff N, and with an eps floor k
+(``eps_floor``, default 0), the kept orders are k..N.  A node's block
+loop skips each pair of orders whose sum lies outside them.  d and D
+never raise an eps order, so when no block pair of a node lands in k..N
+neither does any pair below it: the node loop does not expand that node
+(it asks before D is applied and again after, as D can drop an order),
+and a call whose operands have no such pair returns zero at once.  The
+order-0 shortcut truncates the pointwise product by ``ctx.reduce``, or,
+with a floor, forms only the kept blocks by one node product.  The
+operand split keeps every term, as an order outside k..N meets only
+skips.  A floor is the short product turned round (Hanrot and
+Zimmermann, J. Symbolic Comput. 37(3), 2004): a caller that knows a
+product's low orders already asks only for the rest.
 
 Commutator.  Swapping f and g flips the sign of the odd |r| terms, so
 f*g - g*f is twice the odd nodes.
@@ -98,7 +107,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .rationals import HALF_I, CRat
-from .poly import EPS_SHIFT, EXP_LIMIT, FIELD_BITS, Poly, _MASK, _check_limit
+from .poly import (EPS_SHIFT, EXP_LIMIT, FIELD_BITS, Poly, _MASK, _check_limit,
+                   _eps_series)
 
 _LOW = (1 << EPS_SHIFT) - 1  # the fields of t, x1, x2 and x3
 
@@ -234,11 +244,16 @@ class StarContext:
 
 
 def star(f: Poly, g: Poly, ctx: StarContext, *,
-         commutator: bool = False, hermitian: bool = False) -> Poly:
+         commutator: bool = False, hermitian: bool = False,
+         eps_floor: int = 0) -> Poly:
     """Exact star product of two polynomials (terminating series).
 
     commutator=True returns f*g - g*f instead: twice the odd-order terms
     of f*g, in one pass.
+
+    eps_floor=k returns the result without its eps orders below k, which
+    are never formed (see the module docstring); a floor above the
+    context's cutoff returns zero.
 
     hermitian=True returns the same f*g for g = conj(f), forming only the
     real part of each node's product (see the module docstring).  It
@@ -262,7 +277,14 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
     n_max = min(q.spatial_degree(), p.spatial_degree())
     theta, cutoff = ctx.theta, ctx.eps_cutoff
     if not n_max or theta.is_zero():  # the series is its order-0 term, fg
-        return Poly.zero() if commutator else ctx.reduce(p._times(q))
+        if commutator:
+            return Poly.zero()
+        if not eps_floor:
+            return ctx.reduce(p._times(q))
+        kept: dict = {}  # only the blocks from the floor up
+        _node_product(kept, _by_eps(p), _by_eps(q), 1, 0, eps_floor, cutoff,
+                      hermitian)
+        return _from_sides(kept, p._den * q._den)
     t_deg, rows = theta._star_table()
     # t grows by at most t_deg per order; a field holds exponents below
     # 2 * EXP_LIMIT, the final check below the limit itself
@@ -273,15 +295,20 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
     two_d = 2 * theta._den
     top = math.factorial(n_max)
     scale = 2 * top if commutator else top
+    ps, qs = _by_eps(p), _by_eps(q)
+    # with an eps bound a node whose blocks all miss it is not expanded
+    bounded = eps_floor or cutoff is not None
+    if bounded and not _meets(ps, qs, eps_floor, cutoff):
+        return Poly.zero()
     out: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     # nodes: (last index, its run length, r!, |r|, d^r p, D^r q)
-    stack = [(1, 0, 1, 0, _by_eps(p), _by_eps(q))]
+    stack = [(1, 0, 1, 0, ps, qs)]
     while stack:
         last, run, rfact, n, ps, qs = stack.pop()
         if not commutator or n & 1:
             w = scale * two_d ** (n_max - n) // rfact
-            _node_product(out, ps, qs, w, (-n if flip else n) & 3, cutoff,
-                          hermitian)
+            _node_product(out, ps, qs, w, (-n if flip else n) & 3,
+                          eps_floor, cutoff, hermitian)
         if n == n_max:
             continue
         for i in range(last, 4):
@@ -289,9 +316,9 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
             if p_tops[i] <= (run if i == last else 0):
                 continue
             dp = _partial(ps, FIELD_BITS * i)
-            if dp:
+            if dp and (not bounded or _meets(dp, qs, eps_floor, cutoff)):
                 dq = _theta_apply(qs, rows[i])
-                if dq:
+                if dq and (not bounded or _meets(dp, dq, eps_floor, cutoff)):
                     k = run + 1 if i == last else 1
                     stack.append((i, k, rfact * k, n + 1, dp, dq))
     return _from_sides(out, p._den * q._den * top * two_d ** n_max)
@@ -333,6 +360,18 @@ def _by_eps(p: Poly) -> dict:
     return sides
 
 
+def _meets(ps: dict, qs: dict, floor: int, cutoff: int | None) -> bool:
+    """Whether some pair of eps blocks of the two sides sums to an order in
+    [floor, cutoff].  d and D never raise an eps order, so a node of
+    which this is false has a subtree that adds nothing."""
+    top = max(ps) + max(qs) if cutoff is None else cutoff
+    for ep in ps:
+        for eq in qs:
+            if floor <= ep + eq <= top:
+                return True
+    return False
+
+
 def _partial(side: dict, shift: int) -> dict:
     """d_i of a side, x_i's exponent in the field at shift."""
     one = 1 << shift
@@ -371,8 +410,9 @@ def _theta_apply(side: dict, row: tuple) -> dict:
 
 
 def _node_product(out: dict, ps: dict, qs: dict, w: int, rot: int,
-                  cutoff: int | None, real_only: bool) -> None:
-    """Add w i^rot (d^r p)(D^r q) into out, {eps order: (re, im)}.
+                  floor: int, cutoff: int | None, real_only: bool) -> None:
+    """Add w i^rot (d^r p)(D^r q) into out, {eps order: (re, im)}, for the
+    pairs of eps blocks whose order lies in [floor, cutoff].
 
     With P = Pr + i Pi and Q = Qr + i Qi, Re PQ = Pr Qr - Pi Qi and
     Im PQ = Pr Qi + Pi Qr.  An even rot keeps each in its own accumulator,
@@ -387,7 +427,7 @@ def _node_product(out: dict, ps: dict, qs: dict, w: int, rot: int,
     for ep, (pr, pi) in ps.items():
         for eq, (qr, qi) in qs.items():
             e = ep + eq
-            if cutoff is not None and e > cutoff:
+            if e < floor or cutoff is not None and e > cutoff:
                 continue
             wr, wi = w_re, w_im
             if real_only:
@@ -538,14 +578,10 @@ def star_exp(lam: Poly, order: int, ctx: StarContext) -> Poly:
     n_max = order
     if ctx.eps_cutoff is not None:
         n_max = min(n_max, ctx.eps_cutoff)
-    eps = Poly.variable("eps")
-    out = Poly.one()
-    power = Poly.one()
-    eps_pow = Poly.one()
-    fact = 1
+    terms = [(0, Fraction(1), Poly.one())]
+    power, fact = Poly.one(), 1
     for n in range(1, n_max + 1):
         power = star(power, lam, ctx)
-        eps_pow = eps_pow * eps
         fact *= n
-        out = out + eps_pow * power * Fraction(1, fact)
-    return out
+        terms.append((n, Fraction(1, fact), power))
+    return _eps_series(terms)

@@ -22,7 +22,7 @@ from nckit.config import (ConfigError, load_config, load_theta,
                           planewave_items, theta_to_text)
 from nckit.expr import MAX_DEGREE, MAX_NESTING, MAX_TERMS
 from nckit.grid import (MAGIC, GridField, _occupied_band, band_limited_field,
-                        save_grid)
+                        grid_cyclicity_defect, grid_trace_defect, save_grid)
 from nckit.planewave import PlaneWaveSpec
 from nckit.poly import Poly, t
 from nckit.star import ThetaProfile
@@ -819,6 +819,35 @@ def test_grid_check_pass(tmp_path, capsys):
     assert doc["band_within_quarter"] is True
     assert doc["passed"] is True
     assert len(doc["checks"]) == 4
+
+
+@pytest.mark.parametrize("n, box, theta, seed", [
+    (32, 6.283185307179586, 0.3, 0),
+    (24, 1.0, 0.7, 3),  # N not a power of two
+    (48, 6.283185307179586, -2.5, 1),
+])
+def test_grid_check_defects_match_the_public_functions(n, box, theta, seed,
+                                                       tmp_path, capsys):
+    # the two defects share one pair of spectra and one integral, and keep
+    # the bytes each public function gives
+    rng = np.random.default_rng(n)
+    fields = (band_limited_field(n, box, n // 4, seed=seed),  # within n/4
+              GridField(rng.standard_normal((n, n))  # full band
+                        + 1j * rng.standard_normal((n, n)), box))
+    for k, field in enumerate(fields):
+        path, out = tmp_path / f"f{k}.ncg", tmp_path / f"f{k}.json"
+        save_grid(path, field, theta)
+        main(["grid-check", str(path), "--seed", str(seed), "--json", str(out)])
+        text = capsys.readouterr().out
+        partner = band_limited_field(n, box, max(1, n // 4 - 1), seed=seed)
+        want = {"trace defect": grid_trace_defect(field, partner, theta),
+                "cyclicity defect": grid_cyclicity_defect(field, partner,
+                                                          theta)}
+        checks = {c["name"]: c["value"]
+                  for c in json.loads(out.read_text())["checks"]}
+        assert {name: checks[name] for name in want} == want
+        for name, value in want.items():
+            assert f"{name:<16} {value:.3e}  (tol 1e-10)" in text
 
 
 def _occupied_band_loop(values):

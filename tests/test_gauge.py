@@ -1,5 +1,6 @@
 """Gauge sector: completion constraint, field strengths, covariance."""
 
+import os
 import random
 from fractions import Fraction
 
@@ -520,3 +521,146 @@ def test_strength_memo_builds_once_per_input_value(cleared_memo, monkeypatch):
     assert invariance_witness(*_memo_inputs()) == (witness_hit, remainder_hit)
     assert len(calls) == 4
     assert not witness_hit.is_zero() and remainder_hit.is_zero()
+
+
+# -- the witness's helper process ----------------------------------------------
+
+def _criterion_05_cases(count):
+    """The first `count` criterion-05 draws: (pot, u, ctx)."""
+    rng = random.Random(2005)
+    cases = []
+    for _ in range(count):
+        ctx = StarContext(rand_theta(rng, max_deg=1), eps_cutoff=2)
+        spatial = GaugePotential(*(rand_imag_poly(rng, max_terms=2, max_t=1,
+                                                  max_spatial=3)
+                                   for _ in range(3)))
+        pot = complete_time_component(spatial, ctx)
+        lam = rand_imag_poly(rng, max_terms=2, max_t=1, max_spatial=3)
+        cases.append((pot, star_exp(lam, 2, ctx), ctx))
+    return cases
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts os.fork calls; the list of pids returned to the caller."""
+    pids = []
+    real = os.fork
+
+    def counted():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+@pytest.fixture
+def helper_on(monkeypatch, forks):
+    """Every invariance_witness call with a nonzero density forks."""
+    if nckit.gauge._fork_warns():
+        pytest.skip("os.fork warns in this threaded process")
+    monkeypatch.setattr(nckit.gauge, "_FORK_BREAK_EVEN", 0)
+    monkeypatch.setattr(nckit.gauge, "_cpus", lambda: 2)
+    _transformed_strength.cache_clear()
+    yield forks
+    _transformed_strength.cache_clear()
+    _no_child_left()
+
+
+def test_helper_results_match_the_serial_ones(helper_on, monkeypatch):
+    cases = _criterion_05_cases(10)
+    helped = [(covariance_defect(*c), invariance_witness(*c)) for c in cases]
+    assert len(helper_on) == 10
+    monkeypatch.setattr(nckit.gauge, "_FORK_BREAK_EVEN", 10 ** 12)
+    _transformed_strength.cache_clear()
+    serial = [(covariance_defect(*c), invariance_witness(*c)) for c in cases]
+    assert len(helper_on) == 10 and helped == serial
+    for (_, (w1, r1)), (_, (w2, r2)) in zip(helped, serial):
+        assert (w1._den, w1._nums, r1._den, r1._nums) == (w2._den, w2._nums,
+                                                          r2._den, r2._nums)
+        assert r1.is_zero()
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+def test_caller_that_raises_leaves_no_child(helper_on, monkeypatch, exc):
+    # the caller raises in its first product while the helper runs its
+    # share: the helper is killed and reaped before the exception leaves
+    parent, real = os.getpid(), nckit.gauge.star
+
+    def interrupted(*args, **kw):
+        if kw.get("hermitian") and os.getpid() == parent:
+            raise exc("stop")
+        return real(*args, **kw)
+
+    pot, u, ctx = _criterion_05_cases(1)[0]
+    covariance_defect(pot, u, ctx)
+    monkeypatch.setattr(nckit.gauge, "star", interrupted)
+    with pytest.raises(exc, match="stop"):
+        invariance_witness(pot, u, ctx)
+    assert len(helper_on) == 1
+    _no_child_left()
+
+
+def test_helper_that_fails_raises_in_the_caller(helper_on, monkeypatch):
+    parent, real = os.getpid(), nckit.gauge.star
+
+    def failing(*args, **kw):
+        if os.getpid() != parent:
+            raise ValueError("helper failed")
+        return real(*args, **kw)
+
+    monkeypatch.setattr(nckit.gauge, "star", failing)
+    with pytest.raises(ValueError, match="helper failed"):
+        invariance_witness(*_criterion_05_cases(1)[0])
+    assert len(helper_on) == 1
+    _no_child_left()
+
+
+def test_no_helper_on_one_cpu_or_below_the_break_even(monkeypatch, forks):
+    # criterion 05's first ten cases all fall below the break-even, and one
+    # CPU or a warning fork starts no helper whatever the work
+    cases, cpus_of = _criterion_05_cases(10), nckit.gauge._cpus
+    for c in cases:
+        invariance_witness(*c)
+    monkeypatch.setattr(nckit.gauge, "_FORK_BREAK_EVEN", 0)
+    for cpus, warns in ((1, False), (2, True)):
+        monkeypatch.setattr(nckit.gauge, "_cpus", lambda: cpus)
+        monkeypatch.setattr(nckit.gauge, "_fork_warns", lambda: warns)
+        _transformed_strength.cache_clear()
+        invariance_witness(*cases[1])
+    monkeypatch.setattr(nckit.gauge.sys, "platform", "darwin")
+    assert cpus_of() == 1
+    assert forks == []
+
+
+def test_wrong_eps0_term_is_computed_in_full(monkeypatch):
+    # doubling the adjoint series' n = 0 term breaks A' = A + O(eps): the
+    # eps^0 check fails, so F' and density(A') are formed in full, and the
+    # error shows in covariance defects and in the remainder's eps^0 part,
+    # which the reused density(A) would have cancelled
+    real = nckit.gauge._adjoint_series
+
+    def doubled(lam, x, ctx, first=0, lowest=0):
+        out = real(lam, x, ctx, first, lowest)
+        return out if lowest else out + ctx.reduce(eps ** first * x)
+
+    monkeypatch.setattr(nckit.gauge, "_adjoint_series", doubled)
+    _transformed_strength.cache_clear()
+    defects = remainders = 0
+    for pot, u, ctx in _criterion_05_cases(10):
+        spatial, tilde = covariance_defect(pot, u, ctx)
+        _, remainder = invariance_witness(pot, u, ctx)
+        lam, _, fp, _ = _transformed_strength(pot, u, ctx)
+        ap = nckit.gauge._transform(pot, lam, ctx)[0]
+        assert fp.spatial == nckit.gauge._spatial_strength(ap, ctx)
+        defects += any(spatial.values()) or any(tilde.values())
+        remainders += not remainder.truncate_eps(0).is_zero()
+    _transformed_strength.cache_clear()
+    assert defects >= 3 and remainders >= 6

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import nckit.star
 from nckit.forms import DifferentialForm, move_left
 from nckit.gauge import (GaugePotential, action_density,
                          complete_time_component, field_strength)
@@ -928,6 +929,77 @@ def test_cutoff_product_is_truncated_full_product():
             if sums and 0 <= n <= 2:
                 assert sum_values(cut) == tuple(p.truncate_eps(n)
                                                 for p in sums_full)
+
+
+def _floor_operands(rng, trial):
+    """An eps-carrying pair and a profile; theta = 0 or a spatially
+    constant side sends the product down the order-0 path."""
+    theta = ThetaProfile.zero() if trial % 5 == 0 else rand_theta(rng)
+    f = rand_poly(rng, max_terms=4, max_t=1,
+                  max_spatial=0 if trial % 7 == 3 else 3, max_eps=3)
+    g = rand_poly(rng, max_terms=4, max_t=1, max_spatial=3, max_eps=3)
+    if trial % 2:  # lowest eps order >= 1 on one side
+        g = eps * rand_poly(rng, max_terms=4, max_t=1, max_spatial=2,
+                            max_eps=2)
+    return theta, f, g
+
+
+def _floored_products(f, g, ctx, floor):
+    return (star(f, g, ctx, eps_floor=floor),
+            star(f, g, ctx, commutator=True, eps_floor=floor),
+            star(f, f.conj(), ctx, hermitian=True, eps_floor=floor))
+
+
+def test_eps_floor_drops_the_orders_below_it():
+    # star(f, g, ctx, eps_floor=k) is the full product without its eps
+    # orders below k, plain, as a commutator and in hermitian mode, at
+    # cutoffs 0-3; a floor above the cutoff gives zero
+    rng = random.Random(4412)
+    for trial in range(120):
+        theta, f, g = _floor_operands(rng, trial)
+        for cutoff in range(4):
+            ctx = StarContext(theta, eps_cutoff=cutoff)
+            full = _floored_products(f, g, ctx, 0)
+            for floor in range(1, 6):
+                got = _floored_products(f, g, ctx, floor)
+                for p in got:
+                    assert_canonical(p)
+                assert got == tuple(p - p.truncate_eps(floor - 1)
+                                    for p in full)
+                if floor > cutoff:
+                    assert not any(got)
+        # with no cutoff too
+        ctx = StarContext(theta)
+        full = _floored_products(f, g, ctx, 0)
+        assert (_floored_products(f, g, ctx, 2)
+                == tuple(p - p.truncate_eps(1) for p in full))
+
+
+def test_skipped_nodes_change_no_byte(monkeypatch):
+    # a node whose eps blocks all miss [floor, cutoff] is not expanded;
+    # expanding every node instead gives the same products
+    rng = random.Random(4413)
+    cases = [_floor_operands(rng, trial) for trial in range(80)]
+    skipped = 0
+    real = nckit.star._meets
+
+    def counted(*args):
+        nonlocal skipped
+        met = real(*args)
+        skipped += not met
+        return met
+
+    def products():
+        return [_floored_products(f, g, StarContext(theta, eps_cutoff=cut),
+                                  floor)
+                for k, (theta, f, g) in enumerate(cases)
+                for cut, floor in ((k % 4, 0), (2, 1), (3, 2), (None, 1))]
+
+    monkeypatch.setattr(nckit.star, "_meets", counted)
+    pruned = products()
+    monkeypatch.setattr(nckit.star, "_meets", lambda *args: True)
+    assert products() == pruned
+    assert skipped >= 100
 
 
 def test_star_exp_unitary_mod_cutoff():
