@@ -56,9 +56,11 @@ loop skips each pair of orders whose sum lies outside them.  d and D
 never raise an eps order, so when no block pair of a node lands in k..N
 neither does any pair below it: the node loop does not expand that node
 (it asks before D is applied and again after, as D can drop an order),
-and a call whose operands have no such pair returns zero at once.  The
-order-0 shortcut truncates the pointwise product by ``ctx.reduce``, or,
-with a floor, forms only the kept blocks by one node product.  The
+and a call whose operands have no such pair returns zero at once.  With
+no contraction (n_max = 0, as when theta is zero) a floored call runs the
+root node alone, which forms the kept blocks; only floor 0 takes the
+order-0 shortcut, the pointwise product truncated by ``ctx.reduce``, as
+``_times`` is 1.7x faster than a node product on small operands.  The
 operand split keeps every term, as an order outside k..N meets only
 skips.  A floor is the short product turned round (Hanrot and
 Zimmermann, J. Symbolic Comput. 37(3), 2004): a caller that knows a
@@ -273,18 +275,12 @@ def star(f: Poly, g: Poly, ctx: StarContext, *,
     # series runs in -i/2 (see the module docstring)
     flip = len(f) < len(g)
     p, q = (g, f) if flip else (f, g)
-    # no contraction goes deeper than either spatial degree
-    n_max = min(q.spatial_degree(), p.spatial_degree())
     theta, cutoff = ctx.theta, ctx.eps_cutoff
-    if not n_max or theta.is_zero():  # the series is its order-0 term, fg
-        if commutator:
-            return Poly.zero()
-        if not eps_floor:
-            return ctx.reduce(p._times(q))
-        kept: dict = {}  # only the blocks from the floor up
-        _node_product(kept, _by_eps(p), _by_eps(q), 1, 0, eps_floor, cutoff,
-                      hermitian)
-        return _from_sides(kept, p._den * q._den)
+    # no contraction goes deeper than either spatial degree
+    n_max = 0 if theta.is_zero() else min(q.spatial_degree(),
+                                          p.spatial_degree())
+    if not n_max and not eps_floor:  # the series is its order-0 term, fg
+        return Poly.zero() if commutator else ctx.reduce(p._times(q))
     t_deg, rows = theta._star_table()
     # t grows by at most t_deg per order; a field holds exponents below
     # 2 * EXP_LIMIT, the final check below the limit itself

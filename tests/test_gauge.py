@@ -641,26 +641,49 @@ def test_no_helper_on_one_cpu_or_below_the_break_even(monkeypatch, forks):
 
 
 def test_wrong_eps0_term_is_computed_in_full(monkeypatch):
-    # doubling the adjoint series' n = 0 term breaks A' = A + O(eps): the
-    # eps^0 check fails, so F' and density(A') are formed in full, and the
-    # error shows in covariance defects and in the remainder's eps^0 part,
-    # which the reused density(A) would have cancelled
-    real = nckit.gauge._adjoint_series
+    # invariance_witness forms density(A')'s six products from eps^1 up
+    # once F' and F agree at eps^0.  Doubling the adjoint series' n = 0
+    # term breaks A' = A + O(eps): where F has an eps^0 part the check
+    # fails, the products run at floor 0, and the error shows in
+    # covariance defects and in the remainder's eps^0 part, which the
+    # reused density(A) would have cancelled.  Where F's eps^0 part is
+    # zero (A pure gauge at eps^0), F' has none either and the floor stays
+    # at 1
+    real_series, real_star = nckit.gauge._adjoint_series, nckit.gauge.star
+    floors = []
+
+    def recorded(f, g, ctx, **kw):
+        if kw.get("hermitian"):
+            floors.append((f, kw.get("eps_floor", 0)))
+        return real_star(f, g, ctx, **kw)
 
     def doubled(lam, x, ctx, first=0, lowest=0):
-        out = real(lam, x, ctx, first, lowest)
+        out = real_series(lam, x, ctx, first, lowest)
         return out if lowest else out + ctx.reduce(eps ** first * x)
 
-    monkeypatch.setattr(nckit.gauge, "_adjoint_series", doubled)
+    monkeypatch.setattr(nckit.gauge, "star", recorded)
+    # a helper process's products would go unrecorded
+    monkeypatch.setattr(nckit.gauge, "_FORK_BREAK_EVEN", 10 ** 12)
+    cases = _criterion_05_cases(10)
+    for mutated in (False, True):
+        if mutated:
+            monkeypatch.setattr(nckit.gauge, "_adjoint_series", doubled)
+        _transformed_strength.cache_clear()
+        defects = remainders = in_full = 0
+        for pot, u, ctx in cases:
+            spatial, tilde = covariance_defect(pot, u, ctx)
+            floors.clear()
+            _, remainder = invariance_witness(pot, u, ctx)
+            _, f, fp, _ = _transformed_strength(pot, u, ctx)
+            primed = [x for _, x in nckit.gauge._density_terms(fp)]
+            full = mutated and any(x.truncate_eps(0) for _, x
+                                   in nckit.gauge._density_terms(f))
+            assert len(floors) == 12
+            assert ([k for x, k in floors if any(x is y for y in primed)]
+                    == [0 if full else 1] * 6)
+            in_full += full
+            defects += any(spatial.values()) or any(tilde.values())
+            remainders += not remainder.truncate_eps(0).is_zero()
+        assert (defects >= 3 and remainders >= 6 and in_full >= 6 if mutated
+                else defects == remainders == 0)
     _transformed_strength.cache_clear()
-    defects = remainders = 0
-    for pot, u, ctx in _criterion_05_cases(10):
-        spatial, tilde = covariance_defect(pot, u, ctx)
-        _, remainder = invariance_witness(pot, u, ctx)
-        lam, _, fp, _ = _transformed_strength(pot, u, ctx)
-        ap = nckit.gauge._transform(pot, lam, ctx)[0]
-        assert fp.spatial == nckit.gauge._spatial_strength(ap, ctx)
-        defects += any(spatial.values()) or any(tilde.values())
-        remainders += not remainder.truncate_eps(0).is_zero()
-    _transformed_strength.cache_clear()
-    assert defects >= 3 and remainders >= 6

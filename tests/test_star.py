@@ -933,7 +933,8 @@ def test_cutoff_product_is_truncated_full_product():
 
 def _floor_operands(rng, trial):
     """An eps-carrying pair and a profile; theta = 0 or a spatially
-    constant side sends the product down the order-0 path."""
+    constant side leaves no contraction, so a floored product runs the
+    tree's root node alone and floor 0 takes the order-0 shortcut."""
     theta = ThetaProfile.zero() if trial % 5 == 0 else rand_theta(rng)
     f = rand_poly(rng, max_terms=4, max_t=1,
                   max_spatial=0 if trial % 7 == 3 else 3, max_eps=3)
