@@ -24,8 +24,8 @@ from .config import (ConfigError, load_config, load_theta, planewave_items,
 from .expr import (GradingError, ParseError, poly_to_expr,
                    reduce_expression)
 from .grid import (PHASE_TOL, SERIES_TOL, TRACE_TOL, _SERIES_POOL,
-                   _occupied_band, _trace_defects, band_limited_field,
-                   cross_validate_symbolic, load_grid, phase_law_defect)
+                   _trace_defects, band_limited_field, cross_validate_symbolic,
+                   load_grid, phase_law_defect)
 from .planewave import effective_action, harmonic_spectrum
 from .poly import EXP_LIMIT
 from .star import StarContext, ThetaProfile
@@ -125,12 +125,10 @@ def _cmd_grid_check(args) -> tuple[list[str], dict, bool]:
     if n < 4:
         raise ValueError(f"{args.gridfile}: grid size n = {n} is below the "
                          "minimum of 4 for grid-check")
-    band = _occupied_band(field.values)
-    in_quarter = band <= n // 4
-
     phase = phase_law_defect(n, box, theta, (3, -2), (5, 7))
     partner = band_limited_field(n, box, max(1, n // 4 - 1), seed=args.seed)
-    trace, cyclicity = _trace_defects(field, partner, theta)
+    band, trace, cyclicity = _trace_defects(field, partner, theta)
+    in_quarter = band <= n // 4
     checks = [
         {"name": name, "value": value, "tolerance": tol, "passed": value <= tol}
         for name, value, tol in (

@@ -39,20 +39,9 @@ output row adds the same terms in the same order whatever the ranges,
 and a row's FFT does not depend on the rows transformed with it, so the
 product has the same bytes for one part or two.  For small slices,
 handing the interpreter lock back and forth around many small numpy
-calls costs more than the second core gains.  On a shared 2-core VM
-(Python 3.11, numpy 2.4; two rounds of 21 alternating runs, ratios of
-the minima and of the medians) two parts took 1.01-1.27 times the
-one-part time at W N = 16384 (full band, N = 128), but 0.73-0.88 at
-18240, 0.64-0.98 at 24864 and 0.65-0.89 at 32512 (band limited, N = 192
-to 256), 0.62-0.74 at 36864 (full band, N = 192) and 0.60-0.63 at 50880.
-Two parts used to cut their window into quarters, and then read
-1.62-1.88, 1.34-1.61, 0.99-1.17 and 0.82-1.00 at the first four sizes:
-the crossover the threshold was set at.  With one transform per run the
-crossover lies between 16384 and 18240.  On that VM band limited
-products take 0.06-0.11 s at N = 256, which stays in one part, and
-0.28-0.42 s at N = 512 (0.51-0.68 s in one part).  Full band ones take
-0.13-0.20 s at N = 256 and 1.1-1.5 s at N = 512 (0.23-0.28 s and
-2.1-2.5 s in one part).
+calls costs more than the second core gains; on a shared 2-core VM the
+two parts start to pay between W N = 16384 and 18240, just below the
+threshold.
 
 The trace and cyclicity defects integrate a product, and summing over x1
 keeps only its first-axis mode 0.  So they form output row 0 alone.  That
@@ -63,13 +52,9 @@ into the row in ascending a1, as the loop would.  A row's FFT does not
 depend on the rows transformed with it and the adds keep their order, so
 the row has the bytes of the whole grid's row 0.  That is O(F N log N)
 after the two input FFTs, O(N^2 log N) in all, at a few numpy calls per
-chunk where the loop made about eight per live row.  The cyclicity defect
+chunk where the loop makes about eight per live row.  The cyclicity defect
 forms both of its integrals from one spectrum and one set of live rows
-per field.  On the shared 2-core VM (Python 3.11, numpy 2.4) the
-benchmark's band limited defects took, per case, 0.99-1.27 ms in the loop
-and 0.43-0.73 ms batched for trace at N = 64, 0.95-1.01 and 0.39-0.41 ms
-for cyclicity at N = 32, and 2.4 and 1.3 ms, 4.8 and 2.0 ms, 7.6 and
-5.5 ms for trace and cyclicity at N = 128 and trace at N = 256.
+per field.
 
 The series cross-check holds each polynomial of its derivative
 bookkeeping as a coefficient matrix C.  Differentiating q times the
@@ -87,11 +72,9 @@ factor densely as V C V^T costs 2 n s (n + s) multiply-adds per pair
 (s = deg + max_terms + 1) against n^2 |f||g| for the outer products, so
 the term-pair form is the cheaper one while |f||g| < 2 (s + s^2/n),
 about 68 at n = 128 and s = 28; every caller passes polynomials of at
-most 3 terms, |f||g| <= 9.  At the default n = 128 the series takes
-2-3 ms of a cross-check of the suite's pairs, against 12-13 ms in the
-dense form (shared 2-core VM, Python 3.11, numpy 2.4).  Their grid_star
-product takes the rest, 7-29 ms, because the window leaves most spectral
-rows live (see cross_validate_symbolic).
+most 3 terms, |f||g| <= 9.  Most of a cross-check's time is its grid_star
+product, because the window leaves most spectral rows live (see
+cross_validate_symbolic).
 
 Frequencies add modulo the grid, so a product of two fields is only
 faithful to the continuum when the inputs are band limited: keep all
@@ -447,10 +430,11 @@ def phase_law_defect(n: int, box_length: float, theta: float,
     return float(np.max(np.abs(got.values - want)))
 
 
-def _occupied_band(values: np.ndarray) -> int:
-    """Largest signed mode index carrying more than roundoff weight."""
-    n = values.shape[0]
-    spec = np.abs(np.fft.fft2(values))
+def _occupied_band(hat: np.ndarray) -> int:
+    """Largest signed mode index of a 2-d spectrum carrying more than
+    roundoff weight."""
+    n = hat.shape[0]
+    spec = np.abs(hat)
     idx = np.abs(np.fft.fftfreq(n, d=1.0 / n).astype(int))
     live = spec > 1e-12 * spec.max()
     # no live mode (a zero, NaN or infinite spectrum) reads as band 0
@@ -458,10 +442,28 @@ def _occupied_band(values: np.ndarray) -> int:
                    idx[live.any(axis=0)].max(initial=0)))
 
 
-def _normalised_gap(f: GridField, g: GridField, a: complex, b: complex) -> float:
-    """|a - b| / (||f|| ||g||), and 0 when either field vanishes."""
-    denom = f.l2_norm() * g.l2_norm()
-    return abs(a - b) / denom if denom else 0.0
+def _normalised_gaps(f: GridField, g: GridField, *pairs) -> list[float]:
+    """|a - b| / (||f|| ||g||) for each pair (a, b), and 0 when either
+    field vanishes.  Where that product of norms is not finite, each field
+    is first divided by its largest |sample|, so a gap does not read 0 (or
+    NaN, as 0 * inf) only because squared samples left the float range."""
+    with np.errstate(over="ignore"):
+        denom = f.l2_norm() * g.l2_norm()
+    peaks = [1.0, 1.0]
+    if not denom < math.inf:
+        tops = [float(np.abs(h.values).max()) for h in (f, g)]
+        if all(map(math.isfinite, tops)):  # a NaN or inf sample stays NaN
+            peaks = tops
+            denom = math.prod(h.with_values(h.values / top).l2_norm()
+                              if top else 0.0
+                              for h, top in zip((f, g), tops))
+    return [abs(a - b) / peaks[0] / peaks[1] / denom if denom else 0.0
+            for a, b in pairs]
+
+
+def _plain_integral(f: GridField, g: GridField) -> complex:
+    """integral(fg), the pointwise product's."""
+    return complex((f.values * g.values).sum() * f.cell_area)
 
 
 def _star_integral(f: GridField, g: GridField, theta: float,
@@ -480,13 +482,7 @@ def grid_trace_defect(f: GridField, g: GridField, theta: float) -> float:
     The trace property: integrating a star product erases the twist.
     """
     s = _star_integral(f, g, theta)  # rejects mismatched grids first
-    return _trace_gap(f, g, s)
-
-
-def _trace_gap(f: GridField, g: GridField, s: complex) -> float:
-    """The trace defect of f and g from s = integral(f*g)."""
-    plain = complex((f.values * g.values).sum() * f.cell_area)
-    return _normalised_gap(f, g, s, plain)
+    return _normalised_gaps(f, g, (s, _plain_integral(f, g)))[0]
 
 
 def grid_cyclicity_defect(f: GridField, g: GridField, theta: float) -> float:
@@ -496,18 +492,21 @@ def grid_cyclicity_defect(f: GridField, g: GridField, theta: float) -> float:
     spectrum is the left factor of one product and the right factor of
     the other.  Each integral has the bytes of _star_integral's."""
     fs, gs = _spectra(f, g)
-    return _normalised_gap(f, g, _star_integral(f, g, theta, (fs, gs)),
-                           _star_integral(g, f, theta, (gs, fs)))
+    return _normalised_gaps(f, g, (_star_integral(f, g, theta, (fs, gs)),
+                                   _star_integral(g, f, theta, (gs, fs))))[0]
 
 
 def _trace_defects(f: GridField, g: GridField,
-                   theta: float) -> tuple[float, float]:
-    """(grid_trace_defect, grid_cyclicity_defect) of f and g, each with
-    its bytes, from one _spectra and one integral(f*g)."""
+                   theta: float) -> tuple[int, float, float]:
+    """(_occupied_band of f, grid_trace_defect, grid_cyclicity_defect), the
+    defects each with its bytes, from one _spectra, one integral(f*g) and
+    one ||f|| ||g||."""
     fs, gs = _spectra(f, g)
     fg = _star_integral(f, g, theta, (fs, gs))
-    return (_trace_gap(f, g, fg),
-            _normalised_gap(f, g, fg, _star_integral(g, f, theta, (gs, fs))))
+    trace, cyclicity = _normalised_gaps(
+        f, g, (fg, _plain_integral(f, g)),
+        (fg, _star_integral(g, f, theta, (gs, fs))))
+    return _occupied_band(fs[0]), trace, cyclicity
 
 
 # -- independent series evaluator for poly x Gaussian inputs -------------------

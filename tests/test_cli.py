@@ -22,7 +22,8 @@ from nckit.config import (ConfigError, load_config, load_theta,
                           planewave_items, theta_to_text)
 from nckit.expr import MAX_DEGREE, MAX_NESTING, MAX_TERMS
 from nckit.grid import (MAGIC, GridField, _occupied_band, band_limited_field,
-                        grid_cyclicity_defect, grid_trace_defect, save_grid)
+                        grid_cyclicity_defect, grid_trace_defect, load_grid,
+                        save_grid)
 from nckit.planewave import PlaneWaveSpec
 from nckit.poly import Poly, t
 from nckit.star import ThetaProfile
@@ -850,6 +851,39 @@ def test_grid_check_defects_match_the_public_functions(n, box, theta, seed,
             assert f"{name:<16} {value:.3e}  (tol 1e-10)" in text
 
 
+def test_grid_check_transforms_and_normalises_the_stored_field_once(
+        tmp_path, capsys, monkeypatch):
+    # the occupied band reads the spectrum that the trace and cyclicity
+    # defects take, and both defects share one ||f|| ||g||
+    path = tmp_path / "f.ncg"
+    save_grid(path, band_limited_field(64, 6.283185307179586, 15, seed=4), 0.3)
+    stored, transformed, norms = [], [], []
+    fft2, l2_norm = np.fft.fft2, GridField.l2_norm
+
+    def loading(path):
+        field, theta = load_grid(path)
+        stored.append(field.values)
+        return field, theta
+
+    def counting(values, *args, **kwargs):
+        transformed.append(values)
+        return fft2(values, *args, **kwargs)
+
+    def norming(field):
+        norms.append(field.values)
+        return l2_norm(field)
+
+    monkeypatch.setattr(cli, "load_grid", loading)
+    monkeypatch.setattr(np.fft, "fft2", counting)
+    monkeypatch.setattr(GridField, "l2_norm", norming)
+    assert main(["grid-check", str(path)]) == 0
+    assert "occupied band    15 (within n/4 = 16)" in capsys.readouterr().out
+    (values,) = stored
+    assert [v is values for v in transformed].count(True) == 1
+    assert len(transformed) == 6
+    assert len(norms) == 2 and norms[0] is values
+
+
 def _occupied_band_loop(values):
     n = values.shape[0]
     spec = np.abs(np.fft.fft2(values))
@@ -878,7 +912,9 @@ def test_occupied_band_matches_loop(n, modes, want):
     for a1, a2 in modes:
         spec[a1 % n, a2 % n] = rng.standard_normal() + 1j
     values = np.fft.ifft2(spec)
-    assert _occupied_band(values) == _occupied_band_loop(values) == want
+    # _occupied_band reads the forward-normalised spectrum that _spectra takes
+    assert (_occupied_band(np.fft.fft2(values, norm="forward"))
+            == _occupied_band_loop(values) == want)
 
 
 def test_occupied_band_zero_and_nonfinite_fields():
@@ -886,7 +922,8 @@ def test_occupied_band_zero_and_nonfinite_fields():
     assert _occupied_band(zero) == _occupied_band_loop(zero) == 0
     bad = zero.copy()
     bad[1, 2] = np.nan
-    assert _occupied_band(bad) == _occupied_band_loop(bad) == 0
+    assert (_occupied_band(np.fft.fft2(bad, norm="forward"))
+            == _occupied_band_loop(bad) == 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -9,6 +9,8 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ import nckit.grid
 from nckit.cli import SERIES_TOL
 from nckit.grid import (
     MAGIC,
+    TRACE_TOL,
     GridField,
     _cyclic_window,
     _live_rows,
@@ -265,7 +268,7 @@ def test_grid_star_bytes_do_not_depend_on_the_part_count(monkeypatch):
     nan_field = band_limited_field(n, 2.0, 40, seed=1870)
     values = nan_field.values.copy()
     values[7, 11] = np.nan
-    pairs = [
+    large = [
         (band_limited_field(n, 2 * np.pi, n // 4 - 1, seed=1871),
          band_limited_field(n, 2 * np.pi, n // 4 - 1, seed=1872)),
         (band_limited_field(n, 2.0, 30, seed=1873),
@@ -276,15 +279,37 @@ def test_grid_star_bytes_do_not_depend_on_the_part_count(monkeypatch):
         (nan_field.with_values(values), band_limited_field(n, 2.0, 40, seed=1877)),
         # a zero right factor has an empty window, W = 0
         (band_limited_field(n, 2.0, 30, seed=1878), GridField(np.zeros((n, n)), 2.0)),
-        # an odd grid whose window wraps past row 0
-        (band_limited_field(15, 2.0, 3, seed=1879), rows_field(15, [13, 14, 0, 1, 2], seed=1880)),
         # a zero left factor has no live row, F = 0
         (GridField(np.zeros((n, n)), 2.0), band_limited_field(n, 2.0, 30, seed=1881)),
     ]
-    assert _cyclic_window(_live_rows(spectrum(pairs[1][1])), n) == (230, 46)
-    assert _cyclic_window(_live_rows(spectrum(pairs[2][1])), n) == (150, 136)
-    assert _cyclic_window(_live_rows(spectrum(pairs[5][1])), n) == (0, 0)
-    assert _cyclic_window(_live_rows(spectrum(pairs[6][1])), 15) == (13, 5)
+    # the same shapes at n = 16, where transforms of 40 samples hold two
+    # rows (as at the odd n = 15): the batched pass's adds cross chunk
+    # boundaries and the loop's pieces straddle the grid's last row
+    m = 16
+    nan_small = band_limited_field(m, 2.0, 3, seed=1882)
+    values = nan_small.values.copy()
+    values[7, 11] = np.nan
+    small = [
+        (band_limited_field(m, 2 * np.pi, m // 4 - 1, seed=1883),
+         band_limited_field(m, 2 * np.pi, m // 4 - 1, seed=1884)),
+        (band_limited_field(m, 2.0, 3, seed=1885),
+         rows_field(m, [13, 14, 15, 0, 1, 2], seed=1886)),
+        (rows_field(m, [3, 4, 9, 12], seed=1887),
+         rows_field(m, [1, 2, 3, 9, 10, 11], seed=1888)),
+        (plane_wave(m, 2.0, 3, -7), plane_wave(m, 2.0, -6, 5)),
+        (nan_small.with_values(values), band_limited_field(m, 2.0, 3, seed=1889)),
+        (band_limited_field(m, 2.0, 3, seed=1890), GridField(np.zeros((m, m)), 2.0)),
+        # an odd grid whose window wraps past row 0
+        (band_limited_field(15, 2.0, 3, seed=1879), rows_field(15, [13, 14, 0, 1, 2], seed=1880)),
+        (GridField(np.zeros((m, m)), 2.0), band_limited_field(m, 2.0, 3, seed=1891)),
+    ]
+    for pairs, size in ((large, n), (small, m)):
+        assert _cyclic_window(_live_rows(spectrum(pairs[5][1])), size) == (0, 0)
+    assert _cyclic_window(_live_rows(spectrum(large[1][1])), n) == (230, 46)
+    assert _cyclic_window(_live_rows(spectrum(large[2][1])), n) == (150, 136)
+    assert _cyclic_window(_live_rows(spectrum(small[1][1])), m) == (13, 6)
+    assert _cyclic_window(_live_rows(spectrum(small[2][1])), m) == (1, 11)
+    assert _cyclic_window(_live_rows(spectrum(small[6][1])), 15) == (13, 5)
     # a range of output rows has the bytes of the same rows of the whole
     # grid's accumulation: the first row, the last, and rows across the
     # boundary n // 2 of two parts, and the integral is row 0's sum.  Only
@@ -298,11 +323,12 @@ def test_grid_star_bytes_do_not_depend_on_the_part_count(monkeypatch):
         flat[np.isnan(flat)] = np.nan
         return flat.tobytes()
 
-    # transforms of 40 samples hold one row at n = 256 and two at n = 15,
-    # so the batched pass's adds cross chunk boundaries and the loop cuts
-    # its window into pieces, in one part and in two
-    rounds = ((1, nckit.grid._TRANSFORM_SAMPLES), (1, 40), (2, 40))
-    for k, (parts, samples) in enumerate(rounds):
+    # the large pairs run at the bound alone, where the loop still cuts
+    # n = 256 windows into pieces of 128 rows; the 40-sample rounds check
+    # the small pairs, the tail of the first round's list
+    rounds = ((1, nckit.grid._TRANSFORM_SAMPLES, large + small),
+              (1, 40, small), (2, 40, small))
+    for k, (parts, samples, pairs) in enumerate(rounds):
         monkeypatch.setattr(nckit.grid, "_parts", lambda work, p=parts: p)
         monkeypatch.setattr(nckit.grid, "_TRANSFORM_SAMPLES", samples)
         with np.errstate(invalid="ignore"):
@@ -316,10 +342,10 @@ def test_grid_star_bytes_do_not_depend_on_the_part_count(monkeypatch):
                 whole = [_spectrum_rows(f, g, 0.37, 0, f.n) for f, g in pairs]
                 sums = [bits(np.array([f.n * f.cell_area * w[0].sum()]))
                         for (f, g), w in zip(pairs, whole)]
-        assert got == want
+        assert got == want[-len(pairs):]
         assert rows == [[bits(w[lo:hi]) for lo, hi in ranges(len(w))]
-                        for w in whole]
-        assert integrals == sums
+                        for w in whole[-len(pairs):]]
+        assert integrals == sums[-len(pairs):]
 
 
 def test_one_part_starts_no_thread_and_sets_no_signal_mask(monkeypatch):
@@ -570,6 +596,40 @@ def test_trace_and_cyclicity_defects():
     zero = f.with_values(np.zeros_like(f.values))
     assert grid_trace_defect(zero, g, 0.5) == 0.0
     assert grid_cyclicity_defect(zero, g, 0.5) == 0.0
+
+
+def test_defects_survive_a_norm_that_overflows(monkeypatch):
+    # ||f|| squares the samples, so at 1e200 it overflowed to inf and both
+    # defects read exactly 0, whatever the integrals were.  Both defects
+    # are scale-invariant
+    box = 2 * np.pi
+    f = band_limited_field(32, box, 7, seed=1)
+    g = band_limited_field(32, box, 7, seed=2)
+    big = f.with_values(f.values * 1e200)
+    defects = (grid_trace_defect, grid_cyclicity_defect)
+
+    def pairs():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return [(d(f, g, 0.5), d(big, g, 0.5)) for d in defects]
+
+    for plain, scaled in pairs():
+        assert abs(scaled - plain) <= 1e-12
+    # a vanishing field still reads 0 against an overflowing one, not
+    # 0 * inf = NaN
+    zero = f.with_values(np.zeros_like(f.values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [d(zero, big, 0.5) for d in defects] == [0.0, 0.0]
+    # an integral 1% wrong whenever g is the right factor fails either
+    # defect at either scale, and reads the same
+    integral = nckit.grid._star_integral
+    monkeypatch.setattr(nckit.grid, "_star_integral",
+                        lambda lhs, rhs, *rest: (1.01 if rhs is g else 1.0)
+                        * integral(lhs, rhs, *rest))
+    for plain, scaled in pairs():
+        assert abs(scaled - plain) <= 1e-9 * plain
+        assert plain > TRACE_TOL and scaled > TRACE_TOL
 
 
 def _integral_pairs():
@@ -893,6 +953,98 @@ def test_cross_validation_divergence_guard():
     assert cross_validate_symbolic({(1, 0): 1.0, (0, 1): 0.5},
                                    {(0, 2): 1.0, (0, 0): -0.25},
                                    theta=-0.02) < SERIES_TOL
+
+
+def _binary(q):
+    """(m, s) with the binary rational q == m / 2**s."""
+    q = Fraction(q)
+    return q.numerator, q.denominator.bit_length() - 1
+
+
+def _horner(coeffs, y, s):
+    """2^(s K) sum_k coeffs[k] (y / 2^s)^k over the first axis, K = its
+    length - 1, for integer (object) arrays: exact while y is."""
+    acc = coeffs[-1]
+    for k in range(1, len(coeffs)):
+        acc = acc * y + coeffs[-1 - k] * (1 << s * k)
+    return acc
+
+
+def exact_window_series(n, theta, max_terms):
+    """The Moyal series of the pure window pair, _SERIES_POOL[0], up to
+    order max_terms on cross_validate_symbolic's n x n grid, summed
+    exactly at each point and rounded once, times the float w(x1)^2 w(x2)^2.
+
+    c, 1/sigma^2, theta and the grid points are read as the binary
+    rationals their floats are.  With a = 1/sigma^2 and u = x - c, the
+    window w = exp(-a u^2 / 2) has k-th derivative H_k w, where H_k(u) =
+    sum_i h_k[i] a^((k+i)/2) u^i and h_{k+1}[i] = -h_k[i-1] - k h_{k-1}[i]
+    (Hermite).  Order o of w(x1) w(x2) * w(x1) w(x2) is (i theta/2)^o / o!
+    sum_m C(o, m) (-1)^(o-m) P_m(x1) P_m(x2) w(x1)^2 w(x2)^2, with P_m =
+    H_m H_(o-m), a 1-d polynomial, so each term is a rank-one outer
+    product.  Odd orders cancel between m and o - m.  At even o, P_m =
+    a^(o/2) sum_i p_i y^i with y = a u^2 and p the even coefficients of
+    the convolution of h_m and h_(o-m), so the sum is y1^T Z y2 over the
+    powers of y, with Z_ij = sum_o (-1)^(o/2) (a theta/2)^o / o! sum_m
+    (-1)^m C(o, m) p_i p_j.  With a theta / 2 = zn / 2^t, Z times
+    top! 2^(t top) is an integer matrix (top the largest even order), and
+    Horner's rule in y = Y / 2^s keeps the sum one; the final int / int
+    division is the one rounding.
+    """
+    box = 2.0 * math.pi
+    sigma = box / 16.0
+    center = box / 2.0
+    inv = 1.0 / (sigma * sigma)
+    x = np.arange(n) * (box / n)
+    w = np.exp(-0.5 * inv * (x - center) ** 2)
+    h = [np.array([1], dtype=object), np.array([0, -1], dtype=object)]
+    for k in range(1, max_terms):
+        h.append(np.append(0, -h[k]) - k * np.append(h[k - 1], [0, 0]))
+    top = max_terms - max_terms % 2
+    zn, t = _binary(Fraction(inv) * Fraction(theta) / 2)  # a theta / 2
+    z = np.zeros((top // 2 + 1,) * 2, dtype=object)
+    for o in range(0, top + 1, 2):
+        gamma = ((-1) ** (o // 2) * zn ** o
+                 * (math.factorial(top) // math.factorial(o)) << t * (top - o))
+        for m in range(o + 1):
+            p = np.convolve(h[m], h[o - m])[::2]
+            z[:len(p), :len(p)] += ((-1) ** m * math.comb(o, m) * gamma
+                                    * np.outer(p, p))
+    ys = [_binary(Fraction(inv) * (Fraction(xj) - Fraction(center)) ** 2)
+          for xj in x]
+    s = max(e for _, e in ys)
+    y = np.array([m << (s - e) for m, e in ys], dtype=object)
+    rows = _horner(z.T[:, :, None], y, s)  # [i, j2]: sum_j z_ij y2^j
+    total = _horner(rows[:, None, :], y[:, None], s)  # [j1, j2]
+    den = math.factorial(top) << t * top + s * top
+    return (total / den).astype(float) * np.outer(w * w, w * w)
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.07, 0.077])
+@pytest.mark.parametrize("max_terms", [24, 40])
+def test_cross_validation_matches_the_exact_series_near_the_guard(
+        theta, max_terms, monkeypatch):
+    # the float series_defect_reference loses the high orders to roundoff
+    # here (1.006 at theta = 0.07 and max_terms = 40); the exact series
+    # does not.  cross_validate_symbolic's float series stops once two
+    # orders in a row fall below series_tol = 1e-12 of its leading order,
+    # and the orders shrink by about theta / (2 sigma^2) <= 1/4 each, so it
+    # stays within series_tol / 3 of the exact sum in sup norm, roundoff
+    # included; the two relative defects then differ by less than 1e-12
+    products = []
+
+    def capturing(f, g, theta):
+        products.append(grid_star(f, g, theta))
+        return products[-1]
+
+    monkeypatch.setattr(nckit.grid, "grid_star", capturing)
+    got = cross_validate_symbolic(*_SERIES_POOL[0], n=32, theta=theta,
+                                  max_terms=max_terms)
+    series = exact_window_series(32, theta, max_terms)
+    (product,) = products
+    exact = np.max(np.abs(product.values - series)) / np.max(np.abs(series))
+    assert abs(got - exact) <= 1e-12
+    assert exact < SERIES_TOL
 
 
 def test_binary_round_trip(tmp_path):
